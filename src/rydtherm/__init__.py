@@ -47,7 +47,6 @@ from .polarizability import (
     PolarizabilityResult,
     ResonanceGuardError,
     ac_polarizability,
-    ac_polarizability_metastable,
     dc_stark_shift,
     static_polarizability,
 )

@@ -35,10 +35,12 @@ n >= 30 series shift within 5% of the free-electron value at room
 temperature.  A result is flagged converged when |tail| is at most
 ``tail_fraction`` of max(|shift|, 1 mHz).
 
-Clock states (the species' ground/metastable roles) use literature-anchored
-discrete line lists from the species file instead of the one-channel
-radial model, plus a static core/background term; their line set is
-complete by construction, so the truncation tail is zero.
+Both routes run one loop over the channels of ``channel_table``.  For a
+clock state (the species' ground/metastable role) that table is the
+literature-anchored line list from the species file plus a static
+core/background term, folded in through its static-limit shift; the list is
+complete by construction, so the truncation tail is zero.  Every other
+state uses its radial table and the tail completion above.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .species import RydbergState
 from .transitions import (
     DEFAULT_SPAN,
     build_transition_table,
+    channel_table,
     downward_channels,
     einstein_a_s,
 )
@@ -392,53 +395,6 @@ def truncation_tail_shift(
     return (-(kt * kt) * f_missing * acc / (_PI * _C3)) * kconst.HARTREE_HZ
 
 
-def _line_wavelength_id(omega_au: float) -> str:
-    lam_nm = 1e9 * kconst.C_SI / (abs(omega_au) * kconst.HARTREE_HZ)
-    return f"{lam_nm:.0f}nm"
-
-
-def _zero_shift_result(state, temperature_k, method, span) -> BBRShiftResult:
-    return BBRShiftResult(
-        state_str=str(state),
-        temperature_k=temperature_k,
-        shift_hz=0.0,
-        channel_hz=0.0,
-        tail_hz=0.0,
-        f_missing=None,
-        converged=True,
-        method=method,
-        span=span,
-    )
-
-
-def _line_list_shift(
-    state: RydbergState, role: str, temperature_k: float, method: str
-) -> BBRShiftResult:
-    lines, core_alpha = state.species.bbr_lines[role]
-    chan_fn = (
-        _channel_shift_sum_hz if method == "sum" else _channel_shift_integral_hz
-    )
-    per = []
-    for line in lines:
-        z2 = line.d_au**2 / (3.0 * (2.0 * state.J + 1.0))
-        hz = chan_fn(line.omega_au, z2, temperature_k)
-        per.append((_line_wavelength_id(line.omega_au), hz))
-    per.append(("core", static_limit_shift(core_alpha, temperature_k)))
-    total = math.fsum(hz for _, hz in per)
-    return BBRShiftResult(
-        state_str=str(state),
-        temperature_k=temperature_k,
-        shift_hz=total,
-        channel_hz=total,
-        tail_hz=0.0,
-        f_missing=None,
-        converged=True,
-        method=method,
-        span=None,
-        per_channel=tuple(per),
-    )
-
-
 def _bbr_shift(
     state: RydbergState,
     temperature_k: float,
@@ -446,19 +402,21 @@ def _bbr_shift(
     solver: RadialSolver | None,
     method: str,
     tail_fraction: float,
-    use_line_list: bool,
 ) -> BBRShiftResult:
     _check_temperature(temperature_k)
-    role = state.species.state_role(state)
-    if use_line_list and role is not None and role in state.species.bbr_lines:
-        if temperature_k == 0.0:
-            return _zero_shift_result(state, temperature_k, method, None)
-        return _line_list_shift(state, role, temperature_k, method)
-
+    table = channel_table(state, span, solver)
     if temperature_k == 0.0:
-        return _zero_shift_result(state, temperature_k, method, span)
-    solver = solver or default_solver()
-    table = build_transition_table(state, span, solver)
+        return BBRShiftResult(
+            state_str=str(state),
+            temperature_k=temperature_k,
+            shift_hz=0.0,
+            channel_hz=0.0,
+            tail_hz=0.0,
+            f_missing=None,
+            converged=True,
+            method=method,
+            span=table.span,
+        )
     chan_fn = (
         _channel_shift_sum_hz if method == "sum" else _channel_shift_integral_hz
     )
@@ -466,12 +424,16 @@ def _bbr_shift(
         (ch.channel_id, chan_fn(ch.omega_au, ch.z2, temperature_k))
         for ch in table.channels
     ]
+    if table.core_alpha_au is not None:
+        per.append(("core", static_limit_shift(table.core_alpha_au, temperature_k)))
     channel_hz = math.fsum(hz for _, hz in per)
     # The tail is a continuum model, not a discrete channel, so both routes
     # share one implementation; the sum-vs-integral cross-check exercises
     # the per-channel kernels.
-    tail = truncation_tail_shift(
-        table.f_missing, state.binding_au, temperature_k
+    tail = (
+        0.0
+        if table.f_missing is None
+        else truncation_tail_shift(table.f_missing, state.binding_au, temperature_k)
     )
     shift = channel_hz + tail
     converged = abs(tail) <= tail_fraction * max(abs(shift), 1e-3)
@@ -484,7 +446,7 @@ def _bbr_shift(
         f_missing=table.f_missing,
         converged=converged,
         method=method,
-        span=span,
+        span=table.span,
         per_channel=tuple(per),
     )
 
@@ -495,17 +457,14 @@ def bbr_shift_sum(
     span: int = DEFAULT_SPAN,
     solver: RadialSolver | None = None,
     tail_fraction: float = DEFAULT_TAIL_FRACTION,
-    use_line_list: bool = True,
 ) -> BBRShiftResult:
     """BBR Stark shift at temperature T via the Farley-Wing channel sum, Hz.
 
-    Clock states (ground/metastable role with a line list in the species
-    file) use that complete list plus a static core term; everything else
-    uses the radial-engine channel table with sum-rule tail completion.
+    The channels come from ``channel_table``: the species line list plus a
+    static core term for a clock state, the radial table with sum-rule tail
+    completion for any other state.
     """
-    return _bbr_shift(
-        state, temperature_k, span, solver, "sum", tail_fraction, use_line_list
-    )
+    return _bbr_shift(state, temperature_k, span, solver, "sum", tail_fraction)
 
 
 def bbr_shift_integral(
@@ -514,7 +473,6 @@ def bbr_shift_integral(
     span: int = DEFAULT_SPAN,
     solver: RadialSolver | None = None,
     tail_fraction: float = DEFAULT_TAIL_FRACTION,
-    use_line_list: bool = True,
 ) -> BBRShiftResult:
     """BBR Stark shift via per-resonance PV frequency integrals, Hz.
 
@@ -525,8 +483,7 @@ def bbr_shift_integral(
     two routes cross-validate each other.
     """
     return _bbr_shift(
-        state, temperature_k, span, solver, "integral", tail_fraction,
-        use_line_list,
+        state, temperature_k, span, solver, "integral", tail_fraction
     )
 
 

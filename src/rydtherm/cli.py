@@ -23,6 +23,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 
@@ -67,6 +68,8 @@ EXIT_NUMERIC = 4
 # per-species defaults for the magic/table1 commands: Rydberg series of
 # the published magic transitions and the drive photon count
 _MAGIC_DEFAULTS = {"Yb": ("3P0", 2), "Sr": ("3D1", 1)}
+# the rows of the paper's Table 1
+_TABLE1_N = "15,20,25,30,35,40"
 
 
 class UsageError(ValueError):
@@ -113,6 +116,21 @@ def _parse_n_list(text: str) -> list[int]:
     return values
 
 
+def _parse_m_j(text: str) -> float | str | None:
+    """--m-j: a number, 'stretched' (m_J = J) or 'scalar' (the average)."""
+    if text == "scalar":
+        return None
+    return text if text == "stretched" else float(text)
+
+
+def _tolerance(text: str) -> float:
+    """--tolerance: a finite number > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _hashed_command(argv: list[str]) -> list[str]:
     """Drop output-destination flags: the id names the computation."""
     out, skip = [], False
@@ -143,6 +161,7 @@ def _manifest(args, species: Species | None, extra: dict) -> dict:
         "species_data_version": (
             species.data_version if species is not None else None
         ),
+        "species_sha256": species.sha256 if species is not None else None,
         "settings": settings,
         **extra,
     }
@@ -281,11 +300,7 @@ def _cmd_polarizability(args) -> int:
         omega = units.wavelength_nm_to_omega_au(args.wavelength_nm)
     else:
         omega = args.omega_au or 0.0
-    if args.m_j == "stretched":
-        res = ac_polarizability(state, omega, span=args.span)
-    else:
-        m_j = None if args.m_j == "scalar" else float(args.m_j)
-        res = ac_polarizability(state, omega, m_j=m_j, span=args.span)
+    res = ac_polarizability(state, omega, m_j=args.m_j, span=args.span)
     rows = [[
         res.state_str,
         res.omega_au,
@@ -594,7 +609,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"transition-table span in n [{DEFAULT_SPAN}]",
     )
     common.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TAIL_FRACTION,
+        "--tolerance", type=_tolerance, default=DEFAULT_TAIL_FRACTION,
         help=f"convergence tolerance (BBR tail fraction) [{DEFAULT_TAIL_FRACTION}]",
     )
     common.add_argument("--manifest-out", help="write the run manifest JSON here")
@@ -625,7 +640,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="n:series")
     p.add_argument("--omega-au", type=float, help="probe angular frequency (a.u.)")
     p.add_argument("--wavelength-nm", type=float, help="probe wavelength (nm)")
-    p.add_argument("--m-j", default="stretched",
+    p.add_argument("--m-j", type=_parse_m_j, default="stretched",
                    help="m_j value, or 'scalar' for the orientation average")
     p.set_defaults(fn=_cmd_polarizability)
 
@@ -640,7 +655,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", parents=[common],
                        help="magic table: n, lambda_m, alpha, lambda_i")
-    p.add_argument("--n", required=True, help="comma-separated n list")
+    p.add_argument("--n", default=_TABLE1_N,
+                   help=f"comma-separated n list [{_TABLE1_N}]")
     p.add_argument("--series", help="Rydberg series (default per species)")
     p.add_argument("--k-ratio", type=float, default=1.0)
     p.add_argument("--photons", type=int, choices=[1, 2])

@@ -47,6 +47,7 @@ from . import constants as kconst
 from . import units
 from .radial import RadialSolver, sin2_matrix_element
 from .species import RydbergState, Species
+from .transitions import channel_alpha_au, line_table
 
 DEFAULT_SCAN_POINTS = 200
 
@@ -126,18 +127,10 @@ class RydbergLatticeShift:
         return self.position_dependent_hz + self.position_independent_hz
 
 
-def _default_m_l(state: RydbergState) -> int | None:
-    # Lattice averages use the aligned (m_l = 0) orbital component along
-    # the lattice axis for every state; the published magic-lattice
-    # numbers are stated in this convention.  Callers can force the
-    # spherical average with m_l=None.
-    return 0
-
-
 def rydberg_lattice_shift(
     state: RydbergState,
     lattice: LatticeConfig,
-    m_l: int | None = -1,
+    m_l: int | None = 0,
     solver: RadialSolver | None = None,
 ) -> RydbergLatticeShift:
     """Ponderomotive lattice shift of a Rydberg state, in Hz.
@@ -146,8 +139,6 @@ def rydberg_lattice_shift(
     axis, the convention of the published magic-lattice values); pass
     None for the spherical average.
     """
-    if m_l == -1:
-        m_l = _default_m_l(state)
     s = sin2_matrix_element(state, lattice.k_au, m_l=m_l, solver=solver)
     pref_hz = (
         lattice.field_sq_au
@@ -168,10 +159,16 @@ def lattice_alpha_au(species: Species, omega_au: float) -> float:
         raise ValueError(f"omega_au must be >= 0, got {omega_au}")
     if not species.lattice_lines:
         raise ValueError(f"{species.name}: species file has no lattice lines")
-    acc = species.lattice_core_alpha_au or 0.0
-    for line in species.lattice_lines:
-        z2 = line.d_au**2 / 3.0  # J = 0 metastable state
-        acc += 2.0 * line.omega_au * z2 / (line.omega_au**2 - omega_au**2)
+    # the lattice model is a fit for the J = 0 metastable state
+    table = line_table(
+        f"{species.name} lattice model",
+        0.0,
+        species.lattice_lines,
+        species.lattice_core_alpha_au,
+    )
+    acc = table.core_alpha_au
+    for ch in table.channels:
+        acc += channel_alpha_au(ch, omega_au)
     return acc
 
 
@@ -210,7 +207,7 @@ def solve_magic_wavelength(
     state: RydbergState,
     k_ratio: float = 1.0,
     bracket_nm: tuple[float, float] | None = None,
-    m_l: int | None = -1,
+    m_l: int | None = 0,
     solver: RadialSolver | None = None,
     scan_points: int = DEFAULT_SCAN_POINTS,
     include_orbit_average: bool = True,
@@ -248,8 +245,6 @@ def solve_magic_wavelength(
                 f"{units.omega_au_to_wavelength_nm(abs(line.omega_au)):.1f} nm "
                 f"lies inside the bracket {bracket_nm}"
             )
-    if m_l == -1:
-        m_l = _default_m_l(state)
 
     def orbit_s(w: float) -> float:
         if not include_orbit_average:

@@ -1,39 +1,36 @@
 """AC and static dipole polarizabilities.
 
-Two channel sources, matching the blackbody-shift engine:
+One sum over the channels of ``channel_table`` (the same tables as the
+blackbody-shift engine), `alpha(w) = sum_ch 2 w_ch z_ch^2 / (w_ch^2 - w^2)`,
+plus what lies outside the channels:
 
-* Rydberg (and other table-solvable) states use the sum over the dipole
-  transition table, `alpha(w) = sum_ch 2 w_ch z_ch^2 / (w_ch^2 - w^2)`,
-  plus a single-pole tail at the ionization threshold carrying the missing
+* a radial table (Rydberg and other quantum-defect states) adds a
+  single-pole tail at the ionization threshold carrying the missing
   Thomas-Reiche-Kuhn strength, so the free-electron limit -1/w^2 is exact
-  for w far above every resonance.
-* Ground/metastable clock states use the curated line list from the
-  species file plus its constant core term (the core resonances lie far
-  above every frequency of interest here).
+  for w far above every resonance;
+* a clock state's line table adds its constant core term (the core
+  resonances lie far above every frequency of interest here).
 
 Polarizabilities are m_J-resolved: a linearly polarized probe along the
 quantization axis sees `alpha(m) = sum 2 w_ch S_ch (3j(J' 1 J; -m 0 m))^2
-/ (w_ch^2 - w^2)`.  The default is the stretched component m_J = J, which
-is what the lattice/thermometry drive prepares; ``m_j=None`` requests the
-orientation average (the scalar polarizability).  For J = 0 states all
-conventions coincide.
+/ (w_ch^2 - w^2)`.  The default ``m_j="stretched"`` is the component
+m_J = J, which is what the lattice/thermometry drive prepares; ``m_j=None``
+requests the orientation average (the scalar polarizability).  For J = 0
+states all conventions coincide.  Line-list channels carry no final-state
+J, so there only the scalar polarizability (m_j = None or 0) is defined.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Literal
 
 from . import constants as kconst
 from . import units
-from .radial import RadialSolver, default_solver
-from .species import RydbergState, Species
-from .transitions import (
-    DEFAULT_SPAN,
-    TransitionTable,
-    build_transition_table,
-    channel_alpha_au,
-)
+from .radial import RadialSolver
+from .species import RydbergState
+from .transitions import DEFAULT_SPAN, channel_alpha_au, channel_table
 from .wigner import threej
 
 DEFAULT_GUARD_FRACTION = 1e-4
@@ -119,61 +116,13 @@ def _guard_check(
             )
 
 
-def _line_id(omega_au: float) -> str:
-    return f"{units.omega_au_to_wavelength_nm(abs(omega_au)):.0f}nm"
-
-
-def _line_list_polarizability(
-    state: RydbergState,
-    role: str,
-    omega_au: float,
-    m_j: float | None,
-    guard_fraction: float,
-) -> PolarizabilityResult:
-    if m_j not in (None, 0):
-        raise ValueError(
-            f"{state}: the line-list route carries no final-state J data; "
-            f"only the scalar (m_j=None or 0) polarizability is defined"
-        )
-    lines, core_alpha = state.species.bbr_lines[role]
-    pairs = [(_line_id(line.omega_au), line.omega_au) for line in lines]
-    _guard_check(pairs, omega_au, guard_fraction)
-    per = []
-    for line, (rid, _) in zip(lines, pairs):
-        z2 = line.d_au**2 / (3.0 * (2.0 * state.J + 1.0))
-        alpha = (
-            2.0
-            * line.omega_au
-            * z2
-            / (line.omega_au**2 - omega_au * omega_au)
-        )
-        per.append((rid, alpha))
-    per.append(("core", core_alpha))
-    per.sort(key=lambda t: -abs(t[1]))
-    rid, det = _nearest_resonance(pairs, omega_au)
-    return PolarizabilityResult(
-        state_str=str(state),
-        omega_au=omega_au,
-        m_j=m_j,
-        value_au=math.fsum(a for _, a in per),
-        tail_au=0.0,
-        channels=tuple(per),
-        nearest_resonance_id=rid,
-        nearest_detuning_au=det,
-    )
-
-
-_STRETCHED = "stretched"
-
-
 def ac_polarizability(
     state: RydbergState,
     omega_au: float,
-    m_j: float | None = _STRETCHED,  # type: ignore[assignment]
+    m_j: float | Literal["stretched"] | None = "stretched",
     span: int = DEFAULT_SPAN,
     solver: RadialSolver | None = None,
     guard_fraction: float = DEFAULT_GUARD_FRACTION,
-    use_line_list: bool = True,
 ) -> PolarizabilityResult:
     """Dynamic dipole polarizability at probe frequency ``omega_au`` >= 0.
 
@@ -183,33 +132,35 @@ def ac_polarizability(
     """
     if omega_au < 0:
         raise ValueError(f"probe frequency must be >= 0, got {omega_au}")
-    if m_j is _STRETCHED:
+    if m_j == "stretched":
         m_j = state.J
     if m_j is not None and abs(m_j) > state.J:
         raise ValueError(f"|m_j| = {abs(m_j)} exceeds J = {state.J}")
-    role = state.species.state_role(state)
-    if use_line_list and role is not None and role in state.species.bbr_lines:
-        return _line_list_polarizability(
-            state, role, omega_au, m_j, guard_fraction
+    table = channel_table(state, span, solver)
+    # a line table (span None) names no final states, hence no final J
+    m_resolved = m_j is not None and table.span is not None
+    if m_j and not m_resolved:
+        raise ValueError(
+            f"{state}: the line-list route carries no final-state J data; "
+            f"only the scalar (m_j=None or 0) polarizability is defined"
         )
-
-    solver = solver or default_solver()
-    table: TransitionTable = build_transition_table(state, span, solver)
     pairs = [(ch.channel_id, ch.omega_au) for ch in table.channels]
     _guard_check(pairs, omega_au, guard_fraction)
     per = []
     for ch in table.channels:
         alpha = channel_alpha_au(ch, omega_au)
-        if m_j is not None:
+        if m_resolved:
             alpha *= _m_weight(state.J, _series_j(ch.series), m_j)
         per.append((ch.channel_id, alpha))
+    if table.core_alpha_au is not None:
+        per.append(("core", table.core_alpha_au))
     # Missing-strength tail as a single pole at the ionization threshold:
     # keeps the far-off-resonance limit at exactly -1/w^2 (TRK) and adds
     # the right sign of static background below threshold.
     w_th = state.binding_au
     tail = (
         table.f_missing / (w_th * w_th - omega_au * omega_au)
-        if table.f_missing > 0.0
+        if table.f_missing is not None and table.f_missing > 0.0
         else 0.0
     )
     per.sort(key=lambda t: -abs(t[1]))
@@ -228,40 +179,18 @@ def ac_polarizability(
 
 def static_polarizability(
     state: RydbergState,
-    m_j: float | None = _STRETCHED,  # type: ignore[assignment]
+    m_j: float | Literal["stretched"] | None = "stretched",
     span: int = DEFAULT_SPAN,
     solver: RadialSolver | None = None,
-    use_line_list: bool = True,
 ) -> PolarizabilityResult:
     """Static dipole polarizability (the omega = 0 sum over states)."""
-    return ac_polarizability(
-        state,
-        0.0,
-        m_j=m_j,
-        span=span,
-        solver=solver,
-        use_line_list=use_line_list,
-    )
-
-
-def ac_polarizability_metastable(
-    species: Species,
-    omega_au: float,
-    guard_fraction: float = DEFAULT_GUARD_FRACTION,
-) -> PolarizabilityResult:
-    """Metastable clock-state polarizability from the curated line list."""
-    if omega_au < 0:
-        raise ValueError(f"probe frequency must be >= 0, got {omega_au}")
-    state = species.metastable_state()
-    return _line_list_polarizability(
-        state, "metastable", omega_au, None, guard_fraction
-    )
+    return ac_polarizability(state, 0.0, m_j=m_j, span=span, solver=solver)
 
 
 def dc_stark_shift(
     state: RydbergState,
     e_field_v_per_m: float,
-    m_j: float | None = _STRETCHED,  # type: ignore[assignment]
+    m_j: float | Literal["stretched"] | None = "stretched",
     span: int = DEFAULT_SPAN,
     solver: RadialSolver | None = None,
 ) -> float:

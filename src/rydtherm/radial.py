@@ -30,7 +30,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 
@@ -64,38 +63,6 @@ class RadialSolution:
     l: int
     n_eff: float
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.h * np.arange(self.j_in, self.j_out + 1)
-
-    @property
-    def r(self) -> np.ndarray:
-        return self.x**2
-
-    def u(self) -> np.ndarray:
-        """u(r) = v(x) sqrt(x) on the same nodes."""
-        return self.v * np.sqrt(self.x)
-
-    def norm_residual(self) -> float:
-        """|integral u^2 dr - 1| recomputed with a different integrator.
-
-        Trapezoid on the non-uniform r grid of u^2, independent of the
-        x-grid trapezoid used for normalization.
-        """
-        u = self.u()
-        return abs(float(_trapz(u * u, self.r)) - 1.0)
-
-    def node_count(self) -> int:
-        v = self.v
-        interior = v[(np.abs(v) > 1e-9 * np.max(np.abs(v)))]
-        return int(np.sum(np.sign(interior[1:]) != np.sign(interior[:-1])))
-
-    @property
-    def outer_turning_point_r(self) -> float:
-        """Outer root of E = -1/r + l(l+1)/(2 r^2), bohr."""
-        nst, ll = self.n_eff, self.l * (self.l + 1)
-        return nst * nst + nst * math.sqrt(max(nst * nst - ll, 0.0))
-
 
 def _numerov_inward(kf: np.ndarray, h: float) -> np.ndarray:
     """Integrate v'' = -kf v inward; seed with a tiny value at the outer end."""
@@ -109,63 +76,11 @@ def _numerov_inward(kf: np.ndarray, h: float) -> np.ndarray:
     return np.asarray(v)
 
 
-class DiskCache:
-    """Tiny persistent str -> float cache (versioned text, atomic rewrite)."""
-
-    _HEADER = "rydtherm-cache 1"
-
-    def __init__(self, path: str):
-        self.path = path
-        self._lock = threading.RLock()
-        self._data: dict[str, float] = {}
-        self._dirty = 0
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                header = fh.readline().rstrip("\n")
-                if header != self._HEADER:
-                    # stale or foreign file: start over rather than guess
-                    self._data = {}
-                else:
-                    for line in fh:
-                        key, _, hexval = line.rstrip("\n").rpartition("\t")
-                        if key:
-                            self._data[key] = float.fromhex(hexval)
-
-    def get(self, key: str) -> float | None:
-        with self._lock:
-            return self._data.get(key)
-
-    def put(self, key: str, value: float) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._dirty += 1
-            if self._dirty >= 512:
-                self.flush()
-
-    def flush(self) -> None:
-        with self._lock:
-            if not self._dirty and os.path.exists(self.path):
-                return
-            tmp = self.path + ".tmp"
-            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(self._HEADER + "\n")
-                for key, val in self._data.items():
-                    fh.write(f"{key}\t{val.hex()}\n")
-            os.replace(tmp, self.path)
-            self._dirty = 0
-
-
 class RadialSolver:
     """Solves and caches radial wavefunctions and their matrix elements."""
 
-    def __init__(
-        self,
-        h: float = DEFAULT_MESH_STEP,
-        disk_cache: DiskCache | None = None,
-    ):
+    def __init__(self, h: float = DEFAULT_MESH_STEP):
         self.h = h
-        self.disk = disk_cache
         self._solutions: dict[tuple, RadialSolution] = {}
         self._lock = threading.RLock()
         # scratch space for higher-level engines (channel tables etc.) whose
@@ -173,9 +88,6 @@ class RadialSolver:
         self.extra_cache: dict = {}
 
     # -- wavefunctions -----------------------------------------------------
-
-    def _mesh_tag(self) -> str:
-        return f"h={self.h:g}|alg=1"
 
     def solve(self, state: RydbergState) -> RadialSolution:
         key = (state._key, self.h)
@@ -232,35 +144,20 @@ class RadialSolver:
 
     # -- matrix elements ---------------------------------------------------
 
-    def _pair_integral(
-        self, a: RydbergState, b: RydbergState, weight_tag: str, weight_fn
-    ) -> float:
-        if self.disk is not None:
-            ka, kb = sorted([str(a), str(b)])
-            key = (
-                f"{a.species.key}|{ka}|{kb}|{weight_tag}|{self._mesh_tag()}"
-            )
-            hit = self.disk.get(key)
-            if hit is not None:
-                return hit
+    def _pair_integral(self, a: RydbergState, b: RydbergState, weight_fn) -> float:
         sa, sb = self.solve(a), self.solve(b)
         j0 = max(sa.j_in, sb.j_in)
         j1 = min(sa.j_out, sb.j_out)
         va = sa.v[j0 - sa.j_in : j1 - sa.j_in + 1]
         vb = sb.v[j0 - sb.j_in : j1 - sb.j_in + 1]
         x = self.h * np.arange(j0, j1 + 1)
-        val = 2.0 * self.h * float(_trapz(va * vb * weight_fn(x)))
-        if self.disk is not None:
-            self.disk.put(key, val)
-        return val
+        return 2.0 * self.h * float(_trapz(va * vb * weight_fn(x)))
 
     def radial_integral(
         self, a: RydbergState, b: RydbergState, power: int = 1
     ) -> float:
         """<a| r^power |b> over the common mesh (u_a u_b r^p dr)."""
-        return self._pair_integral(
-            a, b, f"r^{power}", lambda x: x ** (2 * power + 2)
-        )
+        return self._pair_integral(a, b, lambda x: x ** (2 * power + 2))
 
     def r2_expectation(self, state: RydbergState) -> float:
         return self.radial_integral(state, state, power=2)
@@ -268,10 +165,7 @@ class RadialSolver:
     def j0_average(self, state: RydbergState, q_au: float) -> float:
         """<j0(q r)> over the state's radial density."""
         return self._pair_integral(
-            state,
-            state,
-            f"j0@{q_au:.12e}",
-            lambda x: x * x * np.sinc(q_au * x * x / math.pi),
+            state, state, lambda x: x * x * np.sinc(q_au * x * x / math.pi)
         )
 
     def bessel_average(
@@ -283,7 +177,6 @@ class RadialSolver:
         return self._pair_integral(
             state,
             state,
-            f"j{order}@{q_au:.12e}",
             lambda x: x * x * special.spherical_jn(order, q_au * x * x),
         )
 
@@ -324,7 +217,7 @@ _DEFAULT_LOCK = threading.Lock()
 
 
 def default_solver() -> RadialSolver:
-    """Process-wide shared solver (in-memory caches only)."""
+    """Process-wide shared solver."""
     global _DEFAULT_SOLVER
     with _DEFAULT_LOCK:
         if _DEFAULT_SOLVER is None:

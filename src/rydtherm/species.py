@@ -35,7 +35,9 @@ energy mu_red/(2 n*^2) hartree (mu_red = reduced-mass factor).
 
 from __future__ import annotations
 
+import hashlib
 import importlib.resources
+import io
 import math
 import os
 import re
@@ -178,22 +180,22 @@ _KEY_PATTERNS = [
 ]
 
 
-def _read_kv(path: str) -> dict[str, tuple[str, int]]:
+def _read_kv(path: str, content: bytes) -> dict[str, tuple[str, int]]:
     out: dict[str, tuple[str, int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SpeciesDataError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if not any(p.match(key) for p in _KEY_PATTERNS):
-                raise SpeciesDataError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in out:
-                raise SpeciesDataError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = (val, lineno)
+    text = io.StringIO(content.decode("utf-8"), newline=None)
+    for lineno, raw in enumerate(text, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise SpeciesDataError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if not any(p.match(key) for p in _KEY_PATTERNS):
+            raise SpeciesDataError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in out:
+            raise SpeciesDataError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = (val, lineno)
     return out
 
 
@@ -269,7 +271,12 @@ class Species:
 
     def __init__(self, path: str):
         self.path = path
-        kvw = _KV(path, _read_kv(path))
+        with open(path, "rb") as fh:
+            content = fh.read()
+        # caches are keyed by content: two files that share a name and a
+        # data_version but differ anywhere must never share an entry
+        self.sha256 = hashlib.sha256(content).hexdigest()
+        kvw = _KV(path, _read_kv(path, content))
         if kvw.int_("format_version") != 1:
             raise SpeciesDataError(f"{path}: unsupported format_version")
         self.name = kvw.str_("name")
@@ -402,6 +409,7 @@ class Species:
 
     @property
     def key(self) -> str:
+        """Display name ``name:data_version``; caches use ``sha256``."""
         return f"{self.name}:{self.data_version}"
 
     def series_labels(self) -> tuple[str, ...]:
@@ -428,7 +436,7 @@ class Species:
                 f"[{sd.n_min}, {sd.n_max}]"
             )
         return RydbergState(
-            species=self, n=n, series=series, _key=(self.key, n, series)
+            species=self, n=n, series=series, _key=(self.sha256, n, series)
         )
 
     def ground_state(self) -> RydbergState:

@@ -52,9 +52,11 @@ class ThermometryMeasurement:
     sigma_hz: float
 
     def __post_init__(self) -> None:
-        if not self.sigma_hz > 0:
+        if not math.isfinite(self.offset_hz):
+            raise ValueError(f"measured offset must be finite, got {self.offset_hz}")
+        if not (math.isfinite(self.sigma_hz) and self.sigma_hz > 0):
             raise ValueError(
-                f"measurement uncertainty must be > 0, got {self.sigma_hz}"
+                f"measurement uncertainty must be finite and > 0, got {self.sigma_hz}"
             )
 
     @property

@@ -1,20 +1,23 @@
-"""Dipole channel tables for one-electron quantum-defect states.
+"""Dipole channel tables: the one channel model behind every engine.
 
 A "channel" is one dipole-coupled final state seen from a fixed initial
 state: its signed transition energy omega = E_final - E_initial (atomic
 units), the radial integral <f| r |i>, the series-pair angular factor, and
 the derived scalar strength z^2 = S / (3 (2 J_i + 1)) that enters isotropic
-(thermal or scalar-polarizability) sums.  Tables are what every engine
-above the radial solver consumes: blackbody shift sums, polarizabilities,
-linewidths, and lattice shifts all iterate the same records.
+(thermal or scalar-polarizability) sums.  Blackbody shift sums,
+polarizabilities, linewidths, and the lattice model all iterate the same
+records, held in a ``TransitionTable``:
 
-Two builders are provided:
-
-* ``build_transition_table(state, span)`` - all channels with
-  n' in [max(n_min', n - span), min(n_max', n + span)] for each
+* ``build_transition_table(state, span)`` - the radial table: all channels
+  with n' in [max(n_min', n - span), min(n_max', n + span)] for each
   dipole-coupled series, sorted by |omega|.  The summed oscillator strength
   (Thomas-Reiche-Kuhn, one active electron) tells callers how much strength
   the window missed.
+* ``line_table`` - a complete line list from the species file (a clock
+  state's ``bbrline.*`` list, or the ``line.*`` lattice model) plus a
+  static core polarizability; no strength is missing.
+* ``channel_table(state, span)`` - the one dispatch: the line table of a
+  clock state, the radial table of any other state.
 * ``downward_channels(state)`` - every channel below the state regardless
   of span, for spontaneous-decay sums.
 
@@ -32,13 +35,14 @@ import math
 from dataclasses import dataclass
 
 from . import constants as kconst
+from . import units
 from .radial import (
     MeshOverflowError,
     RadialSolver,
     RadialUnsolvableError,
     default_solver,
 )
-from .species import RydbergState
+from .species import Line, RydbergState
 from .wigner import line_strength_factor
 
 DEFAULT_SPAN = 35
@@ -48,10 +52,14 @@ _C3 = kconst.C_AU**3
 
 @dataclass(frozen=True)
 class Channel:
-    """One dipole-coupled final state seen from the initial state."""
+    """One dipole-coupled final state seen from the initial state.
 
-    series: str
-    n: int
+    A line-list channel names no final state: ``series`` and ``n`` are
+    None, ``radial_au`` is the reduced dipole and ``angular`` is 1.
+    """
+
+    series: str | None
+    n: int | None
     omega_au: float  # E_final - E_initial (signed)
     radial_au: float  # <f| r |i>
     angular: float  # series-pair angular factor (line strength / radial^2)
@@ -69,22 +77,27 @@ class Channel:
 
     @property
     def channel_id(self) -> str:
+        if self.series is None:
+            lam_nm = units.omega_au_to_wavelength_nm(abs(self.omega_au))
+            return f"{lam_nm:.0f}nm"
         return f"{self.series}:{self.n}"
 
 
 @dataclass(frozen=True)
 class TransitionTable:
-    """Channels of one initial state within a span window, sorted by |omega|."""
+    """One initial state's channels and what lies outside them.
+
+    A radial table covers a span window and misses ``f_missing`` of the
+    oscillator strength; a line table is complete (``span`` and
+    ``f_missing`` are None) and adds a static ``core_alpha_au``.
+    """
 
     state_str: str
-    span: int
+    span: int | None
     channels: tuple[Channel, ...]
-    f_sum: float  # included oscillator strength
-    skipped_unsolvable: int  # finals with no radial solution and no patch
-
-    @property
-    def f_missing(self) -> float:
-        return 1.0 - self.f_sum
+    f_missing: float | None
+    core_alpha_au: float | None = None
+    skipped_unsolvable: int = 0  # finals with no radial solution and no patch
 
 
 def channel_alpha_au(ch: Channel, omega_au: float) -> float:
@@ -220,11 +233,48 @@ def build_transition_table(
         state_str=str(state),
         span=span,
         channels=tuple(channels),
-        f_sum=math.fsum(ch.f_osc for ch in channels),
+        f_missing=1.0 - math.fsum(ch.f_osc for ch in channels),
         skipped_unsolvable=skipped,
     )
     solver.extra_cache[cache_key] = table
     return table
+
+
+def line_table(
+    state_str: str, j: float, lines: tuple[Line, ...], core_alpha_au: float
+) -> TransitionTable:
+    """A complete line list of a state with total angular momentum ``j``."""
+    return TransitionTable(
+        state_str=state_str,
+        span=None,
+        channels=tuple(
+            Channel(
+                series=None,
+                n=None,
+                omega_au=line.omega_au,
+                radial_au=line.d_au,
+                angular=1.0,
+                z2=line.d_au**2 / (3.0 * (2.0 * j + 1.0)),
+            )
+            for line in lines
+        ),
+        f_missing=None,
+        core_alpha_au=core_alpha_au,
+    )
+
+
+def channel_table(
+    state: RydbergState,
+    span: int = DEFAULT_SPAN,
+    solver: RadialSolver | None = None,
+) -> TransitionTable:
+    """The channels of any state: its species line list for a clock state
+    (ground/metastable role with ``bbrline`` entries), else the radial table."""
+    role = state.species.state_role(state)
+    if role in state.species.bbr_lines:
+        lines, core_alpha = state.species.bbr_lines[role]
+        return line_table(str(state), state.J, lines, core_alpha)
+    return build_transition_table(state, span, solver)
 
 
 def downward_channels(

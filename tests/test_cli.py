@@ -99,6 +99,37 @@ def test_species_data_version_in_manifest(tmp_path, capsys):
     assert manifest["species_data_version"].startswith("sr-")
 
 
+def test_manifest_names_species_content(tmp_path, capsys):
+    # two files with the same name and data_version but different content
+    import hashlib
+
+    from rydtherm.species import bundled_species_path
+
+    text = open(bundled_species_path("sr"), encoding="utf-8").read()
+    copy = tmp_path / "sr.species"
+    copy.write_text(text + "# an edited copy\n")
+    ids = []
+    for i, path in enumerate((bundled_species_path("sr"), str(copy))):
+        mpath = tmp_path / f"run{i}.json"
+        _run(capsys, "bbr", "--species-file", path, "--state", "30:3S1",
+             "--manifest-out", str(mpath))
+        manifest = json.loads(mpath.read_text())
+        with open(path, "rb") as fh:
+            assert manifest["species_sha256"] == hashlib.sha256(fh.read()).hexdigest()
+        ids.append(manifest["manifest_id"])
+    assert ids[0] != ids[1]
+
+
+@pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+def test_bad_tolerance_is_a_usage_error(capsys, tolerance):
+    code, _, err = _run(
+        capsys, "bbr", "--species", "sr", "--state", "30:3D1",
+        "--tolerance", tolerance,
+    )
+    assert code == EXIT_USAGE
+    assert "--tolerance" in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert _run(capsys, "fw")[0] == EXIT_USAGE  # no y values
     assert _run(capsys, "fig2", "--y-min", "5", "--y-max", "2")[0] == EXIT_USAGE
@@ -184,6 +215,14 @@ def test_polarizability_command(capsys):
     assert float(_rows(out2)[0]["alpha_hz_m2_v2"]) == pytest.approx(
         -141.0, rel=1e-2
     )
+
+
+def test_table1_default_rows_are_table_1(capsys):
+    from test_golden import compare_csv, read_golden
+
+    code, out, _ = _run(capsys, "table1", "--species", "Yb")
+    assert code == EXIT_OK
+    assert compare_csv(out, read_golden("table1_yb")) == []
 
 
 def test_table1_yb(capsys):

@@ -10,7 +10,6 @@ from rydtherm.polarizability import (
     NonPerturbativeFieldError,
     ResonanceGuardError,
     ac_polarizability,
-    ac_polarizability_metastable,
     dc_stark_shift,
     static_polarizability,
 )
@@ -35,12 +34,12 @@ def test_clock_state_static_values(sr, yb):
     assert ac_polarizability(sr.state(5, "1S0"), 0.0).value_au == pytest.approx(
         197.2, rel=0.02
     )
-    assert ac_polarizability_metastable(sr, 0.0).value_au == pytest.approx(
-        457.0, rel=0.02
-    )
-    assert ac_polarizability_metastable(yb, 0.0).value_au == pytest.approx(
-        280.0, rel=0.02
-    )
+    assert ac_polarizability(
+        sr.metastable_state(), 0.0, m_j=None
+    ).value_au == pytest.approx(457.0, rel=0.02)
+    assert ac_polarizability(
+        yb.metastable_state(), 0.0, m_j=None
+    ).value_au == pytest.approx(280.0, rel=0.02)
 
 
 def test_metastable_m_j_restriction(sr):

@@ -137,21 +137,5 @@ def test_bessel_small_q_limit(hydrogen, solver):
     assert solver.bessel_average(st, 2, 1e-9) == pytest.approx(0.0, abs=1e-10)
 
 
-def test_disk_cache_round_trip(tmp_path, hydrogen):
-    from rydtherm.radial import DiskCache
-
-    path = str(tmp_path / "cache.dat")
-    cache = DiskCache(path)
-    sv = RadialSolver(disk_cache=cache)
-    st1s = hydrogen.state(1, "1S0")
-    st2p = hydrogen.state(2, "1P1")
-    val = sv.radial_integral(st1s, st2p, 1)
-    cache.flush()
-
-    reopened = DiskCache(path)
-    sv2 = RadialSolver(disk_cache=reopened)
-    assert sv2.radial_integral(st1s, st2p, 1) == val
-
-
 def test_default_solver_is_shared():
     assert default_solver() is default_solver()

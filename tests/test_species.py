@@ -118,6 +118,26 @@ def test_env_data_dir_override(tmp_path, monkeypatch, sr):
     assert sp.key == sr.key
 
 
+def test_caches_are_keyed_by_file_content(tmp_path, sr):
+    # same name and data_version, different quantum defect: the copy must
+    # not be served the bundled file's cached radial solutions and tables
+    from rydtherm.polarizability import static_polarizability
+    from rydtherm.radial import RadialSolver
+
+    text = open(bundled_species_path("sr"), encoding="utf-8").read()
+    assert "defect.3D1.mu0 = 2.658\n" in text
+    path = tmp_path / "sr.species"
+    path.write_text(text.replace("defect.3D1.mu0 = 2.658\n", "defect.3D1.mu0 = 2.50\n"))
+    static_polarizability(sr.state(30, "3D1"))  # fill the shared caches
+    copy = load_species(str(path))
+    shared = static_polarizability(copy.state(30, "3D1")).value_au
+    fresh = static_polarizability(copy.state(30, "3D1"), solver=RadialSolver())
+    assert shared == fresh.value_au
+    assert shared > 0.0  # the bundled Sr value is about -1.6e10 a.u.
+    assert copy.key == sr.key
+    assert copy.sha256 != sr.sha256
+
+
 def test_missing_species_raises():
     with pytest.raises((SpeciesDataError, FileNotFoundError)):
         load_species("unobtainium")

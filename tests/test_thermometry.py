@@ -56,6 +56,15 @@ def test_measurement_validation(sr):
     assert m.transition_id == "Sr 5 3P0 -> 30 3D1"
 
 
+@pytest.mark.parametrize(
+    "offset_hz, sigma_hz",
+    [(math.nan, 0.1), (math.inf, 0.1), (100.0, math.inf)],
+)
+def test_measurement_rejects_non_finite(sr, offset_hz, sigma_hz):
+    with pytest.raises(ValueError, match="finite"):
+        ThermometryMeasurement(sr.state(30, "3D1"), offset_hz, sigma_hz)
+
+
 # -- single-transition inversion ------------------------------------------------
 
 
