@@ -4,6 +4,8 @@ Each command is rerun in-process and compared with ``tests/golden/<name>.csv``:
 the header and row count exactly, text columns exactly, numeric columns to
 1e-10 relative (with an absolute floor for zeros).  ``manifest_id`` is not
 compared; it hashes the command line and tool version, not the results.
+A ``{golden}`` token in a command names a committed input file in that
+directory.
 
 Regenerate the files (only when a change of the numbers is intended and
 explained) with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -36,6 +38,13 @@ COMMANDS = {
     "thermo_budget_sr": "thermo budget --species Sr --state 30:3D1 --fractional 1.7e-16",
     "fig3_sr": "fig3 --species Sr --series 3S1,3P1,3D2 --n-min 28 --n-max 32",
     "fw": "fw --y 0.5 --y 1.0 --y 2.6162",
+    "fig2_log_7": "fig2 --points 7",
+    "fig2_linear_5": "fig2 --points 5 --linear --y-min 0.1 --y-max 3",
+    "thermo_invert_sr": (
+        "thermo invert --species Sr --state 30:3D1 --offset-hz 2350.73 --sigma-hz 0.16"
+    ),
+    # Sr 25 and 30 3D1 offsets at 300 K and 5 V/m
+    "thermo_joint_sr": "thermo joint --species Sr --measurements {golden}/meas_sr.csv",
 }
 
 REL_TOL = 1e-10
@@ -53,6 +62,10 @@ def run_csv(argv: list[str]) -> str:
         sys.stdout = saved
     assert code == EXIT_OK, f"rydtherm {' '.join(argv)} exited {code}"
     return out.getvalue()
+
+
+def command_argv(name: str) -> list[str]:
+    return [tok.replace("{golden}", GOLDEN_DIR) for tok in COMMANDS[name].split()]
 
 
 def read_golden(name: str) -> str:
@@ -93,12 +106,12 @@ def compare_csv(got: str, want: str, ignore: tuple[str, ...] = IGNORED) -> list[
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_golden(name):
-    got = run_csv(COMMANDS[name].split())
+    got = run_csv(command_argv(name))
     assert compare_csv(got, read_golden(name)) == []
 
 
 if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for name, command in sorted(COMMANDS.items()):
+    for name in sorted(COMMANDS):
         with open(os.path.join(GOLDEN_DIR, f"{name}.csv"), "w", newline="") as fh:
-            fh.write(run_csv(command.split()))
+            fh.write(run_csv(command_argv(name)))
