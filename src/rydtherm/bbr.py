@@ -94,12 +94,11 @@ def _fw_asymptotic(a: float) -> float:
     prev = math.inf
     for m in range(17):
         order = 2 * m + 4
-        term = (
-            2.0
-            * math.gamma(order)
-            * float(special.zeta(order))
-            / a ** (2 * m + 1)
-        )
+        try:
+            power = math.pow(a, 2 * m + 1)
+        except OverflowError:  # a > ~2e9: this and later terms are 0 in doubles
+            break
+        term = 2.0 * math.gamma(order) * float(special.zeta(order)) / power
         if term >= prev:
             break
         total += term
@@ -242,7 +241,8 @@ def planck_spectral_density(omega_au: float, temperature_k: float) -> float:
     _check_temperature(temperature_k)
     if omega_au < 0.0:
         raise ValueError(f"omega must be >= 0, got {omega_au}")
-    if temperature_k == 0.0 or omega_au == 0.0:
+    # k_B T underflows to 0 below about 1.6e-318 K: that is T = 0 here
+    if kconst.KB_AU * temperature_k == 0.0 or omega_au == 0.0:
         return 0.0
     x = omega_au / (kconst.KB_AU * temperature_k)
     if x > 700.0:
@@ -383,9 +383,9 @@ def truncation_tail_shift(
     one-channel radial model at low n and is clamped).
     """
     _check_temperature(temperature_k)
-    if temperature_k == 0.0 or f_missing <= 0.0:
-        return 0.0
     kt = kconst.KB_AU * temperature_k
+    if kt == 0.0 or f_missing <= 0.0:
+        return 0.0
     y_th = binding_au / kt
     acc = 0.0
     p = _KRAMERS_P
@@ -405,7 +405,7 @@ def _bbr_shift(
 ) -> BBRShiftResult:
     _check_temperature(temperature_k)
     table = channel_table(state, span, solver)
-    if temperature_k == 0.0:
+    if kconst.KB_AU * temperature_k == 0.0:
         return BBRShiftResult(
             state_str=str(state),
             temperature_k=temperature_k,
@@ -528,10 +528,10 @@ def bbr_depopulation_rate(
     balance).  Photoionization by the thermal field is neglected.
     """
     _check_temperature(temperature_k)
-    if temperature_k == 0.0:
+    kt = kconst.KB_AU * temperature_k
+    if kt == 0.0:
         return 0.0
     solver = solver or default_solver()
-    kt = kconst.KB_AU * temperature_k
     terms = []
     for ch in downward_channels(state, solver):
         x = abs(ch.omega_au) / kt

@@ -127,15 +127,17 @@ def ac_polarizability(
     """Dynamic dipole polarizability at probe frequency ``omega_au`` >= 0.
 
     ``m_j`` defaults to the stretched component m_J = J; pass None for the
-    orientation average.  Raises ResonanceGuardError when ``omega_au`` is
-    within ``guard_fraction`` (relative) of any channel resonance.
+    orientation average.  Raises ValueError for a non-finite or negative
+    ``omega_au`` and for an m_J that is not one of J, J - 1, ..., -J;
+    ResonanceGuardError when ``omega_au`` is within ``guard_fraction``
+    (relative) of any channel resonance.
     """
-    if omega_au < 0:
-        raise ValueError(f"probe frequency must be >= 0, got {omega_au}")
+    if not (math.isfinite(omega_au) and omega_au >= 0):
+        raise ValueError(f"probe frequency must be finite and >= 0, got {omega_au}")
     if m_j == "stretched":
         m_j = state.J
-    if m_j is not None and abs(m_j) > state.J:
-        raise ValueError(f"|m_j| = {abs(m_j)} exceeds J = {state.J}")
+    if m_j is not None and m_j not in [state.J - k for k in range(int(2 * state.J) + 1)]:
+        raise ValueError(f"m_j = {m_j} is not one of J = {state.J}, J - 1, ..., -J")
     table = channel_table(state, span, solver)
     # a line table (span None) names no final states, hence no final J
     m_resolved = m_j is not None and table.span is not None

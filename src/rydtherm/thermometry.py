@@ -410,10 +410,16 @@ def error_budget(
     the transition's BBR sensitivity -> clock BBR uncertainty via the
     species' clock sensitivity constant.  ``linewidth_hz`` overrides the
     computed total transition linewidth (e.g. to budget against an
-    externally specified line).
+    externally specified line).  Both must be finite and > 0.
     """
-    if fractional_accuracy <= 0:
-        raise ValueError("fractional accuracy must be > 0")
+    if not (math.isfinite(fractional_accuracy) and fractional_accuracy > 0):
+        raise ValueError(
+            f"fractional accuracy must be finite and > 0, got {fractional_accuracy}"
+        )
+    if linewidth_hz is not None and not (
+        math.isfinite(linewidth_hz) and linewidth_hz > 0
+    ):
+        raise ValueError(f"linewidth must be finite and > 0, got {linewidth_hz}")
     if lower is None:
         lower_state = species.metastable_state()
         nu_hz = transition_energy_au(species, upper) * kconst.HARTREE_HZ

@@ -103,6 +103,17 @@ def test_zero_temperature_is_zero(sr):
     assert bbr_shift_sum(sr.state(5, "1S0"), 0.0).shift_hz == 0.0
 
 
+@pytest.mark.parametrize("temperature", [1e-6, 1e-300, 5e-324])
+def test_near_zero_temperature_is_finite(sr, temperature):
+    # omega/kT beyond ~2e9 takes the kernel's asymptotic series past the
+    # double range, and k_B T underflows to 0 at 5e-324 K; all three
+    # temperatures are inside the supported range
+    for st in (sr.state(5, "3P0"), sr.state(30, "3D1")):
+        for route in (bbr_shift_sum, bbr_shift_integral):
+            assert abs(route(st, temperature).shift_hz) < 1e-20
+    assert bbr_depopulation_rate(sr.state(30, "3D1"), temperature) == 0.0
+
+
 # -- Rydberg states (channel-table route) ------------------------------------
 
 

@@ -1,10 +1,13 @@
 """Command-line interface: CSV contract, manifests, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rydtherm.cli import (
     EXIT_DATA,
@@ -128,6 +131,25 @@ def test_bad_tolerance_is_a_usage_error(capsys, tolerance):
     )
     assert code == EXIT_USAGE
     assert "--tolerance" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "thermo budget --species Sr --state 30:3D1 --fractional nan",
+    "thermo budget --species Sr --state 30:3D1 --fractional inf",
+    "thermo budget --species Sr --state 30:3D1 --linewidth-hz nan",
+    "thermo budget --species Sr --state 30:3D1 --linewidth-hz -5",
+    "polarizability --species Sr --state 25:3D1 --omega-au nan",
+    "polarizability --species Sr --state 25:3D1 --wavelength-nm nan",
+    # m_J must be one of J, J - 1, ..., -J
+    "polarizability --species Sr --state 25:3D1 --m-j 0.5",
+    "fw --y 1 --y inf",
+    "fig2 --points 5 --y-max inf",
+])
+def test_meaningless_numbers_exit_2(capsys, argv):
+    code, out, err = _run(capsys, *argv.split())
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "usage error" in err
 
 
 def test_usage_errors_exit_2(capsys):
@@ -328,3 +350,80 @@ def test_version_and_help_exit_0(capsys):
     with_help = main(["fig2", "--help"])
     capsys.readouterr()
     assert with_help == 0
+
+
+# --- the exit-code contract under random argument vectors ---------------------
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "x"]),
+)
+# (species, state): the clock states, and a Rydberg state with a table
+_STATES = st.sampled_from([
+    ("Sr", "5:1S0"), ("Sr", "5:3P0"), ("Yb", "6:1S0"), ("Yb", "6:3P0"),
+    ("Sr", "25:3D1"),
+])
+_JUNK = st.sampled_from(
+    ["--bogus", "junk", "--y", "--state", "--points", "25:", ":3D1", "1e999", "--"]
+)
+
+
+@st.composite
+def _flag(draw, name, values=_NUMBER):
+    """``--name value`` or ``--name=value`` (the latter lets '-inf' through)."""
+    value = draw(values)
+    return [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+
+
+@st.composite
+def _options(draw, *flags):
+    argv = []
+    for flag in flags:
+        if draw(st.booleans()):
+            argv += draw(flag)
+    return argv
+
+
+@st.composite
+def _argv(draw):
+    kind = draw(st.sampled_from(["fw", "fig2", "polarizability", "bbr", "budget"]))
+    if kind == "fw":
+        argv = ["fw"]
+        for _ in range(draw(st.integers(0, 3))):
+            argv += draw(_flag("--y"))
+    elif kind == "fig2":
+        argv = ["fig2", "--points", str(draw(st.integers(-1, 20)))]
+        argv += draw(_options(_flag("--y-min"), _flag("--y-max"),
+                              st.just(["--linear"])))
+    elif kind == "budget":
+        argv = ["thermo", "budget", "--species", "Sr", "--state", "25:3D1"]
+        argv += draw(_options(_flag("--fractional"), _flag("--linewidth-hz"),
+                              _flag("--temperature")))
+    else:
+        species, state = draw(_STATES)
+        argv = [kind, "--species", species, "--state", state]
+        if kind == "bbr":
+            argv += draw(_options(
+                _flag("--temperature"), _flag("--tolerance"),
+                _flag("--route", st.sampled_from(["sum", "integral", "both"]))))
+        else:
+            m_j = st.one_of(_NUMBER, st.sampled_from(["scalar", "stretched", "1", "-1"]))
+            argv += draw(_options(
+                _flag("--omega-au"), _flag("--wavelength-nm"), _flag("--m-j", m_j)))
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    return argv
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(argv=_argv())
+@example(argv="thermo budget --species Sr --state 25:3D1 --fractional nan".split())
+@example(argv="polarizability --species Sr --state 25:3D1 --omega-au nan".split())
+def test_cli_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # an exception here fails the test
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
+    if code == EXIT_OK:
+        cells = [c for row in csv.reader(io.StringIO(out.getvalue())) for c in row]
+        assert "nan" not in {c.lower() for c in cells}
