@@ -111,11 +111,11 @@ def _h_smooth(x: np.ndarray | float, a: float):
     return x**3 / ((x + a) * np.expm1(x))
 
 
-def farley_wing(
-    y: float,
-    excision_chain: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
-    quad_rel_tol: float = 1e-11,
-) -> float:
+_EXCISION_CHAIN = (1e-2, 1e-3, 1e-4)  # farley_wing's excision radii / |y|
+_QUAD_REL_TOL = 1e-11  # relative tolerance of its adaptive quadratures
+
+
+def farley_wing(y: float) -> float:
     """Reference evaluation of the Farley-Wing function F(y).
 
     Symmetric excision of the pole at x = |y| with the analytic local term
@@ -147,16 +147,16 @@ def farley_wing(
     hprime = (hm2 - 8 * hm1 + 8 * hp1 - hp2) / (12 * s)
 
     x_up = a + 60.0
-    deltas = [c * a for c in excision_chain]
+    deltas = [c * a for c in _EXCISION_CHAIN]
     vals = []
     err_bound = 0.0
     for d in deltas:
         lo = integrate.quad(
-            g, 0.0, a - d, epsabs=0.0, epsrel=quad_rel_tol, limit=400,
+            g, 0.0, a - d, epsabs=0.0, epsrel=_QUAD_REL_TOL, limit=400,
             full_output=1,
         )
         hi = integrate.quad(
-            g, a + d, x_up, epsabs=0.0, epsrel=quad_rel_tol, limit=400,
+            g, a + d, x_up, epsabs=0.0, epsrel=_QUAD_REL_TOL, limit=400,
             full_output=1,
         )
         vals.append(lo[0] + hi[0] + 2.0 * d * hprime)
@@ -481,6 +481,10 @@ def bbr_shift_integral(
     Cauchy principal value at every resonance.  Shares the channel table
     with ``bbr_shift_sum`` but none of the Farley-Wing machinery, so the
     two routes cross-validate each other.
+
+    Each channel's quadrature is accepted at 1e-6 relative or at a 1e-9 Hz
+    absolute floor.  Far below 1 K the shifts lie far under that floor, so
+    there the two routes are not comparable (they may differ in sign).
     """
     return _bbr_shift(
         state, temperature_k, span, solver, "integral", tail_fraction

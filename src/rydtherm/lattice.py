@@ -49,7 +49,7 @@ from .radial import RadialSolver, sin2_matrix_element
 from .species import RydbergState, Species
 from .transitions import channel_alpha_au, line_table
 
-DEFAULT_SCAN_POINTS = 200
+SCAN_POINTS = 200  # evenly spaced frequencies scanned for sign changes
 
 
 class MagicSolverError(RuntimeError):
@@ -199,7 +199,7 @@ class MagicResult:
     def alpha_khz_per_kw_cm2(self) -> float:
         """Light-shift coefficient at the magic frequency (positive for a
         low-field-seeking pair; equals the trap depth at 1 kW/cm^2)."""
-        return units.convert(self.alpha_au, "au_pol", "khz_per_kw_cm2")
+        return units.au_pol_to_khz_per_kw_cm2(self.alpha_au)
 
 
 def solve_magic_wavelength(
@@ -209,7 +209,6 @@ def solve_magic_wavelength(
     bracket_nm: tuple[float, float] | None = None,
     m_l: int | None = 0,
     solver: RadialSolver | None = None,
-    scan_points: int = DEFAULT_SCAN_POINTS,
     include_orbit_average: bool = True,
 ) -> list[MagicResult]:
     """All magic-lattice roots for the metastable -> ``state`` transition.
@@ -225,8 +224,6 @@ def solve_magic_wavelength(
     """
     if not 0.0 < k_ratio <= 1.0:
         raise ValueError(f"k_ratio must lie in (0, 1], got {k_ratio}")
-    if scan_points < 2:
-        raise ValueError("scan_points must be >= 2")
     if bracket_nm is None:
         bracket_nm = species.magic_bracket_nm
         if bracket_nm is None:
@@ -256,10 +253,10 @@ def solve_magic_wavelength(
     def residual(w: float) -> float:
         return lattice_alpha_au(species, w) + (1.0 - 2.0 * orbit_s(w)) / (w * w)
 
-    grid = np.linspace(w_lo, w_hi, scan_points)
+    grid = np.linspace(w_lo, w_hi, SCAN_POINTS)
     vals = [residual(w) for w in grid]
     results: list[MagicResult] = []
-    for i in range(scan_points - 1):
+    for i in range(SCAN_POINTS - 1):
         a, b = grid[i], grid[i + 1]
         fa, fb = vals[i], vals[i + 1]
         if fa == 0.0:
@@ -286,7 +283,7 @@ def solve_magic_wavelength(
     if not results:
         raise MagicSolverError(
             f"{state}: no magic root in {bracket_nm} "
-            f"(residual has no sign change on a {scan_points}-point scan)"
+            f"(residual has no sign change on a {SCAN_POINTS}-point scan)"
         )
     results.sort(key=lambda r: r.wavelength_nm)
     return results

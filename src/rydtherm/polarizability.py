@@ -33,7 +33,7 @@ from .species import RydbergState
 from .transitions import DEFAULT_SPAN, channel_alpha_au, channel_table
 from .wigner import threej
 
-DEFAULT_GUARD_FRACTION = 1e-4
+GUARD_FRACTION = 1e-4  # relative half-width of the band around a resonance
 
 _AU_TO_HZ_M2_V2 = kconst.HARTREE_HZ / kconst.ATOMIC_FIELD_V_PER_M**2
 
@@ -74,7 +74,7 @@ class PolarizabilityResult:
     @property
     def value_khz_per_kw_cm2(self) -> float:
         """Single-beam light-shift coefficient, kHz per kW/cm^2."""
-        return units.convert(self.value_au, "au_pol", "khz_per_kw_cm2")
+        return units.au_pol_to_khz_per_kw_cm2(self.value_au)
 
 
 def _m_weight(j_initial: float, j_final: float, m_j: float) -> float:
@@ -99,17 +99,15 @@ def _nearest_resonance(
     return best
 
 
-def _guard_check(
-    pairs: list[tuple[str, float]], omega_au: float, guard_fraction: float
-) -> None:
+def _guard_check(pairs: list[tuple[str, float]], omega_au: float) -> None:
     if omega_au <= 0.0:
         return
     for rid, w_res in pairs:
         w_abs = abs(w_res)
-        if abs(omega_au - w_abs) < guard_fraction * w_abs:
+        if abs(omega_au - w_abs) < GUARD_FRACTION * w_abs:
             raise ResonanceGuardError(
                 f"probe frequency {omega_au:.9e} a.u. is within the "
-                f"{guard_fraction:g} guard band of resonance {rid} at "
+                f"{GUARD_FRACTION:g} guard band of resonance {rid} at "
                 f"{w_abs:.9e} a.u.",
                 resonance_id=rid,
                 omega_au=w_abs,
@@ -122,14 +120,13 @@ def ac_polarizability(
     m_j: float | Literal["stretched"] | None = "stretched",
     span: int = DEFAULT_SPAN,
     solver: RadialSolver | None = None,
-    guard_fraction: float = DEFAULT_GUARD_FRACTION,
 ) -> PolarizabilityResult:
     """Dynamic dipole polarizability at probe frequency ``omega_au`` >= 0.
 
     ``m_j`` defaults to the stretched component m_J = J; pass None for the
     orientation average.  Raises ValueError for a non-finite or negative
     ``omega_au`` and for an m_J that is not one of J, J - 1, ..., -J;
-    ResonanceGuardError when ``omega_au`` is within ``guard_fraction``
+    ResonanceGuardError when ``omega_au`` is within ``GUARD_FRACTION``
     (relative) of any channel resonance.
     """
     if not (math.isfinite(omega_au) and omega_au >= 0):
@@ -147,7 +144,7 @@ def ac_polarizability(
             f"only the scalar (m_j=None or 0) polarizability is defined"
         )
     pairs = [(ch.channel_id, ch.omega_au) for ch in table.channels]
-    _guard_check(pairs, omega_au, guard_fraction)
+    _guard_check(pairs, omega_au)
     per = []
     for ch in table.channels:
         alpha = channel_alpha_au(ch, omega_au)

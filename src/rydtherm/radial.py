@@ -77,25 +77,31 @@ def _numerov_inward(kf: np.ndarray, h: float) -> np.ndarray:
 
 
 class RadialSolver:
-    """Solves and caches radial wavefunctions and their matrix elements."""
+    """Solves radial wavefunctions and matrix elements on one mesh; caches
+    what is built on it (solutions, transition tables, downward channels)."""
 
     def __init__(self, h: float = DEFAULT_MESH_STEP):
         self.h = h
-        self._solutions: dict[tuple, RadialSolution] = {}
-        self._lock = threading.RLock()
-        # scratch space for higher-level engines (channel tables etc.) whose
-        # lifetime should track this solver's mesh settings
-        self.extra_cache: dict = {}
+        self._cache: dict[tuple, object] = {}
+        self._lock = threading.Lock()
+
+    def cached(self, key: tuple, build):
+        """The value under ``key``; on a miss ``build()`` runs outside the
+        lock, and the first value stored is the one every caller gets."""
+        with self._lock:
+            hit = self._cache.get(key)
+        if hit is None:
+            hit = build()
+            with self._lock:
+                hit = self._cache.setdefault(key, hit)
+        return hit
 
     # -- wavefunctions -----------------------------------------------------
 
     def solve(self, state: RydbergState) -> RadialSolution:
-        key = (state._key, self.h)
-        with self._lock:
-            sol = self._solutions.get(key)
-        if sol is not None:
-            return sol
+        return self.cached(("solution", state._key), lambda: self._solve(state))
 
+    def _solve(self, state: RydbergState) -> RadialSolution:
         sd = state.defect
         l = sd.L
         nst = state.n_eff
@@ -133,14 +139,7 @@ class RadialSolver:
         v = _numerov_inward(kf, h)
         norm_sq = 2.0 * h * float(_trapz(v * v * x2))
         v = v / math.sqrt(norm_sq)
-        sol = RadialSolution(j_in=j_in, j_out=j_out, h=h, v=v, l=l, n_eff=nst)
-        with self._lock:
-            self._solutions[key] = sol
-        return sol
-
-    def clear(self) -> None:
-        with self._lock:
-            self._solutions.clear()
+        return RadialSolution(j_in=j_in, j_out=j_out, h=h, v=v, l=l, n_eff=nst)
 
     # -- matrix elements ---------------------------------------------------
 

@@ -5,8 +5,9 @@ everything the physics engine needs to know about one atom: Rydberg–Ritz
 quantum defects per LS series, the ionization limit, reduced-mass factor,
 discrete line lists for the clock states (BBR response) and for the
 metastable lattice response, clock metadata, and solver defaults.  Unknown
-keys are rejected with the offending line number, as are malformed values —
-a corrupted data file should fail loudly, not half-load.
+keys are rejected with the offending line number, as are malformed values
+and non-finite numbers (except ``mass_amu = inf``) — a corrupted data file
+should fail loudly, not half-load.
 
 Key families (see ``data/sr.species`` for a commented example):
 
@@ -205,14 +206,12 @@ class _KV:
     def __init__(self, path: str, kv: dict[str, tuple[str, int]]):
         self.path = path
         self.kv = kv
-        self.used: set[str] = set()
 
     def _get(self, key: str, required: bool = True) -> tuple[str, int] | None:
         if key not in self.kv:
             if required:
                 raise SpeciesDataError(f"{self.path}: missing required key {key!r}")
             return None
-        self.used.add(key)
         return self.kv[key]
 
     def str_(self, key: str) -> str:
@@ -224,13 +223,14 @@ class _KV:
             return default
         val, lineno = got
         try:
-            if val == "inf":
-                return math.inf
-            return float(val)
+            x = float(val)
         except ValueError:
+            x = math.nan
+        if not math.isfinite(x):
             raise SpeciesDataError(
-                f"{self.path}:{lineno}: bad float {val!r} for {key!r}"
-            ) from None
+                f"{self.path}:{lineno}: bad float {val!r} for {key!r} (must be finite)"
+            )
+        return x
 
     def int_(self, key: str) -> int:
         val, lineno = self._get(key)
@@ -281,10 +281,10 @@ class Species:
             raise SpeciesDataError(f"{path}: unsupported format_version")
         self.name = kvw.str_("name")
         self.data_version = kvw.str_("data_version")
-        mass = kvw.float_("mass_amu")
-        if math.isinf(mass):
-            self.reduced_mass_factor = 1.0
+        if kvw.str_("mass_amu") == "inf":  # an infinitely heavy nucleus
+            mass, self.reduced_mass_factor = math.inf, 1.0
         else:
+            mass = kvw.float_("mass_amu")
             if mass <= 0:
                 raise SpeciesDataError(f"{path}: mass_amu must be positive or inf")
             self.reduced_mass_factor = 1.0 / (1.0 + k.ELECTRON_MASS_U / mass)
@@ -438,9 +438,6 @@ class Species:
         return RydbergState(
             species=self, n=n, series=series, _key=(self.sha256, n, series)
         )
-
-    def ground_state(self) -> RydbergState:
-        return self.state(self._ground[1], self._ground[0])
 
     def metastable_state(self) -> RydbergState:
         if self._metastable is None:

@@ -33,6 +33,10 @@ from .species import RydbergState, Species
 from .transitions import DEFAULT_SPAN
 
 DEFAULT_SEED_K = 300.0
+TOL_K = 1.0e-7  # temperature resolution at which both solvers stop
+INVERT_MAX_ITER = 60
+JOINT_MAX_ITER = 50
+_SLOPE_STEP_K = 2.0  # central-difference step of _richardson_slope
 
 
 class ThermometryError(RuntimeError):
@@ -132,13 +136,13 @@ def transition_bbr_sensitivity(
     )
 
 
-def _richardson_slope(f, t: float, h: float = 2.0) -> float:
+def _richardson_slope(f, t: float) -> float:
     """Central difference with one Richardson step: error O(h^4)."""
     if t < 0:
         raise ValueError(f"temperature must be >= 0, got {t}")
     if t == 0.0:
         return 0.0  # shifts vanish at least quadratically at T = 0
-    h = min(h, 0.5 * t)  # keep both stencils in T >= 0
+    h = min(_SLOPE_STEP_K, 0.5 * t)  # keep both stencils in T >= 0
 
     def central(step: float) -> float:
         return (f(t + step) - f(t - step)) / (2.0 * step)
@@ -151,8 +155,6 @@ def _richardson_slope(f, t: float, h: float = 2.0) -> float:
 def invert_temperature(
     measurement: ThermometryMeasurement,
     seed_k: float = DEFAULT_SEED_K,
-    tol_k: float = 1.0e-7,
-    max_iter: int = 60,
     span: int = DEFAULT_SPAN,
     solver: RadialSolver | None = None,
 ) -> ThermometrySolution:
@@ -187,7 +189,7 @@ def invert_temperature(
     t = min(max(seed_k, t_lo), t_hi)
     f_t = model(t) - target
     iterations = 0
-    while abs(hi - lo) > tol_k and iterations < max_iter:
+    while abs(hi - lo) > TOL_K and iterations < INVERT_MAX_ITER:
         iterations += 1
         if f_t > 0.0:
             hi, f_hi = t, f_t
@@ -201,17 +203,17 @@ def invert_temperature(
             t_next = 0.5 * (lo + hi)
         f_next = model(t_next) - target
         # safeguard: insist on progress, else bisect
-        if abs(f_next) >= abs(f_t) and not (hi - lo) < 4.0 * tol_k:
+        if abs(f_next) >= abs(f_t) and not (hi - lo) < 4.0 * TOL_K:
             t_next = 0.5 * (lo + hi)
             f_next = model(t_next) - target
         t, f_t = t_next, f_next
         if f_t == 0.0:
             break
     else:
-        if abs(hi - lo) > tol_k:
+        if abs(hi - lo) > TOL_K:
             raise ThermometryError(
                 f"{measurement.transition_id}: temperature inversion did "
-                f"not converge in {max_iter} iterations"
+                f"not converge in {INVERT_MAX_ITER} iterations"
             )
     slope = _richardson_slope(model, max(t, 1.0e-3))
     sigma_t = measurement.sigma_hz / slope if slope > 0.0 else math.inf
@@ -230,8 +232,6 @@ def invert_temperature(
 def joint_solve_temperature_field(
     measurements: list[ThermometryMeasurement],
     seed_k: float = DEFAULT_SEED_K,
-    tol_k: float = 1.0e-7,
-    max_iter: int = 50,
     span: int = DEFAULT_SPAN,
     solver: RadialSolver | None = None,
 ) -> ThermometrySolution:
@@ -292,7 +292,7 @@ def joint_solve_temperature_field(
     e2 = 0.0
     clamped = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, JOINT_MAX_ITER + 1):
         model = bbr_vec(t) - 0.5 * alphas * e2
         r = (offsets - model) / sigmas
         jac = np.column_stack(
@@ -311,7 +311,7 @@ def joint_solve_temperature_field(
             e2_new, clamped = 0.0, True
         else:
             clamped = False
-        done = abs(t_new - t) < tol_k and abs(e2_new - e2) <= 1.0e-9 * max(
+        done = abs(t_new - t) < TOL_K and abs(e2_new - e2) <= 1.0e-9 * max(
             e2, 1.0
         )
         t, e2 = t_new, e2_new
@@ -319,7 +319,7 @@ def joint_solve_temperature_field(
             break
     else:
         raise ThermometryError(
-            f"joint solve did not converge in {max_iter} iterations"
+            f"joint solve did not converge in {JOINT_MAX_ITER} iterations"
         )
 
     model = bbr_vec(t) - 0.5 * alphas * e2
@@ -410,11 +410,12 @@ def error_budget(
     the transition's BBR sensitivity -> clock BBR uncertainty via the
     species' clock sensitivity constant.  ``linewidth_hz`` overrides the
     computed total transition linewidth (e.g. to budget against an
-    externally specified line).  Both must be finite and > 0.
+    externally specified line).  The fractional accuracy must lie in
+    (0, 1); the linewidth, when given, must be finite and > 0.
     """
-    if not (math.isfinite(fractional_accuracy) and fractional_accuracy > 0):
+    if not 0 < fractional_accuracy < 1:
         raise ValueError(
-            f"fractional accuracy must be finite and > 0, got {fractional_accuracy}"
+            f"fractional accuracy must lie in (0, 1), got {fractional_accuracy}"
         )
     if linewidth_hz is not None and not (
         math.isfinite(linewidth_hz) and linewidth_hz > 0

@@ -2,11 +2,11 @@
 
 A "channel" is one dipole-coupled final state seen from a fixed initial
 state: its signed transition energy omega = E_final - E_initial (atomic
-units), the radial integral <f| r |i>, the series-pair angular factor, and
-the derived scalar strength z^2 = S / (3 (2 J_i + 1)) that enters isotropic
-(thermal or scalar-polarizability) sums.  Blackbody shift sums,
-polarizabilities, linewidths, and the lattice model all iterate the same
-records, held in a ``TransitionTable``:
+units) and the scalar strength z^2 = S / (3 (2 J_i + 1)) that enters
+isotropic (thermal or scalar-polarizability) sums, with S the line strength
+(series-pair angular factor times the squared radial integral <f| r |i>).
+Blackbody shift sums, polarizabilities, linewidths, and the lattice model
+all iterate the same records, held in a ``TransitionTable``:
 
 * ``build_transition_table(state, span)`` - the radial table: all channels
   with n' in [max(n_min', n - span), min(n_max', n + span)] for each
@@ -54,21 +54,13 @@ _C3 = kconst.C_AU**3
 class Channel:
     """One dipole-coupled final state seen from the initial state.
 
-    A line-list channel names no final state: ``series`` and ``n`` are
-    None, ``radial_au`` is the reduced dipole and ``angular`` is 1.
+    A line-list channel names no final state: ``series`` and ``n`` are None.
     """
 
     series: str | None
     n: int | None
     omega_au: float  # E_final - E_initial (signed)
-    radial_au: float  # <f| r |i>
-    angular: float  # series-pair angular factor (line strength / radial^2)
-    z2: float  # scalar |<z>|^2 = angular * radial^2 / (3 (2 J_i + 1))
-
-    @property
-    def line_strength(self) -> float:
-        """S = angular * radial^2 (symmetric in the two states)."""
-        return self.angular * self.radial_au * self.radial_au
+    z2: float  # scalar |<z>|^2 = S / (3 (2 J_i + 1))
 
     @property
     def f_osc(self) -> float:
@@ -182,8 +174,6 @@ def _make_channel(
         series=series,
         n=n,
         omega_au=omega_au,
-        radial_au=radial,
-        angular=angular,
         z2=strength / (3.0 * (2.0 * state.J + 1.0)),
     )
 
@@ -202,11 +192,13 @@ def build_transition_table(
             f"(rydberg_n_max = {state.species.rydberg_n_max})"
         )
     solver = solver or default_solver()
-    cache_key = ("table", state._key, span, solver.h)
-    hit = solver.extra_cache.get(cache_key)
-    if hit is not None:
-        return hit
+    key = ("table", state._key, span)
+    return solver.cached(key, lambda: _build_table(state, span, solver))
 
+
+def _build_table(
+    state: RydbergState, span: int, solver: RadialSolver
+) -> TransitionTable:
     e_i = state.energy_au
     channels = []
     skipped = 0
@@ -229,15 +221,13 @@ def build_transition_table(
                 )
             )
     channels.sort(key=lambda ch: abs(ch.omega_au))
-    table = TransitionTable(
+    return TransitionTable(
         state_str=str(state),
         span=span,
         channels=tuple(channels),
         f_missing=1.0 - math.fsum(ch.f_osc for ch in channels),
         skipped_unsolvable=skipped,
     )
-    solver.extra_cache[cache_key] = table
-    return table
 
 
 def line_table(
@@ -252,8 +242,6 @@ def line_table(
                 series=None,
                 n=None,
                 omega_au=line.omega_au,
-                radial_au=line.d_au,
-                angular=1.0,
                 z2=line.d_au**2 / (3.0 * (2.0 * j + 1.0)),
             )
             for line in lines
@@ -282,10 +270,12 @@ def downward_channels(
 ) -> tuple[Channel, ...]:
     """Every dipole channel below the state, regardless of span."""
     solver = solver or default_solver()
-    cache_key = ("downward", state._key, solver.h)
-    hit = solver.extra_cache.get(cache_key)
-    if hit is not None:
-        return hit
+    return solver.cached(
+        ("downward", state._key), lambda: _build_downward(state, solver)
+    )
+
+
+def _build_downward(state: RydbergState, solver: RadialSolver) -> tuple[Channel, ...]:
     e_i = state.energy_au
     out = []
     for label in coupled_series(state):
@@ -306,6 +296,4 @@ def downward_channels(
                 )
             )
     out.sort(key=lambda ch: abs(ch.omega_au))
-    result = tuple(out)
-    solver.extra_cache[cache_key] = result
-    return result
+    return tuple(out)

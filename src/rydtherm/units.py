@@ -1,11 +1,9 @@
 """Unit conversions derived from the pinned constants.
 
-A flat registry maps unit names to (dimension, factor-to-canonical).  The
-canonical units are atomic units (hartree, bohr, ...).  ``convert`` refuses
-conversions across dimensions; relations that involve physics conventions
-rather than pure unit algebra (wavelength <-> angular frequency, intensity
-<-> squared field amplitude) are provided as named helper functions with the
-convention documented.
+Relations that involve physics conventions rather than pure unit algebra
+(wavelength <-> angular frequency, intensity <-> squared field amplitude,
+polarizability <-> light-shift coefficient) are named helper functions with
+the convention documented.
 
 Light-field conventions used throughout the package:
 
@@ -13,8 +11,8 @@ Light-field conventions used throughout the package:
   quadratic shifts are -(1/4) alpha E0^2, i.e. "E0^2" always means the
   squared *amplitude*.
 * "Intensity" refers to a single travelling beam, I = (1/2) eps0 c E0^2.
-  The polarizability unit ``khz_per_kw_cm2`` is defined by
-  shift = convert(alpha_au, "au_pol", "khz_per_kw_cm2") * I[kW/cm^2],
+  The polarizability unit kHz/(kW/cm^2) is defined by
+  shift = au_pol_to_khz_per_kw_cm2(alpha_au) * I[kW/cm^2],
   carrying the sign of the shift of a low-field-seeking state
   (i.e. it includes the -(1/4) factor).
 """
@@ -25,119 +23,35 @@ import math
 
 from . import constants as k
 
-
-class UnitError(ValueError):
-    """Unknown unit or conversion across dimensions."""
-
-
-def _build_registry() -> dict[str, tuple[str, float]]:
-    c_m_per_s = k.C_SI
-    # energy: canonical hartree
-    energy = {
-        "hartree": 1.0,
-        "joule": 1.0 / k.HARTREE_J,
-        "ev": k.E_CHARGE_SI / k.HARTREE_J,
-        "cm-1": 1.0 / k.HARTREE_INV_CM,
-        "hz": 1.0 / k.HARTREE_HZ,
-        "khz": 1.0e3 / k.HARTREE_HZ,
-        "mhz": 1.0e6 / k.HARTREE_HZ,
-        "ghz": 1.0e9 / k.HARTREE_HZ,
-        "thz": 1.0e12 / k.HARTREE_HZ,
-        "kelvin": k.KB_AU,
-    }
-    # length: canonical bohr
-    length = {
-        "bohr": 1.0,
-        "m": 1.0 / k.BOHR_M,
-        "nm": 1.0e-9 / k.BOHR_M,
-        "um": 1.0e-6 / k.BOHR_M,
-    }
-    # time: canonical atomic time
-    time = {
-        "au_time": 1.0,
-        "s": 1.0 / k.ATOMIC_TIME_S,
-        "ns": 1.0e-9 / k.ATOMIC_TIME_S,
-    }
-    # electric field: canonical atomic field unit
-    field = {
-        "au_field": 1.0,
-        "v/m": 1.0 / k.ATOMIC_FIELD_V_PER_M,
-    }
-    # polarizability: canonical atomic unit (e^2 a0^2 / E_h)
-    # hz_m2_v2: alpha such that energy/h = alpha * E^2 keeps the same form
-    #   in both unit systems: factor = E_h[Hz] / (atomic field)^2.
-    # khz_per_kw_cm2: light-shift coefficient of a single beam (see module
-    #   docstring): -(1/4) * (2 I / eps0 c) per kW/cm^2, expressed in kHz.
-    e0sq_per_kw_cm2 = 2.0e7 / (k.EPS0_SI * c_m_per_s)  # (V/m)^2 at 1 kW/cm^2
-    # registry factors are "canonical (a.u.) per 1 unit", so both derived
-    # polarizability units store the reciprocal of the au -> unit slope
-    khz_per_au = (
-        -0.25
-        * (e0sq_per_kw_cm2 / k.ATOMIC_FIELD_V_PER_M**2)
-        * k.HARTREE_HZ
-        / 1.0e3
-    )
-    hz_m2v2_per_au = k.HARTREE_HZ / k.ATOMIC_FIELD_V_PER_M**2
-    pol = {
-        "au_pol": 1.0,
-        "hz_m2_v2": 1.0 / hz_m2v2_per_au,
-        "khz_per_kw_cm2": 1.0 / khz_per_au,
-    }
-    reg: dict[str, tuple[str, float]] = {}
-    for dim, table in (
-        ("energy", energy),
-        ("length", length),
-        ("time", time),
-        ("field", field),
-        ("polarizability", pol),
-    ):
-        for unit, to_canonical in table.items():
-            reg[unit] = (dim, to_canonical)
-    return reg
+# factors are "a.u. per 1 unit"; conversions out of a.u. divide by them
+_BOHR_PER_NM = 1.0e-9 / k.BOHR_M
+# single-beam light shift -(1/4) (2 I / eps0 c) alpha per kW/cm^2, in kHz
+_AU_POL_PER_KHZ_PER_KW_CM2 = 1.0 / (
+    -0.25
+    * (2.0e7 / (k.EPS0_SI * k.C_SI) / k.ATOMIC_FIELD_V_PER_M**2)
+    * k.HARTREE_HZ
+    / 1.0e3
+)
 
 
-_REGISTRY = _build_registry()
-
-
-def convert(value: float, from_unit: str, to_unit: str) -> float:
-    """Convert ``value`` between two units of the same dimension."""
-    try:
-        dim_a, fac_a = _REGISTRY[from_unit]
-    except KeyError:
-        raise UnitError(f"unknown unit {from_unit!r}") from None
-    try:
-        dim_b, fac_b = _REGISTRY[to_unit]
-    except KeyError:
-        raise UnitError(f"unknown unit {to_unit!r}") from None
-    if dim_a != dim_b:
-        raise UnitError(
-            f"cannot convert {from_unit!r} ({dim_a}) to {to_unit!r} ({dim_b})"
-        )
-    return value * fac_a / fac_b
-
-
-def known_units() -> dict[str, str]:
-    """Map of unit name -> dimension for everything in the registry."""
-    return {u: dim for u, (dim, _) in _REGISTRY.items()}
-
-
-# ---------------------------------------------------------------------------
-# physics-convention helpers (not pure unit algebra)
+def au_pol_to_khz_per_kw_cm2(alpha_au: float) -> float:
+    """Polarizability [a.u.] -> single-beam light-shift coefficient
+    [kHz per kW/cm^2] (see the module docstring for the sign)."""
+    return alpha_au / _AU_POL_PER_KHZ_PER_KW_CM2
 
 
 def wavelength_nm_to_omega_au(wavelength_nm: float) -> float:
     """Vacuum wavelength [nm] -> angular frequency [a.u.]."""
     if wavelength_nm <= 0:
-        raise UnitError("wavelength must be positive")
-    lam_bohr = convert(wavelength_nm, "nm", "bohr")
-    return 2.0 * math.pi * k.C_AU / lam_bohr
+        raise ValueError("wavelength must be positive")
+    return 2.0 * math.pi * k.C_AU / (wavelength_nm * _BOHR_PER_NM)
 
 
 def omega_au_to_wavelength_nm(omega_au: float) -> float:
     """Angular frequency [a.u.] -> vacuum wavelength [nm]."""
     if omega_au <= 0:
-        raise UnitError("angular frequency must be positive")
-    return convert(2.0 * math.pi * k.C_AU / omega_au, "bohr", "nm")
+        raise ValueError("angular frequency must be positive")
+    return 2.0 * math.pi * k.C_AU / omega_au / _BOHR_PER_NM
 
 
 def intensity_kw_cm2_to_field_sq_au(intensity_kw_cm2: float) -> float:

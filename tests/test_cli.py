@@ -136,6 +136,9 @@ def test_bad_tolerance_is_a_usage_error(capsys, tolerance):
 @pytest.mark.parametrize("argv", [
     "thermo budget --species Sr --state 30:3D1 --fractional nan",
     "thermo budget --species Sr --state 30:3D1 --fractional inf",
+    # a fractional accuracy of 1 or more means nothing (1e300 overflows to inf)
+    "thermo budget --species Sr --state 30:3D1 --fractional 1",
+    "thermo budget --species Sr --state 30:3D1 --fractional 1e300",
     "thermo budget --species Sr --state 30:3D1 --linewidth-hz nan",
     "thermo budget --species Sr --state 30:3D1 --linewidth-hz -5",
     "polarizability --species Sr --state 25:3D1 --omega-au nan",
@@ -183,6 +186,26 @@ def test_data_errors_exit_3(capsys, tmp_path):
         _run(capsys, "bbr", "--species", "sr", "--state", "500:3S1")[0]
         == EXIT_DATA
     )
+
+
+@pytest.mark.parametrize("key", [
+    "clock.frequency_hz", "bbrline.metastable.core_alpha_au", "mass_amu",
+])
+def test_nan_in_species_file_exits_3(capsys, tmp_path, key):
+    # a nan that loads reaches the CSV: six columns for the clock frequency,
+    # four for the core polarizability
+    from rydtherm.species import bundled_species_path
+
+    lines = open(bundled_species_path("sr"), encoding="utf-8").read().splitlines()
+    lines = [f"{key} = nan" if ln.startswith(f"{key} =") else ln for ln in lines]
+    path = tmp_path / "sr.species"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = _run(
+        capsys, "thermo", "budget", "--species-file", str(path), "--state", "25:3D1"
+    )
+    assert code == EXIT_DATA
+    assert out == ""
+    assert "bad float 'nan'" in err
 
 
 def test_nonconvergence_exits_4_with_rows(capsys):

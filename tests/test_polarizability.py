@@ -21,7 +21,7 @@ def test_single_channel_oracle():
     w = 3.0 / 8.0
     radial = 128.0 * math.sqrt(6.0) / 243.0
     z2 = 1.0 * radial**2 / 3.0  # l> = 1, 2J+1 = 1
-    ch = Channel(series="1P1", n=2, omega_au=w, radial_au=radial, angular=1.0, z2=z2)
+    ch = Channel(series="1P1", n=2, omega_au=w, z2=z2)
     assert ch.f_osc == pytest.approx(0.41620, rel=1e-4)
     assert channel_alpha_au(ch, 0.0) == pytest.approx(ch.f_osc / w**2, rel=1e-12)
     # dispersion: alpha grows as the probe approaches the line from below
@@ -82,10 +82,10 @@ def test_free_electron_high_frequency_limit(sr):
 def test_unit_columns_consistent(sr):
     res = static_polarizability(sr.state(25, "3D1"))
     assert res.value_hz_m2_v2 == pytest.approx(
-        units.convert(res.value_au, "au_pol", "hz_m2_v2"), rel=1e-10
+        res.value_au * k.HARTREE_HZ / k.ATOMIC_FIELD_V_PER_M**2, rel=1e-10
     )
     assert res.value_khz_per_kw_cm2 == pytest.approx(
-        units.convert(res.value_au, "au_pol", "khz_per_kw_cm2"), rel=1e-10
+        units.au_pol_to_khz_per_kw_cm2(res.value_au), rel=1e-10
     )
 
 

@@ -139,3 +139,44 @@ def test_bessel_small_q_limit(hydrogen, solver):
 
 def test_default_solver_is_shared():
     assert default_solver() is default_solver()
+
+
+def test_shared_solver_is_thread_safe(sr, yb):
+    # one fresh solver shared by more threads than cores, with a short
+    # switch interval, fills its cache concurrently: each state is asked
+    # for twice in a row, so two threads build the same radial solutions
+    # and tables at once.  Every shift must equal a serial run on another
+    # fresh solver bit for bit, and every caller of one key must get the
+    # one stored table (a lost update would hand two threads different
+    # objects).
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from rydtherm.bbr import bbr_shift_sum
+    from rydtherm.transitions import build_transition_table
+
+    states = [
+        sr.state(25, "3D1"), sr.state(26, "3D1"), sr.state(25, "3S1"),
+        sr.state(27, "3P1"), sr.state(30, "3D2"), yb.state(25, "3S1"),
+        yb.state(26, "3S1"), yb.state(28, "3D1"),
+    ]
+    serial_solver = RadialSolver()
+    serial = [bbr_shift_sum(st, 300.0, solver=serial_solver) for st in states]
+    shared = RadialSolver()
+
+    def task(st):
+        return build_transition_table(st, solver=shared), bbr_shift_sum(
+            st, 300.0, solver=shared
+        )
+
+    twice = [st for st in states for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(task, twice, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [shift for _, shift in got] == [r for r in serial for _ in range(2)]
+    for st, (table, _) in zip(twice, got):
+        assert table is build_transition_table(st, solver=shared)

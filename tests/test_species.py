@@ -157,3 +157,24 @@ def test_energy_au_is_negative_binding(sr):
     assert st.binding_au == pytest.approx(
         sr.reduced_mass_factor / (2 * st.n_eff**2), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("key, value", [
+    ("clock.frequency_hz", "nan"),
+    ("bbrline.metastable.core_alpha_au", "nan"),
+    ("mass_amu", "nan"),
+    ("mass_amu", "-inf"),
+    ("clock.frequency_hz", "inf"),
+    ("defect.3D1.mu0", "inf"),
+    ("ionization_limit_hartree", "1e400"),  # overflows to inf
+])
+def test_non_finite_values_are_rejected(tmp_path, key, value):
+    # every number in a species file must be finite; only mass_amu = inf
+    # (hydrogen's infinitely heavy nucleus) is allowed
+    lines = open(bundled_species_path("sr"), encoding="utf-8").read().splitlines()
+    (lineno,) = [i for i, ln in enumerate(lines, 1) if ln.startswith(f"{key} =")]
+    lines[lineno - 1] = f"{key} = {value}"
+    path = tmp_path / "sr.species"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SpeciesDataError, match=f":{lineno}: bad float"):
+        load_species(str(path))

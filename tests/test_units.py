@@ -1,7 +1,8 @@
-"""Unit registry and frequency/wavelength/intensity helpers.
+"""Frequency/wavelength/intensity/polarizability unit helpers.
 
-Polarizability-unit oracles are rebuilt here from scipy.constants so a
-registry sign or inversion slip cannot hide behind its own definition.
+Polarizability-unit oracles are rebuilt here from the constants (and the
+intensity oracle from scipy.constants) so a sign or inversion slip cannot
+hide behind its own definition.
 """
 
 import math
@@ -11,34 +12,13 @@ import scipy.constants as sc
 
 from rydtherm import constants as k
 from rydtherm import units
+from rydtherm.polarizability import PolarizabilityResult
 
 
-def test_identity_conversion():
-    assert units.convert(3.7, "hartree", "hartree") == 3.7
-
-
-def test_round_trips_exact():
-    for unit, dim in units.known_units().items():
-        base = next(u for u, d in units.known_units().items() if d == dim)
-        x = 0.8231
-        there = units.convert(x, base, unit)
-        back = units.convert(there, unit, base)
-        assert back == pytest.approx(x, rel=1e-14), (unit, dim)
-
-
-def test_unknown_unit_raises():
-    with pytest.raises(units.UnitError):
-        units.convert(1.0, "hartree", "parsec")
-
-
-def test_cross_dimension_raises():
-    with pytest.raises(units.UnitError):
-        units.convert(1.0, "hartree", "au_pol")
-
-
-def test_energy_hz_scale():
-    assert units.convert(1.0, "hartree", "hz") == pytest.approx(
-        k.HARTREE_HZ, rel=1e-12
+def _result(value_au):
+    return PolarizabilityResult(
+        state_str="test", omega_au=0.0, m_j=None, value_au=value_au, tail_au=0.0,
+        channels=(), nearest_resonance_id=None, nearest_detuning_au=math.inf,
     )
 
 
@@ -76,9 +56,7 @@ def test_polarizability_hz_m2_v2_oracle():
     # 1 a.u. of alpha shifts a level by -(1/2) E^2 hartree per (a.u. field)^2;
     # expressed per (V/m)^2 that is HARTREE_HZ / ATOMIC_FIELD^2 in Hz
     expected = k.HARTREE_HZ / k.ATOMIC_FIELD_V_PER_M**2
-    assert units.convert(1.0, "au_pol", "hz_m2_v2") == pytest.approx(
-        expected, rel=1e-12
-    )
+    assert _result(1.0).value_hz_m2_v2 == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(2.48832e-8, rel=1e-5)
 
 
@@ -87,17 +65,16 @@ def test_polarizability_khz_per_kw_cm2_oracle():
     # at 1 kW/cm^2 gives a small negative kHz-scale shift
     e0_sq_au = units.intensity_kw_cm2_to_field_sq_au(1.0)
     expected = -0.25 * e0_sq_au * k.HARTREE_HZ / 1.0e3
-    got = units.convert(1.0, "au_pol", "khz_per_kw_cm2")
+    got = units.au_pol_to_khz_per_kw_cm2(1.0)
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(-0.046870, rel=1e-4)
 
 
 def test_khz_slope_regression():
-    # regression: the registry factor must be "a.u. per unit", so a
-    # -2751 a.u. polarizability reads as a +128.9 kHz/(kW/cm^2) trap
-    assert units.convert(-2751.0, "au_pol", "khz_per_kw_cm2") == pytest.approx(
-        128.94, rel=1e-3
-    )
+    # regression: the stored factor is "a.u. per unit" and is divided by,
+    # so a -2751 a.u. polarizability reads as a +128.9 kHz/(kW/cm^2) trap
+    assert units.au_pol_to_khz_per_kw_cm2(-2751.0) == pytest.approx(128.94, rel=1e-3)
+    assert _result(-2751.0).value_khz_per_kw_cm2 == pytest.approx(128.94, rel=1e-3)
 
 
 def test_negative_wavelength_rejected():
