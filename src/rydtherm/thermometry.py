@@ -20,7 +20,7 @@ This module turns that into instrumentation:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -391,7 +391,6 @@ class ErrorBudget:
     line_split_factor: float  # target resolution / total linewidth
     clock_fractional_uncertainty: float | None
     leverage: float | None  # Rydberg fractional sensitivity / clock's
-    notes: tuple[str, ...] = field(default=())
 
 
 def error_budget(
@@ -452,15 +451,10 @@ def error_budget(
 
     clock_frac: float | None = None
     leverage: float | None = None
-    notes: list[str] = []
     if species.clock_bbr_sensitivity_per_k is not None:
         clock_frac = sigma_t * species.clock_bbr_sensitivity_per_k
         ryd_frac_sens = abs(sens) / nu_hz
         leverage = ryd_frac_sens / species.clock_bbr_sensitivity_per_k
-        notes.append(
-            "clock BBR uncertainty assumes the species clock sensitivity "
-            f"constant {species.clock_bbr_sensitivity_per_k:g} /K"
-        )
     return ErrorBudget(
         transition_id=tid,
         temperature_k=temperature_k,
@@ -473,5 +467,4 @@ def error_budget(
         line_split_factor=split,
         clock_fractional_uncertainty=clock_frac,
         leverage=leverage,
-        notes=tuple(notes),
     )

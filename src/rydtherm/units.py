@@ -42,15 +42,19 @@ def au_pol_to_khz_per_kw_cm2(alpha_au: float) -> float:
 
 def wavelength_nm_to_omega_au(wavelength_nm: float) -> float:
     """Vacuum wavelength [nm] -> angular frequency [a.u.]."""
-    if wavelength_nm <= 0:
-        raise ValueError("wavelength must be positive")
+    if not (math.isfinite(wavelength_nm) and wavelength_nm > 0):
+        raise ValueError(
+            f"wavelength must be finite and > 0, got {wavelength_nm}"
+        )
     return 2.0 * math.pi * k.C_AU / (wavelength_nm * _BOHR_PER_NM)
 
 
 def omega_au_to_wavelength_nm(omega_au: float) -> float:
     """Angular frequency [a.u.] -> vacuum wavelength [nm]."""
-    if omega_au <= 0:
-        raise ValueError("angular frequency must be positive")
+    if not (math.isfinite(omega_au) and omega_au > 0):
+        raise ValueError(
+            f"angular frequency must be finite and > 0, got {omega_au}"
+        )
     return 2.0 * math.pi * k.C_AU / omega_au / _BOHR_PER_NM
 
 

@@ -198,7 +198,7 @@ def test_c07_magic_wavelength_table(sr, yb):
     )
     assert sr15.wavelength_nm == pytest.approx(2392.0, rel=0.02)
     assert sr40.wavelength_nm == pytest.approx(2379.0, rel=0.02)
-    _budget(t0, 300.0, "7")
+    _budget(t0, 30.0, "7")
 
 
 def test_c08_lattice_contrast_element(sr):

@@ -2,12 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
+from scipy import optimize
 
 from rydtherm import constants as k
-from rydtherm import units
+from rydtherm import lattice, units
 from rydtherm.lattice import (
+    SCAN_POINTS,
     LatticeConfig,
+    MagicResult,
     MagicSolverError,
     lattice_alpha_au,
     metastable_lattice_shift,
@@ -19,6 +23,7 @@ from rydtherm.lattice import (
     transition_wavelength,
     trap_depth,
 )
+from rydtherm.radial import sin2_matrix_element
 
 
 def _config(wavelength_nm: float, **kw) -> LatticeConfig:
@@ -181,3 +186,105 @@ def test_ponderomotive_coupling_bound_scales_down(sr):
 def test_lattice_alpha_negative_in_sr_bracket(sr):
     for lam in (2380.0, 2385.0, 2390.0):
         assert lattice_alpha_au(sr, units.wavelength_nm_to_omega_au(lam)) < 0.0
+
+
+# (species, series, n, k_ratio, m_l, bracket_nm): Table-1 ends of both
+# species at two lattice angles, one orientation average, and a user
+# bracket wider than the Yb default that still holds no lattice line
+_SCAN_CASES = [
+    (sp, series, n, k_ratio, 0, None)
+    for sp, series in (("yb", "3P0"), ("sr", "3D1"))
+    for n in (15, 40)
+    for k_ratio in (1.0, 0.5)
+] + [
+    ("sr", "3D1", 25, 0.8, None, None),
+    ("yb", "3P0", 25, 1.0, 0, (700.0, 1380.0)),
+]
+
+
+def _case_id(case):
+    sp, series, n, k_ratio, m_l, bracket = case
+    return f"{sp}-{n}-{series}-k{k_ratio}-ml{m_l}-{bracket or 'default'}"
+
+
+def _exact_scan(species, state, k_ratio, m_l, bracket_nm):
+    """Magic roots from the exact residual at every one of the scan points."""
+    lam_lo, lam_hi = bracket_nm or species.magic_bracket_nm
+
+    def parts(w):
+        s = sin2_matrix_element(state, k_ratio * w / k.C_AU, m_l=m_l)
+        return lattice_alpha_au(species, w), s
+
+    def residual(w):
+        alpha, s = parts(w)
+        return alpha + (1.0 - 2.0 * s) / (w * w)
+
+    grid = np.linspace(
+        units.wavelength_nm_to_omega_au(lam_hi),
+        units.wavelength_nm_to_omega_au(lam_lo),
+        SCAN_POINTS,
+    )
+    vals = [residual(w) for w in grid]
+    roots = []
+    for i in range(SCAN_POINTS - 1):
+        if vals[i] == 0.0:
+            root = grid[i]
+        elif vals[i] * vals[i + 1] < 0.0:
+            root = optimize.brentq(
+                residual, grid[i], grid[i + 1], rtol=1e-12, maxiter=200
+            )
+        else:
+            continue
+        alpha, s = parts(root)
+        roots.append(
+            MagicResult(
+                state_str=str(state),
+                wavelength_nm=units.omega_au_to_wavelength_nm(root),
+                omega_au=root,
+                k_ratio=k_ratio,
+                alpha_au=alpha,
+                sin2_value=s,
+                residual_au=abs(alpha + (1.0 - 2.0 * s) / (root * root)),
+                bracket_nm=(lam_lo, lam_hi),
+                valid=alpha < 0.0,
+            )
+        )
+    return sorted(roots, key=lambda r: r.wavelength_nm)
+
+
+@pytest.mark.parametrize("case", _SCAN_CASES, ids=_case_id)
+def test_magic_scan_matches_exact_scan(case, request):
+    # the proxy scan decides signs from a Chebyshev fit of <sin^2>; every
+    # root must still equal, field for field, the all-exact scan's
+    sp, series, n, k_ratio, m_l, bracket = case
+    species = request.getfixturevalue(sp)
+    state = species.state(n, series)
+    roots = solve_magic_wavelength(
+        species, state, k_ratio=k_ratio, bracket_nm=bracket, m_l=m_l
+    )
+    assert roots
+    assert roots == _exact_scan(species, state, k_ratio, m_l, bracket)
+
+
+@pytest.mark.parametrize("case", _SCAN_CASES, ids=_case_id)
+def test_magic_scan_orbit_average_count(case, request, monkeypatch):
+    # the wrapped name is the one perfbench traces as lattice.sin2; the
+    # all-exact scan makes about 207 calls per solve
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return sin2_matrix_element(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "sin2_matrix_element", counted)
+    sp, series, n, k_ratio, m_l, bracket = case
+    species = request.getfixturevalue(sp)
+    solve_magic_wavelength(
+        species,
+        species.state(n, series),
+        k_ratio=k_ratio,
+        bracket_nm=bracket,
+        m_l=m_l,
+    )
+    assert lattice._FIT_NODES <= calls <= 30

@@ -12,6 +12,7 @@ import scipy.constants as sc
 
 from rydtherm import constants as k
 from rydtherm import units
+from rydtherm.lattice import LatticeConfig
 from rydtherm.polarizability import PolarizabilityResult
 
 
@@ -82,3 +83,16 @@ def test_negative_wavelength_rejected():
         units.wavelength_nm_to_omega_au(-500.0)
     with pytest.raises(ValueError):
         units.wavelength_nm_to_omega_au(0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_wavelength_and_frequency_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        units.wavelength_nm_to_omega_au(bad)
+    with pytest.raises(ValueError, match="finite"):
+        units.omega_au_to_wavelength_nm(bad)
+
+
+def test_nan_lattice_wavelength_names_the_wavelength():
+    with pytest.raises(ValueError, match="wavelength must be finite"):
+        LatticeConfig.from_wavelength(math.nan)
