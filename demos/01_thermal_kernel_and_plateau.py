@@ -43,8 +43,8 @@ print(f"tail: y * F(y) at y = 200 -> {200 * farley_wing_fast(200.0):+.5f}"
 # ---------------------------------
 # ``farley_wing`` does pole-excised adaptive quadrature on the defining
 # principal-value integral; ``farley_wing_fast`` is the production route
-# (series + Chebyshev-fitted middle + asymptotic tail).  They are kept
-# separate so each can audit the other.
+# (small-y limit + committed Chebyshev table + asymptotic tail).  They are
+# kept separate so each can audit the other.
 
 worst = max(abs(farley_wing(y) - farley_wing_fast(y)) for y in ys[::100])
 print(f"\nroute disagreement over {len(ys[::100])} samples: {worst:.2e}")

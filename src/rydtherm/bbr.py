@@ -13,9 +13,11 @@ spectral density, z_ch^2 the scalar dipole strength of one channel
 
 Two independent implementations of F are provided: ``farley_wing`` (the
 reference: symmetric pole excision + analytic local term + Richardson
-extrapolation in the excision radius) and ``farley_wing_fast`` (an exact
-series over exponential-integral pairs, used inside channel sums).  A third
-route, ``bbr_shift_integral``, never touches F at all: it evaluates the
+extrapolation in the excision radius) and ``farley_wing_fast`` (a
+committed piecewise Chebyshev table of F(y)/y in ln|y|, fitted to the
+reference by ``tools/make_kernel_table.py``; it takes a whole array of y
+and also returns F', and is used inside channel sums).  A third route,
+``bbr_shift_integral``, never touches F in its channels: it evaluates the
 defining frequency integral with the polarizability pole of each channel
 handled as a Cauchy principal value, and must agree with the F-based
 ``bbr_shift_sum`` on the same channel set.
@@ -35,16 +37,22 @@ n >= 30 series shift within 5% of the free-electron value at room
 temperature.  A result is flagged converged when |tail| is at most
 ``tail_fraction`` of max(|shift|, 1 mHz).
 
-Both routes run one loop over the channels of ``channel_table``.  For a
-clock state (the species' ground/metastable role) that table is the
-literature-anchored line list from the species file plus a static
-core/background term, folded in through its static-limit shift; the list is
-complete by construction, so the truncation tail is zero.  Every other
-state uses its radial table and the tail completion above.
+Both routes read the channels of ``channel_table``.  The channel sum
+makes one kernel call for all channels of a table and one for the tail's
+quadrature nodes, and from the same F and F' it returns the temperature
+derivative: d/dT [(kT)^3 F(w/kT)] = k^3 T^2 (3F - yF') per channel and per
+tail node, and 4 shift/T for the static core term.  For a clock state (the
+species' ground/metastable role) the table is the literature-anchored line
+list from the species file plus a static core/background term, folded in
+through its static-limit shift; the list is complete by construction, so
+the truncation tail is zero.  Every other state uses its radial table and
+the tail completion above.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.resources
 import math
 from dataclasses import dataclass
 
@@ -86,24 +94,32 @@ def _check_temperature(temperature_k: float) -> None:
 # Farley-Wing profile function
 
 
-def _fw_asymptotic(a: float) -> float:
-    # F(a) = 2 sum_m Gamma(2m+4) zeta(2m+4) / a^(2m+1); divergent asymptotic
-    # series, summed to optimal truncation (error ~ e^-a, i.e. ~1e-13 at
-    # the a = 30 handover)
-    total = 0.0
-    prev = math.inf
-    for m in range(17):
-        order = 2 * m + 4
-        try:
-            power = math.pow(a, 2 * m + 1)
-        except OverflowError:  # a > ~2e9: this and later terms are 0 in doubles
-            break
-        term = 2.0 * math.gamma(order) * float(special.zeta(order)) / power
-        if term >= prev:
-            break
-        total += term
-        prev = term
-    return total
+# F(a) = 2 sum_m Gamma(2m+4) zeta(2m+4) / a^(2m+1) for large a
+_ASYMPTOTIC_COEF = tuple(
+    2.0 * math.gamma(2 * m + 4) * float(special.zeta(2 * m + 4)) for m in range(17)
+)
+
+
+def _fw_asymptotic(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F(a) and F'(a) from the large-a series, element-wise.
+
+    The series diverges; each element is summed up to its smallest term or
+    17 terms.  The error is below 4e-13 for a >= 40 (the handover of both
+    routes), but 8.5e-10 at a = 31.  Past a ~ 2e9 the powers overflow and
+    the terms are 0 in doubles.
+    """
+    f = np.zeros_like(a)
+    df = np.zeros_like(a)
+    live = np.ones(a.shape, dtype=bool)
+    prev = np.full_like(a, np.inf)
+    with np.errstate(over="ignore"):
+        for m, coef in enumerate(_ASYMPTOTIC_COEF):
+            term = coef / a ** (2 * m + 1)
+            live &= term < prev
+            f += np.where(live, term, 0.0)
+            df -= np.where(live, (2 * m + 1) * term / a, 0.0)
+            prev = term
+    return f, df
 
 
 def _h_smooth(x: np.ndarray | float, a: float):
@@ -132,11 +148,12 @@ def farley_wing(y: float) -> float:
     sign = 1.0 if y > 0 else -1.0
     a = abs(y)
     if a < 1e-3:
-        # leading small-y form; relative error < 3e-6 at the threshold
-        # (the correction scales like y^2 |ln y|)
-        return -(_PI**2) * y / 3.0
+        # Binet's second formula gives F(y) = -pi^2 y/3 - y^3 [ln(y/2pi)
+        # - Re psi(iy/2pi)]; the two leading terms are kept, and the next,
+        # zeta(3) y^5 / (4 pi^2), is below 1e-14 relative here
+        return -(_PI**2) * y / 3.0 - y**3 * (math.log(a / (2.0 * _PI)) + np.euler_gamma)
     if a > 40.0:
-        return sign * _fw_asymptotic(a)
+        return sign * float(_fw_asymptotic(np.array(a))[0])
 
     def g(x: float) -> float:
         return x**3 / ((x * x - a * a) * math.expm1(x))
@@ -175,53 +192,89 @@ def farley_wing(y: float) -> float:
     return sign * (-2.0 * a) * i0
 
 
-def _t_pair(u: np.ndarray) -> np.ndarray:
-    """t(u) = e^u E1(u) - e^{-u} Ei(u), u > 0, vectorized and overflow-safe."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    small = u <= 30.0
-    if np.any(small):
-        us = u[small]
-        out[small] = np.exp(us) * special.exp1(us) - np.exp(-us) * special.expi(us)
-    if np.any(~small):
-        ub = u[~small]
-        # asymptotic difference: -2 sum_m (2m+1)!/u^(2m+2)
-        acc = np.zeros_like(ub)
-        for m in range(0, 8):
-            acc += math.factorial(2 * m + 1) / ub ** (2 * m + 2)
-        out[~small] = -2.0 * acc
-    return out
+_KERNEL_TABLE = "farley_wing_table.dat"
 
 
-def farley_wing_fast(y: float) -> float:
-    """Fast series evaluation of F(y); agrees with ``farley_wing`` to ~1e-9.
+@functools.cache
+def _kernel_table() -> tuple[float, float, float, float, np.ndarray, np.ndarray]:
+    """The committed Chebyshev table of G(s) = F(e^s)/e^s, s = ln|y|.
 
-    F(y) = -2y [pi^2/6 + y^2 J(y)], J(y) = (1/2) sum_k t(k y) with
-    t(u) = e^u E1(u) - e^{-u} Ei(u); k-tail summed analytically via
-    polygamma.  Falls back to -pi^2 y / 3 for |y| < 1e-3 (relative error
-    < ~1e-5 there) and to the large-y asymptotic series for |y| > 30.
+    Returns (y_min, y_max, s_min, piece width, coefficients, coefficients
+    of dG/ds), the coefficient arrays shaped (degree + 1, pieces).  The
+    file is written by ``tools/make_kernel_table.py`` from ``farley_wing``.
     """
-    if y == 0.0:
-        return 0.0
-    sign = 1.0 if y > 0 else -1.0
-    a = abs(y)
-    if a < 1e-3:
-        return -(_PI**2) * y / 3.0
-    if a > 30.0:
-        return sign * _fw_asymptotic(a)
-    n_terms = max(64, int(math.ceil(34.0 / a)))
-    ks = np.arange(1, n_terms + 1, dtype=float)
-    j_sum = 0.5 * float(np.sum(_t_pair(ks * a)))
-    # tail over k > n_terms from the asymptotic t(u):
-    #   (1/2) sum t(ka) ~ -psi'(K+1)/a^2 - psi'''(K+1)/a^4 - psi^(5)(K+1)/a^6
-    kp1 = n_terms + 1
-    j_tail = -(
-        float(special.polygamma(1, kp1)) / a**2
-        + float(special.polygamma(3, kp1)) / a**4
-        + float(special.polygamma(5, kp1)) / a**6
+    ref = importlib.resources.files("rydtherm.data").joinpath(_KERNEL_TABLE)
+    meta, rows = {}, []
+    for line in ref.read_text(encoding="utf-8").splitlines():
+        line = line.split("#", 1)[0].strip()
+        if "=" in line:
+            key, value = line.split("=")
+            meta[key.strip()] = float(value)
+        elif line:
+            rows.append([float(x) for x in line.split()])
+    coef = np.array(rows)
+    pieces, degree = int(meta["pieces"]), int(meta["degree"])
+    if coef.shape != (pieces, degree + 1):
+        raise RuntimeError(
+            f"{_KERNEL_TABLE}: expected {pieces} rows of {degree + 1} "
+            f"coefficients, got shape {coef.shape}"
+        )
+    s_min, s_max = meta["s_min"], meta["s_max"]
+    width = (s_max - s_min) / pieces
+    dcoef = np.polynomial.chebyshev.chebder(coef, axis=1) * (2.0 / width)
+    return (
+        math.exp(s_min), math.exp(s_max), s_min, width,
+        np.ascontiguousarray(coef.T), np.ascontiguousarray(dcoef.T),
     )
-    j = j_sum + j_tail
-    return sign * (-2.0 * a) * (_PI**2 / 6.0 + a * a * j)
+
+
+def _clenshaw(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # sum_j coef[j] T_j(t), column k of coef for element k of t; element-wise
+    # operations only, so a value does not depend on the array around it
+    t2 = 2.0 * t
+    b1 = np.zeros_like(t)
+    b2 = np.zeros_like(t)
+    for c in coef[:0:-1]:
+        b1, b2 = c + t2 * b1 - b2, b1
+    return coef[0] + t * b1 - b2
+
+
+def farley_wing_fast(y, derivative: bool = False):
+    """Table evaluation of F(y), and of F'(y) with ``derivative=True``.
+
+    Takes a float or an array of y and returns the same kind (a pair
+    (F, F') with ``derivative``).  For 1e-5 <= |y| <= 40 it sums the
+    committed piecewise Chebyshev table of F(y)/y in ln|y| (32 pieces of
+    degree 20, fitted to ``farley_wing``; within 3e-12 of a 30-digit
+    quadrature in F, and F' is the derivative of the same polynomials);
+    below, -pi^2 y / 3 (error ~1e-14 at 1e-5); above, the asymptotic
+    series (error < 4e-13).  F is odd and F' even.
+    """
+    arr = np.asarray(y, dtype=float)
+    a = np.abs(arr)
+    y_min, y_max, s_min, width, coef, dcoef = _kernel_table()
+    f = np.empty_like(a)
+    df = np.empty_like(a)
+    small, big = a < y_min, a > y_max
+    mid = ~(small | big)
+    if small.any():
+        f[small] = -(_PI**2 / 3.0) * a[small]
+        df[small] = -(_PI**2 / 3.0)
+    if big.any():
+        f[big], df[big] = _fw_asymptotic(a[big])
+    if mid.any():
+        am = a[mid]
+        u = (np.log(am) - s_min) / width
+        piece = np.clip(u.astype(np.intp), 0, coef.shape[1] - 1)
+        t = 2.0 * (u - piece) - 1.0
+        g = _clenshaw(coef[:, piece], t)
+        f[mid] = am * g
+        df[mid] = g + _clenshaw(dcoef[:, piece], t)  # F' = G + dG/ds
+    # odd extension; "+ 0.0" turns the -0.0 of y = 0 into 0.0
+    f = np.where(arr < 0.0, -f, f) + 0.0
+    if arr.ndim == 0:
+        f, df = float(f), float(df)
+    return (f, df) if derivative else f
 
 
 def farley_wing_zero() -> float:
@@ -295,7 +348,9 @@ class BBRShiftResult:
     shift_hz = channel_hz + tail_hz always; ``converged`` means the
     truncation tail is small against the total (or against a 1 mHz floor).
     Line-list (clock-role) results have a complete channel set: their tail
-    is zero and f_missing is None.
+    is zero and f_missing is None.  ``slope_hz_per_k`` is d(shift)/dT from
+    the same kernel values (channels, tail and core term differentiated
+    analytically); None on the integral route.
     """
 
     state_str: str
@@ -308,14 +363,29 @@ class BBRShiftResult:
     method: str
     span: int | None
     per_channel: tuple[tuple[str, float], ...] = ()  # (channel id, Hz)
+    slope_hz_per_k: float | None = None
 
 
-def _channel_shift_sum_hz(omega_au, z2, temperature_k) -> float:
+def _thermal_slope_terms(y: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """3 F(y) - y F'(y): d/dT [(kT)^3 F(w/kT)] = (kT)^3 (3F - yF') / T."""
+    with np.errstate(invalid="ignore"):  # y F' -> 0 as y -> inf; inf * 0 is nan
+        y_df = y * df
+    return 3.0 * f - np.where(np.isinf(y), 0.0, y_df)
+
+
+def _channel_shifts_sum_hz(
+    omega_au: np.ndarray, z2: np.ndarray, temperature_k: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel Farley-Wing shifts and their d/dT, Hz and Hz/K."""
     kt = kconst.KB_AU * temperature_k
-    y = omega_au / kt
+    with np.errstate(over="ignore"):  # w/kT -> inf as T -> 0
+        y = omega_au / kt
+    f, df = farley_wing_fast(y, derivative=True)
+    scale = -(2.0 / (_PI * _C3)) * kt**3 * z2
     return (
-        -(2.0 / (_PI * _C3)) * kt**3 * z2 * farley_wing_fast(y)
-    ) * kconst.HARTREE_HZ
+        scale * f * kconst.HARTREE_HZ,
+        scale * _thermal_slope_terms(y, f, df) * kconst.HARTREE_HZ / temperature_k,
+    )
 
 
 def _channel_shift_integral_hz(omega_au, z2, temperature_k) -> float:
@@ -368,31 +438,35 @@ _KRAMERS_P = 3.5
 _TAIL_NODES_U, _TAIL_WEIGHTS = (
     lambda xw: (0.5 * (xw[0] + 1.0), 0.5 * xw[1])
 )(np.polynomial.legendre.leggauss(48))
+# the rule's weights times the profile factor (p - 1) u^(p - 2)
+_TAIL_NODE_WEIGHTS = _TAIL_WEIGHTS * (_KRAMERS_P - 1.0) * _TAIL_NODES_U ** (_KRAMERS_P - 2.0)
 
 
 def truncation_tail_shift(
     f_missing: float, binding_au: float, temperature_k: float
-) -> float:
-    """Continuum completion of a truncated channel sum, in Hz.
+) -> tuple[float, float]:
+    """Continuum completion of a truncated channel sum and its d/dT.
 
     Distributes the missing oscillator strength ``f_missing`` above the
     ionization threshold ``binding_au`` with the Kramers profile
     df/dw proportional to w^-7/2 and folds it through the Farley-Wing
-    kernel.  Returns 0 for T = 0 or when no strength is missing (a small
-    negative ``f_missing`` can arise from the finite accuracy of the
-    one-channel radial model at low n and is clamped).
+    kernel.  Returns (shift in Hz, d(shift)/dT in Hz/K); the slope of each
+    of the 48 quadrature nodes follows the channel rule.  Both are 0 for
+    T = 0 or when no strength is missing (a small negative ``f_missing``
+    can arise from the finite accuracy of the one-channel radial model at
+    low n and is clamped).
     """
     _check_temperature(temperature_k)
     kt = kconst.KB_AU * temperature_k
     if kt == 0.0 or f_missing <= 0.0:
-        return 0.0
-    y_th = binding_au / kt
-    acc = 0.0
-    p = _KRAMERS_P
-    for u, w in zip(_TAIL_NODES_U, _TAIL_WEIGHTS):
-        y = y_th / u
-        acc += w * (p - 1.0) * u ** (p - 2.0) * farley_wing_fast(y) / y
-    return (-(kt * kt) * f_missing * acc / (_PI * _C3)) * kconst.HARTREE_HZ
+        return 0.0, 0.0
+    with np.errstate(over="ignore"):  # y -> inf as T -> 0
+        y = (binding_au / kt) / _TAIL_NODES_U
+    f, df = farley_wing_fast(y, derivative=True)
+    scale = -(kt * kt) * f_missing / (_PI * _C3) * kconst.HARTREE_HZ
+    shift = scale * float(np.sum(_TAIL_NODE_WEIGHTS * f / y))
+    slope_terms = _TAIL_NODE_WEIGHTS * _thermal_slope_terms(y, f, df) / y
+    return shift, scale * float(np.sum(slope_terms)) / temperature_k
 
 
 def _bbr_shift(
@@ -416,22 +490,29 @@ def _bbr_shift(
             converged=True,
             method=method,
             span=table.span,
+            slope_hz_per_k=0.0 if method == "sum" else None,
         )
-    chan_fn = (
-        _channel_shift_sum_hz if method == "sum" else _channel_shift_integral_hz
-    )
-    per = [
-        (ch.channel_id, chan_fn(ch.omega_au, ch.z2, temperature_k))
-        for ch in table.channels
-    ]
+    ids = [ch.channel_id for ch in table.channels]
+    if method == "sum":
+        hz, slopes = _channel_shifts_sum_hz(table.omega_au, table.z2, temperature_k)
+        per = list(zip(ids, hz.tolist()))
+        slope_parts = slopes.tolist()
+    else:
+        per = [
+            (cid, _channel_shift_integral_hz(ch.omega_au, ch.z2, temperature_k))
+            for cid, ch in zip(ids, table.channels)
+        ]
     if table.core_alpha_au is not None:
-        per.append(("core", static_limit_shift(table.core_alpha_au, temperature_k)))
+        core = static_limit_shift(table.core_alpha_au, temperature_k)
+        per.append(("core", core))
+        if method == "sum":
+            slope_parts.append(4.0 * core / temperature_k)  # core ~ T^4
     channel_hz = math.fsum(hz for _, hz in per)
     # The tail is a continuum model, not a discrete channel, so both routes
     # share one implementation; the sum-vs-integral cross-check exercises
     # the per-channel kernels.
-    tail = (
-        0.0
+    tail, tail_slope = (
+        (0.0, 0.0)
         if table.f_missing is None
         else truncation_tail_shift(table.f_missing, state.binding_au, temperature_k)
     )
@@ -448,6 +529,9 @@ def _bbr_shift(
         method=method,
         span=table.span,
         per_channel=tuple(per),
+        slope_hz_per_k=(
+            math.fsum(slope_parts) + tail_slope if method == "sum" else None
+        ),
     )
 
 

@@ -6,9 +6,11 @@ slope ~16 Hz/K), hundreds of times more temperature-sensitive as a
 fraction of the transition frequency than an optical clock transition.
 This module turns that into instrumentation:
 
-* ``transition_bbr_sensitivity`` — d(shift)/dT by Richardson-extrapolated
-  central differences;
-* ``invert_temperature`` — safeguarded Newton solve of shift(T) = offset;
+* ``transition_bbr_sensitivity`` — d(shift)/dT, differentiated
+  analytically from the same kernel values as the shift
+  (``BBRShiftResult.slope_hz_per_k``);
+* ``invert_temperature`` — bracket-safeguarded Newton solve of
+  shift(T) = offset;
 * ``joint_solve_temperature_field`` — weighted least squares over
   (T, E^2) using two or more transitions with distinct static
   polarizabilities, separating temperature from a stray DC field;
@@ -33,10 +35,10 @@ from .species import RydbergState, Species
 from .transitions import DEFAULT_SPAN
 
 DEFAULT_SEED_K = 300.0
-TOL_K = 1.0e-7  # temperature resolution at which both solvers stop
+TOL_K = 1.0e-7  # temperature step at which both solvers stop
+RESIDUAL_TOL = 1.0e-6  # inversion also stops at |residual| <= this * sigma
 INVERT_MAX_ITER = 60
 JOINT_MAX_ITER = 50
-_SLOPE_STEP_K = 2.0  # central-difference step of _richardson_slope
 
 
 class ThermometryError(RuntimeError):
@@ -94,16 +96,21 @@ def transition_bbr_shift(
     lower: RydbergState | None = None,
     span: int = DEFAULT_SPAN,
     solver: RadialSolver | None = None,
-) -> float:
+    derivative: bool = False,
+):
     """BBR shift of the ``lower -> upper`` transition frequency, Hz.
 
-    ``lower`` defaults to the species' metastable clock state.
+    ``lower`` defaults to the species' metastable clock state.  With
+    ``derivative=True`` returns (shift in Hz, d(shift)/dT in Hz/K).
     """
     if lower is None:
         lower = species.metastable_state()
     up = bbr_shift_sum(upper, temperature_k, span=span, solver=solver)
     lo = bbr_shift_sum(lower, temperature_k, span=span, solver=solver)
-    return up.shift_hz - lo.shift_hz
+    shift = up.shift_hz - lo.shift_hz
+    if derivative:
+        return shift, up.slope_hz_per_k - lo.slope_hz_per_k
+    return shift
 
 
 def state_bbr_sensitivity(
@@ -113,10 +120,7 @@ def state_bbr_sensitivity(
     solver: RadialSolver | None = None,
 ) -> float:
     """d(shift)/dT of one state's BBR shift at ``temperature_k``, Hz/K."""
-    return _richardson_slope(
-        lambda t: bbr_shift_sum(state, t, span=span, solver=solver).shift_hz,
-        temperature_k,
-    )
+    return bbr_shift_sum(state, temperature_k, span=span, solver=solver).slope_hz_per_k
 
 
 def transition_bbr_sensitivity(
@@ -128,28 +132,10 @@ def transition_bbr_sensitivity(
     solver: RadialSolver | None = None,
 ) -> float:
     """d(transition shift)/dT at ``temperature_k``, Hz/K."""
-    return _richardson_slope(
-        lambda t: transition_bbr_shift(
-            species, upper, t, lower=lower, span=span, solver=solver
-        ),
-        temperature_k,
-    )
-
-
-def _richardson_slope(f, t: float) -> float:
-    """Central difference with one Richardson step: error O(h^4)."""
-    if t < 0:
-        raise ValueError(f"temperature must be >= 0, got {t}")
-    if t == 0.0:
-        return 0.0  # shifts vanish at least quadratically at T = 0
-    h = min(_SLOPE_STEP_K, 0.5 * t)  # keep both stencils in T >= 0
-
-    def central(step: float) -> float:
-        return (f(t + step) - f(t - step)) / (2.0 * step)
-
-    d1 = central(h)
-    d2 = central(0.5 * h)
-    return (4.0 * d2 - d1) / 3.0
+    return transition_bbr_shift(
+        species, upper, temperature_k, lower=lower, span=span, solver=solver,
+        derivative=True,
+    )[1]
 
 
 def invert_temperature(
@@ -160,25 +146,31 @@ def invert_temperature(
 ) -> ThermometrySolution:
     """Solve shift(T) = measured offset for T, assuming zero stray field.
 
-    Safeguarded Newton from ``seed_k``: steps that leave the supported
-    temperature range or fail to shrink the residual fall back to
-    bisection on a bracket maintained from all previous evaluations.
+    Newton from ``seed_k`` with the analytic slope, taken on the square
+    root of the shift while the shift is positive, and safeguarded by a
+    bracket kept from all previous evaluations: a step that leaves the
+    bracket is replaced by bisection.  Stops when a step is at most
+    ``TOL_K`` or the residual is at most ``RESIDUAL_TOL`` times the
+    measurement uncertainty.
     """
     species = measurement.state.species
 
-    def model(t: float) -> float:
+    def model(t: float) -> tuple[float, float]:
         return transition_bbr_shift(
-            species, measurement.state, t, span=span, solver=solver
+            species, measurement.state, t, span=span, solver=solver, derivative=True
         )
 
     t_lo, t_hi = TEMPERATURE_RANGE_K
-    t_hi = t_hi - 1.0e-9  # stay strictly inside the validated range
     target = measurement.offset_hz
+    f_tol = RESIDUAL_TOL * measurement.sigma_hz
 
-    # The transition shift is strictly increasing in T (Rydberg state
-    # rises ~T^2, metastable falls ~ -T^4), so a bracket is easy to keep.
-    lo, f_lo = t_lo, -target  # shift(0) = 0
-    hi, f_hi = t_hi, model(t_hi) - target
+    # The transition shift rises with T above about 20 K (Rydberg state
+    # ~T^2, metastable ~ -T^4), so a bracket is easy to keep; below, the
+    # Rydberg state's static polarizability makes it dip under zero, and a
+    # small offset can have a second root there.
+    lo, hi = t_lo, t_hi
+    shift_hi, slope_hi = model(t_hi)
+    f_lo, f_hi = -target, shift_hi - target  # shift(0) = 0
     if f_lo > 0.0 or f_hi < 0.0:
         raise ThermometryError(
             f"{measurement.transition_id}: offset {target:.6g} Hz lies "
@@ -186,36 +178,36 @@ def invert_temperature(
             f"{f_hi + target:.6g}] Hz for T in [{t_lo:g}, {t_hi:g}] K"
         )
 
-    t = min(max(seed_k, t_lo), t_hi)
-    f_t = model(t) - target
-    iterations = 0
-    while abs(hi - lo) > TOL_K and iterations < INVERT_MAX_ITER:
-        iterations += 1
-        if f_t > 0.0:
-            hi, f_hi = t, f_t
-        else:
-            lo, f_lo = t, f_t
-        slope = _richardson_slope(model, max(t, 1.0e-3))
-        t_newton = t - f_t / slope if slope > 0.0 else None
-        if t_newton is not None and lo < t_newton < hi:
-            t_next = t_newton
-        else:
-            t_next = 0.5 * (lo + hi)
-        f_next = model(t_next) - target
-        # safeguard: insist on progress, else bisect
-        if abs(f_next) >= abs(f_t) and not (hi - lo) < 4.0 * TOL_K:
-            t_next = 0.5 * (lo + hi)
-            f_next = model(t_next) - target
-        t, f_t = t_next, f_next
-        if f_t == 0.0:
-            break
+    if abs(f_hi) <= f_tol:  # the offset of the top of the range itself
+        t, shift, slope = t_hi, shift_hi, slope_hi
     else:
-        if abs(hi - lo) > TOL_K:
+        t = min(max(seed_k, t_lo), t_hi)
+        shift, slope = model(t)
+    iterations = 0
+    while abs(shift - target) > f_tol:
+        if iterations == INVERT_MAX_ITER:
             raise ThermometryError(
                 f"{measurement.transition_id}: temperature inversion did "
                 f"not converge in {INVERT_MAX_ITER} iterations"
             )
-    slope = _richardson_slope(model, max(t, 1.0e-3))
+        iterations += 1
+        if shift > target:
+            hi = t
+        else:
+            lo = t
+        step = (target - shift) / slope if slope > 0.0 else math.nan
+        if shift > 0.0:
+            # Newton on sqrt(shift), which is linear in T where the shift
+            # goes as T^2 (the free-electron limit); target >= 0 here
+            root = math.sqrt(shift)
+            step *= 2.0 * root / (root + math.sqrt(target))
+        t_next = t + step
+        if not lo < t_next < hi:  # also catches nan
+            t_next = 0.5 * (lo + hi)
+        step, t = t_next - t, t_next
+        shift, slope = model(t)
+        if abs(step) <= TOL_K:
+            break
     sigma_t = measurement.sigma_hz / slope if slope > 0.0 else math.inf
     return ThermometrySolution(
         temperature_k=t,
@@ -223,7 +215,7 @@ def invert_temperature(
         field_v_per_m=0.0,
         sigma_field_v_per_m=0.0,
         covariance=((sigma_t * sigma_t,),),
-        residuals_hz=(target - model(t),),
+        residuals_hz=(target - shift,),
         field_sq_clamped=False,
         iterations=iterations,
     )
@@ -267,25 +259,16 @@ def joint_solve_temperature_field(
     offsets = np.array([m.offset_hz for m in measurements])
     sigmas = np.array([m.sigma_hz for m in measurements])
 
-    def bbr_vec(t: float) -> np.ndarray:
+    def bbr_and_slope(t: float) -> np.ndarray:
+        """Rows: each transition's BBR shift and its d/dT at t."""
         return np.array(
             [
                 transition_bbr_shift(
-                    species, m.state, t, span=span, solver=solver
+                    species, m.state, t, span=span, solver=solver, derivative=True
                 )
                 for m in measurements
             ]
-        )
-
-    def bbr_slope_vec(t: float) -> np.ndarray:
-        return np.array(
-            [
-                transition_bbr_sensitivity(
-                    species, m.state, t, span=span, solver=solver
-                )
-                for m in measurements
-            ]
-        )
+        ).T
 
     t_lo, t_hi = TEMPERATURE_RANGE_K
     t = min(max(seed_k, t_lo + 1.0), t_hi - 1.0)
@@ -293,11 +276,10 @@ def joint_solve_temperature_field(
     clamped = False
     iterations = 0
     for iterations in range(1, JOINT_MAX_ITER + 1):
-        model = bbr_vec(t) - 0.5 * alphas * e2
+        bbr, bbr_slope = bbr_and_slope(t)
+        model = bbr - 0.5 * alphas * e2
         r = (offsets - model) / sigmas
-        jac = np.column_stack(
-            [bbr_slope_vec(t) / sigmas, -0.5 * alphas / sigmas]
-        )
+        jac = np.column_stack([bbr_slope / sigmas, -0.5 * alphas / sigmas])
         gram = jac.T @ jac
         if np.linalg.cond(gram) > 1.0e12:
             raise ThermometryError(
@@ -322,8 +304,9 @@ def joint_solve_temperature_field(
             f"joint solve did not converge in {JOINT_MAX_ITER} iterations"
         )
 
-    model = bbr_vec(t) - 0.5 * alphas * e2
-    jac = np.column_stack([bbr_slope_vec(t) / sigmas, -0.5 * alphas / sigmas])
+    bbr, bbr_slope = bbr_and_slope(t)
+    model = bbr - 0.5 * alphas * e2
+    jac = np.column_stack([bbr_slope / sigmas, -0.5 * alphas / sigmas])
     cov = np.linalg.inv(jac.T @ jac)
     sigma_t = math.sqrt(max(cov[0, 0], 0.0))
     sigma_e2 = math.sqrt(max(cov[1, 1], 0.0))

@@ -32,7 +32,9 @@ of a Rydberg bound-bound integral onto a fixed compact state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import constants as kconst
 from . import units
@@ -82,6 +84,8 @@ class TransitionTable:
     A radial table covers a span window and misses ``f_missing`` of the
     oscillator strength; a line table is complete (``span`` and
     ``f_missing`` are None) and adds a static ``core_alpha_au``.
+    ``omega_au`` and ``z2`` hold the channels' fields as read-only arrays,
+    for kernels that take a whole table in one call.
     """
 
     state_str: str
@@ -90,6 +94,14 @@ class TransitionTable:
     f_missing: float | None
     core_alpha_au: float | None = None
     skipped_unsolvable: int = 0  # finals with no radial solution and no patch
+    omega_au: np.ndarray = field(init=False, repr=False, compare=False)
+    z2: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for name in ("omega_au", "z2"):
+            values = np.array([getattr(ch, name) for ch in self.channels], dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
 
 def channel_alpha_au(ch: Channel, omega_au: float) -> float:

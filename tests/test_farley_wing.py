@@ -1,39 +1,93 @@
 """Thermal response kernel F(y): oracle, shape, limits, route agreement.
 
-The oracle expands the Bose factor as a geometric series of exponentials;
-each term's principal-value integral then has a closed form in the
-exponential integrals E1 and Ei.  That path shares nothing with either
-implementation route (pole-excised adaptive quadrature / fixed-node fast
-map), so agreement pins all three independently.
+The oracle is a 30-digit mpmath quadrature of the defining principal value
+with the pole subtracted: with h(x) = x^3 / ((x + y)(e^x - 1)),
+
+    PV int_0^inf h(x)/(x - y) dx = int_0^2y [h(x) - h(y)]/(x - y) dx
+                                   + int_2y^inf h(x)/(x - y) dx,
+
+since the principal value of 1/(x - y) over [0, 2y] is 0.  It shares
+nothing with either implementation route (pole-excised adaptive quadrature
+/ Chebyshev table), so agreement pins all three independently.
 """
 
+import importlib.util
 import math
+import os
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
-from rydtherm.bbr import farley_wing, farley_wing_fast, farley_wing_zero
+from rydtherm.bbr import _KERNEL_TABLE, farley_wing, farley_wing_fast, farley_wing_zero
 
 mp.mp.dps = 30
 
-
-def _oracle(y: float, terms: int = 1500) -> float:
-    yy = mp.mpf(y)
-    total = mp.mpf(0)
-    for m in range(1, terms + 1):
-        u = m * yy
-        total += mp.mpf(1) / (m * m) + (yy * yy / 2) * (
-            mp.exp(u) * mp.e1(u) - mp.exp(-u) * mp.ei(u)
-        )
-    return float(-2 * yy * total)
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+ORACLE_Y = [float(y) for y in np.geomspace(1e-3, 40.0, 25)]
 
 
-@pytest.mark.parametrize("y", [0.5, 1.0, 3.0])
-def test_against_exponential_integral_oracle(y):
-    assert farley_wing(y) == pytest.approx(_oracle(y), abs=5e-8)
-    assert farley_wing_fast(y) == pytest.approx(_oracle(y), abs=5e-8)
+def _oracle_mp(y):
+    y = mp.mpf(y)
+
+    def h(x):
+        return x**3 / ((x + y) * mp.expm1(x))
+
+    hy = h(y)
+    near = mp.quad(lambda x: (h(x) - hy) / (x - y), [0, y, 2 * y])
+    cuts = [2 * y] + [c for c in (1, 5, 20, 60) if c > 2 * y] + [mp.inf]
+    far = mp.quad(lambda x: h(x) / (x - y), cuts)
+    return -2 * y * (near + far)
+
+
+def _oracle(y: float) -> float:
+    return float(_oracle_mp(y))
+
+
+def test_both_routes_against_quadrature_oracle():
+    want = np.array([_oracle(y) for y in ORACLE_Y])
+    for y, w in zip(ORACLE_Y, want):
+        assert abs(farley_wing(y) - w) <= 1e-11, y
+        assert abs(farley_wing_fast(y) - w) <= 1e-11, y
+    ys = np.array(ORACLE_Y)
+    assert np.max(np.abs(farley_wing_fast(ys) - want)) <= 1e-11
+    assert np.max(np.abs(farley_wing_fast(-ys) + want)) <= 1e-11
+
+
+def test_table_derivative_against_oracle():
+    # F' of the table is the derivative of its Chebyshev pieces; the oracle
+    # side is a central difference with step 1e-6 y (error ~1e-12 y^2 F''')
+    for y in ORACLE_Y[::3]:
+        step = 1e-6 * y
+        want = float((_oracle_mp(y + step) - _oracle_mp(y - step)) / (2 * step))
+        _, got = farley_wing_fast(y, derivative=True)
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), y
+
+
+def test_kernel_table_file_is_reproducible():
+    # tools/make_kernel_table.py rebuilds the committed coefficients exactly
+    path = os.path.join(ROOT, "tools", "make_kernel_table.py")
+    spec = importlib.util.spec_from_file_location("make_kernel_table", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    data = os.path.join(ROOT, "src", "rydtherm", "data", _KERNEL_TABLE)
+    assert os.path.samefile(gen.PATH, data)
+    with open(data, encoding="utf-8") as fh:
+        assert fh.read() == gen.table_text()
+
+
+def test_array_and_scalar_calls_agree():
+    grid = np.geomspace(1e-7, 1e3, 40)
+    ys = np.concatenate([-grid, [0.0], grid])
+    f, df = farley_wing_fast(ys, derivative=True)
+    for y, fv, dv in zip(ys, f, df):
+        got = farley_wing_fast(float(y), derivative=True)
+        assert got == (fv, dv)
+        assert type(got[0]) is float and type(got[1]) is float
+    assert farley_wing_fast(ys[:6].reshape(2, 3)).shape == (2, 3)
 
 
 def test_value_at_origin():
@@ -45,6 +99,12 @@ def test_small_y_slope():
     y = 1e-3
     for fn in (farley_wing, farley_wing_fast):
         assert fn(y) / y == pytest.approx(-math.pi**2 / 3, rel=1e-3)
+
+
+def test_reference_small_y_series_against_oracle():
+    # below |y| = 1e-3 the reference sums two terms of Binet's series
+    for y in (1e-5, 1e-4, 9.99e-4):
+        assert abs(farley_wing(y) - _oracle(y)) <= 1e-16, y
 
 
 def test_oddness_exact():
@@ -92,12 +152,48 @@ def test_shape_one_min_one_max():
 def test_routes_agree_everywhere():
     for y in np.geomspace(0.01, 30.0, 40):
         a, b = farley_wing(y), farley_wing_fast(y)
-        assert abs(a - b) <= 1e-6 * max(1.0, abs(a))
+        assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
 def test_continuity_across_route_seams():
-    # the fast map and the reference switch internal branches; check no jumps
-    for y0 in (1e-3, 40.0):
-        lo = farley_wing_fast(y0 * (1 - 1e-6))
-        hi = farley_wing_fast(y0 * (1 + 1e-6))
-        assert abs(hi - lo) < 1e-4 * max(1.0, abs(hi))
+    # the fast map switches branches at 1e-5 and 40, the reference at 1e-3
+    # and 40; across each seam F moves only by F' times the step
+    for y0 in (1e-5, 1e-3, 40.0):
+        for fn in (farley_wing, farley_wing_fast):
+            lo = fn(y0 * (1 - 1e-6))
+            hi = fn(y0 * (1 + 1e-6))
+            assert abs(hi - lo) < 1e-4 * max(1.0, abs(hi))
+        _, slope = farley_wing_fast(y0, derivative=True)
+        jump = farley_wing_fast(y0 * (1 + 1e-6)) - farley_wing_fast(y0 * (1 - 1e-6))
+        assert abs(jump - slope * 2e-6 * y0) <= 1e-12, y0
+
+
+# -- properties ----------------------------------------------------------------
+
+_PROPERTY = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+
+
+@_PROPERTY
+@given(st.floats(min_value=0.0, max_value=1e300))
+def test_property_exactly_odd(y):
+    assert farley_wing_fast(-y) == -farley_wing_fast(y)
+    f, df = farley_wing_fast(np.array([y, -y]), derivative=True)
+    assert f[1] == -f[0] and df[1] == df[0]
+
+
+@_PROPERTY
+@given(st.floats(min_value=40.0, max_value=1e12))
+def test_property_large_y_limit(y):
+    # y F(y) = 2 pi^4/15 + 2 Gamma(6) zeta(6) / y^2 + ...; the correction
+    # is about 244 / y^2, and 1e-13 allows for rounding
+    excess = y * farley_wing_fast(y) - 2.0 * math.pi**4 / 15.0
+    assert -1e-13 <= excess <= 260.0 / (y * y) + 1e-13
+
+
+@_PROPERTY
+@given(st.floats(min_value=1e-300, max_value=1e-5))
+def test_property_small_y_limit(y):
+    # F(y)/y = -pi^2/3 - y^2 (ln(y/2pi) + gamma) + ..., and 1e-15 allows
+    # for rounding
+    excess = farley_wing_fast(y) / y + math.pi**2 / 3.0
+    assert abs(excess) <= 2.0 * y * y * abs(math.log(y)) + 1e-15

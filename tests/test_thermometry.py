@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rydtherm.polarizability import static_polarizability
 from rydtherm.thermometry import (
@@ -49,6 +52,71 @@ def test_sensitivity_zero_at_zero_temperature(sr):
     assert state_bbr_sensitivity(sr.state(30, "3D1"), 0.0) == 0.0
 
 
+@pytest.mark.parametrize("temperature", [999.9, 1000.0])
+def test_sensitivity_finite_at_top_of_range(sr, temperature):
+    sens = transition_bbr_sensitivity(sr, sr.state(30, "3D1"), temperature)
+    assert math.isfinite(sens) and sens > 0.0
+
+
+@pytest.mark.parametrize(
+    "species,n,series", [("sr", 30, "3D1"), ("sr", 25, "3S1"), ("yb", 25, "3P0")]
+)
+def test_analytic_slope_matches_central_difference(request, species, n, series):
+    sp = request.getfixturevalue(species)
+    st_ = sp.state(n, series)
+    for t in np.linspace(5.0, 995.0, 20):
+        h = min(1e-2 * t, 2.0)
+        f = [transition_bbr_shift(sp, st_, t + k * h) for k in (-2, -1, 1, 2)]
+        numeric = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+        _, slope = transition_bbr_shift(sp, st_, t, derivative=True)
+        assert slope == pytest.approx(numeric, rel=1e-7), t
+        assert slope == transition_bbr_sensitivity(sp, st_, t)
+
+
+# The transition shift dips below zero at low T (measured: the slope is
+# negative up to 18 K for Sr 25 3D1, 2.4 K for Sr 25 3S1, 1.5 K for Yb 25
+# 3P0): there the static polarizability of the Rydberg state outweighs the
+# free-electron term.  Above 20 K it rises for every state below.
+_MONOTONE_FROM_K = 20.0
+_THERMOMETRY_STATES = [
+    (sp, n, series)
+    for sp, series in (("sr", "3D1"), ("sr", "3S1"), ("yb", "3P0"))
+    for n in range(25, 31)
+]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    case=st.sampled_from(_THERMOMETRY_STATES),
+    t1=st.floats(min_value=_MONOTONE_FROM_K, max_value=1000.0),
+    t2=st.floats(min_value=_MONOTONE_FROM_K, max_value=1000.0),
+)
+def test_property_transition_shift_rises(sr, yb, case, t1, t2):
+    sp_name, n, series = case
+    sp = {"sr": sr, "yb": yb}[sp_name]
+    state = sp.state(n, series)
+    (f1, s1), (f2, s2) = (
+        transition_bbr_shift(sp, state, t, derivative=True) for t in (t1, t2)
+    )
+    assert s1 > 0.0 and s2 > 0.0
+    if t1 < t2:
+        assert f1 < f2
+    elif t2 < t1:
+        assert f2 < f1
+
+
+def test_low_temperature_dip(sr):
+    # measured behaviour below _MONOTONE_FROM_K, kept visible: Sr 30 3D1
+    # falls to about -3.4 Hz near 12 K, and such an offset has no
+    # temperature on the rising branch to invert to
+    state = sr.state(30, "3D1")
+    shift_10k = transition_bbr_shift(sr, state, 10.0)
+    assert shift_10k < 0.0
+    assert transition_bbr_sensitivity(sr, state, 5.0) < 0.0
+    with pytest.raises(ThermometryError, match="outside the invertible range"):
+        invert_temperature(ThermometryMeasurement(state, shift_10k, 0.16))
+
+
 def test_measurement_validation(sr):
     with pytest.raises(ValueError):
         ThermometryMeasurement(sr.state(30, "3D1"), 100.0, 0.0)
@@ -90,6 +158,31 @@ def test_invert_zero_offset_lands_cold(sr):
     # a zero offset pins the temperature below where BBR is resolvable
     sol = invert_temperature(_measure(sr, 30, 0.0))
     assert sol.temperature_k < 40.0
+
+
+@pytest.mark.parametrize(
+    "species,n,series,true_t",
+    [
+        ("sr", 27, "3D1", 982.99),
+        ("sr", 30, "3D1", 998.5),
+        ("yb", 25, "3P0", 999.5),
+        ("sr", 30, "3D1", 1000.0),
+    ],
+)
+def test_invert_near_top_of_range(request, species, n, series, true_t):
+    sp = request.getfixturevalue(species)
+    state = sp.state(n, series)
+    offset = transition_bbr_shift(sp, state, true_t)
+    sol = invert_temperature(ThermometryMeasurement(state, offset, 0.16))
+    assert abs(sol.temperature_k - true_t) < 1e-3
+    assert math.isfinite(sol.sigma_temperature_k)
+
+
+@pytest.mark.parametrize("true_t", [50.0, 150.0, 300.0, 450.0, 900.0, 985.0])
+def test_invert_iterations_from_default_seed(sr, true_t):
+    sol = invert_temperature(_measure(sr, 30, true_t))
+    assert sol.iterations <= 7
+    assert abs(sol.temperature_k - true_t) < 1e-3
 
 
 def test_invert_out_of_range_offset(sr):
