@@ -31,8 +31,9 @@ of a Rydberg bound-bound integral onto a fixed compact state.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +86,8 @@ class TransitionTable:
     oscillator strength; a line table is complete (``span`` and
     ``f_missing`` are None) and adds a static ``core_alpha_au``.
     ``omega_au`` and ``z2`` hold the channels' fields as read-only arrays,
-    for kernels that take a whole table in one call.
+    built on first use and kept with the table, for kernels that take a
+    whole table in one call.
     """
 
     state_str: str
@@ -94,14 +96,19 @@ class TransitionTable:
     f_missing: float | None
     core_alpha_au: float | None = None
     skipped_unsolvable: int = 0  # finals with no radial solution and no patch
-    omega_au: np.ndarray = field(init=False, repr=False, compare=False)
-    z2: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        for name in ("omega_au", "z2"):
-            values = np.array([getattr(ch, name) for ch in self.channels], dtype=float)
-            values.flags.writeable = False
-            object.__setattr__(self, name, values)
+    def _field_array(self, name: str) -> np.ndarray:
+        values = np.array([getattr(ch, name) for ch in self.channels], dtype=float)
+        values.flags.writeable = False
+        return values
+
+    @functools.cached_property
+    def omega_au(self) -> np.ndarray:
+        return self._field_array("omega_au")
+
+    @functools.cached_property
+    def z2(self) -> np.ndarray:
+        return self._field_array("z2")
 
 
 def channel_alpha_au(ch: Channel, omega_au: float) -> float:
