@@ -47,6 +47,13 @@ def _oracle(y: float) -> float:
     return float(_oracle_mp(y))
 
 
+@pytest.mark.parametrize("y", [0.5, 1.0, 3.0])
+def test_against_exponential_integral_oracle(y):
+    want = _oracle(y)
+    assert farley_wing(y) == pytest.approx(want, abs=5e-8)
+    assert farley_wing_fast(y) == pytest.approx(want, abs=5e-8)
+
+
 def test_both_routes_against_quadrature_oracle():
     want = np.array([_oracle(y) for y in ORACLE_Y])
     for y, w in zip(ORACLE_Y, want):
