@@ -489,7 +489,7 @@ def _bbr_shift(
             span=table.span,
             slope_hz_per_k=0.0 if method == "sum" else None,
         )
-    ids = [ch.channel_id for ch in table.channels]
+    ids = table.channel_ids
     if method == "sum":
         hz, slopes = _channel_shifts_sum_hz(table.omega_au, table.z2, temperature_k)
         per = list(zip(ids, hz.tolist()))

@@ -143,14 +143,14 @@ def ac_polarizability(
             f"{state}: the line-list route carries no final-state J data; "
             f"only the scalar (m_j=None or 0) polarizability is defined"
         )
-    pairs = [(ch.channel_id, ch.omega_au) for ch in table.channels]
+    pairs = list(zip(table.channel_ids, table.omega_au.tolist()))
     _guard_check(pairs, omega_au)
     per = []
-    for ch in table.channels:
+    for cid, ch in zip(table.channel_ids, table.channels):
         alpha = channel_alpha_au(ch, omega_au)
         if m_resolved:
             alpha *= _m_weight(state.J, _series_j(ch.series), m_j)
-        per.append((ch.channel_id, alpha))
+        per.append((cid, alpha))
     if table.core_alpha_au is not None:
         per.append(("core", table.core_alpha_au))
     # Missing-strength tail as a single pole at the ionization threshold:

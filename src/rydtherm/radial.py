@@ -8,11 +8,14 @@ transformed equation is
     v''(x) = -kfun(x) v(x),
     kfun(x) = -3/(4 x^2) + 8 mu + 8 mu E x^2 - 4 l(l+1)/x^2,
 
-integrated inward from the outer classical region on a *global aligned*
-grid x_j = j*h, so any two states share mesh nodes and matrix elements are
+solved inward from the outer classical region on a *global aligned* grid
+x_j = j*h, so any two states share mesh nodes and matrix elements are
 plain overlap sums:  integral u_a u_b r^p dr = 2h * trapz(v_a v_b x^(2p+2)).
 The trapezoid rule is spectrally accurate here because the integrand's
-derivatives vanish at both ends of the domain.
+derivatives vanish at both ends of the domain.  The inward Numerov
+recurrence is one banded triangular solve (LAPACK ``dtbtrs``), and the
+weights x^k of every overlap sum are slices of one mesh stored on the
+solver.
 
 Conventions:
 * energies E = -mu/(2 n*^2) hartree from the species quantum defects;
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+from scipy.linalg import lapack
 
 from .species import RydbergState
 from .wigner import legendre_moment, line_strength_factor
@@ -65,15 +69,49 @@ class RadialSolution:
 
 
 def _numerov_inward(kf: np.ndarray, h: float) -> np.ndarray:
-    """Integrate v'' = -kf v inward; seed with a tiny value at the outer end."""
+    """Solve v'' = -kf v inward, seeded with a tiny value at the outer end.
+
+    The inward recurrence c[j-1] v[j-1] = (12 - 10 c[j]) v[j] - c[j+1] v[j+1],
+    c = 1 + h^2 kf / 12, with v[n-1] = 0 and v[n-2] = 1e-12, is one upper
+    triangular system of bandwidth 2 in v[0..n-2], solved by back
+    substitution in LAPACK.  It differs from a sequential loop over the
+    recurrence only by the rounding of fused multiply-adds.  Raises
+    RadialUnsolvableError when some pivot c[j] is exactly zero.
+    """
     n = kf.shape[0]
-    c = (1.0 + (h * h / 12.0) * kf).tolist()
-    v = [0.0] * n
-    v[n - 1] = 0.0
-    v[n - 2] = 1e-12
-    for j in range(n - 2, 0, -1):
-        v[j - 1] = ((12.0 - 10.0 * c[j]) * v[j] - c[j + 1] * v[j + 1]) / c[j - 1]
-    return np.asarray(v)
+    c = 1.0 + (h * h / 12.0) * kf
+    ab = np.zeros((3, n - 1), order="F")
+    ab[0, 2:] = c[2 : n - 1]
+    ab[1, 1:] = 10.0 * c[1 : n - 1] - 12.0
+    ab[2, :-1] = c[: n - 2]
+    ab[2, -1] = 1.0
+    b = np.zeros((n - 1, 1))
+    b[-1, 0] = 1e-12
+    x, info = lapack.dtbtrs(ab, b, uplo="U")
+    if info > 0:
+        raise RadialUnsolvableError(
+            f"Numerov pivot c[{info - 1}] = 1 + h^2 kf/12 is zero at mesh "
+            f"index {info - 1}"
+        )
+    v = np.zeros(n)
+    v[:-1] = x[:, 0]
+    return v
+
+
+class _Mesh:
+    """The aligned mesh x_j = j*h for j < len(x), and the powers x^k asked
+    for so far.  A mesh is never changed once read: a longer one replaces
+    it on the solver."""
+
+    def __init__(self, h: float, size: int):
+        self.x = h * np.arange(size)
+        self._powers: dict[int, np.ndarray] = {}
+
+    def power(self, k: int) -> np.ndarray:
+        w = self._powers.get(k)
+        if w is None:
+            w = self._powers.setdefault(k, self.x**k)
+        return w
 
 
 class RadialSolver:
@@ -84,6 +122,7 @@ class RadialSolver:
         self.h = h
         self._cache: dict[tuple, object] = {}
         self._lock = threading.Lock()
+        self._mesh = _Mesh(h, 0)
 
     def cached(self, key: tuple, build):
         """The value under ``key``; on a miss ``build()`` runs outside the
@@ -95,6 +134,18 @@ class RadialSolver:
             with self._lock:
                 hit = self._cache.setdefault(key, hit)
         return hit
+
+    def _mesh_through(self, j1: int) -> _Mesh:
+        """A stored mesh that reaches x_j1; a longer one replaces the stored
+        mesh when needed.  Callers slice only the mesh returned here."""
+        mesh = self._mesh
+        if mesh.x.shape[0] <= j1:
+            with self._lock:
+                mesh = self._mesh
+                if mesh.x.shape[0] <= j1:
+                    mesh = _Mesh(self.h, max(j1 + 1, 2 * mesh.x.shape[0]))
+                    self._mesh = mesh
+        return mesh
 
     # -- wavefunctions -----------------------------------------------------
 
@@ -128,8 +179,8 @@ class RadialSolver:
         h = self.h
         j_in = max(1, math.ceil(math.sqrt(r_min) / h))
         j_out = math.floor(math.sqrt(r_max) / h)
-        x = h * np.arange(j_in, j_out + 1)
-        x2 = x * x
+        mesh = self._mesh_through(j_out)
+        x2 = mesh.power(2)[j_in : j_out + 1]
         kf = (
             -3.0 / (4.0 * x2)
             + 8.0 * mu
@@ -143,29 +194,37 @@ class RadialSolver:
 
     # -- matrix elements ---------------------------------------------------
 
-    def _pair_integral(self, a: RydbergState, b: RydbergState, weight_fn) -> float:
+    def _pair_integral(self, a: RydbergState, b: RydbergState, weight) -> float:
+        """2h * trapz(v_a v_b w) over the common nodes j0..j1, with
+        w = weight(mesh, slice(j0, j1 + 1)); symmetric in (a, b) bit for bit."""
         sa, sb = self.solve(a), self.solve(b)
         j0 = max(sa.j_in, sb.j_in)
         j1 = min(sa.j_out, sb.j_out)
         va = sa.v[j0 - sa.j_in : j1 - sa.j_in + 1]
         vb = sb.v[j0 - sb.j_in : j1 - sb.j_in + 1]
-        x = self.h * np.arange(j0, j1 + 1)
-        return 2.0 * self.h * float(_trapz(va * vb * weight_fn(x)))
+        w = weight(self._mesh_through(j1), slice(j0, j1 + 1))
+        f = va * vb
+        ends = f[0] * w[0] + f[-1] * w[-1]
+        return 2.0 * self.h * (float(np.dot(f, w)) - 0.5 * float(ends))
 
     def radial_integral(
         self, a: RydbergState, b: RydbergState, power: int = 1
     ) -> float:
         """<a| r^power |b> over the common mesh (u_a u_b r^p dr)."""
-        return self._pair_integral(a, b, lambda x: x ** (2 * power + 2))
+        k = 2 * power + 2
+        return self._pair_integral(a, b, lambda mesh, nodes: mesh.power(k)[nodes])
 
     def r2_expectation(self, state: RydbergState) -> float:
         return self.radial_integral(state, state, power=2)
 
     def j0_average(self, state: RydbergState, q_au: float) -> float:
         """<j0(q r)> over the state's radial density."""
-        return self._pair_integral(
-            state, state, lambda x: x * x * np.sinc(q_au * x * x / math.pi)
-        )
+
+        def weight(mesh: _Mesh, nodes: slice) -> np.ndarray:
+            x = mesh.x[nodes]
+            return x * x * np.sinc(q_au * x * x / math.pi)
+
+        return self._pair_integral(state, state, weight)
 
     def bessel_average(
         self, state: RydbergState, order: int, q_au: float
@@ -173,11 +232,12 @@ class RadialSolver:
         """<j_order(q r)> over the state's radial density."""
         if order == 0:
             return self.j0_average(state, q_au)
-        return self._pair_integral(
-            state,
-            state,
-            lambda x: x * x * special.spherical_jn(order, q_au * x * x),
-        )
+
+        def weight(mesh: _Mesh, nodes: slice) -> np.ndarray:
+            x = mesh.x[nodes]
+            return x * x * special.spherical_jn(order, q_au * x * x)
+
+        return self._pair_integral(state, state, weight)
 
     def sin2_average(
         self, state: RydbergState, k_au: float, m_l: int | None = 0

@@ -87,7 +87,7 @@ class TransitionTable:
     ``f_missing`` are None) and adds a static ``core_alpha_au``.
     ``omega_au`` and ``z2`` hold the channels' fields as read-only arrays,
     built on first use and kept with the table, for kernels that take a
-    whole table in one call.
+    whole table in one call; ``channel_ids`` holds their ids the same way.
     """
 
     state_str: str
@@ -109,6 +109,10 @@ class TransitionTable:
     @functools.cached_property
     def z2(self) -> np.ndarray:
         return self._field_array("z2")
+
+    @functools.cached_property
+    def channel_ids(self) -> tuple[str, ...]:
+        return tuple(ch.channel_id for ch in self.channels)
 
 
 def channel_alpha_au(ch: Channel, omega_au: float) -> float:

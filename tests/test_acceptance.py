@@ -118,7 +118,7 @@ def test_c04_rydberg_plateau_scan(sr):
         f"{worst[1]}); low-nd shifts all negative: {negative_ok}",
     )
     assert negative_ok
-    _budget(t0, 20.0, "4")
+    _budget(t0, 10.0, "4")
 
 
 def test_c05_sum_vs_integral_routes(sr):

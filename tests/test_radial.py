@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rydtherm import radial
 from rydtherm.radial import (
     MeshOverflowError,
     RadialSolver,
@@ -180,3 +181,120 @@ def test_shared_solver_is_thread_safe(sr, yb):
     assert [shift for _, shift in got] == [r for r in serial for _ in range(2)]
     for st, (table, _) in zip(twice, got):
         assert table is build_transition_table(st, solver=shared)
+
+
+def _numerov_loop(kf, h):
+    """The inward Numerov recurrence as a sequential loop: the oracle for
+    the banded solve in ``_numerov_inward``."""
+    n = kf.shape[0]
+    c = (1.0 + (h * h / 12.0) * kf).tolist()
+    v = [0.0] * n
+    v[n - 2] = 1e-12
+    for j in range(n - 2, 0, -1):
+        v[j - 1] = ((12.0 - 10.0 * c[j]) * v[j] - c[j + 1] * v[j + 1]) / c[j - 1]
+    return np.asarray(v)
+
+
+def _oracle_states(sr, yb, hydrogen):
+    states = [
+        sp.state(n, series)
+        for sp, all_series in ((sr, ("3S1", "3P0", "3D1")), (yb, ("3P0", "1S0")))
+        for series in all_series
+        for n in (8, 20, 30, 40, 50)
+    ]
+    # hydrogen s states only: a zero-defect l > 0 series is solved down to
+    # r = 0.001 (l+1)^2 bohr, deep inside the centrifugal barrier, where the
+    # irregular solution grows as r^-l and amplifies any rounding difference
+    # (1.6e-8 of max|v| at the inner edge of 12 1D2, the same for the loop)
+    return states + [hydrogen.state(1, "1S0"), hydrogen.state(20, "1S0")]
+
+
+def test_numerov_matches_sequential_loop(sr, yb, hydrogen, monkeypatch):
+    # every kf a fresh solver hands to the banded solve, checked against the
+    # loop; they differ only by fused multiply-add rounding (measured 8.7e-13)
+    solve = radial._numerov_inward
+    seen = []
+
+    def spy(kf, h):
+        seen.append((kf.copy(), h))
+        return solve(kf, h)
+
+    monkeypatch.setattr(radial, "_numerov_inward", spy)
+    fresh = RadialSolver()
+    states = _oracle_states(sr, yb, hydrogen)
+    for st in states:
+        fresh.solve(st)
+    assert len(seen) == len(states)
+    for kf, h in seen:
+        want = _numerov_loop(kf, h)
+        got = solve(kf, h)
+        assert got.shape == want.shape and got[-1] == 0.0 and got[-2] == 1e-12
+        assert np.abs(got - want).max() / np.abs(want).max() <= 1e-11
+
+
+def test_radial_integral_symmetric_and_matches_trapezoid(sr, yb, hydrogen):
+    # the stored-mesh dot product against the per-pair trapezoid it replaced
+    fresh = RadialSolver()
+    states = _oracle_states(sr, yb, hydrogen)
+    # dipole pairs and diagonals; pairs with |delta L| = 2 at power 2 cancel
+    # to 1.6e-13 relative, still 5e-16 of the integrand's absolute sum
+    pairs = [
+        (a, b)
+        for a in states
+        for b in states
+        if a.species is b.species and (a is b or abs(a.L - b.L) == 1)
+    ]
+    h = fresh.h
+    for a, b in pairs:
+        sa, sb = fresh.solve(a), fresh.solve(b)
+        j0, j1 = max(sa.j_in, sb.j_in), min(sa.j_out, sb.j_out)
+        va = sa.v[j0 - sa.j_in : j1 - sa.j_in + 1]
+        vb = sb.v[j0 - sb.j_in : j1 - sb.j_in + 1]
+        x = h * np.arange(j0, j1 + 1)
+        for power in (0, 1, 2):
+            got = fresh.radial_integral(a, b, power)
+            assert got == fresh.radial_integral(b, a, power)
+            old = 2.0 * h * float(np.trapezoid(va * vb * x ** (2 * power + 2)))
+            assert got == pytest.approx(old, rel=1e-13, abs=0.0), (a, b, power)
+
+
+def test_numerov_zero_pivot_raises():
+    # c[j] = 1 + h^2 kf[j] / 12 is exactly 0 at h = 1, kf = -12
+    kf = np.full(40, 2.0)
+    kf[17] = -12.0
+    assert 1.0 + (1.0 / 12.0) * kf[17] == 0.0
+    with pytest.raises(RadialUnsolvableError, match="mesh index 17"):
+        radial._numerov_inward(kf, 1.0)
+
+
+def test_pair_integrals_thread_safe_while_mesh_grows(sr, yb):
+    # the stored mesh starts empty and is replaced by longer ones as states
+    # of growing orbit arrive in a mixed order from four threads; every
+    # integral must equal a serial run on another fresh solver bit for bit
+    import random
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    states = [sp.state(n, "3S1") for sp in (sr, yb) for n in range(8, 51, 6)]
+    partners = {st: st.species.state(st.n, "3P1") for st in states}
+    pairs = [(st, partners[st], power) for st in states for power in (1, 2)]
+    pairs += [(b, a, power) for a, b, power in pairs]
+    random.Random(3).shuffle(pairs)
+
+    def integral(solver, pair):
+        a, b, power = pair
+        return solver.radial_integral(a, b, power)
+
+    serial_solver = RadialSolver()
+    serial = [integral(serial_solver, pair) for pair in pairs]
+    shared = RadialSolver()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(
+                pool.map(lambda pair: integral(shared, pair), pairs, timeout=300)
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == serial
