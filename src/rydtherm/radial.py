@@ -90,8 +90,7 @@ def _numerov_inward(kf: np.ndarray, h: float) -> np.ndarray:
     x, info = lapack.dtbtrs(ab, b, uplo="U")
     if info > 0:
         raise RadialUnsolvableError(
-            f"Numerov pivot c[{info - 1}] = 1 + h^2 kf/12 is zero at mesh "
-            f"index {info - 1}"
+            f"Numerov pivot 1 + h^2 kf/12 is zero at mesh index {info - 1}"
         )
     v = np.zeros(n)
     v[:-1] = x[:, 0]
@@ -100,8 +99,8 @@ def _numerov_inward(kf: np.ndarray, h: float) -> np.ndarray:
 
 class _Mesh:
     """The aligned mesh x_j = j*h for j < len(x), and the powers x^k asked
-    for so far.  A mesh is never changed once read: a longer one replaces
-    it on the solver."""
+    for so far.  Its x never changes: a longer mesh replaces it on the
+    solver, so a caller slices the one mesh it read."""
 
     def __init__(self, h: float, size: int):
         self.x = h * np.arange(size)

@@ -268,33 +268,31 @@ def test_numerov_zero_pivot_raises():
 
 
 def test_pair_integrals_thread_safe_while_mesh_grows(sr, yb):
-    # the stored mesh starts empty and is replaced by longer ones as states
-    # of growing orbit arrive in a mixed order from four threads; every
-    # integral must equal a serial run on another fresh solver bit for bit
-    import random
+    # four threads share a fresh solver whose stored mesh starts empty; the
+    # pairs come in rising n, so the threads keep asking for longer meshes
+    # while others slice the current one.  Every integral must equal a
+    # serial run on another fresh solver bit for bit, in each of 4 rounds.
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
-    states = [sp.state(n, "3S1") for sp in (sr, yb) for n in range(8, 51, 6)]
-    partners = {st: st.species.state(st.n, "3P1") for st in states}
-    pairs = [(st, partners[st], power) for st in states for power in (1, 2)]
-    pairs += [(b, a, power) for a, b, power in pairs]
-    random.Random(3).shuffle(pairs)
-
-    def integral(solver, pair):
-        a, b, power = pair
-        return solver.radial_integral(a, b, power)
-
+    pairs = []
+    for n in range(8, 51, 2):
+        for sp in (sr, yb):
+            a, b = sp.state(n, "3S1"), sp.state(n, "3P1")
+            pairs += [(a, b, 1), (b, a, 2)]
     serial_solver = RadialSolver()
-    serial = [integral(serial_solver, pair) for pair in pairs]
-    shared = RadialSolver()
+    serial = [serial_solver.radial_integral(*pair) for pair in pairs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            got = list(
-                pool.map(lambda pair: integral(shared, pair), pairs, timeout=300)
-            )
+        for _ in range(4):
+            shared = RadialSolver()
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(
+                    pool.map(
+                        lambda pair: shared.radial_integral(*pair), pairs, timeout=300
+                    )
+                )
+            assert got == serial
     finally:
         sys.setswitchinterval(interval)
-    assert got == serial
