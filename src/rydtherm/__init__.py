@@ -73,7 +73,6 @@ from .thermometry import (
     vdw_shift_estimate,
 )
 from .transitions import (
-    Channel,
     TransitionTable,
     build_transition_table,
     channel_alpha_au,

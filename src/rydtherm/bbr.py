@@ -66,6 +66,7 @@ from .transitions import (
     DEFAULT_SPAN,
     build_transition_table,
     channel_table,
+    dipole_rate_s,
     downward_channels,
     einstein_a_s,
 )
@@ -496,8 +497,8 @@ def _bbr_shift(
         slope_parts = slopes.tolist()
     else:
         per = [
-            (cid, _channel_shift_integral_hz(ch.omega_au, ch.z2, temperature_k))
-            for cid, ch in zip(ids, table.channels)
+            (cid, _channel_shift_integral_hz(w, z2, temperature_k))
+            for cid, w, z2 in zip(ids, table.omega_au.tolist(), table.z2.tolist())
         ]
     if table.core_alpha_au is not None:
         core = static_limit_shift(table.core_alpha_au, temperature_k)
@@ -594,10 +595,8 @@ def natural_linewidth(
     state: RydbergState, solver: RadialSolver | None = None
 ) -> float:
     """Natural (spontaneous) FWHM linewidth, Hz: sum of A over 2 pi."""
-    rate = math.fsum(
-        einstein_a_s(ch) for ch in downward_channels(state, solver)
-    )
-    return rate / (2.0 * _PI)
+    rates = einstein_a_s(downward_channels(state, solver))
+    return math.fsum(rates.tolist()) / (2.0 * _PI)
 
 
 def bbr_depopulation_rate(
@@ -617,28 +616,13 @@ def bbr_depopulation_rate(
     if kt == 0.0:
         return 0.0
     solver = solver or default_solver()
-    terms = []
-    for ch in downward_channels(state, solver):
-        x = abs(ch.omega_au) / kt
-        if x > 700.0:
-            continue
-        terms.append(einstein_a_s(ch) / math.expm1(x))
+    down = downward_channels(state, solver)
     table = build_transition_table(state, span, solver)
-    for ch in table.channels:
-        if ch.omega_au <= 0:
-            continue
-        x = ch.omega_au / kt
-        if x > 700.0:
-            continue
-        terms.append(
-            4.0
-            * ch.omega_au**3
-            * ch.z2
-            / _C3
-            / kconst.ATOMIC_TIME_S
-            / math.expm1(x)
-        )
-    return math.fsum(terms) / (2.0 * _PI)
+    up = table.omega_au > 0
+    rates = np.concatenate([einstein_a_s(down), dipole_rate_s(table)[up]])
+    x = np.abs(np.concatenate([down.omega_au, table.omega_au[up]])) / kt
+    keep = x <= 700.0  # nbar < e^-700: the channel adds nothing
+    return math.fsum((rates[keep] / np.expm1(x[keep])).tolist()) / (2.0 * _PI)
 
 
 def linewidths(

@@ -170,9 +170,11 @@ def lattice_alpha_au(species: Species, omega_au: float) -> float:
         species.lattice_lines,
         species.lattice_core_alpha_au,
     )
+    # summed term by term, core first, in row order: np.sum would add the
+    # terms pairwise and can round the last bit differently
     acc = table.core_alpha_au
-    for ch in table.channels:
-        acc += channel_alpha_au(ch, omega_au)
+    for alpha in channel_alpha_au(table, omega_au).tolist():
+        acc += alpha
     return acc
 
 

@@ -26,11 +26,18 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal
 
+import numpy as np
+
 from . import constants as kconst
 from . import units
 from .radial import RadialSolver
 from .species import RydbergState
-from .transitions import DEFAULT_SPAN, channel_alpha_au, channel_table
+from .transitions import (
+    DEFAULT_SPAN,
+    TransitionTable,
+    channel_alpha_au,
+    channel_table,
+)
 from .wigner import threej
 
 GUARD_FRACTION = 1e-4  # relative half-width of the band around a resonance
@@ -83,35 +90,21 @@ def _m_weight(j_initial: float, j_final: float, m_j: float) -> float:
     return 3.0 * (2.0 * j_initial + 1.0) * w * w
 
 
-def _series_j(series: str) -> float:
-    return float(series[2:])
-
-
-def _nearest_resonance(
-    pairs: list[tuple[str, float]], omega_au: float
-) -> tuple[str | None, float]:
-    """(id, signed detuning) of the resonance closest to ``omega_au``."""
-    best: tuple[str | None, float] = (None, math.inf)
-    for rid, w_res in pairs:
-        det = omega_au - abs(w_res)
-        if abs(det) < abs(best[1]):
-            best = (rid, det)
-    return best
-
-
-def _guard_check(pairs: list[tuple[str, float]], omega_au: float) -> None:
-    if omega_au <= 0.0:
-        return
-    for rid, w_res in pairs:
-        w_abs = abs(w_res)
-        if abs(omega_au - w_abs) < GUARD_FRACTION * w_abs:
-            raise ResonanceGuardError(
-                f"probe frequency {omega_au:.9e} a.u. is within the "
-                f"{GUARD_FRACTION:g} guard band of resonance {rid} at "
-                f"{w_abs:.9e} a.u.",
-                resonance_id=rid,
-                omega_au=w_abs,
-            )
+def _guard_check(table: TransitionTable, omega_au: float) -> None:
+    """Raise if ``omega_au`` lies in any resonance's guard band; a zero
+    frequency resonance has a zero-width band that omega = 0 still hits."""
+    w_abs = np.abs(table.omega_au)
+    hit = np.abs(omega_au - w_abs) <= GUARD_FRACTION * w_abs
+    if hit.any():
+        i = int(np.argmax(hit))
+        rid = table.channel_ids[i]
+        raise ResonanceGuardError(
+            f"probe frequency {omega_au:.9e} a.u. is within the "
+            f"{GUARD_FRACTION:g} guard band of resonance {rid} at "
+            f"{w_abs[i]:.9e} a.u.",
+            resonance_id=rid,
+            omega_au=float(w_abs[i]),
+        )
 
 
 def ac_polarizability(
@@ -136,21 +129,19 @@ def ac_polarizability(
     if m_j is not None and m_j not in [state.J - k for k in range(int(2 * state.J) + 1)]:
         raise ValueError(f"m_j = {m_j} is not one of J = {state.J}, J - 1, ..., -J")
     table = channel_table(state, span, solver)
-    # a line table (span None) names no final states, hence no final J
-    m_resolved = m_j is not None and table.span is not None
+    m_resolved = m_j is not None and table.j_final is not None
     if m_j and not m_resolved:
         raise ValueError(
             f"{state}: the line-list route carries no final-state J data; "
             f"only the scalar (m_j=None or 0) polarizability is defined"
         )
-    pairs = list(zip(table.channel_ids, table.omega_au.tolist()))
-    _guard_check(pairs, omega_au)
-    per = []
-    for cid, ch in zip(table.channel_ids, table.channels):
-        alpha = channel_alpha_au(ch, omega_au)
-        if m_resolved:
-            alpha *= _m_weight(state.J, _series_j(ch.series), m_j)
-        per.append((cid, alpha))
+    _guard_check(table, omega_au)
+    alpha = channel_alpha_au(table, omega_au)
+    if m_resolved:
+        j_values, row_j = np.unique(table.j_final, return_inverse=True)
+        weights = [_m_weight(state.J, j, m_j) for j in j_values.tolist()]
+        alpha = alpha * np.array(weights)[row_j]
+    per = list(zip(table.channel_ids, alpha.tolist()))
     if table.core_alpha_au is not None:
         per.append(("core", table.core_alpha_au))
     # Missing-strength tail as a single pole at the ionization threshold:
@@ -163,7 +154,9 @@ def ac_polarizability(
         else 0.0
     )
     per.sort(key=lambda t: -abs(t[1]))
-    rid, det = _nearest_resonance(pairs, omega_au)
+    # the resonance nearest the probe, and the signed detuning from it
+    det = omega_au - np.abs(table.omega_au)
+    near = int(np.argmin(np.abs(det))) if det.size else None
     return PolarizabilityResult(
         state_str=str(state),
         omega_au=omega_au,
@@ -171,8 +164,8 @@ def ac_polarizability(
         value_au=math.fsum(a for _, a in per) + tail,
         tail_au=tail,
         channels=tuple(per),
-        nearest_resonance_id=rid,
-        nearest_detuning_au=det,
+        nearest_resonance_id=None if near is None else table.channel_ids[near],
+        nearest_detuning_au=math.inf if near is None else float(det[near]),
     )
 
 

@@ -393,7 +393,8 @@ def error_budget(
     species' clock sensitivity constant.  ``linewidth_hz`` overrides the
     computed total transition linewidth (e.g. to budget against an
     externally specified line).  The fractional accuracy must lie in
-    (0, 1); the linewidth, when given, must be finite and > 0.
+    (0, 1); the linewidth, when given, must be finite and > 0; the two
+    states must differ, and differ in energy.
     """
     if not 0 < fractional_accuracy < 1:
         raise ValueError(
@@ -403,23 +404,23 @@ def error_budget(
         math.isfinite(linewidth_hz) and linewidth_hz > 0
     ):
         raise ValueError(f"linewidth must be finite and > 0, got {linewidth_hz}")
+    lower_state = species.metastable_state() if lower is None else lower
+    tid = (
+        f"{species.name} {lower_state.n} {lower_state.series} -> "
+        f"{upper.n} {upper.series}"
+    )
+    if upper == lower_state:
+        raise ValueError(f"{tid}: the two states are the same")
     if lower is None:
-        lower_state = species.metastable_state()
         nu_hz = transition_energy_au(species, upper) * kconst.HARTREE_HZ
-        tid = (
-            f"{species.name} {lower_state.n} {lower_state.series} -> "
-            f"{upper.n} {upper.series}"
-        )
         lower_width = 0.0  # metastable: mHz-scale, negligible here
         sens = transition_bbr_sensitivity(
             species, upper, temperature_k, span=span, solver=solver
         )
     else:
         nu_hz = abs(lower.binding_au - upper.binding_au) * kconst.HARTREE_HZ
-        tid = (
-            f"{species.name} {lower.n} {lower.series} -> "
-            f"{upper.n} {upper.series}"
-        )
+        if nu_hz == 0.0:
+            raise ValueError(f"{tid}: the two states are degenerate")
         lw = linewidths(lower, temperature_k, span=span, solver=solver)
         lower_width = lw.total_hz
         sens = transition_bbr_sensitivity(

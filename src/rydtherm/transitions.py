@@ -5,21 +5,27 @@ state: its signed transition energy omega = E_final - E_initial (atomic
 units) and the scalar strength z^2 = S / (3 (2 J_i + 1)) that enters
 isotropic (thermal or scalar-polarizability) sums, with S the line strength
 (series-pair angular factor times the squared radial integral <f| r |i>).
-Blackbody shift sums, polarizabilities, linewidths, and the lattice model
-all iterate the same records, held in a ``TransitionTable``:
+A ``TransitionTable`` holds one initial state's channels as columns, sorted
+by |omega| when the table is built: ``channel_ids``, and read-only arrays
+``omega_au``, ``z2`` and ``j_final``.  Blackbody shift sums,
+polarizabilities, linewidths and the lattice model all read these columns
+whole; ``channel_alpha_au`` and ``einstein_a_s`` take a table and return one
+value per row.  There are three kinds of table:
 
 * ``build_transition_table(state, span)`` - the radial table: all channels
   with n' in [max(n_min', n - span), min(n_max', n + span)] for each
-  dipole-coupled series, sorted by |omega|.  The summed oscillator strength
-  (Thomas-Reiche-Kuhn, one active electron) tells callers how much strength
-  the window missed.
+  dipole-coupled series.  The summed oscillator strength (Thomas-Reiche-Kuhn,
+  one active electron) tells callers how much strength the window missed.
 * ``line_table`` - a complete line list from the species file (a clock
   state's ``bbrline.*`` list, or the ``line.*`` lattice model) plus a
-  static core polarizability; no strength is missing.
-* ``channel_table(state, span)`` - the one dispatch: the line table of a
-  clock state, the radial table of any other state.
+  static core polarizability; no strength is missing, and no final state
+  is named, so ``j_final`` is None.
 * ``downward_channels(state)`` - every channel below the state regardless
-  of span, for spontaneous-decay sums.
+  of span, for spontaneous-decay sums.  It walks the coupled series the
+  same way as the radial table, over its own n range.
+
+``channel_table(state, span)`` is the one dispatch: the line table of a
+clock state, the radial table of any other state.
 
 Compact final states with no Coulomb-approximation solution (effective
 quantum number at/below l) are normally skipped and their strength folded
@@ -31,8 +37,9 @@ of a Rydberg bound-bound integral onto a fixed compact state.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +52,7 @@ from .radial import (
     RadialUnsolvableError,
     default_solver,
 )
-from .species import Line, RydbergState
+from .species import Line, RydbergState, SeriesDefect
 from .wigner import line_strength_factor
 
 DEFAULT_SPAN = 35
@@ -53,86 +60,78 @@ DEFAULT_SPAN = 35
 _C3 = kconst.C_AU**3
 
 
-@dataclass(frozen=True)
-class Channel:
-    """One dipole-coupled final state seen from the initial state.
-
-    A line-list channel names no final state: ``series`` and ``n`` are None.
-    """
-
-    series: str | None
-    n: int | None
-    omega_au: float  # E_final - E_initial (signed)
-    z2: float  # scalar |<z>|^2 = S / (3 (2 J_i + 1))
-
-    @property
-    def f_osc(self) -> float:
-        """Signed oscillator strength 2 omega z^2 (TRK bookkeeping)."""
-        return 2.0 * self.omega_au * self.z2
-
-    @property
-    def channel_id(self) -> str:
-        if self.series is None:
-            lam_nm = units.omega_au_to_wavelength_nm(abs(self.omega_au))
-            return f"{lam_nm:.0f}nm"
-        return f"{self.series}:{self.n}"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionTable:
-    """One initial state's channels and what lies outside them.
+    """One initial state's channels as columns, and what lies outside them.
 
-    A radial table covers a span window and misses ``f_missing`` of the
-    oscillator strength; a line table is complete (``span`` and
-    ``f_missing`` are None) and adds a static ``core_alpha_au``.
-    ``omega_au`` and ``z2`` hold the channels' fields as read-only arrays,
-    built on first use and kept with the table, for kernels that take a
-    whole table in one call; ``channel_ids`` holds their ids the same way.
+    Row i is one channel: ``channel_ids[i]`` names it (``series:n``, or
+    ``<wavelength>nm`` for a line-list entry), ``omega_au[i]`` is its signed
+    transition energy, ``z2[i]`` its scalar strength and ``j_final[i]`` the
+    final state's J.  Rows are sorted by |omega|; the arrays are read-only.
+    A radial table covers a span window (a downward table: every channel
+    below the state, ``span`` None) and misses ``f_missing`` of the
+    oscillator strength; a line table is complete (``span``, ``f_missing``
+    and ``j_final`` are None) and adds a static ``core_alpha_au``.
+    Equality is identity: tables are compared as objects, not by content.
     """
 
     state_str: str
     span: int | None
-    channels: tuple[Channel, ...]
+    channel_ids: tuple[str, ...]
+    omega_au: np.ndarray
+    z2: np.ndarray
+    j_final: np.ndarray | None
     f_missing: float | None
     core_alpha_au: float | None = None
     skipped_unsolvable: int = 0  # finals with no radial solution and no patch
 
-    def _field_array(self, name: str) -> np.ndarray:
-        values = np.array([getattr(ch, name) for ch in self.channels], dtype=float)
-        values.flags.writeable = False
-        return values
 
-    @functools.cached_property
-    def omega_au(self) -> np.ndarray:
-        return self._field_array("omega_au")
+def _columns(
+    ids: list[str], omega_au: list[float], z2: np.ndarray, j_final: list[float] | None
+) -> dict:
+    """TransitionTable columns, rows stably sorted by |omega|, read-only."""
+    order = sorted(range(len(ids)), key=lambda i: abs(omega_au[i]))
 
-    @functools.cached_property
-    def z2(self) -> np.ndarray:
-        return self._field_array("z2")
+    def column(values) -> np.ndarray:
+        arr = np.asarray(values, dtype=float)[order]
+        arr.flags.writeable = False
+        return arr
 
-    @functools.cached_property
-    def channel_ids(self) -> tuple[str, ...]:
-        return tuple(ch.channel_id for ch in self.channels)
+    return {
+        "channel_ids": tuple(ids[i] for i in order),
+        "omega_au": column(omega_au),
+        "z2": column(z2),
+        "j_final": None if j_final is None else column(j_final),
+    }
 
 
-def channel_alpha_au(ch: Channel, omega_au: float) -> float:
-    """One channel's contribution to the scalar polarizability at omega.
+def channel_alpha_au(table: TransitionTable, omega_au: float) -> np.ndarray:
+    """Each channel's contribution to the scalar polarizability at omega.
 
     alpha_ch(omega) = 2 omega_ch z^2 / (omega_ch^2 - omega^2); the pole at
     |omega_ch| is the caller's to handle (principal value or guard band).
+    ``float_power`` squares through libm pow, bit for bit like a Python
+    float's ``**`` (numpy's ``**`` may round the last bit differently).
     """
-    return 2.0 * ch.omega_au * ch.z2 / (ch.omega_au**2 - omega_au**2)
+    w = table.omega_au
+    return 2.0 * w * table.z2 / (np.float_power(w, 2) - omega_au**2)
 
 
-def einstein_a_s(ch: Channel) -> float:
-    """Spontaneous rate of one downward channel, s^-1 (0 if upward).
+def dipole_rate_s(table: TransitionTable) -> np.ndarray:
+    """4 |omega|^3 z^2 / c^3 per channel (atomic units), in s^-1: the
+    spontaneous rate of a downward channel, and by detailed balance the
+    absorption rate per thermal photon of an upward one."""
+    w3 = np.float_power(np.abs(table.omega_au), 3)
+    return 4.0 * w3 * table.z2 / _C3 / kconst.ATOMIC_TIME_S
+
+
+def einstein_a_s(table: TransitionTable) -> np.ndarray:
+    """Spontaneous rate of each channel, s^-1 (0 for an upward channel).
 
     A = (4/3) |omega|^3 S / ((2 J_i + 1) c^3) = 4 |omega|^3 z^2 / c^3
     in atomic units, converted to SI.
     """
-    if ch.omega_au >= 0:
-        return 0.0
-    return 4.0 * abs(ch.omega_au) ** 3 * ch.z2 / _C3 / kconst.ATOMIC_TIME_S
+    return np.where(table.omega_au < 0, dipole_rate_s(table), 0.0)
 
 
 def coupled_series(state: RydbergState) -> tuple[str, ...]:
@@ -184,23 +183,6 @@ def _channel_radial(
         return patched
 
 
-def _make_channel(
-    state: RydbergState,
-    series: str,
-    n: int,
-    omega_au: float,
-    radial: float,
-    angular: float,
-) -> Channel:
-    strength = angular * radial * radial
-    return Channel(
-        series=series,
-        n=n,
-        omega_au=omega_au,
-        z2=strength / (3.0 * (2.0 * state.J + 1.0)),
-    )
-
-
 def build_transition_table(
     state: RydbergState,
     span: int = DEFAULT_SPAN,
@@ -219,56 +201,63 @@ def build_transition_table(
     return solver.cached(key, lambda: _build_table(state, span, solver))
 
 
-def _build_table(
-    state: RydbergState, span: int, solver: RadialSolver
+def _walk(
+    state: RydbergState,
+    solver: RadialSolver,
+    n_range: Callable[[SeriesDefect], Iterable[int]],
+    span: int | None = None,
 ) -> TransitionTable:
+    """The radial table of the channels to the finals ``n_range(series)``
+    of each dipole-coupled series."""
     e_i = state.energy_au
-    channels = []
+    ids, omega, strength, j_final = [], [], [], []
     skipped = 0
     for label in coupled_series(state):
         sd = state.species.series_info(label)
         ang = line_strength_factor(state.L, state.J, state.S, sd.L, sd.J)
         if ang == 0.0:
             continue
-        lo = max(sd.n_min, state.n - span)
-        hi = min(sd.n_max, state.n + span)
-        for n_f in range(lo, hi + 1):
+        for n_f in n_range(sd):
             final = state.species.state(n_f, label)
             radial = _channel_radial(state, final, solver)
             if radial is None:
                 skipped += 1
                 continue
-            channels.append(
-                _make_channel(
-                    state, label, n_f, final.energy_au - e_i, radial, ang
-                )
-            )
-    channels.sort(key=lambda ch: abs(ch.omega_au))
+            ids.append(f"{label}:{n_f}")
+            omega.append(final.energy_au - e_i)
+            strength.append(ang * radial * radial)
+            j_final.append(sd.J)
+    z2 = np.array(strength) / (3.0 * (2.0 * state.J + 1.0))
+    cols = _columns(ids, omega, z2, j_final)
     return TransitionTable(
         state_str=str(state),
         span=span,
-        channels=tuple(channels),
-        f_missing=1.0 - math.fsum(ch.f_osc for ch in channels),
+        **cols,
+        f_missing=1.0 - math.fsum((2.0 * cols["omega_au"] * cols["z2"]).tolist()),
         skipped_unsolvable=skipped,
     )
+
+
+def _build_table(
+    state: RydbergState, span: int, solver: RadialSolver
+) -> TransitionTable:
+    def window(sd: SeriesDefect) -> range:
+        return range(max(sd.n_min, state.n - span), min(sd.n_max, state.n + span) + 1)
+
+    return _walk(state, solver, window, span)
 
 
 def line_table(
     state_str: str, j: float, lines: tuple[Line, ...], core_alpha_au: float
 ) -> TransitionTable:
     """A complete line list of a state with total angular momentum ``j``."""
+    omega = [line.omega_au for line in lines]
+    d2 = np.float_power([line.d_au for line in lines], 2)
+    ids = [f"{units.omega_au_to_wavelength_nm(abs(w)):.0f}nm" for w in omega]
     return TransitionTable(
         state_str=state_str,
         span=None,
-        channels=tuple(
-            Channel(
-                series=None,
-                n=None,
-                omega_au=line.omega_au,
-                z2=line.d_au**2 / (3.0 * (2.0 * j + 1.0)),
-            )
-            for line in lines
-        ),
+        **_columns(ids, omega, d2 / (3.0 * (2.0 * j + 1.0)), None),
         f_missing=None,
         core_alpha_au=core_alpha_au,
     )
@@ -290,7 +279,7 @@ def channel_table(
 
 def downward_channels(
     state: RydbergState, solver: RadialSolver | None = None
-) -> tuple[Channel, ...]:
+) -> TransitionTable:
     """Every dipole channel below the state, regardless of span."""
     solver = solver or default_solver()
     return solver.cached(
@@ -298,25 +287,12 @@ def downward_channels(
     )
 
 
-def _build_downward(state: RydbergState, solver: RadialSolver) -> tuple[Channel, ...]:
-    e_i = state.energy_au
-    out = []
-    for label in coupled_series(state):
-        sd = state.species.series_info(label)
-        ang = line_strength_factor(state.L, state.J, state.S, sd.L, sd.J)
-        if ang == 0.0:
-            continue
-        for n_f in range(sd.n_min, sd.n_max + 1):
-            final = state.species.state(n_f, label)
-            if final.energy_au >= e_i:
-                break
-            radial = _channel_radial(state, final, solver)
-            if radial is None:
-                continue
-            out.append(
-                _make_channel(
-                    state, label, n_f, final.energy_au - e_i, radial, ang
-                )
-            )
-    out.sort(key=lambda ch: abs(ch.omega_au))
-    return tuple(out)
+def _build_downward(state: RydbergState, solver: RadialSolver) -> TransitionTable:
+    def below(sd: SeriesDefect) -> Iterable[int]:
+        # a series' energies rise with n: stop at its first final not below
+        return itertools.takewhile(
+            lambda n: state.species.state(n, sd.label).energy_au < state.energy_au,
+            range(sd.n_min, sd.n_max + 1),
+        )
+
+    return _walk(state, solver, below)

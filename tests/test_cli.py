@@ -381,10 +381,12 @@ _NUMBER = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "x"]),
 )
-# (species, state): the clock states, and a Rydberg state with a table
+# (species, state): the clock states, a Rydberg state with a table, and
+# hydrogen states with a zero-frequency (degenerate) channel
 _STATES = st.sampled_from([
     ("Sr", "5:1S0"), ("Sr", "5:3P0"), ("Yb", "6:1S0"), ("Yb", "6:3P0"),
-    ("Sr", "25:3D1"),
+    ("Sr", "25:3D1"), ("hydrogen", "2:1P1"), ("hydrogen", "2:1S0"),
+    ("hydrogen", "3:1D2"),
 ])
 _JUNK = st.sampled_from(
     ["--bogus", "junk", "--y", "--state", "--points", "25:", ":3D1", "1e999", "--"]
@@ -420,8 +422,9 @@ def _argv(draw):
                               st.just(["--linear"])))
     elif kind == "budget":
         argv = ["thermo", "budget", "--species", "Sr", "--state", "25:3D1"]
+        lower = st.sampled_from(["25:3D1", "26:3S1", "5:3P0"])
         argv += draw(_options(_flag("--fractional"), _flag("--linewidth-hz"),
-                              _flag("--temperature")))
+                              _flag("--temperature"), _flag("--lower-state", lower)))
     else:
         species, state = draw(_STATES)
         argv = [kind, "--species", species, "--state", state]
@@ -442,6 +445,10 @@ def _argv(draw):
 @given(argv=_argv())
 @example(argv="thermo budget --species Sr --state 25:3D1 --fractional nan".split())
 @example(argv="polarizability --species Sr --state 25:3D1 --omega-au nan".split())
+@example(argv="polarizability --species hydrogen --state 2:1P1".split())
+@example(argv="polarizability --species hydrogen --state 2:1S0".split())
+@example(argv="polarizability --species hydrogen --state 3:1D2".split())
+@example(argv="thermo budget --species Sr --state 30:3D1 --lower-state 30:3D1".split())
 def test_cli_exit_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -13,20 +13,22 @@ from rydtherm.polarizability import (
     dc_stark_shift,
     static_polarizability,
 )
-from rydtherm.transitions import Channel, channel_alpha_au
+from rydtherm.species import Line
+from rydtherm.transitions import channel_alpha_au, line_table
 
 
 def test_single_channel_oracle():
     # hydrogen 1s <- 2p channel: f = 0.4162, static contribution f/w^2
     w = 3.0 / 8.0
     radial = 128.0 * math.sqrt(6.0) / 243.0
-    z2 = 1.0 * radial**2 / 3.0  # l> = 1, 2J+1 = 1
-    ch = Channel(series="1P1", n=2, omega_au=w, z2=z2)
-    assert ch.f_osc == pytest.approx(0.41620, rel=1e-4)
-    assert channel_alpha_au(ch, 0.0) == pytest.approx(ch.f_osc / w**2, rel=1e-12)
+    # a one-line table of a J = 0 state: z^2 = l> radial^2 / 3, l> = 1
+    table = line_table("H 1 1S0", 0.0, (Line(omega_au=w, d_au=radial),), 0.0)
+    f_osc = 2.0 * table.omega_au[0] * table.z2[0]
+    assert f_osc == pytest.approx(0.41620, rel=1e-4)
+    assert channel_alpha_au(table, 0.0)[0] == pytest.approx(f_osc / w**2, rel=1e-12)
     # dispersion: alpha grows as the probe approaches the line from below
-    assert channel_alpha_au(ch, 0.9 * w) > channel_alpha_au(ch, 0.0)
-    assert channel_alpha_au(ch, 1.1 * w) < 0.0
+    assert channel_alpha_au(table, 0.9 * w)[0] > channel_alpha_au(table, 0.0)[0]
+    assert channel_alpha_au(table, 1.1 * w)[0] < 0.0
 
 
 def test_clock_state_static_values(sr, yb):

@@ -294,6 +294,18 @@ def test_error_budget_rydberg_rydberg_route(sr):
     )
 
 
-def test_error_budget_validation(sr):
+def test_error_budget_validation(sr, hydrogen):
     with pytest.raises(ValueError):
         error_budget(sr, sr.state(30, "3D1"), -1.0, 300.0)
+    # no transition: one state twice (the default lower state is the
+    # metastable one), or two degenerate states
+    same = sr.state(30, "3D1")
+    with pytest.raises(ValueError, match="the same"):
+        error_budget(sr, same, 1e-16, 300.0, lower=same)
+    with pytest.raises(ValueError, match="the same"):
+        error_budget(sr, sr.metastable_state(), 1e-16, 300.0)
+    with pytest.raises(ValueError, match="degenerate"):
+        error_budget(
+            hydrogen, hydrogen.state(30, "1S0"), 1e-13, 300.0,
+            lower=hydrogen.state(30, "1P1"),
+        )
