@@ -308,11 +308,6 @@ def total_field_sq(temperature_k: float) -> float:
     return (8.0 * _PI**3 / 15.0) * kt**4 / _C3
 
 
-def rms_field_v_per_m(temperature_k: float) -> float:
-    """Root-mean-square thermal field <E^2>^(1/2) = sqrt(total/2), V/m."""
-    return math.sqrt(total_field_sq(temperature_k) / 2.0) * kconst.ATOMIC_FIELD_V_PER_M
-
-
 def free_electron_shift(temperature_k: float) -> float:
     """High-n limit of the BBR shift: pi (kT)^2 / (3 c^3), in Hz."""
     _check_temperature(temperature_k)

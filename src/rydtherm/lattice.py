@@ -48,7 +48,7 @@ from . import constants as kconst
 from . import units
 from .radial import RadialSolver, sin2_matrix_element
 from .species import RydbergState, Species
-from .transitions import channel_alpha_au, line_table
+from .transitions import TransitionTable, channel_alpha_au, line_table
 
 SCAN_POINTS = 200  # evenly spaced frequencies scanned for sign changes
 _FIT_NODES = 16  # exact <sin^2> values behind the Chebyshev proxy
@@ -86,36 +86,10 @@ class LatticeConfig:
                 f"intensity must be >= 0, got {self.intensity_kw_cm2}"
             )
 
-    @classmethod
-    def from_wavelength(
-        cls,
-        wavelength_nm: float,
-        intensity_kw_cm2: float = 1.0,
-        x0_bohr: float = 0.0,
-        k_ratio: float = 1.0,
-    ) -> "LatticeConfig":
-        """Counterpropagating-beam lattice at ``wavelength_nm`` by default;
-        ``k_ratio`` < 1 scales the effective wavenumber down for beams
-        crossing at an angle."""
-        if not 0.0 < k_ratio <= 1.0:
-            raise ValueError(f"k_ratio must lie in (0, 1], got {k_ratio}")
-        omega = units.wavelength_nm_to_omega_au(wavelength_nm)
-        return cls(
-            omega_au=omega,
-            k_au=k_ratio * omega / kconst.C_AU,
-            intensity_kw_cm2=intensity_kw_cm2,
-            x0_bohr=x0_bohr,
-        )
-
     @property
     def field_sq_au(self) -> float:
         """Squared field amplitude E0^2 at an antinode, atomic units."""
         return units.intensity_kw_cm2_to_field_sq_au(self.intensity_kw_cm2)
-
-    @property
-    def spacing_bohr(self) -> float:
-        """Distance between intensity minima, pi / k."""
-        return math.pi / self.k_au
 
 
 @dataclass(frozen=True)
@@ -157,19 +131,30 @@ def rydberg_lattice_shift(
     )
 
 
+# lattice line tables by species file content (sha256): a magic solve asks
+# for alpha at about 200 frequencies, and the CLI reloads the species file
+# for every command
+_LATTICE_TABLES: dict[str, TransitionTable] = {}
+
+
 def lattice_alpha_au(species: Species, omega_au: float) -> float:
     """Metastable polarizability from the species' lattice line model, a.u."""
     if omega_au < 0:
         raise ValueError(f"omega_au must be >= 0, got {omega_au}")
     if not species.lattice_lines:
         raise ValueError(f"{species.name}: species file has no lattice lines")
-    # the lattice model is a fit for the J = 0 metastable state
-    table = line_table(
-        f"{species.name} lattice model",
-        0.0,
-        species.lattice_lines,
-        species.lattice_core_alpha_au,
-    )
+    table = _LATTICE_TABLES.get(species.sha256)
+    if table is None:
+        # the lattice model is a fit for the J = 0 metastable state
+        table = _LATTICE_TABLES.setdefault(
+            species.sha256,
+            line_table(
+                f"{species.name} lattice model",
+                0.0,
+                species.lattice_lines,
+                species.lattice_core_alpha_au,
+            ),
+        )
     # summed term by term, core first, in row order: np.sum would add the
     # terms pairwise and can round the last bit differently
     acc = table.core_alpha_au

@@ -17,6 +17,13 @@ recurrence is one banded triangular solve (LAPACK ``dtbtrs``), and the
 weights x^k of every overlap sum are slices of one mesh stored on the
 solver.
 
+Lattice orbit averages <j_L(q r)> weight the same overlap sum with the
+spherical Bessel function of the ascending mesh argument z = q x^2,
+evaluated by one numpy kernel in two regions split by a binary search:
+below max(1, L) a Horner-form power series (where the closed forms lose
+digits to cancellation), above it upward recurrence from
+j0 = sin z / z and j1 = (j0 - cos z) / z (where the series would).
+
 Conventions:
 * energies E = -mu/(2 n*^2) hartree from the species quantum defects;
 * quantum-defect series are cut at r_min = 0.05 l(l+1) + 1 bohr (the core
@@ -32,12 +39,13 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy import special
 from scipy.linalg import lapack
 
 from .species import RydbergState
@@ -95,6 +103,56 @@ def _numerov_inward(kf: np.ndarray, h: float) -> np.ndarray:
     v = np.zeros(n)
     v[:-1] = x[:, 0]
     return v
+
+
+@functools.lru_cache(maxsize=None)
+def _series_coefs(order: int) -> tuple[float, ...]:
+    """c_i = 1 / (i! (2i + 2L + 1)!!) of j_L(z) = z^L sum_i c_i (-z^2/2)^i,
+    through the first term below 1e-17 at z = max(1, L)."""
+    z = max(1.0, order)
+    coefs = []
+    den = math.prod(range(1, 2 * order + 2, 2))  # (2L + 1)!!
+    i = 0
+    while True:
+        c = float(Fraction(1, den))
+        coefs.append(c)
+        if z**order * (0.5 * z * z) ** i * c < 1e-17:
+            return tuple(coefs)
+        i += 1
+        den *= i * (2 * i + 2 * order + 1)
+
+
+def _bessel_j(order: int, z: np.ndarray) -> np.ndarray:
+    """Spherical Bessel function j_order(z) for ascending z >= 0.
+
+    Below z = max(1, order): the power series in Horner form; from there
+    on: upward recurrence j_{k+1} = (2k+1)/z j_k - j_{k-1} from the closed
+    forms of j0 and j1, stable for z >= order.
+    """
+    split = int(np.searchsorted(z, max(1.0, order)))
+    out = np.empty_like(z)
+    if split:
+        lo = z[:split]
+        t = -0.5 * lo * lo
+        coefs = _series_coefs(order)
+        acc = np.full_like(lo, coefs[-1])
+        for c in coefs[-2::-1]:
+            acc *= t
+            acc += c
+        if order:
+            acc *= lo**order
+        out[:split] = acc
+    if split < z.shape[0]:
+        hi = z[split:]
+        j_prev = np.sin(hi) / hi
+        if order == 0:
+            out[split:] = j_prev
+        else:
+            j = (j_prev - np.cos(hi)) / hi
+            for k in range(1, order):
+                j_prev, j = j, (2 * k + 1) / hi * j - j_prev
+            out[split:] = j
+    return out
 
 
 class _Mesh:
@@ -216,14 +274,21 @@ class RadialSolver:
     def r2_expectation(self, state: RydbergState) -> float:
         return self.radial_integral(state, state, power=2)
 
-    def j0_average(self, state: RydbergState, q_au: float) -> float:
-        """<j0(q r)> over the state's radial density."""
+    def _bessel_pair(self, state: RydbergState, order: int, q_au: float) -> float:
+        if order < 0 or not 0.0 <= q_au < math.inf:
+            raise ValueError(
+                f"need order >= 0 and a finite q >= 0, got {order} and {q_au}"
+            )
 
         def weight(mesh: _Mesh, nodes: slice) -> np.ndarray:
-            x = mesh.x[nodes]
-            return x * x * np.sinc(q_au * x * x / math.pi)
+            x2 = mesh.power(2)[nodes]
+            return x2 * _bessel_j(order, q_au * x2)
 
         return self._pair_integral(state, state, weight)
+
+    def j0_average(self, state: RydbergState, q_au: float) -> float:
+        """<j0(q r)> over the state's radial density."""
+        return self._bessel_pair(state, 0, q_au)
 
     def bessel_average(
         self, state: RydbergState, order: int, q_au: float
@@ -231,12 +296,7 @@ class RadialSolver:
         """<j_order(q r)> over the state's radial density."""
         if order == 0:
             return self.j0_average(state, q_au)
-
-        def weight(mesh: _Mesh, nodes: slice) -> np.ndarray:
-            x = mesh.x[nodes]
-            return x * x * special.spherical_jn(order, q_au * x * x)
-
-        return self._pair_integral(state, state, weight)
+        return self._bessel_pair(state, order, q_au)
 
     def sin2_average(
         self, state: RydbergState, k_au: float, m_l: int | None = 0

@@ -74,8 +74,3 @@ def frequency_hz_to_omega_au(freq_hz: float) -> float:
     omega_au = f / (E_h/h).
     """
     return freq_hz / k.HARTREE_HZ
-
-
-def omega_au_to_frequency_hz(omega_au: float) -> float:
-    """Angular frequency [a.u.] -> ordinary frequency [Hz]."""
-    return omega_au * k.HARTREE_HZ

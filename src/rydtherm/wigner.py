@@ -123,6 +123,7 @@ def threej(
     return sign * math.sqrt(float(pref)) * float(total)
 
 
+@lru_cache(maxsize=1024)
 def legendre_moment(l: int, m: int, order: int) -> float:
     """<P_order(cos theta)> over the |Y_lm|^2 angular density."""
     if abs(m) > l:

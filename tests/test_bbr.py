@@ -16,7 +16,6 @@ from rydtherm.bbr import (
     linewidths,
     natural_linewidth,
     planck_spectral_density,
-    rms_field_v_per_m,
     static_limit_shift,
     total_field_sq,
 )
@@ -35,7 +34,8 @@ def test_planck_peak_location():
 
 def test_rms_field_room_temperature():
     # the classic 831.9 V/m blackbody field at 300 K
-    assert rms_field_v_per_m(300.0) == pytest.approx(831.9, rel=5e-3)
+    rms_au = math.sqrt(total_field_sq(300.0) / 2.0)
+    assert rms_au * k.ATOMIC_FIELD_V_PER_M == pytest.approx(831.9, rel=5e-3)
     # <E^2> scales as T^4
     assert total_field_sq(600.0) == pytest.approx(16.0 * total_field_sq(300.0), rel=1e-12)
 

@@ -26,8 +26,9 @@ from rydtherm.lattice import (
 from rydtherm.radial import sin2_matrix_element
 
 
-def _config(wavelength_nm: float, **kw) -> LatticeConfig:
-    return LatticeConfig.from_wavelength(wavelength_nm, **kw)
+def _config(wavelength_nm: float, k_ratio: float = 1.0, **kw) -> LatticeConfig:
+    omega = units.wavelength_nm_to_omega_au(wavelength_nm)
+    return LatticeConfig(omega_au=omega, k_au=k_ratio * omega / k.C_AU, **kw)
 
 
 def test_config_validation():
@@ -36,18 +37,19 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LatticeConfig(omega_au=0.04, k_au=0.04)  # k > omega/c
     with pytest.raises(ValueError):
-        LatticeConfig.from_wavelength(1200.0, intensity_kw_cm2=-1.0)
+        _config(1200.0, intensity_kw_cm2=-1.0)
     with pytest.raises(ValueError):
-        LatticeConfig.from_wavelength(1200.0, k_ratio=1.5)
+        _config(1200.0, k_ratio=1.5)
 
 
 def test_config_geometry():
     cfg = _config(1203.0)
-    # counter-propagating beams: site spacing is lambda / 2
-    assert cfg.spacing_bohr * k.BOHR_M * 1e9 == pytest.approx(1203.0 / 2, rel=1e-12)
-    # shallow-angle lattice stretches the spacing
+    # counter-propagating beams: site spacing pi / k is lambda / 2
+    spacing_nm = math.pi / cfg.k_au * k.BOHR_M * 1e9
+    assert spacing_nm == pytest.approx(1203.0 / 2, rel=1e-12)
+    # a shallow-angle lattice may use the whole range k <= omega / c
     wide = _config(1203.0, k_ratio=0.5)
-    assert wide.spacing_bohr == pytest.approx(2 * cfg.spacing_bohr, rel=1e-12)
+    assert wide.k_au == pytest.approx(0.5 * cfg.k_au, rel=1e-12)
     assert cfg.field_sq_au == pytest.approx(
         units.intensity_kw_cm2_to_field_sq_au(1.0), rel=1e-12
     )
@@ -288,3 +290,28 @@ def test_magic_scan_orbit_average_count(case, request, monkeypatch):
         m_l=m_l,
     )
     assert lattice._FIT_NODES <= calls <= 30
+
+
+def test_lattice_table_keyed_by_file_content(tmp_path, sr):
+    # a copy of the Sr file with one lattice line changed keeps the name and
+    # data_version: it must get its own line table, and the bundled file's
+    # alpha must stay the term-by-term sum of a freshly built table
+    from rydtherm import load_species
+    from rydtherm.species import bundled_species_path
+    from rydtherm.transitions import channel_alpha_au, line_table
+
+    omega = units.wavelength_nm_to_omega_au(2390.0)
+    before = lattice_alpha_au(sr, omega)
+    text = open(bundled_species_path("sr"), encoding="utf-8").read()
+    assert "line.1.d_au = 3.72\n" in text
+    path = tmp_path / "sr.species"
+    path.write_text(text.replace("line.1.d_au = 3.72\n", "line.1.d_au = 3.0\n"))
+    copy = load_species(str(path))
+    assert copy.key == sr.key and copy.sha256 != sr.sha256
+    assert lattice_alpha_au(copy, omega) != before
+    assert lattice_alpha_au(load_species("sr"), omega) == before
+    table = line_table("fresh", 0.0, sr.lattice_lines, sr.lattice_core_alpha_au)
+    want = table.core_alpha_au
+    for alpha in channel_alpha_au(table, omega).tolist():
+        want += alpha
+    assert before == want

@@ -296,3 +296,112 @@ def test_pair_integrals_thread_safe_while_mesh_grows(sr, yb):
             assert got == serial
     finally:
         sys.setswitchinterval(interval)
+
+
+def _mpmath_jn(order, z):
+    import mpmath
+
+    if z == 0.0:
+        return 1.0 if order == 0 else 0.0
+    with mpmath.workdps(40):
+        zm = mpmath.mpf(z)
+        return float(mpmath.sqrt(mpmath.pi / (2 * zm)) * mpmath.besselj(order + 0.5, zm))
+
+
+@pytest.mark.parametrize("order", [0, 2, 4, 6])
+def test_bessel_kernel_matches_mpmath(order):
+    # both regions and the switch between them: the series below
+    # max(1, order), the upward recurrence from there on
+    split = max(1.0, float(order))
+    zs = sorted(
+        {0.0, np.nextafter(split, 0.0), split, np.nextafter(split, np.inf)}
+        | set(np.geomspace(1e-6, 1e3, 181).tolist())
+        | set(np.linspace(0.0, 3.0 * split, 61).tolist())
+    )
+    z = np.array(zs)
+    got = radial._bessel_j(order, z)
+    want = np.array([_mpmath_jn(order, v) for v in zs])
+    assert np.abs(got - want).max() <= 1e-15
+    # each region alone, as when a mesh slice lies on one side of the split
+    below, above = z[z < split], z[z >= split]
+    assert np.array_equal(radial._bessel_j(order, below), got[: below.size])
+    assert np.array_equal(radial._bessel_j(order, above), got[below.size :])
+
+
+def _mesh_average_oracle(solver, state, order, q_au):
+    """<j_order(q r)> as a trapezoid over the solution with scipy's
+    ``spherical_jn`` (``np.sinc`` for order 0): the mesh average the
+    numpy kernel replaced."""
+    from scipy import special
+
+    sol = solver.solve(state)
+    x = sol.h * np.arange(sol.j_in, sol.j_out + 1)
+    if order == 0:
+        jn = np.sinc(q_au * x * x / math.pi)
+    else:
+        jn = special.spherical_jn(order, q_au * x * x)
+    return 2.0 * sol.h * float(np.trapezoid(sol.v * sol.v * x * x * jn))
+
+
+def _sin2_oracle(solver, state, k_au, m_l):
+    from rydtherm.wigner import legendre_moment
+
+    q = 2.0 * k_au
+    if m_l is None or state.L == 0:
+        return 0.5 * (1.0 - _mesh_average_oracle(solver, state, 0, q))
+    cos_avg = 0.0
+    for order in range(0, 2 * state.L + 1, 2):
+        sign = -1.0 if (order // 2) % 2 else 1.0
+        cos_avg += (
+            sign
+            * (2 * order + 1)
+            * legendre_moment(state.L, m_l, order)
+            * _mesh_average_oracle(solver, state, order, q)
+        )
+    return 0.5 * (1.0 - cos_avg)
+
+
+def _lattice_wavenumbers():
+    from rydtherm import constants, units
+
+    ks = [
+        units.wavelength_nm_to_omega_au(lam) / constants.C_AU
+        for lam in (300.0, 1200.0, 2400.0, 3000.0)
+    ]
+    return ks + [0.05, 0.2]
+
+
+@pytest.mark.parametrize(
+    "species_name, series",
+    [("sr", "3S1"), ("sr", "3D1"), ("yb", "3P0"), ("yb", "1S0")],
+)
+def test_orbit_averages_match_mesh_oracle(species_name, series, sr, yb):
+    # up to rydberg_n_max and out to k = 0.2 a.u., where q r reaches the
+    # hundreds and only the recurrence region carries the tail
+    sp = {"sr": sr, "yb": yb}[species_name]
+    fresh = RadialSolver()
+    for n in (15, 30, 50, 80):
+        st = sp.state(n, series)
+        for k_au in _lattice_wavenumbers():
+            q = 2.0 * k_au
+            for order in (0, 2, 4):
+                want = _mesh_average_oracle(fresh, st, order, q)
+                got = (
+                    fresh.j0_average(st, q)
+                    if order == 0
+                    else fresh.bessel_average(st, order, q)
+                )
+                assert got == pytest.approx(want, rel=0.0, abs=1e-14), (st, k_au, order)
+            for m_l in (0, None):
+                want = _sin2_oracle(fresh, st, k_au, m_l)
+                got = sin2_matrix_element(st, k_au, m_l=m_l, solver=fresh)
+                assert got == pytest.approx(want, rel=0.0, abs=1e-14), (st, k_au, m_l)
+
+
+@pytest.mark.parametrize(
+    "order, q", [(2, -1e-4), (2, math.nan), (0, math.inf), (-1, 1e-4)]
+)
+def test_orbit_average_rejects_bad_input(sr, solver, order, q):
+    # the kernel needs an ascending argument z = q x^2 >= 0 and an order >= 0
+    with pytest.raises(ValueError, match="order >= 0 and a finite q >= 0"):
+        solver.bessel_average(sr.state(25, "3D1"), order, q)

@@ -1,4 +1,5 @@
-"""Benchmark tooling: the tracer's layer targets must exist in the package.
+"""Benchmark tooling: the tracer's layer targets must exist in the package,
+and the committed benchmark records must match the benchmark's declaration.
 
 ``perfbench/run.py --trace 1`` patches these functions by name; a renamed
 or deleted target would otherwise only show as a missing layer count.
@@ -32,3 +33,28 @@ def test_tracer_targets_resolve():
             assert hasattr(obj, part), f"{module_name}.{attr}"
             obj = getattr(obj, part)
         assert callable(obj), f"{module_name}.{attr}"
+
+
+def test_bench_records_match_benchmark():
+    # every committed BENCH_<NN>.json (written by tools/bench_record.py)
+    # names exactly the declared workloads and metrics
+    import glob
+    import json
+
+    root = os.path.dirname(os.path.dirname(__file__))
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    workloads = {w["name"] for w in bench["workloads"]}
+    end_to_end = {m["name"] for m in bench["end_to_end"]}
+    per_layer = {m["name"] for m in bench["per_layer"]}
+    paths = sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
+    assert paths
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            record = json.load(fh)
+        assert set(record["workloads"]) == workloads, path
+        for name, entry in record["workloads"].items():
+            assert set(entry["end_to_end"]) == end_to_end, (path, name)
+            for spread in entry["end_to_end"].values():
+                assert spread["q1"] <= spread["median"] <= spread["q3"], (path, name)
+            assert set(entry["per_layer_seed1"]) == per_layer, (path, name)

@@ -12,7 +12,7 @@ import scipy.constants as sc
 
 from rydtherm import constants as k
 from rydtherm import units
-from rydtherm.lattice import LatticeConfig
+from rydtherm.cli import EXIT_USAGE, main
 from rydtherm.polarizability import PolarizabilityResult
 
 
@@ -38,9 +38,6 @@ def test_omega_one_au_wavelength():
 def test_frequency_omega_maps_hartree():
     assert units.frequency_hz_to_omega_au(k.HARTREE_HZ) == pytest.approx(
         1.0, rel=1e-12
-    )
-    assert units.omega_au_to_frequency_hz(1.0) == pytest.approx(
-        k.HARTREE_HZ, rel=1e-12
     )
 
 
@@ -93,6 +90,8 @@ def test_non_finite_wavelength_and_frequency_rejected(bad):
         units.omega_au_to_wavelength_nm(bad)
 
 
-def test_nan_lattice_wavelength_names_the_wavelength():
-    with pytest.raises(ValueError, match="wavelength must be finite"):
-        LatticeConfig.from_wavelength(math.nan)
+def test_nan_lattice_wavelength_names_the_wavelength(capsys):
+    argv = ["polarizability", "--species", "Sr", "--state", "5:3P0",
+            "--wavelength-nm", "nan"]
+    assert main(argv) == EXIT_USAGE
+    assert "wavelength must be finite" in capsys.readouterr().err
