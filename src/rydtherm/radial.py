@@ -43,7 +43,6 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import lapack
@@ -114,7 +113,7 @@ def _series_coefs(order: int) -> tuple[float, ...]:
     den = math.prod(range(1, 2 * order + 2, 2))  # (2L + 1)!!
     i = 0
     while True:
-        c = float(Fraction(1, den))
+        c = 1 / den
         coefs.append(c)
         if z**order * (0.5 * z * z) ** i * c < 1e-17:
             return tuple(coefs)

@@ -47,9 +47,6 @@ def test_config_geometry():
     # counter-propagating beams: site spacing pi / k is lambda / 2
     spacing_nm = math.pi / cfg.k_au * k.BOHR_M * 1e9
     assert spacing_nm == pytest.approx(1203.0 / 2, rel=1e-12)
-    # a shallow-angle lattice may use the whole range k <= omega / c
-    wide = _config(1203.0, k_ratio=0.5)
-    assert wide.k_au == pytest.approx(0.5 * cfg.k_au, rel=1e-12)
     assert cfg.field_sq_au == pytest.approx(
         units.intensity_kw_cm2_to_field_sq_au(1.0), rel=1e-12
     )

@@ -37,7 +37,8 @@ def test_tracer_targets_resolve():
 
 def test_bench_records_match_benchmark():
     # every committed BENCH_<NN>.json (written by tools/bench_record.py)
-    # names exactly the declared workloads and metrics
+    # names exactly the declared workloads and metrics at the declared
+    # run length
     import glob
     import json
 
@@ -45,16 +46,20 @@ def test_bench_records_match_benchmark():
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     workloads = {w["name"] for w in bench["workloads"]}
-    end_to_end = {m["name"] for m in bench["end_to_end"]}
+    end_to_end = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     per_layer = {m["name"] for m in bench["per_layer"]}
     paths = sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
     assert paths
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             record = json.load(fh)
+        assert record["seconds"] == bench["run_seconds"], path
         assert set(record["workloads"]) == workloads, path
         for name, entry in record["workloads"].items():
-            assert set(entry["end_to_end"]) == end_to_end, (path, name)
-            for spread in entry["end_to_end"].values():
+            assert set(entry["end_to_end"]) == set(end_to_end), (path, name)
+            for metric, spread in entry["end_to_end"].items():
                 assert spread["q1"] <= spread["median"] <= spread["q3"], (path, name)
+                # a record from a host too noisy to tell is not kept
+                bound = end_to_end[metric] * spread["median"]
+                assert spread["q3"] - spread["q1"] <= bound, (path, name, metric)
             assert set(entry["per_layer_seed1"]) == per_layer, (path, name)

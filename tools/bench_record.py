@@ -12,11 +12,13 @@ drift spreads over all of them), then once per workload with ``--seed 1
 * per workload, the seed-1 per-layer values of the traced run.
 
     python3 tools/bench_record.py 11            # writes BENCH_11.json
-    python3 tools/bench_record.py 11 --seconds 5
 
-Run from anywhere; it takes about (5 + 1) x 3 runs of ``--seconds`` plus
-their set-up processes.  Compare numbers only between files recorded on
-the same host.
+Every run lasts ``run_seconds`` of ``BENCHMARK.json``.  Run from anywhere,
+on an otherwise idle host; it takes about (5 + 1) x 3 such runs plus their
+set-up processes.  If any end-to-end metric's interquartile range over the
+seeds exceeds its ``BENCHMARK.json`` bound relative to its median, the
+host was too noisy to tell: nothing is written and the script exits 1.
+Compare numbers only between files recorded on the same host.
 """
 
 import argparse
@@ -63,17 +65,17 @@ def _spread(values):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("number", type=int, help="NN of the BENCH_<NN>.json written")
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
+    seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
     runs = {w: [] for w in workloads}
     for seed in SEEDS:
         for w in workloads:
             print(f"{w} seed {seed}", file=sys.stderr)
-            runs[w].append(_run(w, seed, args.seconds, trace=0))
+            runs[w].append(_run(w, seed, seconds, trace=0))
     record = {
         "commit": _git("rev-parse", "HEAD"),
         "src_dirty": bool(_git("status", "--porcelain", "--", "src")),
@@ -83,12 +85,12 @@ def main(argv=None):
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "seeds": list(SEEDS),
-        "seconds": args.seconds,
+        "seconds": seconds,
         "workloads": {},
     }
     for w in workloads:
         print(f"{w} seed 1 traced", file=sys.stderr)
-        traced = _run(w, 1, args.seconds, trace=1)
+        traced = _run(w, 1, seconds, trace=1)
         record["workloads"][w] = {
             "correct": [r["correct"] for r in runs[w]],
             "failed_share": [r["failed"] / r["attempted"] for r in runs[w]],
@@ -103,6 +105,17 @@ def main(argv=None):
                 m["name"]: traced["metrics"][m["name"]] for m in bench["per_layer"]
             },
         }
+    noisy = [
+        f"{w} {m['name']}: q1 {s['q1']:.4g}, q3 {s['q3']:.4g}, median {s['median']:.4g}"
+        for w in workloads
+        for m in bench["end_to_end"]
+        for s in [record["workloads"][w]["end_to_end"][m["name"]]]
+        if s["q3"] - s["q1"] > m["bound"] * s["median"]
+    ]
+    if noisy:
+        print("spread above the benchmark's bound, nothing written:", file=sys.stderr)
+        print("\n".join(noisy), file=sys.stderr)
+        return 1
     path = os.path.join(ROOT, f"BENCH_{args.number:02d}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
