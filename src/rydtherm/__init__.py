@@ -28,26 +28,19 @@ from .bbr import (
     static_limit_shift,
 )
 from .lattice import (
-    LatticeConfig,
     MagicResult,
     MagicSolverError,
-    RydbergLatticeShift,
     lattice_alpha_au,
-    metastable_lattice_shift,
     pick_magic_root,
-    ponderomotive_coupling_bound,
-    rydberg_lattice_shift,
     solve_magic_wavelength,
     transition_energy_au,
     transition_wavelength,
     trap_depth,
 )
 from .polarizability import (
-    NonPerturbativeFieldError,
     PolarizabilityResult,
     ResonanceGuardError,
     ac_polarizability,
-    dc_stark_shift,
     static_polarizability,
 )
 from .radial import (
@@ -67,7 +60,6 @@ from .thermometry import (
     invert_temperature,
     joint_solve_temperature_field,
     measurement_budget,
-    state_bbr_sensitivity,
     transition_bbr_sensitivity,
     transition_bbr_shift,
     vdw_shift_estimate,

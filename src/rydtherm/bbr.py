@@ -301,13 +301,6 @@ def planck_spectral_density(omega_au: float, temperature_k: float) -> float:
     return (8.0 / (_PI * _C3)) * omega_au**3 / math.expm1(x)
 
 
-def total_field_sq(temperature_k: float) -> float:
-    """integral E^2(w,T) dw = (8 pi^3/15)(kT)^4/c^3, atomic units."""
-    _check_temperature(temperature_k)
-    kt = kconst.KB_AU * temperature_k
-    return (8.0 * _PI**3 / 15.0) * kt**4 / _C3
-
-
 def free_electron_shift(temperature_k: float) -> float:
     """High-n limit of the BBR shift: pi (kT)^2 / (3 c^3), in Hz."""
     _check_temperature(temperature_k)

@@ -135,16 +135,26 @@ def _tolerance(text: str) -> float:
 
 
 def _hashed_command(argv: list[str]) -> list[str]:
-    """Drop output-destination flags: the id names the computation."""
+    """Drop output-destination flags: the id names the computation.
+
+    Every spelling argparse accepts is dropped: ``-o FILE``, ``-oFILE``,
+    ``-o=FILE``, and ``--output`` or ``--manifest-out`` or any prefix that
+    argparse resolved to one of them, with ``=FILE`` or FILE following.
+    """
     out, skip = [], False
     for tok in argv:
         if skip:
             skip = False
             continue
-        if tok in ("-o", "--output", "--manifest-out"):
-            skip = True
-            continue
-        if tok.startswith(("--output=", "--manifest-out=")):
+        if tok.startswith("--"):
+            name, eq, _ = tok.partition("=")
+            if len(name) > 2 and any(
+                flag.startswith(name) for flag in ("--output", "--manifest-out")
+            ):
+                skip = not eq
+                continue
+        elif tok.startswith("-o"):
+            skip = tok == "-o"
             continue
         out.append(tok)
     return out

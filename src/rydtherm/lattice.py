@@ -1,4 +1,4 @@
-"""Optical-lattice Stark shifts beyond the dipole approximation.
+"""Magic optical lattices beyond the dipole approximation.
 
 A 1D standing-wave lattice of angular frequency ``omega`` and effective
 wavenumber ``k`` (k <= omega/c; smaller for non-counterpropagating beams)
@@ -21,7 +21,10 @@ A magic lattice makes the position-dependent parts equal:
 
 requiring a *negative* metastable polarizability, i.e. a lattice
 blue-detuned from a strong metastable-state line; atoms then sit at the
-intensity minima.
+intensity minima.  This module solves that condition for its roots
+(``solve_magic_wavelength``), gives the trap depth at a root and the
+drive wavelength of the transition; the shifts themselves enter only
+through the condition.
 
 The metastable polarizability used here comes from the species file's
 dedicated lattice line model (``line.*`` entries): an effective
@@ -38,7 +41,6 @@ intensity I = (1/2) eps0 c E0^2, time-averaged shifts carry the 1/4.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,77 +60,6 @@ _ROUNDING = 8.0 * np.finfo(float).eps  # relative rounding slack of a residual
 
 class MagicSolverError(RuntimeError):
     """Magic-wavelength search failed (no root, or resonance in bracket)."""
-
-
-@dataclass(frozen=True)
-class LatticeConfig:
-    """One 1D lattice: frequency, effective wavenumber, intensity, position.
-
-    ``k_au <= omega_au / c`` — equality for counterpropagating beams,
-    smaller when the beams cross at an angle (larger effective spacing).
-    """
-
-    omega_au: float
-    k_au: float
-    intensity_kw_cm2: float = 1.0
-    x0_bohr: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.omega_au <= 0:
-            raise ValueError(f"omega_au must be > 0, got {self.omega_au}")
-        k_max = self.omega_au / kconst.C_AU
-        if not 0.0 < self.k_au <= k_max * (1.0 + 1e-12):
-            raise ValueError(
-                f"k_au must lie in (0, omega/c = {k_max:.6e}], got {self.k_au}"
-            )
-        if self.intensity_kw_cm2 < 0:
-            raise ValueError(
-                f"intensity must be >= 0, got {self.intensity_kw_cm2}"
-            )
-
-    @property
-    def field_sq_au(self) -> float:
-        """Squared field amplitude E0^2 at an antinode, atomic units."""
-        return units.intensity_kw_cm2_to_field_sq_au(self.intensity_kw_cm2)
-
-
-@dataclass(frozen=True)
-class RydbergLatticeShift:
-    """Rydberg-state lattice shift split into its two parts (Hz)."""
-
-    position_dependent_hz: float
-    position_independent_hz: float
-    sin2_value: float
-
-    @property
-    def total_hz(self) -> float:
-        return self.position_dependent_hz + self.position_independent_hz
-
-
-def rydberg_lattice_shift(
-    state: RydbergState,
-    lattice: LatticeConfig,
-    m_l: int | None = 0,
-    solver: RadialSolver | None = None,
-) -> RydbergLatticeShift:
-    """Ponderomotive lattice shift of a Rydberg state, in Hz.
-
-    ``m_l`` defaults to 0 (orbital component aligned with the lattice
-    axis, the convention of the published magic-lattice values); pass
-    None for the spherical average.
-    """
-    s = sin2_matrix_element(state, lattice.k_au, m_l=m_l, solver=solver)
-    pref_hz = (
-        lattice.field_sq_au
-        / (4.0 * lattice.omega_au**2)
-        * kconst.HARTREE_HZ
-    )
-    mod = math.sin(lattice.k_au * lattice.x0_bohr) ** 2
-    return RydbergLatticeShift(
-        position_dependent_hz=pref_hz * mod * (1.0 - 2.0 * s),
-        position_independent_hz=pref_hz * s,
-        sin2_value=s,
-    )
 
 
 # lattice line tables by species file content (sha256): a magic solve asks
@@ -161,15 +92,6 @@ def lattice_alpha_au(species: Species, omega_au: float) -> float:
     for alpha in channel_alpha_au(table, omega_au).tolist():
         acc += alpha
     return acc
-
-
-def metastable_lattice_shift(species: Species, lattice: LatticeConfig) -> float:
-    """Metastable clock-state lattice shift -(1/4) alpha E0^2 sin^2(kX0), Hz."""
-    alpha = lattice_alpha_au(species, lattice.omega_au)
-    mod = math.sin(lattice.k_au * lattice.x0_bohr) ** 2
-    return (
-        -0.25 * alpha * lattice.field_sq_au * mod * kconst.HARTREE_HZ
-    )
 
 
 @dataclass(frozen=True)
@@ -372,13 +294,3 @@ def transition_wavelength(
         transition_energy_au(species, state)
     )
 
-
-def ponderomotive_coupling_bound(state: RydbergState, omega_au: float) -> float:
-    """Smallness bound (n_eff^2 omega)^-2 on the neglected A.p coupling.
-
-    Reported as a diagnostic only; values << 1 justify keeping just the
-    ponderomotive (A^2) lattice term.
-    """
-    if omega_au <= 0:
-        raise ValueError(f"omega_au must be > 0, got {omega_au}")
-    return 1.0 / (state.n_eff**2 * omega_au) ** 2

@@ -1,6 +1,9 @@
 """AC and static dipole polarizabilities.
 
-One sum over the channels of ``channel_table`` (the same tables as the
+The static value gives the shift -(1/2) alpha(0) E^2 of a stray DC field,
+which the thermometry joint solve separates from the BBR shift; the AC
+value at a lattice or probe frequency is the light-shift coefficient.  Both
+are one sum over the channels of ``channel_table`` (the same tables as the
 blackbody-shift engine), `alpha(w) = sum_ch 2 w_ch z_ch^2 / (w_ch^2 - w^2)`,
 plus what lies outside the channels:
 
@@ -52,10 +55,6 @@ class ResonanceGuardError(ValueError):
         super().__init__(message)
         self.resonance_id = resonance_id
         self.omega_au = omega_au
-
-
-class NonPerturbativeFieldError(ValueError):
-    """DC field too strong for the quadratic Stark regime."""
 
 
 @dataclass(frozen=True)
@@ -178,32 +177,3 @@ def static_polarizability(
     """Static dipole polarizability (the omega = 0 sum over states)."""
     return ac_polarizability(state, 0.0, m_j=m_j, span=span, solver=solver)
 
-
-def dc_stark_shift(
-    state: RydbergState,
-    e_field_v_per_m: float,
-    m_j: float | Literal["stretched"] | None = "stretched",
-    span: int = DEFAULT_SPAN,
-    solver: RadialSolver | None = None,
-) -> float:
-    """Quadratic DC Stark shift -1/2 alpha(0) E^2, in Hz.
-
-    Raises NonPerturbativeFieldError when the shift is no longer small
-    against the nearest resonance spacing (10% threshold).
-    """
-    if e_field_v_per_m < 0:
-        raise ValueError(f"field must be >= 0, got {e_field_v_per_m}")
-    if e_field_v_per_m == 0.0:
-        return 0.0
-    res = static_polarizability(state, m_j=m_j, span=span, solver=solver)
-    shift_hz = -0.5 * res.value_hz_m2_v2 * e_field_v_per_m**2
-    if res.nearest_resonance_id is not None:
-        spacing_hz = abs(res.nearest_detuning_au) * kconst.HARTREE_HZ
-        if abs(shift_hz) > 0.1 * spacing_hz:
-            raise NonPerturbativeFieldError(
-                f"{state}: shift {shift_hz:.3e} Hz at {e_field_v_per_m:g} V/m "
-                f"exceeds 10% of the {res.nearest_resonance_id} spacing "
-                f"({spacing_hz:.3e} Hz); the quadratic Stark expansion is "
-                f"not trustworthy there"
-            )
-    return shift_hz

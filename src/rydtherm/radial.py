@@ -48,7 +48,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .species import RydbergState
-from .wigner import legendre_moment, line_strength_factor
+from .wigner import legendre_moment
 
 DEFAULT_MESH_STEP = 0.01
 
@@ -270,9 +270,6 @@ class RadialSolver:
         k = 2 * power + 2
         return self._pair_integral(a, b, lambda mesh, nodes: mesh.power(k)[nodes])
 
-    def r2_expectation(self, state: RydbergState) -> float:
-        return self.radial_integral(state, state, power=2)
-
     def _bessel_pair(self, state: RydbergState, order: int, q_au: float) -> float:
         if order < 0 or not 0.0 <= q_au < math.inf:
             raise ValueError(
@@ -293,37 +290,7 @@ class RadialSolver:
         self, state: RydbergState, order: int, q_au: float
     ) -> float:
         """<j_order(q r)> over the state's radial density."""
-        if order == 0:
-            return self.j0_average(state, q_au)
         return self._bessel_pair(state, order, q_au)
-
-    def sin2_average(
-        self, state: RydbergState, k_au: float, m_l: int | None = 0
-    ) -> float:
-        """<sin^2(k x_e)> of the electron about the core at a field node.
-
-        The lattice axis is the quantization axis.  For ``m_l = None`` (or
-        any s state) the density is treated as isotropic and the average is
-        exactly (1 - <j0(2 k r)>)/2.  For an integer ``m_l`` the |Y_lm|^2
-        anisotropy is kept: <cos 2kz> expands over even-order spherical
-        Bessel moments weighted by the density's Legendre moments.
-        """
-        l = state.L
-        if m_l is None or l == 0:
-            return 0.5 * (1.0 - self.j0_average(state, 2.0 * k_au))
-        cos_avg = 0.0
-        for order in range(0, 2 * l + 1, 2):
-            pl = legendre_moment(l, m_l, order)
-            if pl == 0.0:
-                continue
-            sign = -1.0 if (order // 2) % 2 else 1.0
-            cos_avg += (
-                sign
-                * (2 * order + 1)
-                * pl
-                * self.bessel_average(state, order, 2.0 * k_au)
-            )
-        return 0.5 * (1.0 - cos_avg)
 
 
 # ---------------------------------------------------------------------------
@@ -342,44 +309,41 @@ def default_solver() -> RadialSolver:
         return _DEFAULT_SOLVER
 
 
-def solve_radial(
-    state: RydbergState, solver: RadialSolver | None = None
-) -> RadialSolution:
-    """Normalized radial solution of a quantum-defect state."""
-    return (solver or default_solver()).solve(state)
-
-
-def dipole_matrix_element(
-    a: RydbergState, b: RydbergState, solver: RadialSolver | None = None
-) -> float:
-    """Reduced dipole matrix element magnitude sqrt(S_ab), atomic units.
-
-    S_ab is the line strength: the series-pair angular factor times the
-    squared radial integral <a| r |b>.  Symmetric in (a, b).
-    """
-    if abs(a.L - b.L) != 1:
-        raise ValueError(
-            f"dipole-forbidden pair {a} <-> {b}: |delta L| = {abs(a.L - b.L)}"
-        )
-    ang = line_strength_factor(a.L, a.J, a.S, b.L, b.J)
-    radial = (solver or default_solver()).radial_integral(a, b, power=1)
-    return math.sqrt(ang) * abs(radial)
-
-
 def sin2_matrix_element(
     state: RydbergState,
     k_au: float,
     m_l: int | None = 0,
     solver: RadialSolver | None = None,
 ) -> float:
-    """<sin^2(k x_e)> for a lattice of wavenumber k (atomic units), in [0, 1].
+    """<sin^2(k x_e)> of the electron about the core at a field node, for a
+    lattice of wavenumber k (atomic units); in [0, 1].
 
-    ``m_l`` selects the orbital alignment relative to the lattice axis;
-    the default 0 matches the published position-independent lattice term
-    for nd Rydberg states, ``None`` averages over orientations.
+    The lattice axis is the quantization axis.  ``m_l`` selects the orbital
+    alignment relative to it: the default 0 matches the published
+    position-independent lattice term for nd Rydberg states.  For
+    ``m_l = None`` (or any s state) the density is treated as isotropic and
+    the average is exactly (1 - <j0(2 k r)>)/2.  For an integer ``m_l`` the
+    |Y_lm|^2 anisotropy is kept: <cos 2kz> expands over even-order
+    spherical Bessel moments weighted by the density's Legendre moments.
     """
     if k_au < 0:
         raise ValueError(f"wavenumber must be >= 0, got {k_au}")
     if k_au == 0.0:
         return 0.0
-    return (solver or default_solver()).sin2_average(state, k_au, m_l)
+    solver = solver or default_solver()
+    l = state.L
+    if m_l is None or l == 0:
+        return 0.5 * (1.0 - solver.j0_average(state, 2.0 * k_au))
+    cos_avg = 0.0
+    for order in range(0, 2 * l + 1, 2):
+        pl = legendre_moment(l, m_l, order)
+        if pl == 0.0:
+            continue
+        sign = -1.0 if (order // 2) % 2 else 1.0
+        cos_avg += (
+            sign
+            * (2 * order + 1)
+            * pl
+            * solver.bessel_average(state, order, 2.0 * k_au)
+        )
+    return 0.5 * (1.0 - cos_avg)

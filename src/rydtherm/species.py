@@ -407,11 +407,6 @@ class Species:
 
     # -- states ------------------------------------------------------------
 
-    @property
-    def key(self) -> str:
-        """Display name ``name:data_version``; caches use ``sha256``."""
-        return f"{self.name}:{self.data_version}"
-
     def series_labels(self) -> tuple[str, ...]:
         return tuple(sorted(self._series))
 

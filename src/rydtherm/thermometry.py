@@ -39,10 +39,19 @@ TOL_K = 1.0e-7  # temperature step at which both solvers stop
 RESIDUAL_TOL = 1.0e-6  # inversion also stops at |residual| <= this * sigma
 INVERT_MAX_ITER = 60
 JOINT_MAX_ITER = 50
+LINE_SPLIT = 1.0  # kappa: one cycle resolves linewidth / (kappa * SNR)
 
 
 class ThermometryError(RuntimeError):
     """Inversion or joint solve failed (non-convergence, degeneracy)."""
+
+
+def _transition_label(lower: RydbergState, upper: RydbergState) -> str:
+    """``"<species> <n> <series> -> <n> <series>"`` of a transition."""
+    return (
+        f"{lower.species.name} {lower.n} {lower.series} -> "
+        f"{upper.n} {upper.series}"
+    )
 
 
 @dataclass(frozen=True)
@@ -67,12 +76,7 @@ class ThermometryMeasurement:
 
     @property
     def transition_id(self) -> str:
-        sp = self.state.species
-        meta = sp.metastable_state()
-        return (
-            f"{sp.name} {meta.n} {meta.series} -> "
-            f"{self.state.n} {self.state.series}"
-        )
+        return _transition_label(self.state.species.metastable_state(), self.state)
 
 
 @dataclass(frozen=True)
@@ -111,16 +115,6 @@ def transition_bbr_shift(
     if derivative:
         return shift, up.slope_hz_per_k - lo.slope_hz_per_k
     return shift
-
-
-def state_bbr_sensitivity(
-    state: RydbergState,
-    temperature_k: float,
-    span: int = DEFAULT_SPAN,
-    solver: RadialSolver | None = None,
-) -> float:
-    """d(shift)/dT of one state's BBR shift at ``temperature_k``, Hz/K."""
-    return bbr_shift_sum(state, temperature_k, span=span, solver=solver).slope_hz_per_k
 
 
 def transition_bbr_sensitivity(
@@ -341,21 +335,16 @@ def vdw_shift_estimate(n: int, spacing_um: float) -> float:
 
 
 def measurement_budget(
-    atoms: float,
-    linewidth_hz: float,
-    target_resolution_hz: float,
-    kappa: float = 1.0,
+    atoms: float, linewidth_hz: float, target_resolution_hz: float
 ) -> int:
     """Shot-noise cycle count to reach a target frequency resolution.
 
-    SNR = sqrt(atoms); one cycle resolves linewidth / (kappa * SNR);
-    averaging M cycles improves by sqrt(M).
+    SNR = sqrt(atoms); one cycle resolves linewidth / (kappa * SNR) with
+    kappa = LINE_SPLIT; averaging M cycles improves by sqrt(M).
     """
     if atoms <= 0 or linewidth_hz <= 0 or target_resolution_hz <= 0:
         raise ValueError("atoms, linewidth and target must all be > 0")
-    if kappa <= 0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
-    per_cycle = linewidth_hz / (kappa * math.sqrt(atoms))
+    per_cycle = linewidth_hz / (LINE_SPLIT * math.sqrt(atoms))
     return max(1, math.ceil((per_cycle / target_resolution_hz) ** 2))
 
 
@@ -405,10 +394,7 @@ def error_budget(
     ):
         raise ValueError(f"linewidth must be finite and > 0, got {linewidth_hz}")
     lower_state = species.metastable_state() if lower is None else lower
-    tid = (
-        f"{species.name} {lower_state.n} {lower_state.series} -> "
-        f"{upper.n} {upper.series}"
-    )
+    tid = _transition_label(lower_state, upper)
     if upper == lower_state:
         raise ValueError(f"{tid}: the two states are the same")
     if lower is None:

@@ -1,9 +1,8 @@
 """Unit conversions derived from the pinned constants.
 
 Relations that involve physics conventions rather than pure unit algebra
-(wavelength <-> angular frequency, intensity <-> squared field amplitude,
-polarizability <-> light-shift coefficient) are named helper functions with
-the convention documented.
+(wavelength <-> angular frequency, polarizability <-> light-shift
+coefficient) are named helper functions with the convention documented.
 
 Light-field conventions used throughout the package:
 
@@ -56,15 +55,6 @@ def omega_au_to_wavelength_nm(omega_au: float) -> float:
             f"angular frequency must be finite and > 0, got {omega_au}"
         )
     return 2.0 * math.pi * k.C_AU / omega_au / _BOHR_PER_NM
-
-
-def intensity_kw_cm2_to_field_sq_au(intensity_kw_cm2: float) -> float:
-    """Single-beam intensity [kW/cm^2] -> squared field amplitude E0^2 [a.u.].
-
-    I = (1/2) eps0 c E0^2 (travelling wave).
-    """
-    e0sq_si = 2.0 * intensity_kw_cm2 * 1.0e7 / (k.EPS0_SI * k.C_SI)
-    return e0sq_si / k.ATOMIC_FIELD_V_PER_M**2
 
 
 def frequency_hz_to_omega_au(freq_hz: float) -> float:

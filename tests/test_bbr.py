@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from rydtherm import constants as k
 from rydtherm.bbr import (
@@ -17,7 +18,6 @@ from rydtherm.bbr import (
     natural_linewidth,
     planck_spectral_density,
     static_limit_shift,
-    total_field_sq,
 )
 
 
@@ -32,12 +32,27 @@ def test_planck_peak_location():
     assert u[int(np.argmax(dens))] == pytest.approx(2.8214, abs=5e-3)
 
 
+def _field_sq(temperature_k):
+    # squared-amplitude spectral density integrated over omega, in a.u.
+    kt = k.KB_AU * temperature_k
+    value, _ = integrate.quad(
+        planck_spectral_density, 0.0, 60.0 * kt, args=(temperature_k,),
+        epsabs=0.0, epsrel=1e-12, limit=200,
+    )
+    return value
+
+
 def test_rms_field_room_temperature():
-    # the classic 831.9 V/m blackbody field at 300 K
-    rms_au = math.sqrt(total_field_sq(300.0) / 2.0)
+    # the classic 831.9 V/m blackbody field at 300 K; this also pins the
+    # normalization of the spectral density that the PV-integral route uses
+    rms_au = math.sqrt(_field_sq(300.0) / 2.0)
     assert rms_au * k.ATOMIC_FIELD_V_PER_M == pytest.approx(831.9, rel=5e-3)
-    # <E^2> scales as T^4
-    assert total_field_sq(600.0) == pytest.approx(16.0 * total_field_sq(300.0), rel=1e-12)
+    # <E^2> = (8 pi^3/15)(kT)^4/c^3 scales as T^4 (abs=0: the values are
+    # far below pytest's default absolute tolerance of 1e-12)
+    assert _field_sq(300.0) == pytest.approx(
+        8.0 * math.pi**3 / 15.0 * (k.KB_AU * 300.0) ** 4 / k.C_AU**3, rel=1e-12, abs=0.0
+    )
+    assert _field_sq(600.0) == pytest.approx(16.0 * _field_sq(300.0), rel=1e-12, abs=0.0)
 
 
 def test_free_electron_values():

@@ -71,6 +71,40 @@ def test_manifest_id_excludes_output_paths(tmp_path, capsys):
     assert ra[0]["manifest_id"] == rb[0]["manifest_id"]
 
 
+@pytest.mark.parametrize(
+    "spelling",
+    [
+        ("-o", "{}"),
+        ("-o{}",),
+        ("-o={}",),
+        ("--output", "{}"),
+        ("--output={}",),
+        ("--out", "{}"),
+        ("--out={}",),
+        ("--o", "{}"),
+        ("--manifest-out", "{}"),
+        ("--manifest-out={}",),
+        ("--manifest", "{}"),
+        ("--ma={}",),
+    ],
+    ids=" ".join,
+)
+def test_manifest_id_ignores_every_output_spelling(tmp_path, capsys, spelling):
+    # every spelling argparse accepts for -o/--output and --manifest-out,
+    # prefix abbreviations and attached values included, leaves the id of
+    # the run without a destination
+    _, plain, _ = _run(capsys, "fw", "--y", "1.0")
+    want = _rows(plain)[0]["manifest_id"]
+    for name in ("a.out", "b.out"):
+        path = tmp_path / name
+        argv = ["fw", "--y", "1.0", *(part.format(path) for part in spelling)]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert path.exists()
+        csv_text = path.read_text() if not out else out
+        assert _rows(csv_text)[0]["manifest_id"] == want
+
+
 def test_manifest_id_tracks_settings(capsys):
     _, out1, _ = _run(capsys, "fw", "--y", "1.0")
     _, out2, _ = _run(capsys, "fw", "--y", "1.0", "--temperature", "200")

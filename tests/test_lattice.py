@@ -1,6 +1,4 @@
-"""Standing-wave lattice: configs, level shifts, magic-wavelength solver."""
-
-import math
+"""Standing-wave lattice: metastable polarizability, magic-wavelength solver."""
 
 import numpy as np
 import pytest
@@ -10,92 +8,16 @@ from rydtherm import constants as k
 from rydtherm import lattice, units
 from rydtherm.lattice import (
     SCAN_POINTS,
-    LatticeConfig,
     MagicResult,
     MagicSolverError,
     lattice_alpha_au,
-    metastable_lattice_shift,
     pick_magic_root,
-    ponderomotive_coupling_bound,
-    rydberg_lattice_shift,
     solve_magic_wavelength,
     transition_energy_au,
     transition_wavelength,
     trap_depth,
 )
 from rydtherm.radial import sin2_matrix_element
-
-
-def _config(wavelength_nm: float, k_ratio: float = 1.0, **kw) -> LatticeConfig:
-    omega = units.wavelength_nm_to_omega_au(wavelength_nm)
-    return LatticeConfig(omega_au=omega, k_au=k_ratio * omega / k.C_AU, **kw)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        LatticeConfig(omega_au=-0.1, k_au=0.001)
-    with pytest.raises(ValueError):
-        LatticeConfig(omega_au=0.04, k_au=0.04)  # k > omega/c
-    with pytest.raises(ValueError):
-        _config(1200.0, intensity_kw_cm2=-1.0)
-    with pytest.raises(ValueError):
-        _config(1200.0, k_ratio=1.5)
-
-
-def test_config_geometry():
-    cfg = _config(1203.0)
-    # counter-propagating beams: site spacing pi / k is lambda / 2
-    spacing_nm = math.pi / cfg.k_au * k.BOHR_M * 1e9
-    assert spacing_nm == pytest.approx(1203.0 / 2, rel=1e-12)
-    assert cfg.field_sq_au == pytest.approx(
-        units.intensity_kw_cm2_to_field_sq_au(1.0), rel=1e-12
-    )
-
-
-def test_metastable_shift_node_antinode(sr):
-    cfg_node = _config(2390.0, x0_bohr=0.0)
-    assert metastable_lattice_shift(sr, cfg_node) == 0.0
-    quarter = math.pi / (2.0 * cfg_node.k_au)
-    cfg_anti = _config(2390.0, x0_bohr=quarter)
-    shift = metastable_lattice_shift(sr, cfg_anti)
-    # trapped low-field seeker: alpha < 0 near magic, so the shift is up
-    assert lattice_alpha_au(sr, cfg_anti.omega_au) < 0.0
-    assert shift > 0.0
-    expected = (
-        -0.25
-        * lattice_alpha_au(sr, cfg_anti.omega_au)
-        * cfg_anti.field_sq_au
-        * k.HARTREE_HZ
-    )
-    assert shift == pytest.approx(expected, rel=1e-12)
-
-
-def test_rydberg_shift_split(sr):
-    st = sr.state(25, "3D1")
-    cfg = _config(2390.0, x0_bohr=123.0)
-    res = rydberg_lattice_shift(st, cfg)
-    assert res.total_hz == pytest.approx(
-        res.position_dependent_hz + res.position_independent_hz, rel=1e-12
-    )
-    assert 0.0 < res.sin2_value < 0.5
-    # position-independent part = (E0^2/4 w^2) <sin^2> in Hz
-    pref = cfg.field_sq_au / (4.0 * cfg.omega_au**2) * k.HARTREE_HZ
-    assert res.position_independent_hz == pytest.approx(
-        pref * res.sin2_value, rel=1e-12
-    )
-    # at a node the position-dependent part vanishes
-    node = rydberg_lattice_shift(st, _config(2390.0, x0_bohr=0.0))
-    assert node.position_dependent_hz == 0.0
-    assert node.position_independent_hz > 0.0
-
-
-def test_rydberg_shift_is_ponderomotive_scale(sr):
-    # the electron's wiggle energy E0^2/(4 w^2), weighted by lattice contrast
-    st = sr.state(40, "3D1")
-    cfg = _config(1200.0, x0_bohr=0.0)
-    res = rydberg_lattice_shift(st, cfg)
-    pond = cfg.field_sq_au / (4.0 * cfg.omega_au**2) * k.HARTREE_HZ
-    assert 0.0 < res.total_hz < pond
 
 
 def test_magic_root_yb_published_row(yb):
@@ -173,13 +95,6 @@ def test_transition_energy_positive(sr):
     assert e > 0.0
     # higher n: less binding left to pay, larger photon energy
     assert transition_energy_au(sr, sr.state(40, "3D1")) > e
-
-
-def test_ponderomotive_coupling_bound_scales_down(sr):
-    w = units.wavelength_nm_to_omega_au(1200.0)
-    b25 = ponderomotive_coupling_bound(sr.state(25, "3D1"), w)
-    b40 = ponderomotive_coupling_bound(sr.state(40, "3D1"), w)
-    assert 0.0 < b40 < b25
 
 
 def test_lattice_alpha_negative_in_sr_bracket(sr):
@@ -304,7 +219,8 @@ def test_lattice_table_keyed_by_file_content(tmp_path, sr):
     path = tmp_path / "sr.species"
     path.write_text(text.replace("line.1.d_au = 3.72\n", "line.1.d_au = 3.0\n"))
     copy = load_species(str(path))
-    assert copy.key == sr.key and copy.sha256 != sr.sha256
+    assert (copy.name, copy.data_version) == (sr.name, sr.data_version)
+    assert copy.sha256 != sr.sha256
     assert lattice_alpha_au(copy, omega) != before
     assert lattice_alpha_au(load_species("sr"), omega) == before
     table = line_table("fresh", 0.0, sr.lattice_lines, sr.lattice_core_alpha_au)

@@ -7,10 +7,8 @@ import pytest
 from rydtherm import constants as k
 from rydtherm import units
 from rydtherm.polarizability import (
-    NonPerturbativeFieldError,
     ResonanceGuardError,
     ac_polarizability,
-    dc_stark_shift,
     static_polarizability,
 )
 from rydtherm.species import Line
@@ -112,18 +110,10 @@ def test_negative_probe_rejected(sr):
 
 
 def test_dc_stark_shift_scale(sr):
-    # 5 V/m on the n = 25 thermometry state: about +1.15 kHz
-    shift = dc_stark_shift(sr.state(25, "3D1"), 5.0)
-    assert shift == pytest.approx(0.5 * 91.79 * 25.0, rel=0.02)
-    # quadratic in the field
-    assert dc_stark_shift(sr.state(25, "3D1"), 10.0) == pytest.approx(
-        4.0 * shift, rel=1e-9
-    )
-
-
-def test_dc_stark_perturbative_guard(sr):
-    with pytest.raises(NonPerturbativeFieldError):
-        dc_stark_shift(sr.state(40, "3D1"), 5000.0)
+    # 5 V/m on the n = 25 thermometry state: -(1/2) alpha(0) E^2 is about
+    # +1.15 kHz, the stray-field term of the joint solve
+    alpha = static_polarizability(sr.state(25, "3D1")).value_hz_m2_v2
+    assert -0.5 * alpha * 5.0**2 == pytest.approx(0.5 * 91.79 * 25.0, rel=0.02)
 
 
 def test_scalar_vs_stretched_defaults(sr):

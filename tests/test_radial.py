@@ -11,10 +11,9 @@ from rydtherm.radial import (
     RadialSolver,
     RadialUnsolvableError,
     default_solver,
-    dipole_matrix_element,
     sin2_matrix_element,
-    solve_radial,
 )
+from rydtherm.wigner import line_strength_factor
 
 
 def test_hydrogen_r_expectations(hydrogen, solver):
@@ -24,8 +23,8 @@ def test_hydrogen_r_expectations(hydrogen, solver):
     assert solver.radial_integral(st1s, st1s, 1) == pytest.approx(1.5, rel=1e-4)
     assert solver.radial_integral(st2p, st2p, 1) == pytest.approx(5.0, rel=1e-4)
     # <r^2>_nl = n^2 (5 n^2 + 1 - 3 l (l+1)) / 2
-    assert solver.r2_expectation(st2p) == pytest.approx(30.0, rel=1e-4)
-    assert solver.r2_expectation(st1s) == pytest.approx(3.0, rel=1e-4)
+    assert solver.radial_integral(st2p, st2p, 2) == pytest.approx(30.0, rel=1e-4)
+    assert solver.radial_integral(st1s, st1s, 2) == pytest.approx(3.0, rel=1e-4)
 
 
 def test_hydrogen_1s_2p_dipole(hydrogen, solver):
@@ -33,13 +32,15 @@ def test_hydrogen_1s_2p_dipole(hydrogen, solver):
     st2p = hydrogen.state(2, "1P1")
     exact = 128.0 * math.sqrt(6.0) / 243.0  # 1.29027 a.u.
     assert solver.radial_integral(st1s, st2p, 1) == pytest.approx(exact, rel=1e-5)
-    # reduced element: angular factor l> = 1 for s-p
-    assert dipole_matrix_element(st1s, st2p) == pytest.approx(exact, rel=1e-5)
+    # reduced element sqrt(S): angular factor l> = 1 for s-p
+    ang = line_strength_factor(st1s.L, st1s.J, st1s.S, st2p.L, st2p.J)
+    reduced = math.sqrt(ang) * abs(solver.radial_integral(st1s, st2p, 1))
+    assert reduced == pytest.approx(exact, rel=1e-5)
 
 
-def test_dipole_forbidden_pair_raises(hydrogen):
-    with pytest.raises(ValueError):
-        dipole_matrix_element(hydrogen.state(1, "1S0"), hydrogen.state(2, "1S0"))
+def test_dipole_forbidden_pair_has_no_line_strength(hydrogen):
+    a, b = hydrogen.state(1, "1S0"), hydrogen.state(2, "1S0")
+    assert line_strength_factor(a.L, a.J, a.S, b.L, b.J) == 0.0
 
 
 def test_normalization(hydrogen, solver):
@@ -49,7 +50,7 @@ def test_normalization(hydrogen, solver):
 
 def test_wavefunction_decays_past_turning_point(hydrogen, solver):
     st = hydrogen.state(20, "1S0")
-    sol = solve_radial(st)
+    sol = solver.solve(st)
     x = sol.h * np.arange(sol.j_in, sol.j_out + 1)
     r = x * x
     u = sol.v * np.sqrt(x)  # same radial density weight on both sides
@@ -69,13 +70,13 @@ def test_mesh_halving_converged(hydrogen):
     assert fine == pytest.approx(coarse, rel=1e-5)
 
 
-def test_mesh_overflow_guard(sr):
+def test_mesh_overflow_guard(sr, solver):
     # species.state() range-checks n first, so build the state directly
     from rydtherm.species import RydbergState
 
     beyond = RydbergState(sr, 81, "3S1")
     with pytest.raises(MeshOverflowError):
-        solve_radial(beyond)
+        solver.solve(beyond)
 
 
 def test_mesh_overflow_is_unsolvable_subclass():
@@ -94,7 +95,7 @@ def test_sin2_small_k_matches_r2(hydrogen, solver):
     st = hydrogen.state(15, "1S0")
     kq = 1e-7
     got = sin2_matrix_element(st, kq, m_l=None)
-    r2 = solver.r2_expectation(st)
+    r2 = solver.radial_integral(st, st, 2)
     assert got == pytest.approx(kq * kq * r2 / 3.0, rel=1e-6)
 
 
@@ -136,6 +137,29 @@ def test_bessel_small_q_limit(hydrogen, solver):
     st = hydrogen.state(10, "1S0")
     assert solver.j0_average(st, 1e-9) == pytest.approx(1.0, rel=1e-8)
     assert solver.bessel_average(st, 2, 1e-9) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_order_zero_average_is_one_pair_integral(sr, monkeypatch):
+    # order 0 of bessel_average, and so every orbit average of a state with
+    # l > 0, is one pair integral: it does not go through j0_average, whose
+    # call would be a second nested span for the same integral
+    st = sr.state(30, "3D1")
+    q = 5.2e-4
+    fresh = RadialSolver()
+    before = (
+        fresh.bessel_average(st, 0, q),
+        sin2_matrix_element(st, q / 2, m_l=0, solver=fresh),
+    )
+
+    def second_span(*args):
+        raise AssertionError("the order-0 average went through j0_average")
+
+    monkeypatch.setattr(RadialSolver, "j0_average", second_span)
+    after = (
+        fresh.bessel_average(st, 0, q),
+        sin2_matrix_element(st, q / 2, m_l=0, solver=fresh),
+    )
+    assert after == before
 
 
 def test_default_solver_is_shared():

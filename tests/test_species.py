@@ -19,7 +19,6 @@ def test_names_and_versions(sr, yb, hydrogen):
     assert hydrogen.name == "H"
     for sp in (sr, yb, hydrogen):
         assert sp.data_version
-        assert sp.key == f"{sp.name}:{sp.data_version}"
 
 
 def test_state_quantum_numbers(sr):
@@ -107,7 +106,7 @@ def test_ionization_limit_positive(sr, yb):
 
 def test_load_by_path_matches_bundled(sr):
     by_path = load_species(bundled_species_path("sr"))
-    assert by_path.key == sr.key
+    assert (by_path.name, by_path.data_version) == (sr.name, sr.data_version)
     assert by_path.state(30, "3S1").binding_au == sr.state(30, "3S1").binding_au
 
 
@@ -115,7 +114,7 @@ def test_env_data_dir_override(tmp_path, monkeypatch, sr):
     shutil.copy(bundled_species_path("sr"), tmp_path / "sr.species")
     monkeypatch.setenv("RYDTHERM_DATA_DIR", str(tmp_path))
     sp = load_species("sr")
-    assert sp.key == sr.key
+    assert (sp.name, sp.data_version) == (sr.name, sr.data_version)
 
 
 def test_caches_are_keyed_by_file_content(tmp_path, sr):
@@ -134,7 +133,7 @@ def test_caches_are_keyed_by_file_content(tmp_path, sr):
     fresh = static_polarizability(copy.state(30, "3D1"), solver=RadialSolver())
     assert shared == fresh.value_au
     assert shared > 0.0  # the bundled Sr value is about -1.6e10 a.u.
-    assert copy.key == sr.key
+    assert (copy.name, copy.data_version) == (sr.name, sr.data_version)
     assert copy.sha256 != sr.sha256
 
 

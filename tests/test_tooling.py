@@ -1,17 +1,21 @@
-"""Benchmark tooling: the tracer's layer targets must exist in the package,
-and the committed benchmark records must match the benchmark's declaration.
+"""Repository tooling: the tracer's layer targets must exist in the package,
+the committed benchmark records must match the benchmark's declaration, and
+every public definition in the package must have a reader outside the tests.
 
 ``perfbench/run.py --trace 1`` patches these functions by name; a renamed
 or deleted target would otherwise only show as a missing layer count.
 """
 
+import ast
+import glob
 import importlib
 import importlib.util
 import os
 
-TRACER_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(__file__)), "perfbench", "tracer.py"
-)
+ROOT = os.path.dirname(os.path.dirname(__file__))
+TRACER_PATH = os.path.join(ROOT, "perfbench", "tracer.py")
+# the code that uses the package: a definition only tests read is dead code
+READER_DIRS = ("src", "demos", "perfbench", "tools")
 
 
 def _load_tracer():
@@ -39,16 +43,14 @@ def test_bench_records_match_benchmark():
     # every committed BENCH_<NN>.json (written by tools/bench_record.py)
     # names exactly the declared workloads and metrics at the declared
     # run length
-    import glob
     import json
 
-    root = os.path.dirname(os.path.dirname(__file__))
-    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     workloads = {w["name"] for w in bench["workloads"]}
     end_to_end = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     per_layer = {m["name"] for m in bench["per_layer"]}
-    paths = sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
+    paths = sorted(glob.glob(os.path.join(ROOT, "BENCH_*.json")))
     assert paths
     for path in paths:
         with open(path, encoding="utf-8") as fh:
@@ -63,3 +65,47 @@ def test_bench_records_match_benchmark():
                 bound = end_to_end[metric] * spread["median"]
                 assert spread["q3"] - spread["q1"] <= bound, (path, name, metric)
             assert set(entry["per_layer_seed1"]) == per_layer, (path, name)
+
+
+def _public_definitions():
+    """Public module-level functions and classes of ``src/rydtherm/*.py``,
+    and the public methods of those classes, as "module: name" -> name."""
+    defs = {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "rydtherm", "*.py"))):
+        module = os.path.basename(path)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            defs[f"{module}: {node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        defs[f"{module}: {node.name}.{sub.name}"] = sub.name
+    return defs
+
+
+def _identifiers_read():
+    """Every Name and Attribute identifier in the code outside ``tests/``.
+    Imports, strings and docstrings are not reads."""
+    names = set()
+    for top in READER_DIRS:
+        for path in glob.glob(os.path.join(ROOT, top, "**", "*.py"), recursive=True):
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+    return names
+
+
+def test_every_public_definition_has_a_reader_outside_tests():
+    # code only tests exercise is deleted, not kept for them
+    read = _identifiers_read()
+    unread = sorted(key for key, name in _public_definitions().items() if name not in read)
+    assert not unread, f"read only by tests (or by nothing): {unread}"

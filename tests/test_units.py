@@ -1,14 +1,12 @@
 """Frequency/wavelength/intensity/polarizability unit helpers.
 
-Polarizability-unit oracles are rebuilt here from the constants (and the
-intensity oracle from scipy.constants) so a sign or inversion slip cannot
-hide behind its own definition.
+Polarizability-unit oracles are rebuilt here from the constants so a sign
+or inversion slip cannot hide behind its own definition.
 """
 
 import math
 
 import pytest
-import scipy.constants as sc
 
 from rydtherm import constants as k
 from rydtherm import units
@@ -41,15 +39,6 @@ def test_frequency_omega_maps_hartree():
     )
 
 
-def test_intensity_to_field_sq_oracle():
-    # I = (1/2) eps0 c E0^2 for E(t) = E0 cos(wt); 1 kW/cm^2 = 1e7 W/m^2
-    e0_sq_si = 2.0 * 1.0e7 / (sc.epsilon_0 * sc.c)
-    expected_au = e0_sq_si / k.ATOMIC_FIELD_V_PER_M**2
-    assert units.intensity_kw_cm2_to_field_sq_au(1.0) == pytest.approx(
-        expected_au, rel=1e-10
-    )
-
-
 def test_polarizability_hz_m2_v2_oracle():
     # 1 a.u. of alpha shifts a level by -(1/2) E^2 hartree per (a.u. field)^2;
     # expressed per (V/m)^2 that is HARTREE_HZ / ATOMIC_FIELD^2 in Hz
@@ -60,8 +49,9 @@ def test_polarizability_hz_m2_v2_oracle():
 
 def test_polarizability_khz_per_kw_cm2_oracle():
     # light shift of a low-field seeker: -(1/4) alpha E0^2, so alpha = 1 a.u.
-    # at 1 kW/cm^2 gives a small negative kHz-scale shift
-    e0_sq_au = units.intensity_kw_cm2_to_field_sq_au(1.0)
+    # at 1 kW/cm^2 gives a small negative kHz-scale shift; I = (1/2) eps0 c
+    # E0^2 for E(t) = E0 cos(wt), and 1 kW/cm^2 = 1e7 W/m^2
+    e0_sq_au = 2.0 * 1.0e7 / (k.EPS0_SI * k.C_SI) / k.ATOMIC_FIELD_V_PER_M**2
     expected = -0.25 * e0_sq_au * k.HARTREE_HZ / 1.0e3
     got = units.au_pol_to_khz_per_kw_cm2(1.0)
     assert got == pytest.approx(expected, rel=1e-12)
