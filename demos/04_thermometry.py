@@ -18,7 +18,6 @@ from rydtherm.thermometry import (
     invert_temperature,
     joint_solve_temperature_field,
     measurement_budget,
-    transition_bbr_sensitivity,
     transition_bbr_shift,
     vdw_shift_estimate,
 )
@@ -34,7 +33,7 @@ st30 = sr.state(30, "3D1")
 # the small correction is the Rydberg state's residual structure plus
 # the metastable state's own thermal response.
 
-sens = transition_bbr_sensitivity(sr, st30, 300.0)
+_, sens = transition_bbr_shift(sr, st30, 300.0, derivative=True)
 print(f"3P0 -> 30 3D1 sensitivity at 300 K: {sens:.2f} Hz/K")
 
 # %%

@@ -60,7 +60,6 @@ from .thermometry import (
     invert_temperature,
     joint_solve_temperature_field,
     measurement_budget,
-    transition_bbr_sensitivity,
     transition_bbr_shift,
     vdw_shift_estimate,
 )

@@ -329,14 +329,15 @@ def static_limit_shift(alpha0_au: float, temperature_k: float) -> float:
 
 @dataclass(frozen=True)
 class BBRShiftResult:
-    """BBR Stark shift with per-channel breakdown and convergence audit.
+    """BBR Stark shift and its convergence audit.
 
     shift_hz = channel_hz + tail_hz always; ``converged`` means the
     truncation tail is small against the total (or against a 1 mHz floor).
     Line-list (clock-role) results have a complete channel set: their tail
     is zero and f_missing is None.  ``slope_hz_per_k`` is d(shift)/dT from
     the same kernel values (channels, tail and core term differentiated
-    analytically); None on the integral route.
+    analytically); None on the integral route.  The per-channel breakdown
+    is not kept: ``channel_table`` gives the channels it sums.
     """
 
     state_str: str
@@ -348,7 +349,6 @@ class BBRShiftResult:
     converged: bool
     method: str
     span: int | None
-    per_channel: tuple[tuple[str, float], ...] = ()  # (channel id, Hz)
     slope_hz_per_k: float | None = None
 
 
@@ -478,22 +478,21 @@ def _bbr_shift(
             span=table.span,
             slope_hz_per_k=0.0 if method == "sum" else None,
         )
-    ids = table.channel_ids
     if method == "sum":
         hz, slopes = _channel_shifts_sum_hz(table.omega_au, table.z2, temperature_k)
-        per = list(zip(ids, hz.tolist()))
-        slope_parts = slopes.tolist()
+        parts, slope_parts = hz.tolist(), slopes.tolist()
     else:
-        per = [
-            (cid, _channel_shift_integral_hz(w, z2, temperature_k))
-            for cid, w, z2 in zip(ids, table.omega_au.tolist(), table.z2.tolist())
+        parts = [
+            _channel_shift_integral_hz(w, z2, temperature_k)
+            for w, z2 in zip(table.omega_au.tolist(), table.z2.tolist())
         ]
     if table.core_alpha_au is not None:
         core = static_limit_shift(table.core_alpha_au, temperature_k)
-        per.append(("core", core))
+        parts.append(core)
         if method == "sum":
             slope_parts.append(4.0 * core / temperature_k)  # core ~ T^4
-    channel_hz = math.fsum(hz for _, hz in per)
+    # fsum is exactly rounded: the sums do not depend on the order of terms
+    channel_hz = math.fsum(parts)
     # The tail is a continuum model, not a discrete channel, so both routes
     # share one implementation; the sum-vs-integral cross-check exercises
     # the per-channel kernels.
@@ -514,7 +513,6 @@ def _bbr_shift(
         converged=converged,
         method=method,
         span=table.span,
-        per_channel=tuple(per),
         slope_hz_per_k=(
             math.fsum(slope_parts) + tail_slope if method == "sum" else None
         ),

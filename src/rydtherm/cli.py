@@ -3,11 +3,13 @@
 Every command writes one RFC-4180-style CSV (CRLF line endings, header
 row, ``.`` decimal separator, 12 significant digits) to stdout or
 ``--output``.  Each row carries a ``schema`` column naming the table
-layout and its version, and a ``manifest_id`` column — a content hash of
-the tool version, species data version, command line, and solver
-settings (wall time excluded), so reruns with identical inputs emit
-byte-identical output.  ``--manifest-out`` additionally writes the full
-manifest (including wall time) as JSON.
+layout and its version, and a ``manifest_id`` column — a hash of the
+tool version, the schema, the parsed option values, and the content
+(sha256) of the species and measurements files, so reruns with identical
+inputs emit byte-identical output whatever the spelling, order or paths
+of the arguments.  ``--manifest-out`` additionally writes the full
+manifest as JSON, with the raw command line and the wall time outside
+the hash.
 
 Exit codes: 0 success with every computation converged; 2 usage errors
 (non-finite or out-of-range numbers included); 3 species-data validation
@@ -15,8 +17,8 @@ errors; 4 numerical non-convergence or overflow.
 
 A command is one row function ``(args, species) -> rows`` plus one entry
 in ``COMMANDS`` giving that function, whether the command loads a
-species, its schema, its CSV header and any extra manifest fields (and
-one subparser in ``_build_parser``).  ``main`` does the rest for every
+species, its schema and its CSV header (and one subparser in
+``_build_parser``).  ``main`` does the rest for every
 command: it loads the species, builds the manifest, writes the CSV, and
 exits 4 when a ``converged`` column holds false.
 
@@ -34,6 +36,7 @@ import json
 import math
 import sys
 import time
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -134,49 +137,26 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _hashed_command(argv: list[str]) -> list[str]:
-    """Drop output-destination flags: the id names the computation.
-
-    Every spelling argparse accepts is dropped: ``-o FILE``, ``-oFILE``,
-    ``-o=FILE``, and ``--output`` or ``--manifest-out`` or any prefix that
-    argparse resolved to one of them, with ``=FILE`` or FILE following.
-    """
-    out, skip = [], False
-    for tok in argv:
-        if skip:
-            skip = False
-            continue
-        if tok.startswith("--"):
-            name, eq, _ = tok.partition("=")
-            if len(name) > 2 and any(
-                flag.startswith(name) for flag in ("--output", "--manifest-out")
-            ):
-                skip = not eq
-                continue
-        elif tok.startswith("-o"):
-            skip = tok == "-o"
-            continue
-        out.append(tok)
-    return out
+# options the id leaves out: output destinations, and input files, which
+# enter by content (species_sha256, measurements_sha256)
+_UNHASHED = ("output", "manifest_out", "species", "species_file", "measurements")
 
 
-def _manifest(args, species: Species | None, extra: dict) -> dict:
-    settings = {
-        "temperature_k": args.temperature,
-        "span": args.span,
-        "tolerance": args.tolerance,
-    }
+def _manifest(args, species: Species | None, schema: str) -> dict:
+    meas = getattr(args, "measurements", None)
     m = {
         "tool": "rydtherm",
         "tool_version": __version__,
-        "command": _hashed_command(args.command_line),
+        "schema": schema,
+        "options": {k: v for k, v in vars(args).items() if k not in _UNHASHED},
         "species": species.name if species is not None else None,
         "species_data_version": (
             species.data_version if species is not None else None
         ),
         "species_sha256": species.sha256 if species is not None else None,
-        "settings": settings,
-        **extra,
+        "measurements_sha256": (
+            hashlib.sha256(Path(meas).read_bytes()).hexdigest() if meas else None
+        ),
     }
     digest = hashlib.sha256(
         json.dumps(m, sort_keys=True, default=str).encode()
@@ -185,7 +165,10 @@ def _manifest(args, species: Species | None, extra: dict) -> dict:
     return m
 
 
-def _emit(args, manifest: dict, header: tuple[str, ...], rows: list[list]) -> None:
+def _emit(
+    args, argv: list[str], t_start: float, manifest: dict,
+    header: tuple[str, ...], rows: list[list],
+) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf)  # RFC-4180: CRLF line terminator by default
     writer.writerow([*header, "schema", "manifest_id"])
@@ -199,8 +182,8 @@ def _emit(args, manifest: dict, header: tuple[str, ...], rows: list[list]) -> No
     else:
         sys.stdout.write(buf.getvalue())
     if args.manifest_out:
-        full = dict(manifest)
-        full["wall_time_s"] = time.time() - args.t_start
+        full = dict(manifest, command=["rydtherm", *argv])
+        full["wall_time_s"] = time.time() - t_start
         with open(args.manifest_out, "w") as fh:
             json.dump(full, fh, indent=2, sort_keys=True, default=str)
             fh.write("\n")
@@ -232,7 +215,7 @@ def _fig2_rows(args, species) -> list[list]:
         grid = np.linspace(args.y_min, args.y_max, args.points)
     else:
         grid = np.geomspace(args.y_min, args.y_max, args.points)
-    return [[float(y), farley_wing_fast(float(y))] for y in grid]
+    return [[y, f] for y, f in zip(grid.tolist(), farley_wing_fast(grid).tolist())]
 
 
 def _bbr_rows(args, species) -> list[list]:
@@ -390,20 +373,15 @@ class Command(NamedTuple):
     needs_species: bool
     schema: str
     header: tuple[str, ...]
-    extra: Callable[..., dict] | None = None  # args -> extra manifest fields
 
 
 COMMANDS = {
     "fw": Command(_fw_rows, False, "fw.v1",
                   ("y", "value_fast", "value_quadrature", "abs_diff")),
-    "fig2": Command(_fig2_rows, False, "fig2.v1", ("y", "farley_wing"),
-                    lambda args: {"grid": {
-                        "y_min": args.y_min, "y_max": args.y_max, "points": args.points,
-                        "spacing": "linear" if args.linear else "log"}}),
+    "fig2": Command(_fig2_rows, False, "fig2.v1", ("y", "farley_wing")),
     "bbr": Command(_bbr_rows, True, "bbr.v1",
                    ("state", "temperature_k", "shift_hz", "channel_hz", "tail_hz",
-                    "f_missing", "converged", "method", "span"),
-                   lambda args: {"route": args.route}),
+                    "f_missing", "converged", "method", "span")),
     "polarizability": Command(
         _polarizability_rows, True, "polarizability.v1",
         ("state", "omega_au", "m_j", "alpha_au", "alpha_hz_m2_v2",
@@ -544,8 +522,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
-    args.command_line = ["rydtherm", *argv]
-    args.t_start = time.time()
+    t_start = time.time()
     name = args.command
     if name == "thermo":
         name = f"thermo {args.thermo_command}"
@@ -553,9 +530,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         species = _load(args) if cmd.needs_species else None
         rows = cmd.rows(args, species)
-        extra = cmd.extra(args) if cmd.extra else {}
-        manifest = _manifest(args, species, {"schema": cmd.schema, **extra})
-        _emit(args, manifest, cmd.header, rows)
+        manifest = _manifest(args, species, cmd.schema)
+        _emit(args, argv, t_start, manifest, cmd.header, rows)
     except (SpeciesDataError, FileNotFoundError) as exc:
         print(f"rydtherm: data error: {exc}", file=sys.stderr)
         return EXIT_DATA

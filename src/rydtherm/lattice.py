@@ -50,7 +50,7 @@ from . import constants as kconst
 from . import units
 from .radial import RadialSolver, sin2_matrix_element
 from .species import RydbergState, Species
-from .transitions import TransitionTable, channel_alpha_au, line_table
+from .transitions import TransitionTable, channel_alpha_au, species_line_table
 
 SCAN_POINTS = 200  # evenly spaced frequencies scanned for sign changes
 _FIT_NODES = 16  # exact <sin^2> values behind the Chebyshev proxy
@@ -62,30 +62,18 @@ class MagicSolverError(RuntimeError):
     """Magic-wavelength search failed (no root, or resonance in bracket)."""
 
 
-# lattice line tables by species file content (sha256): a magic solve asks
-# for alpha at about 200 frequencies, and the CLI reloads the species file
-# for every command
-_LATTICE_TABLES: dict[str, TransitionTable] = {}
+def _lattice_table(species: Species) -> TransitionTable:
+    if "lattice" not in species.line_lists:
+        raise ValueError(f"{species.name}: species file has no lattice lines")
+    # the lattice model is a fit for the J = 0 metastable state
+    return species_line_table(species, "lattice", 0.0)
 
 
 def lattice_alpha_au(species: Species, omega_au: float) -> float:
     """Metastable polarizability from the species' lattice line model, a.u."""
     if omega_au < 0:
         raise ValueError(f"omega_au must be >= 0, got {omega_au}")
-    if not species.lattice_lines:
-        raise ValueError(f"{species.name}: species file has no lattice lines")
-    table = _LATTICE_TABLES.get(species.sha256)
-    if table is None:
-        # the lattice model is a fit for the J = 0 metastable state
-        table = _LATTICE_TABLES.setdefault(
-            species.sha256,
-            line_table(
-                f"{species.name} lattice model",
-                0.0,
-                species.lattice_lines,
-                species.lattice_core_alpha_au,
-            ),
-        )
+    table = _lattice_table(species)
     # summed term by term, core first, in row order: np.sum would add the
     # terms pairwise and can round the last bit differently
     acc = table.core_alpha_au
@@ -161,11 +149,11 @@ def solve_magic_wavelength(
         raise ValueError(f"bad bracket {bracket_nm}")
     w_lo = units.wavelength_nm_to_omega_au(lam_hi)
     w_hi = units.wavelength_nm_to_omega_au(lam_lo)
-    for line in species.lattice_lines:
-        if w_lo <= abs(line.omega_au) <= w_hi:
+    for w in np.abs(_lattice_table(species).omega_au).tolist():
+        if w_lo <= w <= w_hi:
             raise MagicSolverError(
                 f"{species.name}: lattice-model resonance at "
-                f"{units.omega_au_to_wavelength_nm(abs(line.omega_au)):.1f} nm "
+                f"{units.omega_au_to_wavelength_nm(w):.1f} nm "
                 f"lies inside the bracket {bracket_nm}"
             )
 

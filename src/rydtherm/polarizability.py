@@ -26,7 +26,7 @@ J, so there only the scalar polarizability (m_j = None or 0) is defined.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -51,23 +51,19 @@ _AU_TO_HZ_M2_V2 = kconst.HARTREE_HZ / kconst.ATOMIC_FIELD_V_PER_M**2
 class ResonanceGuardError(ValueError):
     """Requested frequency sits inside the guard band of a resonance."""
 
-    def __init__(self, message: str, resonance_id: str, omega_au: float):
-        super().__init__(message)
-        self.resonance_id = resonance_id
-        self.omega_au = omega_au
-
 
 @dataclass(frozen=True)
 class PolarizabilityResult:
-    """Dynamic polarizability of one state at one probe frequency."""
+    """Dynamic polarizability of one state at one probe frequency.
+
+    The per-channel terms are not kept: ``channel_alpha_au`` of the state's
+    ``channel_table`` gives them."""
 
     state_str: str
     omega_au: float
     m_j: float | None  # None = orientation average
     value_au: float
     tail_au: float
-    # (channel id, alpha contribution in a.u.), sorted by |contribution|
-    channels: tuple[tuple[str, float], ...] = field(repr=False)
     nearest_resonance_id: str | None
     # signed detuning omega - |omega_res| of the nearest resonance, a.u.
     nearest_detuning_au: float
@@ -96,13 +92,10 @@ def _guard_check(table: TransitionTable, omega_au: float) -> None:
     hit = np.abs(omega_au - w_abs) <= GUARD_FRACTION * w_abs
     if hit.any():
         i = int(np.argmax(hit))
-        rid = table.channel_ids[i]
         raise ResonanceGuardError(
             f"probe frequency {omega_au:.9e} a.u. is within the "
-            f"{GUARD_FRACTION:g} guard band of resonance {rid} at "
-            f"{w_abs[i]:.9e} a.u.",
-            resonance_id=rid,
-            omega_au=float(w_abs[i]),
+            f"{GUARD_FRACTION:g} guard band of resonance {table.channel_ids[i]} "
+            f"at {w_abs[i]:.9e} a.u."
         )
 
 
@@ -140,9 +133,9 @@ def ac_polarizability(
         j_values, row_j = np.unique(table.j_final, return_inverse=True)
         weights = [_m_weight(state.J, j, m_j) for j in j_values.tolist()]
         alpha = alpha * np.array(weights)[row_j]
-    per = list(zip(table.channel_ids, alpha.tolist()))
+    parts = alpha.tolist()
     if table.core_alpha_au is not None:
-        per.append(("core", table.core_alpha_au))
+        parts.append(table.core_alpha_au)
     # Missing-strength tail as a single pole at the ionization threshold:
     # keeps the far-off-resonance limit at exactly -1/w^2 (TRK) and adds
     # the right sign of static background below threshold.
@@ -152,7 +145,6 @@ def ac_polarizability(
         if table.f_missing is not None and table.f_missing > 0.0
         else 0.0
     )
-    per.sort(key=lambda t: -abs(t[1]))
     # the resonance nearest the probe, and the signed detuning from it
     det = omega_au - np.abs(table.omega_au)
     near = int(np.argmin(np.abs(det))) if det.size else None
@@ -160,9 +152,8 @@ def ac_polarizability(
         state_str=str(state),
         omega_au=omega_au,
         m_j=m_j,
-        value_au=math.fsum(a for _, a in per) + tail,
+        value_au=math.fsum(parts) + tail,  # exactly rounded: order-free
         tail_au=tail,
-        channels=tuple(per),
         nearest_resonance_id=None if near is None else table.channel_ids[near],
         nearest_detuning_au=math.inf if near is None else float(det[near]),
     )

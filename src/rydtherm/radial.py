@@ -71,8 +71,6 @@ class RadialSolution:
     j_out: int
     h: float
     v: np.ndarray  # length j_out - j_in + 1
-    l: int
-    n_eff: float
 
 
 def _numerov_inward(kf: np.ndarray, h: float) -> np.ndarray:
@@ -246,7 +244,7 @@ class RadialSolver:
         v = _numerov_inward(kf, h)
         norm_sq = 2.0 * h * float(_trapz(v * v * x2))
         v = v / math.sqrt(norm_sq)
-        return RadialSolution(j_in=j_in, j_out=j_out, h=h, v=v, l=l, n_eff=nst)
+        return RadialSolution(j_in=j_in, j_out=j_out, h=h, v=v)
 
     # -- matrix elements ---------------------------------------------------
 

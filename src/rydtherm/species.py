@@ -22,6 +22,9 @@ Key families (see ``data/sr.species`` for a commented example):
     clock.frequency_hz, clock.bbr_sensitivity_per_K,
     magic.bracket_nm_low, magic.bracket_nm_high
 
+An entry number <i> has no leading zero, so ``line.01.d_au`` is an
+unknown key.  The line lists load as columns (``Species.line_lists``).
+
 The ``lowlying`` family patches decay channels whose compact final states
 (effective quantum number below l+1) have no Coulomb-approximation
 wavefunction: ``final`` names the final state as ``<series>:<n>`` and
@@ -57,24 +60,17 @@ class SpeciesDataError(ValueError):
 
 @dataclass(frozen=True)
 class SeriesDefect:
+    """One LS series: its quantum numbers and Rydberg-Ritz defects."""
+
     label: str
+    S: float
+    L: int
+    J: float
     n_min: int
     n_max: int
     mu0: float
     mu2: float
     mu4: float
-
-    @property
-    def L(self) -> int:
-        return _L_LETTERS.index(_SERIES_RE.match(self.label).group(2))
-
-    @property
-    def S(self) -> float:
-        return (int(_SERIES_RE.match(self.label).group(1)) - 1) / 2.0
-
-    @property
-    def J(self) -> float:
-        return float(_SERIES_RE.match(self.label).group(3))
 
     def mu(self, n: int) -> float:
         m = n - self.mu0
@@ -82,11 +78,13 @@ class SeriesDefect:
 
 
 @dataclass(frozen=True)
-class Line:
-    """One discrete dipole channel: transition energy and reduced dipole."""
+class LineList:
+    """One line list as columns: each line's transition energy and reduced
+    dipole (a.u.), and the list's static core polarizability."""
 
-    omega_au: float
-    d_au: float
+    omega_au: tuple[float, ...]
+    d_au: tuple[float, ...]
+    core_alpha_au: float
 
 
 @dataclass(frozen=True)
@@ -158,31 +156,39 @@ def _parse_series_label(label: str) -> tuple[float, int, float]:
     return S, L, J
 
 
-_KEY_PATTERNS = [
-    re.compile(p)
-    for p in (
-        r"^format_version$",
-        r"^name$",
-        r"^data_version$",
-        r"^mass_amu$",
-        r"^ionization_limit_hartree$",
-        r"^rydberg_n_max$",
-        r"^defect\.[13][SPDFGH]\d\.(n_min|n_max|mu0|mu2|mu4)$",
-        r"^(ground|metastable)\.(series|n)$",
-        r"^line\.\d+\.(omega_au|d_au)$",
-        r"^line\.core_alpha_au$",
-        r"^bbrline\.(ground|metastable)\.\d+\.(omega_au|d_au)$",
-        r"^bbrline\.(ground|metastable)\.core_alpha_au$",
-        r"^lowlying\.[13][SPDFGH]\d\.\d+\.(final|dipole_n32_au)$",
-        r"^clock\.frequency_hz$",
-        r"^clock\.bbr_sensitivity_per_K$",
-        r"^magic\.bracket_nm_(low|high)$",
-    )
-]
+_SERIES = r"[13][SPDFGH]\d"
+_ENTRY = r"(?P<entry>[1-9]\d*)"
+# The species-file grammar, one pattern per key family.  A family made of
+# lists captures the list in group "list" (a series label, or a line
+# list's key prefix) and the number of an entry in group "entry".
+_KEY_PATTERNS = {
+    "scalar": re.compile(
+        r"format_version|name|data_version|mass_amu|ionization_limit_hartree"
+        r"|rydberg_n_max|(ground|metastable)\.(series|n)|clock\.frequency_hz"
+        r"|clock\.bbr_sensitivity_per_K|magic\.bracket_nm_(low|high)"
+    ),
+    "defect": re.compile(rf"defect\.(?P<list>{_SERIES})\.(n_min|n_max|mu0|mu2|mu4)"),
+    "line": re.compile(
+        rf"(?P<list>line|bbrline\.(ground|metastable))"
+        rf"\.({_ENTRY}\.(omega_au|d_au)|core_alpha_au)"
+    ),
+    "lowlying": re.compile(
+        rf"lowlying\.(?P<list>{_SERIES})\.{_ENTRY}\.(final|dipole_n32_au)"
+    ),
+}
+# the key prefix of each line list
+_LINE_LISTS = {
+    "lattice": "line", "ground": "bbrline.ground", "metastable": "bbrline.metastable"
+}
 
 
-def _read_kv(path: str, content: bytes) -> dict[str, tuple[str, int]]:
+def _read_kv(
+    path: str, content: bytes
+) -> tuple[dict[str, tuple[str, int]], dict[str, dict[str, set[int]]]]:
+    """The (value, line number) of each key, and for each list family its
+    lists and the entry numbers given for each."""
     out: dict[str, tuple[str, int]] = {}
+    lists: dict[str, dict[str, set[int]]] = {}
     text = io.StringIO(content.decode("utf-8"), newline=None)
     for lineno, raw in enumerate(text, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -192,12 +198,20 @@ def _read_kv(path: str, content: bytes) -> dict[str, tuple[str, int]]:
             raise SpeciesDataError(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if not any(p.match(key) for p in _KEY_PATTERNS):
+        for family, pattern in _KEY_PATTERNS.items():
+            m = pattern.fullmatch(key)
+            if m:
+                break
+        else:
             raise SpeciesDataError(f"{path}:{lineno}: unknown key {key!r}")
         if key in out:
             raise SpeciesDataError(f"{path}:{lineno}: duplicate key {key!r}")
         out[key] = (val, lineno)
-    return out
+        if "list" in pattern.groupindex:
+            entries = lists.setdefault(family, {}).setdefault(m["list"], set())
+            if m.groupdict().get("entry"):
+                entries.add(int(m["entry"]))
+    return out, lists
 
 
 class _KV:
@@ -245,68 +259,54 @@ class _KV:
         return key in self.kv
 
 
-def _collect_lines(kvw: _KV, prefix: str) -> tuple[Line, ...]:
-    idx = set()
-    pat = re.compile(re.escape(prefix) + r"\.(\d+)\.(omega_au|d_au)$")
-    for key in kvw.kv:
-        m = pat.match(key)
-        if m:
-            idx.add(int(m.group(1)))
-    lines = []
-    for i in sorted(idx):
-        omega = kvw.float_(f"{prefix}.{i}.omega_au")
-        d = kvw.float_(f"{prefix}.{i}.d_au")
-        if omega <= 0:
+def _line_list(kvw: _KV, prefix: str, entries: set[int]) -> LineList:
+    omega, d = [], []
+    for i in sorted(entries):
+        omega.append(kvw.float_(f"{prefix}.{i}.omega_au"))
+        d.append(kvw.float_(f"{prefix}.{i}.d_au"))
+        if omega[-1] <= 0:
             raise SpeciesDataError(
                 f"{kvw.path}: {prefix}.{i}.omega_au must be positive"
             )
-        if d <= 0:
+        if d[-1] <= 0:
             raise SpeciesDataError(f"{kvw.path}: {prefix}.{i}.d_au must be positive")
-        lines.append(Line(omega_au=omega, d_au=d))
-    return tuple(lines)
+    core = kvw.float_(f"{prefix}.core_alpha_au", required=False)
+    return LineList(omega_au=tuple(omega), d_au=tuple(d), core_alpha_au=core)
 
 
 class Species:
     """Loaded species data: defects, line lists, clock metadata."""
 
     def __init__(self, path: str):
-        self.path = path
         with open(path, "rb") as fh:
             content = fh.read()
         # caches are keyed by content: two files that share a name and a
         # data_version but differ anywhere must never share an entry
         self.sha256 = hashlib.sha256(content).hexdigest()
-        kvw = _KV(path, _read_kv(path, content))
+        kv, lists = _read_kv(path, content)
+        kvw = _KV(path, kv)
         if kvw.int_("format_version") != 1:
             raise SpeciesDataError(f"{path}: unsupported format_version")
         self.name = kvw.str_("name")
         self.data_version = kvw.str_("data_version")
         if kvw.str_("mass_amu") == "inf":  # an infinitely heavy nucleus
-            mass, self.reduced_mass_factor = math.inf, 1.0
+            self.reduced_mass_factor = 1.0
         else:
             mass = kvw.float_("mass_amu")
             if mass <= 0:
                 raise SpeciesDataError(f"{path}: mass_amu must be positive or inf")
             self.reduced_mass_factor = 1.0 / (1.0 + k.ELECTRON_MASS_U / mass)
-        self.mass_amu = mass
         self.ionization_limit_au = kvw.float_("ionization_limit_hartree")
         if self.ionization_limit_au <= 0:
             raise SpeciesDataError(f"{path}: ionization_limit_hartree must be > 0")
         self.rydberg_n_max = kvw.int_("rydberg_n_max")
 
         self._series: dict[str, SeriesDefect] = {}
-        labels = sorted(
-            {
-                key.split(".")[1]
-                for key in kvw.kv
-                if key.startswith("defect.")
-            }
-        )
-        for label in labels:
-            _parse_series_label(label)
+        for label in sorted(lists.get("defect", {})):
             pre = f"defect.{label}"
             sd = SeriesDefect(
-                label=label,
+                label,
+                *_parse_series_label(label),  # S, L, J
                 n_min=kvw.int_(f"{pre}.n_min"),
                 n_max=kvw.int_(f"{pre}.n_max"),
                 mu0=kvw.float_(f"{pre}.mu0"),
@@ -332,23 +332,17 @@ class Species:
         if kvw.has("metastable.series"):
             self._metastable = (kvw.str_("metastable.series"), kvw.int_("metastable.n"))
 
-        self.lattice_lines = _collect_lines(kvw, "line")
-        self.lattice_core_alpha_au = kvw.float_("line.core_alpha_au", required=False)
-        self.bbr_lines: dict[str, tuple[tuple[Line, ...], float]] = {}
-        for which in ("ground", "metastable"):
-            lines = _collect_lines(kvw, f"bbrline.{which}")
-            if lines:
-                core = kvw.float_(f"bbrline.{which}.core_alpha_au", required=False)
-                self.bbr_lines[which] = (lines, core)
+        # every list a key names is read and checked; a list with no lines
+        # (only a core term) is no line list
+        line_lists = {
+            name: _line_list(kvw, prefix, lists["line"][prefix])
+            for name, prefix in _LINE_LISTS.items()
+            if prefix in lists.get("line", {})
+        }
+        self.line_lists = {name: ll for name, ll in line_lists.items() if ll.omega_au}
 
         self._lowlying: dict[str, tuple[LowLyingChannel, ...]] = {}
-        ll_pat = re.compile(r"^lowlying\.([13][SPDFGH]\d)\.(\d+)\.final$")
-        ll_idx: dict[str, set[int]] = {}
-        for key in kvw.kv:
-            m = ll_pat.match(key)
-            if m:
-                ll_idx.setdefault(m.group(1), set()).add(int(m.group(2)))
-        for initial, idx in sorted(ll_idx.items()):
+        for initial, idx in sorted(lists.get("lowlying", {}).items()):
             if initial not in self._series:
                 raise SpeciesDataError(
                     f"{path}: lowlying.{initial}: unknown initial series"

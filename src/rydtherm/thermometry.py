@@ -6,9 +6,9 @@ slope ~16 Hz/K), hundreds of times more temperature-sensitive as a
 fraction of the transition frequency than an optical clock transition.
 This module turns that into instrumentation:
 
-* ``transition_bbr_sensitivity`` — d(shift)/dT, differentiated
-  analytically from the same kernel values as the shift
-  (``BBRShiftResult.slope_hz_per_k``);
+* ``transition_bbr_shift`` — the transition's shift and, with
+  ``derivative=True``, its d/dT, differentiated analytically from the same
+  kernel values as the shift (``BBRShiftResult.slope_hz_per_k``);
 * ``invert_temperature`` — bracket-safeguarded Newton solve of
   shift(T) = offset;
 * ``joint_solve_temperature_field`` — weighted least squares over
@@ -115,21 +115,6 @@ def transition_bbr_shift(
     if derivative:
         return shift, up.slope_hz_per_k - lo.slope_hz_per_k
     return shift
-
-
-def transition_bbr_sensitivity(
-    species: Species,
-    upper: RydbergState,
-    temperature_k: float,
-    lower: RydbergState | None = None,
-    span: int = DEFAULT_SPAN,
-    solver: RadialSolver | None = None,
-) -> float:
-    """d(transition shift)/dT at ``temperature_k``, Hz/K."""
-    return transition_bbr_shift(
-        species, upper, temperature_k, lower=lower, span=span, solver=solver,
-        derivative=True,
-    )[1]
 
 
 def invert_temperature(
@@ -383,7 +368,9 @@ def error_budget(
     computed total transition linewidth (e.g. to budget against an
     externally specified line).  The fractional accuracy must lie in
     (0, 1); the linewidth, when given, must be finite and > 0; the two
-    states must differ, and differ in energy.
+    states must differ, and differ in energy; and the transition's BBR
+    sensitivity must not be zero (it is at T = 0, where no temperature
+    uncertainty follows from a frequency resolution).
     """
     if not 0 < fractional_accuracy < 1:
         raise ValueError(
@@ -400,20 +387,23 @@ def error_budget(
     if lower is None:
         nu_hz = transition_energy_au(species, upper) * kconst.HARTREE_HZ
         lower_width = 0.0  # metastable: mHz-scale, negligible here
-        sens = transition_bbr_sensitivity(
-            species, upper, temperature_k, span=span, solver=solver
-        )
     else:
         nu_hz = abs(lower.binding_au - upper.binding_au) * kconst.HARTREE_HZ
         if nu_hz == 0.0:
             raise ValueError(f"{tid}: the two states are degenerate")
         lw = linewidths(lower, temperature_k, span=span, solver=solver)
         lower_width = lw.total_hz
-        sens = transition_bbr_sensitivity(
-            species, upper, temperature_k, lower=lower, span=span, solver=solver
+    _, sens = transition_bbr_shift(
+        species, upper, temperature_k, lower=lower, span=span, solver=solver,
+        derivative=True,
+    )
+    if sens == 0.0:
+        raise ValueError(
+            f"{tid}: the BBR sensitivity is zero at {temperature_k:g} K, so a "
+            "frequency resolution bounds no temperature"
         )
     target_hz = fractional_accuracy * nu_hz
-    sigma_t = abs(target_hz / sens) if sens != 0.0 else math.inf
+    sigma_t = abs(target_hz / sens)
     if linewidth_hz is None:
         up_w = linewidths(upper, temperature_k, span=span, solver=solver)
         linewidth_hz = up_w.total_hz + lower_width

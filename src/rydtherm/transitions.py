@@ -16,10 +16,11 @@ value per row.  There are three kinds of table:
   with n' in [max(n_min', n - span), min(n_max', n + span)] for each
   dipole-coupled series.  The summed oscillator strength (Thomas-Reiche-Kuhn,
   one active electron) tells callers how much strength the window missed.
-* ``line_table`` - a complete line list from the species file (a clock
-  state's ``bbrline.*`` list, or the ``line.*`` lattice model) plus a
-  static core polarizability; no strength is missing, and no final state
-  is named, so ``j_final`` is None.
+* ``species_line_table(species, name, j)`` - a complete line list of the
+  species file (a clock state's ``bbrline.*`` list, or the ``line.*``
+  lattice model) plus a static core polarizability, from one cache keyed
+  by file content and list name; no strength is missing, and no final
+  state is named, so ``j_final`` is None.
 * ``downward_channels(state)`` - every channel below the state regardless
   of span, for spontaneous-decay sums.  It walks the coupled series the
   same way as the radial table, over its own n range.
@@ -52,7 +53,7 @@ from .radial import (
     RadialUnsolvableError,
     default_solver,
 )
-from .species import Line, RydbergState, SeriesDefect
+from .species import LineList, RydbergState, SeriesDefect, Species
 from .wigner import line_strength_factor
 
 DEFAULT_SPAN = 35
@@ -75,7 +76,6 @@ class TransitionTable:
     Equality is identity: tables are compared as objects, not by content.
     """
 
-    state_str: str
     span: int | None
     channel_ids: tuple[str, ...]
     omega_au: np.ndarray
@@ -230,7 +230,6 @@ def _walk(
     z2 = np.array(strength) / (3.0 * (2.0 * state.J + 1.0))
     cols = _columns(ids, omega, z2, j_final)
     return TransitionTable(
-        state_str=str(state),
         span=span,
         **cols,
         f_missing=1.0 - math.fsum((2.0 * cols["omega_au"] * cols["z2"]).tolist()),
@@ -247,20 +246,34 @@ def _build_table(
     return _walk(state, solver, window, span)
 
 
-def line_table(
-    state_str: str, j: float, lines: tuple[Line, ...], core_alpha_au: float
-) -> TransitionTable:
-    """A complete line list of a state with total angular momentum ``j``."""
-    omega = [line.omega_au for line in lines]
-    d2 = np.float_power([line.d_au for line in lines], 2)
-    ids = [f"{units.omega_au_to_wavelength_nm(abs(w)):.0f}nm" for w in omega]
+def line_table(lines: LineList, j: float) -> TransitionTable:
+    """The uncached table of a complete line list of a state with total
+    angular momentum ``j``."""
+    d2 = np.float_power(lines.d_au, 2)
+    ids = [f"{units.omega_au_to_wavelength_nm(abs(w)):.0f}nm" for w in lines.omega_au]
     return TransitionTable(
-        state_str=state_str,
         span=None,
-        **_columns(ids, omega, d2 / (3.0 * (2.0 * j + 1.0)), None),
+        **_columns(ids, list(lines.omega_au), d2 / (3.0 * (2.0 * j + 1.0)), None),
         f_missing=None,
-        core_alpha_au=core_alpha_au,
+        core_alpha_au=lines.core_alpha_au,
     )
+
+
+# line tables by (species file sha256, list name): a clock state's list is
+# read twice per thermometry model evaluation, the lattice list about 200
+# times per magic solve, and the CLI reloads the species file per command
+_LINE_TABLES: dict[tuple[str, str], TransitionTable] = {}
+
+
+def species_line_table(species: Species, name: str, j: float) -> TransitionTable:
+    """The table of ``species.line_lists[name]``, whose state has total
+    angular momentum ``j`` (the list's own: its clock state's J, or 0 for
+    the lattice model)."""
+    key = (species.sha256, name)
+    table = _LINE_TABLES.get(key)
+    if table is None:
+        table = _LINE_TABLES.setdefault(key, line_table(species.line_lists[name], j))
+    return table
 
 
 def channel_table(
@@ -271,9 +284,8 @@ def channel_table(
     """The channels of any state: its species line list for a clock state
     (ground/metastable role with ``bbrline`` entries), else the radial table."""
     role = state.species.state_role(state)
-    if role in state.species.bbr_lines:
-        lines, core_alpha = state.species.bbr_lines[role]
-        return line_table(str(state), state.J, lines, core_alpha)
+    if role in state.species.line_lists:
+        return species_line_table(state.species, role, state.J)
     return build_transition_table(state, span, solver)
 
 

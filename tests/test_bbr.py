@@ -12,6 +12,7 @@ from rydtherm.bbr import (
     bbr_depopulation_rate,
     bbr_shift_integral,
     bbr_shift_sum,
+    farley_wing_fast,
     free_electron_sensitivity,
     free_electron_shift,
     linewidths,
@@ -19,6 +20,7 @@ from rydtherm.bbr import (
     planck_spectral_density,
     static_limit_shift,
 )
+from rydtherm.transitions import channel_table
 
 
 # -- thermal field -----------------------------------------------------------
@@ -170,12 +172,22 @@ def test_span_insensitivity(sr):
 
 
 def test_result_bookkeeping(sr):
-    res = bbr_shift_sum(sr.state(30, "3S1"), 300.0)
+    state = sr.state(30, "3S1")
+    res = bbr_shift_sum(state, 300.0)
     assert res.shift_hz == pytest.approx(res.channel_hz + res.tail_hz, rel=1e-12)
     assert 0.0 <= res.f_missing < 0.5
     assert res.span == 35
-    assert len(res.per_channel) > 10
     assert res.converged
+    # the per-channel breakdown is rebuilt from the table and the kernel
+    table = channel_table(state)
+    assert len(table.channel_ids) > 10
+    kt = k.KB_AU * 300.0
+    terms = -2.0 / (math.pi * k.C_AU**3) * kt**3 * table.z2 * farley_wing_fast(
+        table.omega_au / kt
+    )
+    assert res.channel_hz == pytest.approx(
+        math.fsum((terms * k.HARTREE_HZ).tolist()), rel=1e-14
+    )
 
 
 _PLATEAU_CASES = []

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 
 import pytest
 from hypothesis import example, given, settings
@@ -111,6 +112,44 @@ def test_manifest_id_tracks_settings(capsys):
     assert _rows(out1)[0]["manifest_id"] != _rows(out2)[0]["manifest_id"]
 
 
+def _id(capsys, *argv):
+    code, out, _ = _run(capsys, *argv)
+    assert code == EXIT_OK
+    return _rows(out)[0]["manifest_id"]
+
+
+def test_manifest_id_ignores_order_and_explicit_defaults(capsys):
+    # the id hashes the parsed option values, not the argument tokens
+    want = _id(capsys, "bbr", "--species", "sr", "--state", "30:3S1")
+    assert _id(capsys, "bbr", "--state", "30:3S1", "--species", "Sr") == want
+    assert _id(capsys, "bbr", "--temperature=300", "--species", "sr",
+               "--state", "30:3S1", "--span", "35", "--route", "sum") == want
+    assert _id(capsys, "bbr", "--species", "sr", "--state", "31:3S1") != want
+
+
+def test_manifest_id_is_keyed_by_file_content(tmp_path, capsys):
+    # the same species and measurement bytes at two paths give one id; an
+    # edited measurement file gives another
+    from rydtherm.species import bundled_species_path
+
+    golden = os.path.join(os.path.dirname(__file__), "golden", "meas_sr.csv")
+    text = open(golden, encoding="utf-8").read()
+    species = open(bundled_species_path("sr"), encoding="utf-8").read()
+    ids = set()
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        meas, sp = tmp_path / name / "m.csv", tmp_path / name / "sr.species"
+        meas.write_text(text)
+        sp.write_text(species)
+        ids.add(_id(capsys, "thermo", "joint", "--species-file", str(sp),
+                    "--measurements", str(meas)))
+    assert ids == {_id(capsys, "thermo", "joint", "--species", "sr",
+                       "--measurements", golden)}
+    meas.write_text(text.replace("3442.58218", "3442.6"))
+    assert _id(capsys, "thermo", "joint", "--species-file", str(sp),
+               "--measurements", str(meas)) not in ids
+
+
 def test_manifest_out_file(tmp_path, capsys):
     mpath = tmp_path / "run.json"
     _, out, _ = _run(
@@ -121,7 +160,9 @@ def test_manifest_out_file(tmp_path, capsys):
     assert manifest["tool"] == "rydtherm"
     assert manifest["tool_version"]
     assert manifest["wall_time_s"] >= 0.0
-    assert manifest["command"][:3] == ["rydtherm", "fw", "--y"]
+    # the raw command line is kept, outside the hash
+    assert manifest["command"] == ["rydtherm", "fw", "--y", "1.0", "--manifest-out",
+                                   str(mpath)]
 
 
 def test_species_data_version_in_manifest(tmp_path, capsys):
@@ -377,6 +418,18 @@ def test_thermo_budget(capsys):
     row = _rows(out)[0]
     assert float(row["temperature_sigma_k"]) == pytest.approx(0.01, rel=0.05)
     assert float(row["leverage"]) > 100.0
+
+
+def test_thermo_budget_at_zero_kelvin_exits_2(capsys):
+    # every BBR slope is 0 at 0 K: no finite temperature uncertainty exists
+    code, out, err = _run(
+        capsys,
+        "thermo", "budget", "--species", "sr", "--state", "30:3D1",
+        "--temperature", "0",
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "sensitivity is zero" in err
 
 
 def test_fig3_small_grid(capsys):

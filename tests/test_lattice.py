@@ -223,7 +223,7 @@ def test_lattice_table_keyed_by_file_content(tmp_path, sr):
     assert copy.sha256 != sr.sha256
     assert lattice_alpha_au(copy, omega) != before
     assert lattice_alpha_au(load_species("sr"), omega) == before
-    table = line_table("fresh", 0.0, sr.lattice_lines, sr.lattice_core_alpha_au)
+    table = line_table(sr.line_lists["lattice"], 0.0)
     want = table.core_alpha_au
     for alpha in channel_alpha_au(table, omega).tolist():
         want += alpha

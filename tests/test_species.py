@@ -86,15 +86,50 @@ def test_states_are_frozen_and_hashable(sr):
 
 def test_line_lists_present(sr, yb):
     for sp in (sr, yb):
-        for role in ("ground", "metastable"):
-            lines, core = sp.bbr_lines[role]
-            assert len(lines) >= 1
-            assert core >= 0.0
-            for line in lines:
-                assert line.omega_au > 0
-                assert line.d_au > 0
-    assert len(sr.lattice_lines) >= 1
-    assert sr.lattice_core_alpha_au >= 0.0
+        assert set(sp.line_lists) == {"ground", "metastable", "lattice"}
+        for lines in sp.line_lists.values():
+            assert len(lines.omega_au) == len(lines.d_au) >= 1
+            assert lines.core_alpha_au >= 0.0
+            assert all(w > 0 for w in lines.omega_au)
+            assert all(d > 0 for d in lines.d_au)
+    # the Sr lattice model: five lines, in file order, and its core term
+    assert sr.line_lists["lattice"].d_au == (3.72, 1.97, 2.5, 0.62, 1.49)
+    assert sr.line_lists["lattice"].core_alpha_au == 5.6
+
+
+def _edited_sr(tmp_path, extra_lines):
+    text = open(bundled_species_path("sr"), encoding="utf-8").read()
+    path = tmp_path / "sr.species"
+    path.write_text(text + "".join(f"{ln}\n" for ln in extra_lines))
+    return str(path), text.count("\n") + 1
+
+
+@pytest.mark.parametrize("key", [
+    "line.01.omega_au",
+    "line.01.d_au",
+    "bbrline.metastable.001.omega_au",
+    "bbrline.ground.0.d_au",
+    "lowlying.3P0.01.final",
+    "lowlying.3P0.0.dipole_n32_au",
+])
+def test_zero_padded_entry_is_an_unknown_key(tmp_path, key):
+    # an entry number has one spelling: a zero-padded twin of entry 1 used
+    # to pass the key check and then vanish from its list
+    path, lineno = _edited_sr(tmp_path, [f"{key} = 1.0"])
+    with pytest.raises(SpeciesDataError, match=f":{lineno}: unknown key '{key}'"):
+        load_species(path)
+
+
+def test_lowlying_dipole_without_final_is_rejected(tmp_path):
+    path, _ = _edited_sr(tmp_path, ["lowlying.3P0.7.dipole_n32_au = 8.9"])
+    with pytest.raises(SpeciesDataError, match="'lowlying.3P0.7.final'"):
+        load_species(path)
+
+
+def test_line_without_dipole_is_rejected(tmp_path):
+    path, _ = _edited_sr(tmp_path, ["bbrline.ground.9.omega_au = 0.1"])
+    with pytest.raises(SpeciesDataError, match="'bbrline.ground.9.d_au'"):
+        load_species(path)
 
 
 def test_ionization_limit_positive(sr, yb):

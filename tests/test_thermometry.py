@@ -16,7 +16,6 @@ from rydtherm.thermometry import (
     invert_temperature,
     joint_solve_temperature_field,
     measurement_budget,
-    transition_bbr_sensitivity,
     transition_bbr_shift,
     vdw_shift_estimate,
 )
@@ -34,8 +33,12 @@ def _measure(sr, n, temperature_k, field_v_per_m=0.0, sigma=0.16):
 # -- sensitivities -------------------------------------------------------------
 
 
+def _sensitivity(species, state, temperature_k):
+    return transition_bbr_shift(species, state, temperature_k, derivative=True)[1]
+
+
 def test_transition_sensitivity_near_free_electron(sr):
-    sens = transition_bbr_sensitivity(sr, sr.state(30, "3D1"), 300.0)
+    sens = _sensitivity(sr, sr.state(30, "3D1"), 300.0)
     assert sens == pytest.approx(16.07, rel=1e-2)
 
 
@@ -54,7 +57,7 @@ def test_sensitivity_zero_at_zero_temperature(sr):
 
 @pytest.mark.parametrize("temperature", [999.9, 1000.0])
 def test_sensitivity_finite_at_top_of_range(sr, temperature):
-    sens = transition_bbr_sensitivity(sr, sr.state(30, "3D1"), temperature)
+    sens = _sensitivity(sr, sr.state(30, "3D1"), temperature)
     assert math.isfinite(sens) and sens > 0.0
 
 
@@ -70,7 +73,6 @@ def test_analytic_slope_matches_central_difference(request, species, n, series):
         numeric = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
         _, slope = transition_bbr_shift(sp, st_, t, derivative=True)
         assert slope == pytest.approx(numeric, rel=1e-7), t
-        assert slope == transition_bbr_sensitivity(sp, st_, t)
 
 
 # The transition shift dips below zero at low T (measured: the slope is
@@ -112,7 +114,7 @@ def test_low_temperature_dip(sr):
     state = sr.state(30, "3D1")
     shift_10k = transition_bbr_shift(sr, state, 10.0)
     assert shift_10k < 0.0
-    assert transition_bbr_sensitivity(sr, state, 5.0) < 0.0
+    assert _sensitivity(sr, state, 5.0) < 0.0
     with pytest.raises(ThermometryError, match="outside the invertible range"):
         invert_temperature(ThermometryMeasurement(state, shift_10k, 0.16))
 
@@ -292,6 +294,16 @@ def test_error_budget_rydberg_rydberg_route(sr):
         - _state_slope(sr.state(40, "3P0"), 300.0),
         rel=1e-6,
     )
+
+
+@pytest.mark.parametrize("lower", [None, (40, "3P0")])
+def test_error_budget_at_zero_temperature_names_zero_sensitivity(sr, lower):
+    # every slope is exactly 0 at 0 K: no temperature uncertainty follows
+    # from a frequency resolution, and none is reported as infinite
+    lower_state = sr.state(*lower) if lower else None
+    assert _sensitivity(sr, sr.state(30, "3D1"), 0.0) == 0.0
+    with pytest.raises(ValueError, match="sensitivity is zero at 0 K"):
+        error_budget(sr, sr.state(30, "3D1"), 1.7e-16, 0.0, lower=lower_state)
 
 
 def test_error_budget_validation(sr, hydrogen):

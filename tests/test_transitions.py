@@ -11,7 +11,7 @@ from rydtherm.transitions import (
     build_transition_table,
     channel_table,
     downward_channels,
-    line_table,
+    species_line_table,
 )
 
 # (species, n, series): Rydberg and low-lying states of each bundled species
@@ -25,10 +25,7 @@ _STATES = [
 def _table(kind, name, n, series):
     species = load_species(name)
     if kind == "lattice":
-        return line_table(
-            f"{name} lattice model", 0.0, species.lattice_lines,
-            species.lattice_core_alpha_au,
-        )
+        return species_line_table(species, "lattice", 0.0)
     state = species.state(n, series)
     build = {
         "radial": build_transition_table,
@@ -82,10 +79,26 @@ def test_table_equality_is_identity(sr):
 
 def test_line_table_rows_sorted_from_unsorted_file(sr):
     # the Sr ground-state bbrline list is not in |omega| order in the file
-    lines, _ = sr.bbr_lines["ground"]
+    omega = sr.line_lists["ground"].omega_au
     table = channel_table(sr.state(5, "1S0"))
-    assert [ln.omega_au for ln in lines] != table.omega_au.tolist()
-    assert sorted(ln.omega_au for ln in lines) == table.omega_au.tolist()
+    assert list(omega) != table.omega_au.tolist()
+    assert sorted(omega) == table.omega_au.tolist()
+
+
+def test_line_tables_are_cached_by_file_content(sr, tmp_path):
+    # every caller of a line list reads one table per species file content
+    from rydtherm.species import bundled_species_path
+
+    meta = sr.metastable_state()
+    table = channel_table(meta)
+    assert channel_table(meta) is table
+    assert species_line_table(sr, "metastable", meta.J) is table
+    assert channel_table(load_species("sr").metastable_state()) is table
+    lattice = species_line_table(sr, "lattice", 0.0)
+    assert lattice is not table and lattice.channel_ids != ()
+    copy = tmp_path / "sr.species"
+    copy.write_text(open(bundled_species_path("sr"), encoding="utf-8").read() + "#\n")
+    assert channel_table(load_species(str(copy)).metastable_state()) is not table
 
 
 def test_empty_downward_table(sr):

@@ -17,7 +17,7 @@ from rydtherm.polarizability import PolarizabilityResult
 def _result(value_au):
     return PolarizabilityResult(
         state_str="test", omega_au=0.0, m_j=None, value_au=value_au, tail_au=0.0,
-        channels=(), nearest_resonance_id=None, nearest_detuning_au=math.inf,
+        nearest_resonance_id=None, nearest_detuning_au=math.inf,
     )
 
 
