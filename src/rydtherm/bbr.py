@@ -336,8 +336,8 @@ class BBRShiftResult:
     Line-list (clock-role) results have a complete channel set: their tail
     is zero and f_missing is None.  ``slope_hz_per_k`` is d(shift)/dT from
     the same kernel values (channels, tail and core term differentiated
-    analytically); None on the integral route.  The per-channel breakdown
-    is not kept: ``channel_table`` gives the channels it sums.
+    analytically); None on the integral route.  The channels summed are
+    those of ``channel_table``.
     """
 
     state_str: str

@@ -18,9 +18,9 @@ errors; 4 numerical non-convergence or overflow.
 A command is one row function ``(args, species) -> rows`` plus one entry
 in ``COMMANDS`` giving that function, whether the command loads a
 species, its schema and its CSV header (and one subparser in
-``_build_parser``).  ``main`` does the rest for every
-command: it loads the species, builds the manifest, writes the CSV, and
-exits 4 when a ``converged`` column holds false.
+``_build_parser``).  ``main`` does the rest for every command: it loads
+the species, builds the manifest, writes the CSV, and exits 4 when a
+``converged`` column holds false.
 
 The species data directory can be overridden with the environment
 variable RYDTHERM_DATA_DIR; individual files with ``--species-file``.

@@ -54,10 +54,8 @@ class ResonanceGuardError(ValueError):
 
 @dataclass(frozen=True)
 class PolarizabilityResult:
-    """Dynamic polarizability of one state at one probe frequency.
-
-    The per-channel terms are not kept: ``channel_alpha_au`` of the state's
-    ``channel_table`` gives them."""
+    """Dynamic polarizability of one state at one probe frequency; its
+    channel terms are ``channel_alpha_au`` of the state's ``channel_table``."""
 
     state_str: str
     omega_au: float

@@ -260,6 +260,11 @@ class _KV:
 
 
 def _line_list(kvw: _KV, prefix: str, entries: set[int]) -> LineList:
+    if not entries:  # its core term alone would be loaded and never used
+        _, lineno = kvw.kv[f"{prefix}.core_alpha_au"]
+        raise SpeciesDataError(
+            f"{kvw.path}:{lineno}: {prefix}.core_alpha_au without a {prefix}.<i> line"
+        )
     omega, d = [], []
     for i in sorted(entries):
         omega.append(kvw.float_(f"{prefix}.{i}.omega_au"))
@@ -332,14 +337,11 @@ class Species:
         if kvw.has("metastable.series"):
             self._metastable = (kvw.str_("metastable.series"), kvw.int_("metastable.n"))
 
-        # every list a key names is read and checked; a list with no lines
-        # (only a core term) is no line list
-        line_lists = {
+        self.line_lists = {
             name: _line_list(kvw, prefix, lists["line"][prefix])
             for name, prefix in _LINE_LISTS.items()
             if prefix in lists.get("line", {})
         }
-        self.line_lists = {name: ll for name, ll in line_lists.items() if ll.omega_au}
 
         self._lowlying: dict[str, tuple[LowLyingChannel, ...]] = {}
         for initial, idx in sorted(lists.get("lowlying", {}).items()):

@@ -126,6 +126,18 @@ def test_lowlying_dipole_without_final_is_rejected(tmp_path):
         load_species(path)
 
 
+@pytest.mark.parametrize("key", ["line.core_alpha_au", "bbrline.ground.core_alpha_au"])
+def test_core_term_without_lines_is_rejected(tmp_path, key):
+    # a core polarizability with no line beside it used to load and be
+    # ignored: the list it belongs to was no line list
+    text = open(bundled_species_path("hydrogen"), encoding="utf-8").read()
+    path = tmp_path / "h.species"
+    path.write_text(text + f"{key} = 5.0\n")
+    lineno = text.count("\n") + 1
+    with pytest.raises(SpeciesDataError, match=f":{lineno}: {key} without a"):
+        load_species(str(path))
+
+
 def test_line_without_dipole_is_rejected(tmp_path):
     path, _ = _edited_sr(tmp_path, ["bbrline.ground.9.omega_au = 0.1"])
     with pytest.raises(SpeciesDataError, match="'bbrline.ground.9.d_au'"):
