@@ -3,7 +3,8 @@
 Each command is rerun in-process and compared with ``tests/golden/<name>.csv``:
 the header and row count exactly, text columns exactly, numeric columns to
 1e-10 relative (with an absolute floor for zeros).  ``manifest_id`` is not
-compared; it hashes the command line and tool version, not the results.
+compared; it hashes the tool version, the schema, the parsed option values
+and the sha256 of the input files, not the results.
 A ``{golden}`` token in a command names a committed input file in that
 directory.
 
