@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -411,6 +412,7 @@ COMMANDS = {
 # parser
 
 
+@functools.cache  # one per process; parse_args returns a new Namespace per call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rydtherm",

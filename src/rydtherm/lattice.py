@@ -69,17 +69,21 @@ def _lattice_table(species: Species) -> TransitionTable:
     return species_line_table(species, "lattice", 0.0)
 
 
-def lattice_alpha_au(species: Species, omega_au: float) -> float:
-    """Metastable polarizability from the species' lattice line model, a.u."""
-    if omega_au < 0:
-        raise ValueError(f"omega_au must be >= 0, got {omega_au}")
+def lattice_alpha_au(species: Species, omega_au):
+    """Metastable polarizability from the species' lattice line model, a.u.
+
+    Takes a float or an array of omega and returns the same kind.
+    """
+    w = np.asarray(omega_au, dtype=float)
+    if (w < 0).any():
+        raise ValueError(f"omega_au must be >= 0, got {w.min()}")
     table = _lattice_table(species)
     # summed term by term, core first, in row order: np.sum would add the
     # terms pairwise and can round the last bit differently
-    acc = table.core_alpha_au
-    for alpha in channel_alpha_au(table, omega_au).tolist():
+    acc = np.full(w.shape, table.core_alpha_au)
+    for alpha in np.moveaxis(channel_alpha_au(table, w[..., None]), -1, 0):
         acc += alpha
-    return acc
+    return float(acc) if acc.ndim == 0 else acc
 
 
 @dataclass(frozen=True)
@@ -177,7 +181,7 @@ def solve_magic_wavelength(
         lambda ws: [sin2_at(w) for w in ws], _FIT_NODES - 1, (w_lo, w_hi)
     )
     err = _FIT_SAFETY * float(np.max(np.abs(fit.coef[-3:])))
-    alphas = np.array([alpha_at(w) for w in grid])
+    alphas = lattice_alpha_au(species, grid)
     inv_w2 = 1.0 / (grid * grid)
     vals = list(alphas + (1.0 - 2.0 * fit(grid)) * inv_w2)
     # |residual - proxy| <= 2 err / w^2 plus rounding; inside that margin

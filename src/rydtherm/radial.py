@@ -65,11 +65,11 @@ class MeshOverflowError(RadialUnsolvableError):
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """Normalized v(x) on the aligned mesh x_j = j*h, j_in <= j <= j_out."""
+    """Normalized v(x) on the aligned mesh x_j = j*h, j_in <= j <= j_out, with
+    h the step of the solver that made it."""
 
     j_in: int
     j_out: int
-    h: float
     v: np.ndarray  # length j_out - j_in + 1
 
 
@@ -244,7 +244,7 @@ class RadialSolver:
         v = _numerov_inward(kf, h)
         norm_sq = 2.0 * h * float(_trapz(v * v * x2))
         v = v / math.sqrt(norm_sq)
-        return RadialSolution(j_in=j_in, j_out=j_out, h=h, v=v)
+        return RadialSolution(j_in=j_in, j_out=j_out, v=v)
 
     # -- matrix elements ---------------------------------------------------
 

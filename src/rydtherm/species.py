@@ -282,9 +282,7 @@ def _line_list(kvw: _KV, prefix: str, entries: set[int]) -> LineList:
 class Species:
     """Loaded species data: defects, line lists, clock metadata."""
 
-    def __init__(self, path: str):
-        with open(path, "rb") as fh:
-            content = fh.read()
+    def __init__(self, path: str, content: bytes):
         # caches are keyed by content: two files that share a name and a
         # data_version but differ anywhere must never share an entry
         self.sha256 = hashlib.sha256(content).hexdigest()
@@ -449,11 +447,18 @@ def bundled_species_path(name: str) -> str:
     return str(ref)
 
 
+# every Species parsed so far, by the sha256 of its file's content
+_LOADED: dict[str, Species] = {}
+
+
 def load_species(name_or_path: str) -> Species:
     """Load a species by bundled name ('sr', 'yb', 'hydrogen') or file path.
 
     The environment variable RYDTHERM_DATA_DIR, if set, is searched before
-    the bundled data directory.
+    the bundled data directory.  The file is read on every call, but parsed
+    once per content: all loads of byte-identical files, under any name or
+    path, return one shared Species, to be treated as read-only.  A file
+    that fails to parse is not kept, so each load raises again.
     """
     if os.sep in name_or_path or name_or_path.endswith(".species"):
         path = name_or_path
@@ -466,4 +471,10 @@ def load_species(name_or_path: str) -> Species:
             path = bundled_species_path(name)
     if not os.path.exists(path):
         raise SpeciesDataError(f"no species data file at {path}")
-    return Species(path)
+    with open(path, "rb") as fh:
+        content = fh.read()
+    species = _LOADED.get(hashlib.sha256(content).hexdigest())
+    if species is None:
+        species = Species(path, content)
+        species = _LOADED.setdefault(species.sha256, species)
+    return species

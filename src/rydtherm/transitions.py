@@ -105,16 +105,20 @@ def _columns(
     }
 
 
-def channel_alpha_au(table: TransitionTable, omega_au: float) -> np.ndarray:
+def channel_alpha_au(table: TransitionTable, omega_au) -> np.ndarray:
     """Each channel's contribution to the scalar polarizability at omega.
 
     alpha_ch(omega) = 2 omega_ch z^2 / (omega_ch^2 - omega^2); the pole at
     |omega_ch| is the caller's to handle (principal value or guard band).
-    ``float_power`` squares through libm pow, bit for bit like a Python
-    float's ``**`` (numpy's ``**`` may round the last bit differently).
+    ``omega_au`` is a float, or an array whose last axis broadcasts
+    against the channels.  ``float_power`` squares through libm pow, bit
+    for bit like a Python float's ``**`` (numpy's ``**`` and ``x * x`` may
+    round the last bit differently).
     """
     w = table.omega_au
-    return 2.0 * w * table.z2 / (np.float_power(w, 2) - omega_au**2)
+    return 2.0 * w * table.z2 / (
+        np.float_power(w, 2) - np.float_power(omega_au, 2)
+    )
 
 
 def dipole_rate_s(table: TransitionTable) -> np.ndarray:

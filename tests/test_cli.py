@@ -15,6 +15,7 @@ from rydtherm.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    _build_parser,
     main,
 )
 
@@ -58,6 +59,33 @@ def test_byte_identical_reruns(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["fig2", "--points", "50", "-o", str(a)]) == EXIT_OK
     assert main(["fig2", "--points", "50", "-o", str(b)]) == EXIT_OK
+    capsys.readouterr()
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    # --state appends: a list left on the shared parser would carry the
+    # first call's two states into the second call
+    code, out, _ = _run(capsys, "bbr", "--species", "sr",
+                        "--state", "25:3S1", "--state", "26:3S1")
+    assert code == EXIT_OK and len(_rows(out)) == 2
+    code, out, _ = _run(capsys, "bbr", "--species", "sr", "--state", "30:3S1")
+    assert code == EXIT_OK
+    assert [row["state"] for row in _rows(out)] == ["Sr 30 3S1"]
+
+
+def test_usage_error_between_calls_changes_no_output(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    argv = ["magic", "--species", "yb", "--n", "25", "--k-ratio", "0.5"]
+    assert main([*argv, "-o", str(a)]) == EXIT_OK
+    # parsed up to --photons, which argparse then refuses
+    bad = ["magic", "--species", "sr", "--n", "30", "--k-ratio", "0.25", "--photons", "3"]
+    assert main(bad) == EXIT_USAGE
+    assert main([*argv, "-o", str(b)]) == EXIT_OK
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
 

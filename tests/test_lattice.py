@@ -102,6 +102,26 @@ def test_lattice_alpha_negative_in_sr_bracket(sr):
         assert lattice_alpha_au(sr, units.wavelength_nm_to_omega_au(lam)) < 0.0
 
 
+@pytest.mark.parametrize("sp", ["sr", "yb"])
+def test_lattice_alpha_array_matches_scalar_calls(sp, request):
+    # the magic scan takes its 200 alphas from one array call; Brent's
+    # points are scalar calls, and both must agree to the last bit
+    species = request.getfixturevalue(sp)
+    lam_lo, lam_hi = species.magic_bracket_nm
+    grid = np.linspace(
+        units.wavelength_nm_to_omega_au(lam_hi),
+        units.wavelength_nm_to_omega_au(lam_lo),
+        SCAN_POINTS,
+    )
+    alphas = lattice_alpha_au(species, grid)
+    scalar = [lattice_alpha_au(species, w) for w in grid.tolist()]
+    assert all(type(a) is float for a in scalar)
+    assert np.array_equal(alphas, scalar)
+    assert np.array_equal(alphas, [lattice_alpha_au(species, w) for w in grid])
+    with pytest.raises(ValueError, match=">= 0"):
+        lattice_alpha_au(species, -grid)
+
+
 # (species, series, n, k_ratio, m_l, bracket_nm): Table-1 ends of both
 # species at two lattice angles, one orientation average, and a user
 # bracket wider than the Yb default that still holds no lattice line

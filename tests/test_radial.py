@@ -51,7 +51,7 @@ def test_normalization(hydrogen, solver):
 def test_wavefunction_decays_past_turning_point(hydrogen, solver):
     st = hydrogen.state(20, "1S0")
     sol = solver.solve(st)
-    x = sol.h * np.arange(sol.j_in, sol.j_out + 1)
+    x = solver.h * np.arange(sol.j_in, sol.j_out + 1)
     r = x * x
     u = sol.v * np.sqrt(x)  # same radial density weight on both sides
     peak = np.abs(u).max()
@@ -359,12 +359,12 @@ def _mesh_average_oracle(solver, state, order, q_au):
     from scipy import special
 
     sol = solver.solve(state)
-    x = sol.h * np.arange(sol.j_in, sol.j_out + 1)
+    x = solver.h * np.arange(sol.j_in, sol.j_out + 1)
     if order == 0:
         jn = np.sinc(q_au * x * x / math.pi)
     else:
         jn = special.spherical_jn(order, q_au * x * x)
-    return 2.0 * sol.h * float(np.trapezoid(sol.v * sol.v * x * x * jn))
+    return 2.0 * solver.h * float(np.trapezoid(sol.v * sol.v * x * x * jn))
 
 
 def _sin2_oracle(solver, state, k_au, m_l):

@@ -1,6 +1,7 @@
 """Species data files: parsing, validation, state construction."""
 
 import os
+import re
 import shutil
 
 import pytest
@@ -182,6 +183,38 @@ def test_caches_are_keyed_by_file_content(tmp_path, sr):
     assert shared > 0.0  # the bundled Sr value is about -1.6e10 a.u.
     assert (copy.name, copy.data_version) == (sr.name, sr.data_version)
     assert copy.sha256 != sr.sha256
+
+
+def test_one_species_per_file_content(tmp_path, sr):
+    assert load_species("sr") is load_species("Sr") is sr
+    path = tmp_path / "copy.species"
+    shutil.copy(bundled_species_path("sr"), path)
+    assert load_species(str(path)) is sr
+    # an edit in place is a new content: parsed anew, not served the old one
+    text = path.read_text(encoding="utf-8")
+    path.write_text(
+        text.replace("defect.3D1.mu0 = 2.658\n", "defect.3D1.mu0 = 2.50\n")
+    )
+    edited = load_species(str(path))
+    assert edited is not sr
+    assert edited.sha256 != sr.sha256
+    assert edited.series_info("3D1").mu0 == 2.50
+    assert load_species(str(path)) is edited
+
+
+def test_broken_file_raises_on_every_load(tmp_path):
+    good = open(bundled_species_path("sr"), encoding="utf-8").read()
+    broken = good.replace("ionization_limit_hartree =", "ionization_limit =")
+    assert broken != good
+    paths = [tmp_path / "a.species", tmp_path / "b.species"]
+    for path in paths:
+        path.write_text(broken)
+    for path in [*paths, *paths]:
+        where = re.escape(str(path))
+        with pytest.raises(SpeciesDataError, match=rf"^{where}:\d+: unknown key"):
+            load_species(str(path))
+    paths[0].write_text(good)
+    assert load_species(str(paths[0])) is load_species("sr")
 
 
 def test_missing_species_raises():
