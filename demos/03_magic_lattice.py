@@ -37,7 +37,7 @@ for n in (15, 20, 25, 30, 35, 40):
     root = pick_magic_root(solve_magic_wavelength(yb, st))
     print(f" {n:3d}   {root.wavelength_nm:10.1f}   {root.alpha_khz_per_kw_cm2:15.1f}"
           f"   {trap_depth(root, 10.0) / 1e3:18.0f}"
-          f"   {transition_wavelength(yb, st):14.1f}")
+          f"   {transition_wavelength(st):14.1f}")
 
 # %%
 # The strontium band

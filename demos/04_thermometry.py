@@ -79,7 +79,7 @@ print(f"\njoint solve: T = {joint.temperature_k:.4f} K"
 # correction?  ``leverage`` is the ratio of the thermometer's fractional
 # temperature signal to the clock's -- the whole point of the scheme.
 
-eb = error_budget(sr, st30, 1.7e-16, 300.0, linewidth_hz=3500.0)
+eb = error_budget(st30, 1.7e-16, 300.0, linewidth_hz=3500.0)
 print(f"\ntransition            : {eb.transition_id}")
 print(f"frequency             : {eb.transition_frequency_hz:.4e} Hz")
 print(f"target resolution     : {eb.target_resolution_hz:.3f} Hz"

@@ -60,7 +60,7 @@ import numpy as np
 from scipy import integrate, optimize, special
 
 from . import constants as kconst
-from .radial import RadialSolver, default_solver
+from .radial import RadialSolver
 from .species import RydbergState
 from .transitions import (
     DEFAULT_SPAN,
@@ -577,19 +577,14 @@ class LinewidthResult:
         return self.natural_hz + self.bbr_hz
 
 
-def natural_linewidth(
-    state: RydbergState, solver: RadialSolver | None = None
-) -> float:
+def natural_linewidth(state: RydbergState) -> float:
     """Natural (spontaneous) FWHM linewidth, Hz: sum of A over 2 pi."""
-    rates = einstein_a_s(downward_channels(state, solver))
+    rates = einstein_a_s(downward_channels(state))
     return math.fsum(rates.tolist()) / (2.0 * _PI)
 
 
 def bbr_depopulation_rate(
-    state: RydbergState,
-    temperature_k: float,
-    solver: RadialSolver | None = None,
-    span: int = DEFAULT_SPAN,
+    state: RydbergState, temperature_k: float, span: int = DEFAULT_SPAN
 ) -> float:
     """BBR-stimulated depopulation FWHM contribution, Hz.
 
@@ -601,9 +596,8 @@ def bbr_depopulation_rate(
     kt = kconst.KB_AU * temperature_k
     if kt == 0.0:
         return 0.0
-    solver = solver or default_solver()
-    down = downward_channels(state, solver)
-    table = build_transition_table(state, span, solver)
+    down = downward_channels(state)
+    table = build_transition_table(state, span)
     up = table.omega_au > 0
     rates = np.concatenate([einstein_a_s(down), dipole_rate_s(table)[up]])
     x = np.abs(np.concatenate([down.omega_au, table.omega_au[up]])) / kt
@@ -612,16 +606,12 @@ def bbr_depopulation_rate(
 
 
 def linewidths(
-    state: RydbergState,
-    temperature_k: float,
-    solver: RadialSolver | None = None,
-    span: int = DEFAULT_SPAN,
+    state: RydbergState, temperature_k: float, span: int = DEFAULT_SPAN
 ) -> LinewidthResult:
     """Natural + BBR-stimulated FWHM budget of one state, Hz."""
-    solver = solver or default_solver()
     return LinewidthResult(
         state_str=str(state),
         temperature_k=temperature_k,
-        natural_hz=natural_linewidth(state, solver),
-        bbr_hz=bbr_depopulation_rate(state, temperature_k, solver, span),
+        natural_hz=natural_linewidth(state),
+        bbr_hz=bbr_depopulation_rate(state, temperature_k, span),
     )

@@ -195,8 +195,6 @@ def _emit(
 
 
 def _fw_rows(args, species) -> list[list]:
-    if not args.y:
-        raise ValueError("fw: at least one --y value is required")
     if not all(math.isfinite(y) for y in args.y):
         raise ValueError("fw: --y values must be finite")
     rows = []
@@ -220,8 +218,6 @@ def _fig2_rows(args, species) -> list[list]:
 
 
 def _bbr_rows(args, species) -> list[list]:
-    if not args.state:
-        raise ValueError("bbr: at least one --state is required")
     routes = {"sum": (bbr_shift_sum,), "integral": (bbr_shift_integral,),
               "both": (bbr_shift_sum, bbr_shift_integral)}[args.route]
     rows = []
@@ -268,7 +264,7 @@ def _magic_rows(args, species) -> list[list]:
         state = species.state(n, series)
         roots = solve_magic_wavelength(species, state, k_ratio=args.k_ratio)
         root = pick_magic_root(roots)
-        lam_i = transition_wavelength(species, state, photons=photons)
+        lam_i = transition_wavelength(state, photons=photons)
         rows.append([n, series, root.wavelength_nm, root.alpha_khz_per_kw_cm2, lam_i,
                      root.sin2_value, root.residual_au, root.valid, *root.bracket_nm,
                      root.k_ratio, len(roots)])
@@ -281,8 +277,6 @@ def _table1_rows(args, species) -> list[list]:
 
 
 def _linewidth_rows(args, species) -> list[list]:
-    if not args.state:
-        raise ValueError("linewidth: at least one --state is required")
     rows = []
     for text in args.state:
         state = _parse_state(species, text)
@@ -316,10 +310,8 @@ _SOLUTION_HEADER = ("temperature_k", "sigma_temperature_k", "field_v_per_m",
 def _thermo_solve_rows(args, species) -> list[list]:
     """thermo invert (one measurement) or thermo joint (a CSV of them)."""
     joint = args.thermo_command == "joint"
-    if args.measurements:
+    if joint or args.measurements:
         meas = _read_measurements(species, args.measurements)
-    elif joint:
-        raise ValueError("thermo joint: --measurements CSV is required")
     elif args.state is None or args.offset_hz is None or args.sigma_hz is None:
         raise ValueError(
             "thermo invert: need --measurements or all of "
@@ -343,7 +335,7 @@ def _thermo_solve_rows(args, species) -> list[list]:
 def _thermo_budget_rows(args, species) -> list[list]:
     state = _parse_state(species, args.state)
     lower = _parse_state(species, args.lower_state) if args.lower_state else None
-    eb = error_budget(species, state, args.fractional, args.temperature, lower=lower,
+    eb = error_budget(state, args.fractional, args.temperature, lower=lower,
                       linewidth_hz=args.linewidth_hz, span=args.span)
     return [[eb.transition_id, eb.temperature_k, eb.transition_frequency_hz,
              eb.fractional_accuracy, eb.target_resolution_hz, eb.sensitivity_hz_per_k,
@@ -444,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fw", parents=[common], help="thermal kernel point values")
-    p.add_argument("--y", type=float, action="append",
+    p.add_argument("--y", type=float, action="append", required=True,
                    help="normalized frequency; repeatable")
 
     p = sub.add_parser("fig2", parents=[common], help="thermal kernel curve")
@@ -454,7 +446,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--linear", action="store_true", help="linear grid (default log)")
 
     p = sub.add_parser("bbr", parents=[common], help="BBR Stark shift of states")
-    p.add_argument("--state", action="append", help="n:series, e.g. 30:3S1; repeatable")
+    p.add_argument("--state", action="append", required=True,
+                   help="n:series, e.g. 30:3S1; repeatable")
     p.add_argument("--route", choices=["sum", "integral", "both"], default="sum")
 
     p = sub.add_parser(
@@ -484,14 +477,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("linewidth", parents=[common],
                        help="natural + BBR linewidths")
-    p.add_argument("--state", action="append", help="n:series; repeatable")
+    p.add_argument("--state", action="append", required=True,
+                   help="n:series; repeatable")
 
     p = sub.add_parser("thermo", parents=[], help="thermometry solvers")
     tsub = p.add_subparsers(dest="thermo_command", required=True)
     for name in ("invert", "joint", "budget"):
         tp = tsub.add_parser(name, parents=[common])
         if name in ("invert", "joint"):
-            tp.add_argument("--measurements",
+            tp.add_argument("--measurements", required=name == "joint",
                             help="CSV with columns state,offset_hz,sigma_hz")
             tp.add_argument("--seed", type=float, default=300.0,
                             help="temperature seed in K [300]")

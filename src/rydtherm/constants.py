@@ -40,22 +40,14 @@ _V = _load()
 
 # SI values
 C_SI = _V["speed_of_light_m_per_s"]
-H_SI = _V["planck_constant_j_s"]
-HBAR_SI = H_SI / (2.0 * 3.141592653589793)
 KB_SI = _V["boltzmann_constant_j_per_k"]
-E_CHARGE_SI = _V["elementary_charge_c"]
 EPS0_SI = _V["vacuum_permittivity_f_per_m"]
 HARTREE_J = _V["hartree_energy_j"]
 HARTREE_HZ = _V["hartree_frequency_hz"]
-HARTREE_INV_CM = _V["hartree_inv_cm"]
 BOHR_M = _V["bohr_radius_m"]
 ATOMIC_TIME_S = _V["atomic_time_s"]
 ATOMIC_FIELD_V_PER_M = _V["atomic_field_v_per_m"]
-ELECTRON_MASS_KG = _V["electron_mass_kg"]
 ELECTRON_MASS_U = _V["electron_mass_u"]
-AMU_KG = _V["atomic_mass_unit_kg"]
-RYDBERG_INV_M = _V["rydberg_constant_inv_m"]
-FINE_STRUCTURE = _V["fine_structure_constant"]
 
 # atomic units
 C_AU = _V["inverse_fine_structure"]     # speed of light = 1/alpha

@@ -48,7 +48,7 @@ from scipy import optimize
 
 from . import constants as kconst
 from . import units
-from .radial import RadialSolver, sin2_matrix_element
+from .radial import sin2_matrix_element
 from .species import RydbergState, Species
 from .transitions import TransitionTable, channel_alpha_au, species_line_table
 
@@ -111,22 +111,22 @@ def solve_magic_wavelength(
     species: Species,
     state: RydbergState,
     k_ratio: float = 1.0,
-    bracket_nm: tuple[float, float] | None = None,
     m_l: int | None = 0,
-    solver: RadialSolver | None = None,
     include_orbit_average: bool = True,
 ) -> list[MagicResult]:
     """All magic-lattice roots for the metastable -> ``state`` transition.
 
     Solves alpha(omega) + (1 - 2<sin^2(k x)>)/omega^2 = 0 with
-    k = k_ratio * omega / c, scanning ``bracket_nm`` (species default when
-    omitted) on SCAN_POINTS evenly spaced frequencies and refining each
-    sign change by Brent bracketing to 1e-12 relative in omega.  Roots
-    with alpha >= 0 are flagged invalid rather than dropped.
+    k = k_ratio * omega / c, scanning the species file's magic bracket
+    (``magic.bracket_nm_low/high``; search another range with an edited
+    copy of the file) on SCAN_POINTS evenly spaced frequencies and
+    refining each sign change by Brent bracketing to 1e-12 relative in
+    omega.  Roots with alpha >= 0 are flagged invalid rather than dropped.
     ``include_orbit_average=False`` zeroes <sin^2> (the point-dipole
-    approximation) for consistency checks.  Raises MagicSolverError when a
-    lattice-model resonance sits inside the bracket or no sign change is
-    found.
+    approximation) for consistency checks.  Raises ValueError when
+    ``state`` belongs to another species file than ``species`` or the file
+    has no magic bracket, and MagicSolverError when a lattice-model
+    resonance sits inside the bracket or no sign change is found.
 
     Signs on the scan come from a proxy: <sin^2> is replaced by its
     Chebyshev interpolant through _FIT_NODES exact orbit averages, with an
@@ -140,17 +140,13 @@ def solve_magic_wavelength(
     A poor fit (a very wide bracket, say) has a larger bound and more
     exact points; at worst every point is exact.
     """
+    species.check_states(state)
     if not 0.0 < k_ratio <= 1.0:
         raise ValueError(f"k_ratio must lie in (0, 1], got {k_ratio}")
+    bracket_nm = species.magic_bracket_nm
     if bracket_nm is None:
-        bracket_nm = species.magic_bracket_nm
-        if bracket_nm is None:
-            raise ValueError(
-                f"{species.name}: no magic-bracket default in species file"
-            )
+        raise ValueError(f"{species.name}: no magic bracket in species file")
     lam_lo, lam_hi = bracket_nm
-    if not 0 < lam_lo < lam_hi:
-        raise ValueError(f"bad bracket {bracket_nm}")
     w_lo = units.wavelength_nm_to_omega_au(lam_hi)
     w_hi = units.wavelength_nm_to_omega_au(lam_lo)
     for w in np.abs(_lattice_table(species).omega_au).tolist():
@@ -164,9 +160,7 @@ def solve_magic_wavelength(
     def orbit_s(w: float) -> float:
         if not include_orbit_average:
             return 0.0
-        return sin2_matrix_element(
-            state, k_ratio * w / kconst.C_AU, m_l=m_l, solver=solver
-        )
+        return sin2_matrix_element(state, k_ratio * w / kconst.C_AU, m_l=m_l)
 
     # exact values for this solve only: Brent's endpoints and the root's
     # final alpha and <sin^2> reuse the scan's evaluations
@@ -253,13 +247,15 @@ def trap_depth(magic: MagicResult, intensity_kw_cm2: float) -> float:
     return abs(magic.alpha_khz_per_kw_cm2) * intensity_kw_cm2 * 1.0e3
 
 
-def transition_energy_au(species: Species, state: RydbergState) -> float:
-    """Energy of the metastable -> ``state`` transition, hartree.
+def transition_energy_au(state: RydbergState) -> float:
+    """Energy of the metastable -> ``state`` transition of the state's
+    species, hartree.
 
     The metastable level is placed via the measured clock frequency above
     the ground state; the Rydberg level via its quantum-defect binding
     energy below the ionization limit.
     """
+    species = state.species
     if species.clock_frequency_hz is None:
         raise ValueError(f"{species.name}: no clock frequency in species file")
     e_meta = units.frequency_hz_to_omega_au(species.clock_frequency_hz)
@@ -272,17 +268,14 @@ def transition_energy_au(species: Species, state: RydbergState) -> float:
     return delta_e
 
 
-def transition_wavelength(
-    species: Species, state: RydbergState, photons: int = 2
-) -> float:
-    """Drive wavelength [nm] for metastable -> ``state``, per photon.
+def transition_wavelength(state: RydbergState, photons: int = 2) -> float:
+    """Drive wavelength [nm] from the metastable state of the state's
+    species to ``state``, per photon.
 
     ``photons = 2`` gives the two-photon drive wavelength (each photon
     carries half the transition energy).
     """
     if photons not in (1, 2):
         raise ValueError(f"photons must be 1 or 2, got {photons}")
-    return photons * units.omega_au_to_wavelength_nm(
-        transition_energy_au(species, state)
-    )
+    return photons * units.omega_au_to_wavelength_nm(transition_energy_au(state))
 

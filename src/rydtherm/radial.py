@@ -169,8 +169,15 @@ class _Mesh:
 
 
 class RadialSolver:
-    """Solves radial wavefunctions and matrix elements on one mesh; caches
-    what is built on it (solutions, transition tables, downward channels)."""
+    """Solves radial wavefunctions and matrix elements on one mesh of step
+    ``h``; caches what is built on it (solutions, transition tables,
+    downward channels).
+
+    Every function of the package works on the shared ``default_solver()``
+    unless it takes a ``solver=`` and is given one: a fresh solver starts
+    from empty caches (a cold benchmark round), and another ``h`` is for
+    mesh-convergence checks.
+    """
 
     def __init__(self, h: float = DEFAULT_MESH_STEP):
         self.h = h
@@ -308,13 +315,11 @@ def default_solver() -> RadialSolver:
 
 
 def sin2_matrix_element(
-    state: RydbergState,
-    k_au: float,
-    m_l: int | None = 0,
-    solver: RadialSolver | None = None,
+    state: RydbergState, k_au: float, m_l: int | None = 0
 ) -> float:
     """<sin^2(k x_e)> of the electron about the core at a field node, for a
-    lattice of wavenumber k (atomic units); in [0, 1].
+    lattice of wavenumber k (atomic units); in [0, 1].  The orbit averages
+    come from ``default_solver()``.
 
     The lattice axis is the quantization axis.  ``m_l`` selects the orbital
     alignment relative to it: the default 0 matches the published
@@ -328,7 +333,7 @@ def sin2_matrix_element(
         raise ValueError(f"wavenumber must be >= 0, got {k_au}")
     if k_au == 0.0:
         return 0.0
-    solver = solver or default_solver()
+    solver = default_solver()
     l = state.L
     if m_l is None or l == 0:
         return 0.5 * (1.0 - solver.j0_average(state, 2.0 * k_au))

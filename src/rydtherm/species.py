@@ -433,6 +433,17 @@ class Species:
             raise SpeciesDataError(f"{self.name}: no metastable state defined")
         return self.state(self._metastable[1], self._metastable[0])
 
+    def check_states(self, *states: RydbergState) -> None:
+        """Raise ValueError unless every state comes from this species file
+        (compared by content, so an edited copy is another species)."""
+        for state in states:
+            if state.species.sha256 != self.sha256:
+                raise ValueError(
+                    f"{state} is a state of another species file than "
+                    f"this {self.name} (sha256 {state.species.sha256[:12]} "
+                    f"vs {self.sha256[:12]})"
+                )
+
     def state_role(self, state: RydbergState) -> str | None:
         """'ground' / 'metastable' if the state is one of the two, else None."""
         if (state.series, state.n) == self._ground:

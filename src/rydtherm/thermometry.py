@@ -106,9 +106,12 @@ def transition_bbr_shift(
 
     ``lower`` defaults to the species' metastable clock state.  With
     ``derivative=True`` returns (shift in Hz, d(shift)/dT in Hz/K).
+    Raises ValueError when ``upper`` or ``lower`` belongs to another
+    species file than ``species``.
     """
     if lower is None:
         lower = species.metastable_state()
+    species.check_states(upper, lower)
     up = bbr_shift_sum(upper, temperature_k, span=span, solver=solver)
     lo = bbr_shift_sum(lower, temperature_k, span=span, solver=solver)
     shift = up.shift_hz - lo.shift_hz
@@ -351,21 +354,21 @@ class ErrorBudget:
 
 
 def error_budget(
-    species: Species,
     upper: RydbergState,
     fractional_accuracy: float,
     temperature_k: float,
     lower: RydbergState | None = None,
     linewidth_hz: float | None = None,
     span: int = DEFAULT_SPAN,
-    solver: RadialSolver | None = None,
 ) -> ErrorBudget:
     """Full error chain for a BBR thermometry transition.
 
     fractional accuracy -> Hz resolution -> temperature uncertainty via
     the transition's BBR sensitivity -> clock BBR uncertainty via the
-    species' clock sensitivity constant.  ``linewidth_hz`` overrides the
-    computed total transition linewidth (e.g. to budget against an
+    clock sensitivity constant of the species of ``upper``.  ``lower``
+    defaults to that species' metastable state and must come from the
+    same species file (ValueError otherwise).  ``linewidth_hz`` overrides
+    the computed total transition linewidth (e.g. to budget against an
     externally specified line).  The fractional accuracy must lie in
     (0, 1); the linewidth, when given, must be finite and > 0; the two
     states must differ, and differ in energy; and the transition's BBR
@@ -380,22 +383,19 @@ def error_budget(
         math.isfinite(linewidth_hz) and linewidth_hz > 0
     ):
         raise ValueError(f"linewidth must be finite and > 0, got {linewidth_hz}")
+    species = upper.species
     lower_state = species.metastable_state() if lower is None else lower
     tid = _transition_label(lower_state, upper)
     if upper == lower_state:
         raise ValueError(f"{tid}: the two states are the same")
     if lower is None:
-        nu_hz = transition_energy_au(species, upper) * kconst.HARTREE_HZ
-        lower_width = 0.0  # metastable: mHz-scale, negligible here
+        nu_hz = transition_energy_au(upper) * kconst.HARTREE_HZ
     else:
         nu_hz = abs(lower.binding_au - upper.binding_au) * kconst.HARTREE_HZ
         if nu_hz == 0.0:
             raise ValueError(f"{tid}: the two states are degenerate")
-        lw = linewidths(lower, temperature_k, span=span, solver=solver)
-        lower_width = lw.total_hz
     _, sens = transition_bbr_shift(
-        species, upper, temperature_k, lower=lower, span=span, solver=solver,
-        derivative=True,
+        species, upper, temperature_k, lower=lower, span=span, derivative=True
     )
     if sens == 0.0:
         raise ValueError(
@@ -405,8 +405,9 @@ def error_budget(
     target_hz = fractional_accuracy * nu_hz
     sigma_t = abs(target_hz / sens)
     if linewidth_hz is None:
-        up_w = linewidths(upper, temperature_k, span=span, solver=solver)
-        linewidth_hz = up_w.total_hz + lower_width
+        linewidth_hz = linewidths(upper, temperature_k, span=span).total_hz
+        if lower is not None:  # a metastable width is mHz-scale: left out
+            linewidth_hz += linewidths(lower, temperature_k, span=span).total_hz
     split = target_hz / linewidth_hz if linewidth_hz > 0 else math.inf
 
     clock_frac: float | None = None

@@ -293,11 +293,10 @@ def channel_table(
     return build_transition_table(state, span, solver)
 
 
-def downward_channels(
-    state: RydbergState, solver: RadialSolver | None = None
-) -> TransitionTable:
-    """Every dipole channel below the state, regardless of span."""
-    solver = solver or default_solver()
+def downward_channels(state: RydbergState) -> TransitionTable:
+    """Every dipole channel below the state, regardless of span (cached on
+    ``default_solver()``)."""
+    solver = default_solver()
     return solver.cached(
         ("downward", state._key), lambda: _build_downward(state, solver)
     )

@@ -183,7 +183,7 @@ def test_c07_magic_wavelength_table(sr, yb):
     for n, (lam_pub, alpha_pub, lam_i_pub) in _PUBLISHED_YB_TABLE.items():
         st = yb.state(n, "3P0")
         root = pick_magic_root(solve_magic_wavelength(yb, st))
-        lam_i = transition_wavelength(yb, st, photons=2)
+        lam_i = transition_wavelength(st, photons=2)
         rows.append((n, root.wavelength_nm, root.alpha_khz_per_kw_cm2, lam_i))
         assert root.wavelength_nm == pytest.approx(lam_pub, rel=0.02), n
         assert root.alpha_khz_per_kw_cm2 == pytest.approx(alpha_pub, rel=0.20), n
@@ -291,7 +291,7 @@ def test_c11_thermometry_chain(sr):
         offset -= 0.5 * static_polarizability(st).value_hz_m2_v2 * 25.0
         meas.append(ThermometryMeasurement(st, offset, 0.16))
     joint = joint_solve_temperature_field(meas)
-    eb = error_budget(sr, st30, 1.7e-16, 300.0, linewidth_hz=3500.0)
+    eb = error_budget(st30, 1.7e-16, 300.0, linewidth_hz=3500.0)
     _report(
         "11",
         f"inversion worst error {worst_mk:.3f} mK; joint "

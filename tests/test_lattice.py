@@ -5,7 +5,7 @@ import pytest
 from scipy import optimize
 
 from rydtherm import constants as k
-from rydtherm import lattice, units
+from rydtherm import lattice, load_species, units
 from rydtherm.lattice import (
     SCAN_POINTS,
     MagicResult,
@@ -18,6 +18,24 @@ from rydtherm.lattice import (
     trap_depth,
 )
 from rydtherm.radial import sin2_matrix_element
+from rydtherm.species import bundled_species_path
+
+
+def _with_bracket(species, bracket_nm, tmp_path):
+    """A copy of the species' bundled file whose magic bracket is
+    ``bracket_nm``: the solver searches only the file's bracket."""
+    name = species.name.lower()
+    text = open(bundled_species_path(name), encoding="utf-8").read()
+    old = "magic.bracket_nm_low = %g\nmagic.bracket_nm_high = %g\n" % (
+        species.magic_bracket_nm
+    )
+    assert old in text
+    new = "magic.bracket_nm_low = %r\nmagic.bracket_nm_high = %r\n" % bracket_nm
+    path = tmp_path / f"{name}.species"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    copy = load_species(str(path))
+    assert copy.magic_bracket_nm == bracket_nm
+    return copy
 
 
 def test_magic_root_yb_published_row(yb):
@@ -52,12 +70,22 @@ def test_orbit_average_moves_the_root(yb):
     assert dipole.wavelength_nm - full.wavelength_nm > 30.0
 
 
-def test_magic_solver_error_paths(yb):
-    st = yb.state(40, "3P0")
-    with pytest.raises(MagicSolverError, match="no magic root"):
-        solve_magic_wavelength(yb, st, bracket_nm=(2000.0, 2200.0))
-    with pytest.raises(MagicSolverError, match="resonance"):
-        solve_magic_wavelength(yb, st, bracket_nm=(1300.0, 1500.0))
+def test_magic_solver_error_paths(yb, tmp_path):
+    for bracket, match in (((2000.0, 2200.0), "no magic root"),
+                           ((1300.0, 1500.0), "resonance")):
+        copy = _with_bracket(yb, bracket, tmp_path)
+        with pytest.raises(MagicSolverError, match=match):
+            solve_magic_wavelength(copy, copy.state(40, "3P0"))
+
+
+def test_magic_solver_rejects_a_state_of_another_species(sr, yb, tmp_path):
+    # the lattice model is the species' and the orbit the state's: a state
+    # of another atom, or of an edited copy of the same file, is refused
+    with pytest.raises(ValueError, match="another species file"):
+        solve_magic_wavelength(yb, sr.state(30, "3D1"))
+    copy = _with_bracket(yb, (1100.0, 1300.0), tmp_path)
+    with pytest.raises(ValueError, match="another species file"):
+        solve_magic_wavelength(copy, yb.state(25, "3P0"))
 
 
 def test_sr_magic_band(sr):
@@ -77,24 +105,24 @@ def test_trap_depth_linear_in_intensity(yb):
 
 def test_ionization_wavelengths(sr, yb):
     # two-photon drive from the Yb metastable state
-    assert transition_wavelength(yb, yb.state(15, "3P0"), photons=2) == pytest.approx(
+    assert transition_wavelength(yb.state(15, "3P0"), photons=2) == pytest.approx(
         620.2, rel=5e-3
     )
-    assert transition_wavelength(yb, yb.state(40, "3P0"), photons=2) == pytest.approx(
+    assert transition_wavelength(yb.state(40, "3P0"), photons=2) == pytest.approx(
         604.8, rel=5e-3
     )
     # one-photon drive from the Sr metastable state stays in the UV
-    lam = transition_wavelength(sr, sr.state(25, "3D1"), photons=1)
+    lam = transition_wavelength(sr.state(25, "3D1"), photons=1)
     assert 300.0 < lam < 325.0
     with pytest.raises(ValueError):
-        transition_wavelength(sr, sr.state(25, "3D1"), photons=3)
+        transition_wavelength(sr.state(25, "3D1"), photons=3)
 
 
 def test_transition_energy_positive(sr):
-    e = transition_energy_au(sr, sr.state(25, "3D1"))
+    e = transition_energy_au(sr.state(25, "3D1"))
     assert e > 0.0
     # higher n: less binding left to pay, larger photon energy
-    assert transition_energy_au(sr, sr.state(40, "3D1")) > e
+    assert transition_energy_au(sr.state(40, "3D1")) > e
 
 
 def test_lattice_alpha_negative_in_sr_bracket(sr):
@@ -123,8 +151,9 @@ def test_lattice_alpha_array_matches_scalar_calls(sp, request):
 
 
 # (species, series, n, k_ratio, m_l, bracket_nm): Table-1 ends of both
-# species at two lattice angles, one orientation average, and a user
-# bracket wider than the Yb default that still holds no lattice line
+# species at two lattice angles, one orientation average, and a copy of
+# the Yb file with a bracket wider than its own that still holds no
+# lattice line
 _SCAN_CASES = [
     (sp, series, n, k_ratio, 0, None)
     for sp, series in (("yb", "3P0"), ("sr", "3D1"))
@@ -141,9 +170,16 @@ def _case_id(case):
     return f"{sp}-{n}-{series}-k{k_ratio}-ml{m_l}-{bracket or 'default'}"
 
 
-def _exact_scan(species, state, k_ratio, m_l, bracket_nm):
+def _case_species(case, request, tmp_path):
+    """The case's species: the bundled file, or a copy with its bracket."""
+    sp, _, _, _, _, bracket = case
+    species = request.getfixturevalue(sp)
+    return species if bracket is None else _with_bracket(species, bracket, tmp_path)
+
+
+def _exact_scan(species, state, k_ratio, m_l):
     """Magic roots from the exact residual at every one of the scan points."""
-    lam_lo, lam_hi = bracket_nm or species.magic_bracket_nm
+    lam_lo, lam_hi = species.magic_bracket_nm
 
     def parts(w):
         s = sin2_matrix_element(state, k_ratio * w / k.C_AU, m_l=m_l)
@@ -187,21 +223,19 @@ def _exact_scan(species, state, k_ratio, m_l, bracket_nm):
 
 
 @pytest.mark.parametrize("case", _SCAN_CASES, ids=_case_id)
-def test_magic_scan_matches_exact_scan(case, request):
+def test_magic_scan_matches_exact_scan(case, request, tmp_path):
     # the proxy scan decides signs from a Chebyshev fit of <sin^2>; every
     # root must still equal, field for field, the all-exact scan's
-    sp, series, n, k_ratio, m_l, bracket = case
-    species = request.getfixturevalue(sp)
+    _, series, n, k_ratio, m_l, _ = case
+    species = _case_species(case, request, tmp_path)
     state = species.state(n, series)
-    roots = solve_magic_wavelength(
-        species, state, k_ratio=k_ratio, bracket_nm=bracket, m_l=m_l
-    )
+    roots = solve_magic_wavelength(species, state, k_ratio=k_ratio, m_l=m_l)
     assert roots
-    assert roots == _exact_scan(species, state, k_ratio, m_l, bracket)
+    assert roots == _exact_scan(species, state, k_ratio, m_l)
 
 
 @pytest.mark.parametrize("case", _SCAN_CASES, ids=_case_id)
-def test_magic_scan_orbit_average_count(case, request, monkeypatch):
+def test_magic_scan_orbit_average_count(case, request, tmp_path, monkeypatch):
     # the wrapped name is the one perfbench traces as lattice.sin2; the
     # all-exact scan makes about 207 calls per solve
     calls = 0
@@ -212,15 +246,9 @@ def test_magic_scan_orbit_average_count(case, request, monkeypatch):
         return sin2_matrix_element(*args, **kwargs)
 
     monkeypatch.setattr(lattice, "sin2_matrix_element", counted)
-    sp, series, n, k_ratio, m_l, bracket = case
-    species = request.getfixturevalue(sp)
-    solve_magic_wavelength(
-        species,
-        species.state(n, series),
-        k_ratio=k_ratio,
-        bracket_nm=bracket,
-        m_l=m_l,
-    )
+    _, series, n, k_ratio, m_l, _ = case
+    species = _case_species(case, request, tmp_path)
+    solve_magic_wavelength(species, species.state(n, series), k_ratio=k_ratio, m_l=m_l)
     assert lattice._FIT_NODES <= calls <= 30
 
 

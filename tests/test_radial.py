@@ -145,10 +145,10 @@ def test_order_zero_average_is_one_pair_integral(sr, monkeypatch):
     # call would be a second nested span for the same integral
     st = sr.state(30, "3D1")
     q = 5.2e-4
-    fresh = RadialSolver()
+    solver = default_solver()
     before = (
-        fresh.bessel_average(st, 0, q),
-        sin2_matrix_element(st, q / 2, m_l=0, solver=fresh),
+        solver.bessel_average(st, 0, q),
+        sin2_matrix_element(st, q / 2, m_l=0),
     )
 
     def second_span(*args):
@@ -156,8 +156,8 @@ def test_order_zero_average_is_one_pair_integral(sr, monkeypatch):
 
     monkeypatch.setattr(RadialSolver, "j0_average", second_span)
     after = (
-        fresh.bessel_average(st, 0, q),
-        sin2_matrix_element(st, q / 2, m_l=0, solver=fresh),
+        solver.bessel_average(st, 0, q),
+        sin2_matrix_element(st, q / 2, m_l=0),
     )
     assert after == before
 
@@ -403,22 +403,22 @@ def test_orbit_averages_match_mesh_oracle(species_name, series, sr, yb):
     # up to rydberg_n_max and out to k = 0.2 a.u., where q r reaches the
     # hundreds and only the recurrence region carries the tail
     sp = {"sr": sr, "yb": yb}[species_name]
-    fresh = RadialSolver()
+    solver = default_solver()  # the one sin2_matrix_element reads
     for n in (15, 30, 50, 80):
         st = sp.state(n, series)
         for k_au in _lattice_wavenumbers():
             q = 2.0 * k_au
             for order in (0, 2, 4):
-                want = _mesh_average_oracle(fresh, st, order, q)
+                want = _mesh_average_oracle(solver, st, order, q)
                 got = (
-                    fresh.j0_average(st, q)
+                    solver.j0_average(st, q)
                     if order == 0
-                    else fresh.bessel_average(st, order, q)
+                    else solver.bessel_average(st, order, q)
                 )
                 assert got == pytest.approx(want, rel=0.0, abs=1e-14), (st, k_au, order)
             for m_l in (0, None):
-                want = _sin2_oracle(fresh, st, k_au, m_l)
-                got = sin2_matrix_element(st, k_au, m_l=m_l, solver=fresh)
+                want = _sin2_oracle(solver, st, k_au, m_l)
+                got = sin2_matrix_element(st, k_au, m_l=m_l)
                 assert got == pytest.approx(want, rel=0.0, abs=1e-14), (st, k_au, m_l)
 
 

@@ -265,7 +265,7 @@ def test_measurement_budget_cycles():
 
 def test_error_budget_chain(sr):
     eb = error_budget(
-        sr, sr.state(30, "3D1"), 1.7e-16, 300.0, linewidth_hz=3500.0
+        sr.state(30, "3D1"), 1.7e-16, 300.0, linewidth_hz=3500.0
     )
     assert eb.transition_id == "Sr 5 3P0 -> 30 3D1"
     assert eb.transition_frequency_hz == pytest.approx(9.434e14, rel=1e-3)
@@ -277,14 +277,14 @@ def test_error_budget_chain(sr):
 
 
 def test_error_budget_computes_linewidth_when_not_given(sr):
-    eb = error_budget(sr, sr.state(30, "3D1"), 1.7e-16, 300.0)
+    eb = error_budget(sr.state(30, "3D1"), 1.7e-16, 300.0)
     assert eb.total_linewidth_hz > 100.0
     assert 0.0 < eb.line_split_factor < 1.0
 
 
 def test_error_budget_rydberg_rydberg_route(sr):
     eb = error_budget(
-        sr, sr.state(40, "3D1"), 1.0e-13, 300.0, lower=sr.state(40, "3P0")
+        sr.state(40, "3D1"), 1.0e-13, 300.0, lower=sr.state(40, "3P0")
     )
     assert eb.transition_id == "Sr 40 3P0 -> 40 3D1"
     # microwave-scale interval
@@ -303,21 +303,39 @@ def test_error_budget_at_zero_temperature_names_zero_sensitivity(sr, lower):
     lower_state = sr.state(*lower) if lower else None
     assert _sensitivity(sr, sr.state(30, "3D1"), 0.0) == 0.0
     with pytest.raises(ValueError, match="sensitivity is zero at 0 K"):
-        error_budget(sr, sr.state(30, "3D1"), 1.7e-16, 0.0, lower=lower_state)
+        error_budget(sr.state(30, "3D1"), 1.7e-16, 0.0, lower=lower_state)
 
 
 def test_error_budget_validation(sr, hydrogen):
     with pytest.raises(ValueError):
-        error_budget(sr, sr.state(30, "3D1"), -1.0, 300.0)
+        error_budget(sr.state(30, "3D1"), -1.0, 300.0)
     # no transition: one state twice (the default lower state is the
     # metastable one), or two degenerate states
     same = sr.state(30, "3D1")
     with pytest.raises(ValueError, match="the same"):
-        error_budget(sr, same, 1e-16, 300.0, lower=same)
+        error_budget(same, 1e-16, 300.0, lower=same)
     with pytest.raises(ValueError, match="the same"):
-        error_budget(sr, sr.metastable_state(), 1e-16, 300.0)
+        error_budget(sr.metastable_state(), 1e-16, 300.0)
     with pytest.raises(ValueError, match="degenerate"):
         error_budget(
-            hydrogen, hydrogen.state(30, "1S0"), 1e-13, 300.0,
+            hydrogen.state(30, "1S0"), 1e-13, 300.0,
             lower=hydrogen.state(30, "1P1"),
         )
+
+
+@pytest.mark.parametrize("call", ["upper", "lower", "budget"])
+def test_transition_of_two_species_is_refused(sr, yb, call):
+    # a transition lies within one atom: a state of another species file,
+    # upper or lower, raises instead of mixing two atoms' shifts
+    st = sr.state(30, "3D1")
+    run = {
+        "upper": lambda: transition_bbr_shift(yb, st, 300.0),
+        "lower": lambda: transition_bbr_shift(
+            sr, st, 300.0, lower=yb.metastable_state()
+        ),
+        "budget": lambda: error_budget(
+            st, 1.7e-16, 300.0, lower=yb.state(30, "3S1")
+        ),
+    }[call]
+    with pytest.raises(ValueError, match="another species file"):
+        run()

@@ -1,7 +1,8 @@
 """Repository tooling: the tracer's layer targets must exist in the package,
-the committed benchmark records must match the benchmark's declaration, and
-every public definition and field in the package must have a reader outside
-the tests.
+the benchmark's calls into the package must bind to its signatures, the
+committed benchmark records must match the benchmark's declaration, and
+every public definition, constant and field in the package must have a
+reader outside the tests.
 
 ``perfbench/run.py --trace 1`` patches these functions by name; a renamed
 or deleted target would otherwise only show as a missing layer count.
@@ -11,6 +12,7 @@ import ast
 import glob
 import importlib
 import importlib.util
+import inspect
 import os
 
 ROOT = os.path.dirname(os.path.dirname(__file__))
@@ -41,6 +43,51 @@ def test_tracer_targets_resolve():
             assert hasattr(obj, part), f"{module_name}.{attr}"
             obj = getattr(obj, part)
         assert callable(obj), f"{module_name}.{attr}"
+
+
+def _perfbench_calls():
+    """(file:line, attribute path, positional count, keyword names) of every
+    call ``perfbench/*.py`` makes through ``self.R.`` or ``rydtherm.``, the
+    two names its workloads give the package."""
+    for path, tree in _trees(["perfbench"]):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            parts, func = [], node.func
+            while isinstance(func, ast.Attribute):
+                parts.append(func.attr)
+                func = func.value
+            if not isinstance(func, ast.Name):
+                continue
+            if func.id == "self" and parts[-1:] == ["R"]:
+                parts.pop()
+            elif func.id != "rydtherm":
+                continue
+            where = f"{os.path.basename(path)}:{node.lineno}"
+            assert not any(isinstance(a, ast.Starred) for a in node.args), where
+            assert all(kw.arg is not None for kw in node.keywords), where
+            yield (where, parts[::-1], len(node.args),
+                   [kw.arg for kw in node.keywords])
+
+
+def test_perfbench_calls_bind_to_the_package():
+    # the benchmark runs unchanged against every commit: a renamed or
+    # removed parameter it passes would only show as failed items
+    import rydtherm
+    import rydtherm.cli  # noqa: F401  (the magic workload calls it)
+
+    calls = list(_perfbench_calls())
+    called = {".".join(parts) for _, parts, _, _ in calls}
+    assert {"bbr_shift_sum", "transition_bbr_shift", "solve_magic_wavelength",
+            "cli.main"} <= called
+    for where, parts, n_args, keywords in calls:
+        obj = rydtherm
+        for part in parts:
+            obj = getattr(obj, part)
+        try:
+            inspect.signature(obj).bind(*range(n_args), **dict.fromkeys(keywords))
+        except TypeError as exc:
+            raise AssertionError(f"{where}: {'.'.join(parts)}: {exc}") from None
 
 
 def test_bench_records_match_benchmark():
@@ -89,14 +136,24 @@ def _public_classes():
 
 
 def _public_definitions():
-    """Public module-level functions and classes of ``src/rydtherm/*.py``,
-    and the public methods of those classes, as "module: name" -> name."""
+    """Public module-level functions, classes and UPPER_CASE constants of
+    ``src/rydtherm/*.py``, and the public methods of those classes, as
+    "module: name" -> name."""
     defs = {}
     for path, tree in _trees([os.path.join("src", "rydtherm")]):
         module = os.path.basename(path)
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 defs[f"{module}: {node.name}"] = node.name
+            targets = (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target] if isinstance(node, ast.AnnAssign)
+                else []
+            )
+            for target in targets:
+                name = getattr(target, "id", "")
+                if name.isupper() and not name.startswith("_"):
+                    defs[f"{module}: {name}"] = name
     for module, node in _public_classes():
         defs[f"{module}: {node.name}"] = node.name
         for sub in node.body:
@@ -127,14 +184,15 @@ def _public_fields():
 
 
 def _identifiers_read():
-    """Every Name and Attribute identifier in the code outside ``tests/``.
-    Imports, strings and docstrings are not reads."""
+    """Every Name and Attribute identifier read (``Load`` context) in the
+    code outside ``tests/``.  Imports, assignment targets, strings and
+    docstrings are not reads."""
     names = set()
     for _, tree in _trees(READER_DIRS):
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
     return names
 
