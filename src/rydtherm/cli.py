@@ -12,15 +12,18 @@ manifest as JSON, with the raw command line and the wall time outside
 the hash.
 
 Exit codes: 0 success with every computation converged; 2 usage errors
-(non-finite or out-of-range numbers included); 3 species-data validation
-errors; 4 numerical non-convergence or overflow.
+(non-finite or out-of-range numbers and options the command does not
+take included); 3 species-data validation errors; 4 numerical
+non-convergence or overflow.
 
 A command is one row function ``(args, species) -> rows`` plus one entry
-in ``COMMANDS`` giving that function, whether the command loads a
-species, its schema and its CSV header (and one subparser in
-``_build_parser``).  ``main`` does the rest for every command: it loads
-the species, builds the manifest, writes the CSV, and exits 4 when a
-``converged`` column holds false.
+in ``COMMANDS`` giving that function, its schema and its CSV header, and
+one subparser in ``_build_parser`` that accepts exactly the options the
+row function reads, so every hashed option shaped the output.  A command
+that reads a species takes exactly one of ``--species`` and
+``--species-file``.  ``main`` does the rest for every command: it loads
+the species when the command takes one, builds the manifest, writes the
+CSV, and exits 4 when a ``converged`` column holds false.
 
 The species data directory can be overridden with the environment
 variable RYDTHERM_DATA_DIR; individual files with ``--species-file``.
@@ -65,6 +68,7 @@ from .polarizability import (
 from .radial import RadialUnsolvableError
 from .species import RydbergState, Species, SpeciesDataError, load_species
 from .thermometry import (
+    DEFAULT_SEED_K,
     ThermometryError,
     ThermometryMeasurement,
     error_budget,
@@ -93,13 +97,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return "%.12g" % value
     return str(value)
-
-
-def _load(args) -> Species:
-    name = args.species_file or args.species
-    if not name:
-        raise ValueError("a species is required (--species or --species-file)")
-    return load_species(name)
 
 
 def _parse_state(species: Species, text: str) -> RydbergState:
@@ -232,8 +229,6 @@ def _bbr_rows(args, species) -> list[list]:
 
 def _polarizability_rows(args, species) -> list[list]:
     state = _parse_state(species, args.state)
-    if args.wavelength_nm is not None and args.omega_au is not None:
-        raise ValueError("polarizability: give --wavelength-nm or --omega-au, not both")
     if args.wavelength_nm is not None:
         omega = units.wavelength_nm_to_omega_au(args.wavelength_nm)
     else:
@@ -307,29 +302,23 @@ _SOLUTION_HEADER = ("temperature_k", "sigma_temperature_k", "field_v_per_m",
                     "max_abs_residual_hz")
 
 
-def _thermo_solve_rows(args, species) -> list[list]:
-    """thermo invert (one measurement) or thermo joint (a CSV of them)."""
-    joint = args.thermo_command == "joint"
-    if joint or args.measurements:
-        meas = _read_measurements(species, args.measurements)
-    elif args.state is None or args.offset_hz is None or args.sigma_hz is None:
-        raise ValueError(
-            "thermo invert: need --measurements or all of "
-            "--state/--offset-hz/--sigma-hz"
-        )
-    else:
-        meas = [ThermometryMeasurement(
-            _parse_state(species, args.state), args.offset_hz, args.sigma_hz
-        )]
-    if joint:
-        sol = joint_solve_temperature_field(meas, seed_k=args.seed, span=args.span)
-    elif len(meas) != 1:
-        raise ValueError("thermo invert: exactly one measurement")
-    else:
-        sol = invert_temperature(meas[0], seed_k=args.seed, span=args.span)
-    return [[sol.temperature_k, sol.sigma_temperature_k, sol.field_v_per_m,
-             sol.sigma_field_v_per_m, sol.field_sq_clamped, sol.iterations,
-             max(abs(r) for r in sol.residuals_hz)]]
+def _solution_row(sol) -> list:
+    return [sol.temperature_k, sol.sigma_temperature_k, sol.field_v_per_m,
+            sol.sigma_field_v_per_m, sol.field_sq_clamped, sol.iterations,
+            max(abs(r) for r in sol.residuals_hz)]
+
+
+def _thermo_invert_rows(args, species) -> list[list]:
+    meas = ThermometryMeasurement(
+        _parse_state(species, args.state), args.offset_hz, args.sigma_hz
+    )
+    return [_solution_row(invert_temperature(meas, seed_k=args.seed, span=args.span))]
+
+
+def _thermo_joint_rows(args, species) -> list[list]:
+    meas = _read_measurements(species, args.measurements)
+    sol = joint_solve_temperature_field(meas, seed_k=args.seed, span=args.span)
+    return [_solution_row(sol)]
 
 
 def _thermo_budget_rows(args, species) -> list[list]:
@@ -363,45 +352,48 @@ class Command(NamedTuple):
     """One CLI command: how its rows are made and how its CSV is labelled."""
 
     rows: Callable[..., list[list]]  # (args, species or None) -> rows
-    needs_species: bool
     schema: str
     header: tuple[str, ...]
 
 
 COMMANDS = {
-    "fw": Command(_fw_rows, False, "fw.v1",
+    "fw": Command(_fw_rows, "fw.v1",
                   ("y", "value_fast", "value_quadrature", "abs_diff")),
-    "fig2": Command(_fig2_rows, False, "fig2.v1", ("y", "farley_wing")),
-    "bbr": Command(_bbr_rows, True, "bbr.v1",
+    "fig2": Command(_fig2_rows, "fig2.v1", ("y", "farley_wing")),
+    "bbr": Command(_bbr_rows, "bbr.v1",
                    ("state", "temperature_k", "shift_hz", "channel_hz", "tail_hz",
                     "f_missing", "converged", "method", "span")),
     "polarizability": Command(
-        _polarizability_rows, True, "polarizability.v1",
+        _polarizability_rows, "polarizability.v1",
         ("state", "omega_au", "m_j", "alpha_au", "alpha_hz_m2_v2",
          "alpha_khz_per_kw_cm2", "tail_au", "nearest_resonance",
          "nearest_detuning_au")),
-    "magic": Command(_magic_rows, True, "magic.v1", _MAGIC_HEADER),
-    "table1": Command(_table1_rows, True, "table1.v1", _TABLE1_HEADER),
-    "linewidth": Command(_linewidth_rows, True, "linewidth.v1",
+    "magic": Command(_magic_rows, "magic.v1", _MAGIC_HEADER),
+    "table1": Command(_table1_rows, "table1.v1", _TABLE1_HEADER),
+    "linewidth": Command(_linewidth_rows, "linewidth.v1",
                          ("state", "temperature_k", "natural_hz", "bbr_fwhm_hz",
                           "total_hz")),
-    "thermo invert": Command(_thermo_solve_rows, True, "thermo_invert.v1",
-                             _SOLUTION_HEADER),
-    "thermo joint": Command(_thermo_solve_rows, True, "thermo_joint.v1",
-                            _SOLUTION_HEADER),
+    "thermo invert": Command(_thermo_invert_rows, "thermo_invert.v1", _SOLUTION_HEADER),
+    "thermo joint": Command(_thermo_joint_rows, "thermo_joint.v1", _SOLUTION_HEADER),
     "thermo budget": Command(
-        _thermo_budget_rows, True, "thermo_budget.v1",
+        _thermo_budget_rows, "thermo_budget.v1",
         ("transition", "temperature_k", "frequency_hz", "fractional_accuracy",
          "target_resolution_hz", "sensitivity_hz_per_k", "temperature_sigma_k",
          "total_linewidth_hz", "line_split_factor", "clock_fractional_uncertainty",
          "leverage")),
-    "fig3": Command(_fig3_rows, True, "fig3.v1",
-                    ("n", "series", "shift_hz", "converged")),
+    "fig3": Command(_fig3_rows, "fig3.v1", ("n", "series", "shift_hz", "converged")),
 }
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _option(*flags, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option, for the commands that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
 
 
 @functools.cache  # one per process; parse_args returns a new Namespace per call
@@ -414,95 +406,87 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--species", help="bundled species name (sr, yb, hydrogen)")
-    common.add_argument(
-        "--species-file", help="path to a .species data file (overrides --species)"
-    )
-    common.add_argument(
-        "--temperature", type=float, default=300.0, help="temperature in K [300]"
-    )
-    common.add_argument(
-        "--span", type=int, default=DEFAULT_SPAN,
-        help=f"transition-table span in n [{DEFAULT_SPAN}]",
-    )
-    common.add_argument(
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--manifest-out", help="write the run manifest JSON here")
+    out.add_argument("-o", "--output", help="write CSV here instead of stdout")
+    species = argparse.ArgumentParser(add_help=False, parents=[out])
+    group = species.add_mutually_exclusive_group(required=True)
+    group.add_argument("--species", help="bundled species name (sr, yb, hydrogen)")
+    group.add_argument("--species-file", help="path to a .species data file")
+    temperature = _option("--temperature", type=float, default=300.0,
+                          help="temperature in K [300]")
+    span = _option("--span", type=int, default=DEFAULT_SPAN,
+                   help=f"transition-table span in n [{DEFAULT_SPAN}]")
+    tolerance = _option(
         "--tolerance", type=_tolerance, default=DEFAULT_TAIL_FRACTION,
         help=f"convergence tolerance (BBR tail fraction) [{DEFAULT_TAIL_FRACTION}]",
     )
-    common.add_argument("--manifest-out", help="write the run manifest JSON here")
-    common.add_argument("-o", "--output", help="write CSV here instead of stdout")
+    seed = _option("--seed", type=float, default=DEFAULT_SEED_K,
+                   help=f"temperature seed in K [{DEFAULT_SEED_K:g}]")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fw", parents=[common], help="thermal kernel point values")
+    p = sub.add_parser("fw", parents=[out], help="thermal kernel point values")
     p.add_argument("--y", type=float, action="append", required=True,
                    help="normalized frequency; repeatable")
 
-    p = sub.add_parser("fig2", parents=[common], help="thermal kernel curve")
+    p = sub.add_parser("fig2", parents=[out], help="thermal kernel curve")
     p.add_argument("--y-min", type=float, default=0.01)
     p.add_argument("--y-max", type=float, default=20.0)
     p.add_argument("--points", type=int, default=500)
     p.add_argument("--linear", action="store_true", help="linear grid (default log)")
 
-    p = sub.add_parser("bbr", parents=[common], help="BBR Stark shift of states")
+    p = sub.add_parser("bbr", parents=[species, temperature, span, tolerance],
+                       help="BBR Stark shift of states")
     p.add_argument("--state", action="append", required=True,
                    help="n:series, e.g. 30:3S1; repeatable")
     p.add_argument("--route", choices=["sum", "integral", "both"], default="sum")
 
-    p = sub.add_parser(
-        "polarizability", parents=[common], help="AC/static polarizability"
-    )
+    p = sub.add_parser("polarizability", parents=[species, span],
+                       help="AC/static polarizability")
     p.add_argument("--state", required=True, help="n:series")
-    p.add_argument("--omega-au", type=float, help="probe angular frequency (a.u.)")
-    p.add_argument("--wavelength-nm", type=float, help="probe wavelength (nm)")
+    probe = p.add_mutually_exclusive_group()
+    probe.add_argument("--omega-au", type=float, help="probe angular frequency (a.u.)")
+    probe.add_argument("--wavelength-nm", type=float, help="probe wavelength (nm)")
     p.add_argument("--m-j", type=_parse_m_j, default="stretched",
                    help="m_j value, or 'scalar' for the orientation average")
 
-    p = sub.add_parser("magic", parents=[common], help="magic-lattice solutions")
-    p.add_argument("--n", required=True, help="comma-separated n list")
-    p.add_argument("--series", help="Rydberg series (default per species)")
-    p.add_argument("--k-ratio", type=float, default=1.0,
-                   help="k / (omega/c), < 1 for non-counterpropagating beams")
-    p.add_argument("--photons", type=int, choices=[1, 2],
-                   help="drive photon count (default per species)")
+    for name, text, n_opts in (
+        ("magic", "magic-lattice solutions", {"required": True}),
+        ("table1", "magic table: n, lambda_m, alpha, lambda_i", {"default": _TABLE1_N}),
+    ):
+        p = sub.add_parser(name, parents=[species], help=text)
+        p.add_argument("--n", help="comma-separated n list", **n_opts)
+        p.add_argument("--series", help="Rydberg series (default per species)")
+        p.add_argument("--k-ratio", type=float, default=1.0,
+                       help="k / (omega/c), < 1 for non-counterpropagating beams")
+        p.add_argument("--photons", type=int, choices=[1, 2],
+                       help="drive photon count (default per species)")
 
-    p = sub.add_parser("table1", parents=[common],
-                       help="magic table: n, lambda_m, alpha, lambda_i")
-    p.add_argument("--n", default=_TABLE1_N,
-                   help=f"comma-separated n list [{_TABLE1_N}]")
-    p.add_argument("--series", help="Rydberg series (default per species)")
-    p.add_argument("--k-ratio", type=float, default=1.0)
-    p.add_argument("--photons", type=int, choices=[1, 2])
-
-    p = sub.add_parser("linewidth", parents=[common],
+    p = sub.add_parser("linewidth", parents=[species, temperature, span],
                        help="natural + BBR linewidths")
     p.add_argument("--state", action="append", required=True,
                    help="n:series; repeatable")
 
-    p = sub.add_parser("thermo", parents=[], help="thermometry solvers")
+    p = sub.add_parser("thermo", help="thermometry solvers")
     tsub = p.add_subparsers(dest="thermo_command", required=True)
-    for name in ("invert", "joint", "budget"):
-        tp = tsub.add_parser(name, parents=[common])
-        if name in ("invert", "joint"):
-            tp.add_argument("--measurements", required=name == "joint",
-                            help="CSV with columns state,offset_hz,sigma_hz")
-            tp.add_argument("--seed", type=float, default=300.0,
-                            help="temperature seed in K [300]")
-        if name == "invert":
-            tp.add_argument("--state", help="n:series")
-            tp.add_argument("--offset-hz", type=float)
-            tp.add_argument("--sigma-hz", type=float)
-        if name == "budget":
-            tp.add_argument("--state", required=True, help="upper state n:series")
-            tp.add_argument("--lower-state",
-                            help="lower state n:series (default: metastable)")
-            tp.add_argument("--fractional", type=float, default=1.7e-16,
-                            help="fractional frequency accuracy [1.7e-16]")
-            tp.add_argument("--linewidth-hz", type=float,
-                            help="override the computed transition linewidth")
+    tp = tsub.add_parser("invert", parents=[species, seed, span])
+    tp.add_argument("--state", required=True, help="n:series")
+    tp.add_argument("--offset-hz", type=float, required=True)
+    tp.add_argument("--sigma-hz", type=float, required=True)
+    tp = tsub.add_parser("joint", parents=[species, seed, span])
+    tp.add_argument("--measurements", required=True,
+                    help="CSV with columns state,offset_hz,sigma_hz")
+    tp = tsub.add_parser("budget", parents=[species, temperature, span])
+    tp.add_argument("--state", required=True, help="upper state n:series")
+    tp.add_argument("--lower-state", help="lower state n:series (default: metastable)")
+    tp.add_argument("--fractional", type=float, default=1.7e-16,
+                    help="fractional frequency accuracy [1.7e-16]")
+    tp.add_argument("--linewidth-hz", type=float,
+                    help="override the computed transition linewidth")
 
-    p = sub.add_parser("fig3", parents=[common], help="shift vs n for series")
+    p = sub.add_parser("fig3", parents=[species, temperature, span, tolerance],
+                       help="shift vs n for series")
     p.add_argument("--series", default="3S1,3P0,3P1,3P2,3D1,3D2,3D3")
     p.add_argument("--n-min", type=int, default=8)
     p.add_argument("--n-max", type=int, default=50)
@@ -524,7 +508,8 @@ def main(argv: list[str] | None = None) -> int:
         name = f"thermo {args.thermo_command}"
     cmd = COMMANDS[name]
     try:
-        species = _load(args) if cmd.needs_species else None
+        species = (load_species(args.species_file or args.species)
+                   if "species" in vars(args) else None)
         rows = cmd.rows(args, species)
         manifest = _manifest(args, species, cmd.schema)
         _emit(args, argv, t_start, manifest, cmd.header, rows)

@@ -65,8 +65,7 @@ class MagicSolverError(RuntimeError):
 def _lattice_table(species: Species) -> TransitionTable:
     if "lattice" not in species.line_lists:
         raise ValueError(f"{species.name}: species file has no lattice lines")
-    # the lattice model is a fit for the J = 0 metastable state
-    return species_line_table(species, "lattice", 0.0)
+    return species_line_table(species, "lattice")
 
 
 def lattice_alpha_au(species: Species, omega_au):
@@ -242,8 +241,8 @@ def pick_magic_root(results: list[MagicResult]) -> MagicResult:
 
 def trap_depth(magic: MagicResult, intensity_kw_cm2: float) -> float:
     """Depth of the lattice modulation for the magic pair, in Hz."""
-    if intensity_kw_cm2 < 0:
-        raise ValueError(f"intensity must be >= 0, got {intensity_kw_cm2}")
+    if not 0.0 <= intensity_kw_cm2 < np.inf:
+        raise ValueError(f"intensity must be finite and >= 0, got {intensity_kw_cm2}")
     return abs(magic.alpha_khz_per_kw_cm2) * intensity_kw_cm2 * 1.0e3
 
 

@@ -428,10 +428,15 @@ class Species:
             species=self, n=n, series=series, _key=(self.sha256, n, series)
         )
 
+    def clock_state(self, role: str) -> RydbergState:
+        """The "ground" or "metastable" state the species file names."""
+        series_n = self._ground if role == "ground" else self._metastable
+        if series_n is None:
+            raise SpeciesDataError(f"{self.name}: no {role} state defined")
+        return self.state(series_n[1], series_n[0])
+
     def metastable_state(self) -> RydbergState:
-        if self._metastable is None:
-            raise SpeciesDataError(f"{self.name}: no metastable state defined")
-        return self.state(self._metastable[1], self._metastable[0])
+        return self.clock_state("metastable")
 
     def check_states(self, *states: RydbergState) -> None:
         """Raise ValueError unless every state comes from this species file

@@ -16,7 +16,7 @@ value per row.  There are three kinds of table:
   with n' in [max(n_min', n - span), min(n_max', n + span)] for each
   dipole-coupled series.  The summed oscillator strength (Thomas-Reiche-Kuhn,
   one active electron) tells callers how much strength the window missed.
-* ``species_line_table(species, name, j)`` - a complete line list of the
+* ``species_line_table(species, name)`` - a complete line list of the
   species file (a clock state's ``bbrline.*`` list, or the ``line.*``
   lattice model) plus a static core polarizability, from one cache keyed
   by file content and list name; no strength is missing, and no final
@@ -269,13 +269,14 @@ def line_table(lines: LineList, j: float) -> TransitionTable:
 _LINE_TABLES: dict[tuple[str, str], TransitionTable] = {}
 
 
-def species_line_table(species: Species, name: str, j: float) -> TransitionTable:
-    """The table of ``species.line_lists[name]``, whose state has total
-    angular momentum ``j`` (the list's own: its clock state's J, or 0 for
-    the lattice model)."""
+def species_line_table(species: Species, name: str) -> TransitionTable:
+    """The table of ``species.line_lists[name]``: a clock state's list
+    ("ground", "metastable") at that state's J, or the "lattice" model, a
+    fit for the J = 0 metastable state."""
     key = (species.sha256, name)
     table = _LINE_TABLES.get(key)
     if table is None:
+        j = 0.0 if name == "lattice" else species.clock_state(name).J
         table = _LINE_TABLES.setdefault(key, line_table(species.line_lists[name], j))
     return table
 
@@ -289,7 +290,7 @@ def channel_table(
     (ground/metastable role with ``bbrline`` entries), else the radial table."""
     role = state.species.state_role(state)
     if role in state.species.line_lists:
-        return species_line_table(state.species, role, state.J)
+        return species_line_table(state.species, role)
     return build_transition_table(state, span, solver)
 
 

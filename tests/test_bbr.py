@@ -34,6 +34,13 @@ def test_planck_peak_location():
     assert u[int(np.argmax(dens))] == pytest.approx(2.8214, abs=5e-3)
 
 
+def test_planck_density_vanishes_at_zero_temperature():
+    # T = 0, and a T whose k_B T underflows to 0, take the early return
+    # instead of dividing by k_B T
+    for t in (0.0, 5e-324):
+        assert planck_spectral_density(0.05, t) == 0.0
+
+
 def _field_sq(temperature_k):
     # squared-amplitude spectral density integrated over omega, in a.u.
     kt = k.KB_AU * temperature_k

@@ -1,5 +1,6 @@
 """Command-line interface: CSV contract, manifests, exit codes."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rydtherm import cli
 from rydtherm.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -135,8 +137,9 @@ def test_manifest_id_ignores_every_output_spelling(tmp_path, capsys, spelling):
 
 
 def test_manifest_id_tracks_settings(capsys):
-    _, out1, _ = _run(capsys, "fw", "--y", "1.0")
-    _, out2, _ = _run(capsys, "fw", "--y", "1.0", "--temperature", "200")
+    _, out1, _ = _run(capsys, "bbr", "--species", "sr", "--state", "30:3S1")
+    _, out2, _ = _run(capsys, "bbr", "--species", "sr", "--state", "30:3S1",
+                      "--temperature", "200")
     assert _rows(out1)[0]["manifest_id"] != _rows(out2)[0]["manifest_id"]
 
 
@@ -270,6 +273,113 @@ def test_usage_errors_exit_2(capsys):
         _run(capsys, "table1", "--species", "yb", "--n", ",")[0] == EXIT_USAGE
     )
     assert _run(capsys, "nonsense")[0] == EXIT_USAGE
+
+
+def _command_parsers(parser, prefix=()):
+    """(command name, its parser) of every leaf command, e.g. 'thermo joint'."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(prefix), parser
+        return
+    for name, sub in subs[0].choices.items():
+        yield from _command_parsers(sub, (*prefix, name))
+
+
+def _dests(parser):
+    return {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+
+
+def test_every_cli_option_is_read(monkeypatch, capsys):
+    # an option that no golden run of its command reads shapes no output,
+    # yet the manifest id hashes it: each command takes only what it reads
+    from test_golden import COMMANDS as GOLDEN
+    from test_golden import command_argv
+
+    reads: set[str] = set()
+    recording = False
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            if recording:
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    parser = _build_parser()
+    manifest = cli._manifest
+
+    def parse_args(argv):
+        # record from the parsed namespace to the manifest, which reads
+        # vars(args) whole: the species load and the row function
+        nonlocal recording
+        args = argparse.ArgumentParser.parse_args(parser, argv, Recorder())
+        recording = True
+        return args
+
+    def stop_recording(*args):
+        nonlocal recording
+        recording = False
+        return manifest(*args)
+
+    monkeypatch.setattr(parser, "parse_args", parse_args)
+    monkeypatch.setattr(cli, "_manifest", stop_recording)
+    read_by: dict[str, set[str]] = {}
+    for golden in GOLDEN:
+        argv = command_argv(golden)
+        reads.clear()
+        assert main(argv) == EXIT_OK, golden
+        name = " ".join(argv[:2]) if argv[0] == "thermo" else argv[0]
+        read_by.setdefault(name, set()).update(reads)
+    capsys.readouterr()
+    commands = dict(_command_parsers(parser))
+    assert set(read_by) == set(commands)
+    exempt = {"output", "manifest_out", "command", "thermo_command"}
+    unread = {
+        name: sorted(_dests(sub) - exempt - read_by[name])
+        for name, sub in commands.items()
+        if _dests(sub) - exempt - read_by[name]
+    }
+    assert not unread, f"options no golden run of their command reads: {unread}"
+
+
+# the options each command stopped accepting when the commands were cut
+# down to the options they read
+_T, _S, _TOL = "--temperature 300", "--span 35", "--tolerance 0.25"
+_DROPPED = {
+    "fw --y 1": ("--species sr", "--species-file x", _T, _S, _TOL),
+    "fig2": ("--species sr", "--species-file x", _T, _S, _TOL),
+    "polarizability --species sr --state 25:3D1": (_T, _TOL),
+    "thermo invert --species sr --state 30:3D1 --offset-hz 2350.73 --sigma-hz 0.16":
+        (_T, _TOL, "--measurements {meas}"),
+    "thermo joint --species sr --measurements {meas}": (_T, _TOL),
+    "magic --species yb --n 25": (_T, _S, _TOL),
+    "table1 --species yb --n 25": (_T, _S, _TOL),
+    "linewidth --species sr --state 40:3P0": (_TOL,),
+    "thermo budget --species sr --state 30:3D1": (_TOL,),
+}
+
+
+def test_dropped_options_exit_2(capsys):
+    meas = os.path.join(os.path.dirname(__file__), "golden", "meas_sr.csv")
+    cases = [(base, flag) for base, flags in _DROPPED.items() for flag in flags]
+    assert len(cases) == 25
+    for base, flag in cases:
+        argv = f"{base} {flag}".format(meas=meas).split()
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert "unrecognized arguments" in err, argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("bbr --state 30:3S1", "one of the arguments --species --species-file is required"),
+    ("bbr --species sr --species-file x --state 30:3S1",
+     "--species-file: not allowed with argument --species"),
+    ("polarizability --species sr --state 25:3D1 --omega-au 0.05 --wavelength-nm 900",
+     "--wavelength-nm: not allowed with argument --omega-au"),
+])
+def test_one_input_route_per_value(capsys, argv, message):
+    code, out, err = _run(capsys, *argv.split())
+    assert (code, out) == (EXIT_USAGE, "")
+    assert message in err
 
 
 def test_data_errors_exit_3(capsys, tmp_path):
@@ -408,7 +518,7 @@ def test_thermo_invert_inline(capsys):
 def test_thermo_invert_requires_inputs(capsys):
     code, _, err = _run(capsys, "thermo", "invert", "--species", "sr")
     assert code == EXIT_USAGE
-    assert "usage error" in err
+    assert "required: --state, --offset-hz, --sigma-hz" in err
 
 
 def test_thermo_joint_from_csv(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Standing-wave lattice: metastable polarizability, magic-wavelength solver."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -101,6 +103,11 @@ def test_trap_depth_linear_in_intensity(yb):
     d1 = trap_depth(root, 1.0)
     assert d1 == pytest.approx(abs(root.alpha_khz_per_kw_cm2) * 1e3, rel=1e-12)
     assert trap_depth(root, 2.5) == pytest.approx(2.5 * d1, rel=1e-12)
+    assert trap_depth(root, 0.0) == 0.0
+    # nan < 0 is False: an ordered comparison alone lets nan and inf through
+    for bad in (-1e-300, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            trap_depth(root, bad)
 
 
 def test_ionization_wavelengths(sr, yb):
@@ -222,10 +229,21 @@ def _exact_scan(species, state, k_ratio, m_l):
     return sorted(roots, key=lambda r: r.wavelength_nm)
 
 
-@pytest.mark.parametrize("case", _SCAN_CASES, ids=_case_id)
-def test_magic_scan_matches_exact_scan(case, request, tmp_path):
+@pytest.mark.parametrize(
+    "case, fit_safety",
+    [pytest.param(case, None, id=_case_id(case)) for case in _SCAN_CASES]
+    # an infinite proxy error bound puts every scan point in doubt: the
+    # refinement loop then computes the exact residual at all of them
+    + [pytest.param(case, math.inf, id=f"{_case_id(case)}-all-in-doubt")
+       for case in _SCAN_CASES],
+)
+def test_magic_scan_matches_exact_scan(
+    case, fit_safety, request, tmp_path, monkeypatch
+):
     # the proxy scan decides signs from a Chebyshev fit of <sin^2>; every
     # root must still equal, field for field, the all-exact scan's
+    if fit_safety is not None:
+        monkeypatch.setattr(lattice, "_FIT_SAFETY", fit_safety)
     _, series, n, k_ratio, m_l, _ = case
     species = _case_species(case, request, tmp_path)
     state = species.state(n, series)

@@ -25,7 +25,7 @@ _STATES = [
 def _table(kind, name, n, series):
     species = load_species(name)
     if kind == "lattice":
-        return species_line_table(species, "lattice", 0.0)
+        return species_line_table(species, "lattice")
     state = species.state(n, series)
     build = {
         "radial": build_transition_table,
@@ -92,9 +92,9 @@ def test_line_tables_are_cached_by_file_content(sr, tmp_path):
     meta = sr.metastable_state()
     table = channel_table(meta)
     assert channel_table(meta) is table
-    assert species_line_table(sr, "metastable", meta.J) is table
+    assert species_line_table(sr, "metastable") is table
     assert channel_table(load_species("sr").metastable_state()) is table
-    lattice = species_line_table(sr, "lattice", 0.0)
+    lattice = species_line_table(sr, "lattice")
     assert lattice is not table and lattice.channel_ids != ()
     copy = tmp_path / "sr.species"
     copy.write_text(open(bundled_species_path("sr"), encoding="utf-8").read() + "#\n")
