@@ -231,7 +231,7 @@ def _exact_scan(species, state, k_ratio, m_l):
 
 @pytest.mark.parametrize(
     "case, fit_safety",
-    [pytest.param(case, None, id=_case_id(case)) for case in _SCAN_CASES]
+    [pytest.param(case, lattice._FIT_SAFETY, id=_case_id(case)) for case in _SCAN_CASES]
     # an infinite proxy error bound puts every scan point in doubt: the
     # refinement loop then computes the exact residual at all of them
     + [pytest.param(case, math.inf, id=f"{_case_id(case)}-all-in-doubt")
@@ -242,8 +242,7 @@ def test_magic_scan_matches_exact_scan(
 ):
     # the proxy scan decides signs from a Chebyshev fit of <sin^2>; every
     # root must still equal, field for field, the all-exact scan's
-    if fit_safety is not None:
-        monkeypatch.setattr(lattice, "_FIT_SAFETY", fit_safety)
+    monkeypatch.setattr(lattice, "_FIT_SAFETY", fit_safety)
     _, series, n, k_ratio, m_l, _ = case
     species = _case_species(case, request, tmp_path)
     state = species.state(n, series)
