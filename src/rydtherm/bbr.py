@@ -37,11 +37,12 @@ n >= 30 series shift within 5% of the free-electron value at room
 temperature.  A result is flagged converged when |tail| is at most
 ``tail_fraction`` of max(|shift|, 1 mHz).
 
-Both routes read the channels of ``channel_table``.  The channel sum
-makes one kernel call for all channels of a table and one for the tail's
-quadrature nodes, and from the same F and F' it returns the temperature
-derivative: d/dT [(kT)^3 F(w/kT)] = k^3 T^2 (3F - yF') per channel and per
-tail node, and 4 shift/T for the static core term.  For a clock state (the
+Both routes read the channels of ``channel_table``.  The tail's
+quadrature nodes are channels too (node u at w = E_bind/u), summed by the
+same rule.  The channel sum makes one kernel call for all channels of a
+table and one for the tail's nodes, and from the same F and F' it returns
+the temperature derivative: d/dT [(kT)^3 F(w/kT)] = k^3 T^2 (3F - yF') per
+channel, and 4 shift/T for the static core term.  For a clock state (the
 species' ground/metastable role) the table is the literature-anchored line
 list from the species file plus a static core/background term, folded in
 through its static-limit shift; the list is complete by construction, so
@@ -352,25 +353,22 @@ class BBRShiftResult:
     slope_hz_per_k: float | None = None
 
 
-def _thermal_slope_terms(y: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.ndarray:
-    """3 F(y) - y F'(y): d/dT [(kT)^3 F(w/kT)] = (kT)^3 (3F - yF') / T."""
-    with np.errstate(invalid="ignore"):  # y F' -> 0 as y -> inf; inf * 0 is nan
-        y_df = y * df
-    return 3.0 * f - np.where(np.isinf(y), 0.0, y_df)
-
-
 def _channel_shifts_sum_hz(
     omega_au: np.ndarray, z2: np.ndarray, temperature_k: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel Farley-Wing shifts and their d/dT, Hz and Hz/K."""
+    """Per-channel Farley-Wing shifts and their d/dT, Hz and Hz/K, from
+    d/dT [(kT)^3 F(w/kT)] = (kT)^3 (3F - yF') / T."""
     kt = kconst.KB_AU * temperature_k
     with np.errstate(over="ignore"):  # w/kT -> inf as T -> 0
         y = omega_au / kt
     f, df = farley_wing_fast(y, derivative=True)
+    with np.errstate(invalid="ignore"):  # y F' -> 0 as y -> inf; inf * 0 is nan
+        y_df = y * df
+    slope_terms = 3.0 * f - np.where(np.isinf(y), 0.0, y_df)
     scale = -(2.0 / (_PI * _C3)) * kt**3 * z2
     return (
         scale * f * kconst.HARTREE_HZ,
-        scale * _thermal_slope_terms(y, f, df) * kconst.HARTREE_HZ / temperature_k,
+        scale * slope_terms * kconst.HARTREE_HZ / temperature_k,
     )
 
 
@@ -436,23 +434,20 @@ def truncation_tail_shift(
     Distributes the missing oscillator strength ``f_missing`` above the
     ionization threshold ``binding_au`` with the Kramers profile
     df/dw proportional to w^-7/2 and folds it through the Farley-Wing
-    kernel.  Returns (shift in Hz, d(shift)/dT in Hz/K); the slope of each
-    of the 48 quadrature nodes follows the channel rule.  Both are 0 for
-    T = 0 or when no strength is missing (a small negative ``f_missing``
-    can arise from the finite accuracy of the one-channel radial model at
-    low n and is clamped).
+    kernel.  Each of the 48 quadrature nodes u_i is a channel at
+    w_i = binding_au / u_i with z_i^2 = f_missing W_i / (2 w_i), W the
+    node weights, summed by the channel rule.  Returns (shift in Hz,
+    d(shift)/dT in Hz/K).  Both are 0 for T = 0 or when no strength is
+    missing (a small negative ``f_missing`` can arise from the finite
+    accuracy of the one-channel radial model at low n and is clamped).
     """
     _check_temperature(temperature_k)
-    kt = kconst.KB_AU * temperature_k
-    if kt == 0.0 or f_missing <= 0.0:
+    if kconst.KB_AU * temperature_k == 0.0 or f_missing <= 0.0:
         return 0.0, 0.0
-    with np.errstate(over="ignore"):  # y -> inf as T -> 0
-        y = (binding_au / kt) / _TAIL_NODES_U
-    f, df = farley_wing_fast(y, derivative=True)
-    scale = -(kt * kt) * f_missing / (_PI * _C3) * kconst.HARTREE_HZ
-    shift = scale * float(np.sum(_TAIL_NODE_WEIGHTS * f / y))
-    slope_terms = _TAIL_NODE_WEIGHTS * _thermal_slope_terms(y, f, df) / y
-    return shift, scale * float(np.sum(slope_terms)) / temperature_k
+    omega = binding_au / _TAIL_NODES_U
+    z2 = f_missing * _TAIL_NODE_WEIGHTS / (2.0 * omega)
+    hz, slopes = _channel_shifts_sum_hz(omega, z2, temperature_k)
+    return math.fsum(hz.tolist()), math.fsum(slopes.tolist())
 
 
 def _bbr_shift(

@@ -479,7 +479,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="CSV with columns state,offset_hz,sigma_hz")
     tp = tsub.add_parser("budget", parents=[species, temperature, span])
     tp.add_argument("--state", required=True, help="upper state n:series")
-    tp.add_argument("--lower-state", help="lower state n:series (default: metastable)")
+    tp.add_argument("--lower-state",
+                    help="lower state n:series; a clock state sits at its measured "
+                         "level and adds no linewidth (default: metastable)")
     tp.add_argument("--fractional", type=float, default=1.7e-16,
                     help="fractional frequency accuracy [1.7e-16]")
     tp.add_argument("--linewidth-hz", type=float,

@@ -89,9 +89,7 @@ def lattice_alpha_au(species: Species, omega_au):
 class MagicResult:
     """One root of the magic condition for a metastable -> Rydberg pair."""
 
-    state_str: str
     wavelength_nm: float
-    omega_au: float
     k_ratio: float
     alpha_au: float  # metastable polarizability at the root
     sin2_value: float  # Rydberg <sin^2(k x)> at the root
@@ -210,9 +208,7 @@ def solve_magic_wavelength(
         alpha = alpha_at(root)
         results.append(
             MagicResult(
-                state_str=str(state),
                 wavelength_nm=units.omega_au_to_wavelength_nm(root),
-                omega_au=root,
                 k_ratio=k_ratio,
                 alpha_au=alpha,
                 sin2_value=s,
@@ -246,19 +242,26 @@ def trap_depth(magic: MagicResult, intensity_kw_cm2: float) -> float:
     return abs(magic.alpha_khz_per_kw_cm2) * intensity_kw_cm2 * 1.0e3
 
 
+def level_energy_au(state: RydbergState) -> float:
+    """Energy of ``state`` above its species' ground state, hartree: the
+    metastable state at the measured clock frequency, every other state at
+    its quantum-defect binding energy below the ionization limit."""
+    species = state.species
+    role = species.state_role(state)
+    if role == "ground":
+        return 0.0
+    if role == "metastable":
+        if species.clock_frequency_hz is None:
+            raise ValueError(f"{species.name}: no clock frequency in species file")
+        return units.frequency_hz_to_omega_au(species.clock_frequency_hz)
+    return species.ionization_limit_au - state.binding_au
+
+
 def transition_energy_au(state: RydbergState) -> float:
     """Energy of the metastable -> ``state`` transition of the state's
-    species, hartree.
-
-    The metastable level is placed via the measured clock frequency above
-    the ground state; the Rydberg level via its quantum-defect binding
-    energy below the ionization limit.
-    """
+    species, hartree: ``level_energy_au`` of the two states."""
     species = state.species
-    if species.clock_frequency_hz is None:
-        raise ValueError(f"{species.name}: no clock frequency in species file")
-    e_meta = units.frequency_hz_to_omega_au(species.clock_frequency_hz)
-    delta_e = species.ionization_limit_au - state.binding_au - e_meta
+    delta_e = level_energy_au(state) - level_energy_au(species.metastable_state())
     if delta_e <= 0:
         raise ValueError(
             f"{species.name} metastable -> {state}: transition energy "

@@ -268,12 +268,9 @@ class RadialSolver:
         ends = f[0] * w[0] + f[-1] * w[-1]
         return 2.0 * self.h * (float(np.dot(f, w)) - 0.5 * float(ends))
 
-    def radial_integral(
-        self, a: RydbergState, b: RydbergState, power: int = 1
-    ) -> float:
-        """<a| r^power |b> over the common mesh (u_a u_b r^p dr)."""
-        k = 2 * power + 2
-        return self._pair_integral(a, b, lambda mesh, nodes: mesh.power(k)[nodes])
+    def radial_integral(self, a: RydbergState, b: RydbergState) -> float:
+        """<a| r |b> over the common mesh (u_a u_b r dr)."""
+        return self._pair_integral(a, b, lambda mesh, nodes: mesh.power(4)[nodes])
 
     def _bessel_pair(self, state: RydbergState, order: int, q_au: float) -> float:
         if order < 0 or not 0.0 <= q_au < math.inf:

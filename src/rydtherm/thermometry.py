@@ -28,7 +28,7 @@ import numpy as np
 
 from . import constants as kconst
 from .bbr import TEMPERATURE_RANGE_K, bbr_shift_sum, linewidths
-from .lattice import transition_energy_au
+from .lattice import level_energy_au
 from .polarizability import static_polarizability
 from .radial import RadialSolver
 from .species import RydbergState, Species
@@ -221,8 +221,12 @@ def joint_solve_temperature_field(
     if len(measurements) < 2:
         raise ThermometryError("joint solve needs >= 2 measurements")
     species = measurements[0].state.species
-    if any(m.state.species is not species for m in measurements[1:]):
-        raise ThermometryError("joint solve: all measurements must share a species")
+    try:
+        species.check_states(*(m.state for m in measurements[1:]))
+    except ValueError as exc:
+        raise ThermometryError(
+            "joint solve: all measurements must share a species"
+        ) from exc
     keys = {(m.state.n, m.state.series) for m in measurements}
     if len(keys) < 2:
         raise ThermometryError(
@@ -256,12 +260,18 @@ def joint_solve_temperature_field(
     t = min(max(seed_k, t_lo + 1.0), t_hi - 1.0)
     e2 = 0.0
     clamped = False
-    iterations = 0
-    for iterations in range(1, JOINT_MAX_ITER + 1):
+    done = False  # the final iterate's model and Jacobian are reported
+    for iterations in range(JOINT_MAX_ITER + 1):
         bbr, bbr_slope = bbr_and_slope(t)
         model = bbr - 0.5 * alphas * e2
-        r = (offsets - model) / sigmas
         jac = np.column_stack([bbr_slope / sigmas, -0.5 * alphas / sigmas])
+        if done:
+            break
+        if iterations == JOINT_MAX_ITER:
+            raise ThermometryError(
+                f"joint solve did not converge in {JOINT_MAX_ITER} iterations"
+            )
+        r = (offsets - model) / sigmas
         gram = jac.T @ jac
         if np.linalg.cond(gram) > 1.0e12:
             raise ThermometryError(
@@ -279,16 +289,7 @@ def joint_solve_temperature_field(
             e2, 1.0
         )
         t, e2 = t_new, e2_new
-        if done:
-            break
-    else:
-        raise ThermometryError(
-            f"joint solve did not converge in {JOINT_MAX_ITER} iterations"
-        )
 
-    bbr, bbr_slope = bbr_and_slope(t)
-    model = bbr - 0.5 * alphas * e2
-    jac = np.column_stack([bbr_slope / sigmas, -0.5 * alphas / sigmas])
     cov = np.linalg.inv(jac.T @ jac)
     sigma_t = math.sqrt(max(cov[0, 0], 0.0))
     sigma_e2 = math.sqrt(max(cov[1, 1], 0.0))
@@ -367,13 +368,16 @@ def error_budget(
     the transition's BBR sensitivity -> clock BBR uncertainty via the
     clock sensitivity constant of the species of ``upper``.  ``lower``
     defaults to that species' metastable state and must come from the
-    same species file (ValueError otherwise).  ``linewidth_hz`` overrides
-    the computed total transition linewidth (e.g. to budget against an
-    externally specified line).  The fractional accuracy must lie in
-    (0, 1); the linewidth, when given, must be finite and > 0; the two
-    states must differ, and differ in energy; and the transition's BBR
-    sensitivity must not be zero (it is at T = 0, where no temperature
-    uncertainty follows from a frequency resolution).
+    same species file (ValueError otherwise); passed explicitly, it gives
+    the same budget.  The frequency is the distance between the two
+    ``level_energy_au`` levels.  The linewidth is the upper state's plus
+    the lower's unless that is a clock state (mHz-scale), or
+    ``linewidth_hz`` (e.g. to budget against an externally specified
+    line).  The fractional accuracy must lie in (0, 1); the linewidth,
+    when given, must be finite and > 0; the two states must differ, and
+    differ in energy; and the transition's BBR sensitivity must not be
+    zero (it is at T = 0, where no temperature uncertainty follows from a
+    frequency resolution).
     """
     if not 0 < fractional_accuracy < 1:
         raise ValueError(
@@ -384,16 +388,14 @@ def error_budget(
     ):
         raise ValueError(f"linewidth must be finite and > 0, got {linewidth_hz}")
     species = upper.species
-    lower_state = species.metastable_state() if lower is None else lower
-    tid = _transition_label(lower_state, upper)
-    if upper == lower_state:
-        raise ValueError(f"{tid}: the two states are the same")
     if lower is None:
-        nu_hz = transition_energy_au(upper) * kconst.HARTREE_HZ
-    else:
-        nu_hz = abs(lower.binding_au - upper.binding_au) * kconst.HARTREE_HZ
-        if nu_hz == 0.0:
-            raise ValueError(f"{tid}: the two states are degenerate")
+        lower = species.metastable_state()
+    tid = _transition_label(lower, upper)
+    if upper == lower:
+        raise ValueError(f"{tid}: the two states are the same")
+    nu_hz = abs(level_energy_au(upper) - level_energy_au(lower)) * kconst.HARTREE_HZ
+    if nu_hz == 0.0:
+        raise ValueError(f"{tid}: the two states are degenerate")
     _, sens = transition_bbr_shift(
         species, upper, temperature_k, lower=lower, span=span, derivative=True
     )
@@ -406,7 +408,7 @@ def error_budget(
     sigma_t = abs(target_hz / sens)
     if linewidth_hz is None:
         linewidth_hz = linewidths(upper, temperature_k, span=span).total_hz
-        if lower is not None:  # a metastable width is mHz-scale: left out
+        if species.state_role(lower) is None:  # a clock width is mHz-scale
             linewidth_hz += linewidths(lower, temperature_k, span=span).total_hz
     split = target_hz / linewidth_hz if linewidth_hz > 0 else math.inf
 

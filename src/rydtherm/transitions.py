@@ -182,7 +182,7 @@ def _channel_radial(
     if patched is not None and state.n_eff >= _PATCH_SCALE_RATIO * final.n_eff:
         return patched
     try:
-        return solver.radial_integral(state, final, power=1)
+        return solver.radial_integral(state, final)
     except RadialUnsolvableError:
         return patched
 

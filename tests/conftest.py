@@ -1,5 +1,6 @@
 """Shared fixtures: species load once, radial solutions cache in-process."""
 
+import numpy as np
 import pytest
 
 from rydtherm import load_species
@@ -24,3 +25,19 @@ def hydrogen():
 @pytest.fixture(scope="session")
 def solver():
     return default_solver()
+
+
+@pytest.fixture(scope="session")
+def moment():
+    """moment(solver, a, b, p) = <a| r^p |b> from the two solutions of
+    ``solver``: trapezoid rule over their common mesh x_j = j h, r = x^2."""
+
+    def integral(solver, a, b, power):
+        sa, sb = solver.solve(a), solver.solve(b)
+        j0, j1 = max(sa.j_in, sb.j_in), min(sa.j_out, sb.j_out)
+        va = sa.v[j0 - sa.j_in : j1 - sa.j_in + 1]
+        vb = sb.v[j0 - sb.j_in : j1 - sb.j_in + 1]
+        x = solver.h * np.arange(j0, j1 + 1)
+        return 2.0 * solver.h * float(np.trapezoid(va * vb * x ** (2 * power + 2)))
+
+    return integral

@@ -223,14 +223,14 @@ def test_c08_lattice_contrast_element(sr):
     _budget(t0, 30.0, "8")
 
 
-def test_c09_hydrogen_oracles(hydrogen):
+def test_c09_hydrogen_oracles(hydrogen, moment):
     t0 = time.perf_counter()
     solver = default_solver()
     st1s = hydrogen.state(1, "1S0")
     st2p = hydrogen.state(2, "1P1")
-    r_2p = solver.radial_integral(st2p, st2p, 1)
-    r2_2p = solver.radial_integral(st2p, st2p, 2)
-    d_1s2p = solver.radial_integral(st1s, st2p, 1)
+    r_2p = solver.radial_integral(st2p, st2p)
+    r2_2p = moment(solver, st2p, st2p, 2)
+    d_1s2p = solver.radial_integral(st1s, st2p)
     a_2p = float(einstein_a_s(downward_channels(st2p)).sum())
     exact_d = 128.0 * math.sqrt(6.0) / 243.0
     _report(

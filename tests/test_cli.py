@@ -158,6 +158,31 @@ def test_manifest_id_ignores_order_and_explicit_defaults(capsys):
     assert _id(capsys, "bbr", "--species", "sr", "--state", "31:3S1") != want
 
 
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_explicit_defaults_parse_to_the_same_namespace(command):
+    # each golden run of the command, with every option that it leaves at
+    # a non-None default spelled out at that default, parses to the same
+    # Namespace, so the manifest id cannot move (the parser only)
+    from test_golden import COMMANDS as GOLDEN
+    from test_golden import command_argv
+
+    parser = dict(_command_parsers(_build_parser()))[command]
+    words = command.split()
+    runs = [command_argv(name) for name in sorted(GOLDEN)
+            if command_argv(name)[: len(words)] == words]
+    assert runs
+    for argv in runs:
+        args = _build_parser().parse_args(argv)
+        spelled = [
+            f"{action.option_strings[-1]}={action.default}"
+            for action in parser._actions
+            if action.option_strings and action.nargs != 0
+            and action.default is not None
+            and getattr(args, action.dest) == action.default
+        ]
+        assert _build_parser().parse_args(argv + spelled) == args, spelled
+
+
 def test_manifest_id_is_keyed_by_file_content(tmp_path, capsys):
     # the same species and measurement bytes at two paths give one id; an
     # edited measurement file gives another
@@ -253,6 +278,8 @@ def test_bad_tolerance_is_a_usage_error(capsys, tolerance):
     "polarizability --species Sr --state 25:3D1 --m-j 0.5",
     "fw --y 1 --y inf",
     "fig2 --points 5 --y-max inf",
+    # the metastable state is the lower end of the drive: no transition
+    "magic --species sr --n 5 --series 3P0",
 ])
 def test_meaningless_numbers_exit_2(capsys, argv):
     code, out, err = _run(capsys, *argv.split())
@@ -432,16 +459,17 @@ def test_nonconvergence_exits_4_with_rows(capsys):
     assert "rydtherm" in err
 
 
-def test_magic_no_root_exits_4(capsys):
-    code, _, err = _run(
-        capsys,
-        "magic", "--species", "yb", "--n", "40",
-        "--series", "3P0", "--k-ratio", "0.05",
+def test_magic_no_root_exits_4(capsys, yb, tmp_path):
+    # a Yb file whose magic bracket holds no root of the magic condition
+    from test_lattice import _with_bracket
+
+    _with_bracket(yb, (2000.0, 2200.0), tmp_path)
+    code, out, err = _run(
+        capsys, "magic", "--species-file", str(tmp_path / "yb.species"), "--n", "40"
     )
-    # a nearly-collinear pair of beams has no root in the default bracket
-    assert code in (EXIT_NUMERIC, EXIT_OK)
-    if code == EXIT_NUMERIC:
-        assert "numerical failure" in err
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert "numerical failure" in err and "no magic root" in err
 
 
 def test_bbr_both_routes(capsys):
@@ -556,6 +584,21 @@ def test_thermo_budget(capsys):
     row = _rows(out)[0]
     assert float(row["temperature_sigma_k"]) == pytest.approx(0.01, rel=0.05)
     assert float(row["leverage"]) > 100.0
+
+
+def test_thermo_budget_explicit_metastable_lower_state(capsys):
+    # --lower-state 5:3P0 spells out the default: every data cell is the
+    # default's, byte for byte; only manifest_id hashes the extra option
+    from test_golden import command_argv, read_golden
+
+    def data(text):
+        return [{k: v for k, v in row.items() if k != "manifest_id"}
+                for row in _rows(text)]
+
+    argv = [*command_argv("thermo_budget_sr"), "--lower-state", "5:3P0"]
+    code, out, _ = _run(capsys, *argv)
+    assert code == EXIT_OK
+    assert data(out) == data(read_golden("thermo_budget_sr"))
 
 
 def test_thermo_budget_at_zero_kelvin_exits_2(capsys):

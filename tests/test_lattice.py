@@ -132,6 +132,15 @@ def test_transition_energy_positive(sr):
     assert transition_energy_au(sr.state(40, "3D1")) > e
 
 
+@pytest.mark.parametrize("name", ["sr", "yb"])
+def test_transition_energy_of_the_metastable_state_raises(request, name):
+    # the metastable level is the clock frequency above the ground state
+    # whichever way it is reached: no transition to itself
+    species = request.getfixturevalue(name)
+    with pytest.raises(ValueError, match="not positive"):
+        transition_energy_au(species.metastable_state())
+
+
 def test_lattice_alpha_negative_in_sr_bracket(sr):
     for lam in (2380.0, 2385.0, 2390.0):
         assert lattice_alpha_au(sr, units.wavelength_nm_to_omega_au(lam)) < 0.0
@@ -215,9 +224,7 @@ def _exact_scan(species, state, k_ratio, m_l):
         alpha, s = parts(root)
         roots.append(
             MagicResult(
-                state_str=str(state),
                 wavelength_nm=units.omega_au_to_wavelength_nm(root),
-                omega_au=root,
                 k_ratio=k_ratio,
                 alpha_au=alpha,
                 sin2_value=s,

@@ -16,25 +16,25 @@ from rydtherm.radial import (
 from rydtherm.wigner import line_strength_factor
 
 
-def test_hydrogen_r_expectations(hydrogen, solver):
+def test_hydrogen_r_expectations(hydrogen, solver, moment):
     st1s = hydrogen.state(1, "1S0")
     st2p = hydrogen.state(2, "1P1")
     # <r>_nl = (3n^2 - l(l+1)) / 2
-    assert solver.radial_integral(st1s, st1s, 1) == pytest.approx(1.5, rel=1e-4)
-    assert solver.radial_integral(st2p, st2p, 1) == pytest.approx(5.0, rel=1e-4)
+    assert solver.radial_integral(st1s, st1s) == pytest.approx(1.5, rel=1e-4)
+    assert solver.radial_integral(st2p, st2p) == pytest.approx(5.0, rel=1e-4)
     # <r^2>_nl = n^2 (5 n^2 + 1 - 3 l (l+1)) / 2
-    assert solver.radial_integral(st2p, st2p, 2) == pytest.approx(30.0, rel=1e-4)
-    assert solver.radial_integral(st1s, st1s, 2) == pytest.approx(3.0, rel=1e-4)
+    assert moment(solver, st2p, st2p, 2) == pytest.approx(30.0, rel=1e-4)
+    assert moment(solver, st1s, st1s, 2) == pytest.approx(3.0, rel=1e-4)
 
 
 def test_hydrogen_1s_2p_dipole(hydrogen, solver):
     st1s = hydrogen.state(1, "1S0")
     st2p = hydrogen.state(2, "1P1")
     exact = 128.0 * math.sqrt(6.0) / 243.0  # 1.29027 a.u.
-    assert solver.radial_integral(st1s, st2p, 1) == pytest.approx(exact, rel=1e-5)
+    assert solver.radial_integral(st1s, st2p) == pytest.approx(exact, rel=1e-5)
     # reduced element sqrt(S): angular factor l> = 1 for s-p
     ang = line_strength_factor(st1s.L, st1s.J, st1s.S, st2p.L, st2p.J)
-    reduced = math.sqrt(ang) * abs(solver.radial_integral(st1s, st2p, 1))
+    reduced = math.sqrt(ang) * abs(solver.radial_integral(st1s, st2p))
     assert reduced == pytest.approx(exact, rel=1e-5)
 
 
@@ -43,9 +43,9 @@ def test_dipole_forbidden_pair_has_no_line_strength(hydrogen):
     assert line_strength_factor(a.L, a.J, a.S, b.L, b.J) == 0.0
 
 
-def test_normalization(hydrogen, solver):
+def test_normalization(hydrogen, solver, moment):
     for st in (hydrogen.state(1, "1S0"), hydrogen.state(12, "1D2")):
-        assert solver.radial_integral(st, st, 0) == pytest.approx(1.0, rel=1e-6)
+        assert moment(solver, st, st, 0) == pytest.approx(1.0, rel=1e-6)
 
 
 def test_wavefunction_decays_past_turning_point(hydrogen, solver):
@@ -65,8 +65,8 @@ def test_wavefunction_decays_past_turning_point(hydrogen, solver):
 def test_mesh_halving_converged(hydrogen):
     st1s = hydrogen.state(1, "1S0")
     st2p = hydrogen.state(2, "1P1")
-    coarse = RadialSolver(h=0.01).radial_integral(st1s, st2p, 1)
-    fine = RadialSolver(h=0.005).radial_integral(st1s, st2p, 1)
+    coarse = RadialSolver(h=0.01).radial_integral(st1s, st2p)
+    fine = RadialSolver(h=0.005).radial_integral(st1s, st2p)
     assert fine == pytest.approx(coarse, rel=1e-5)
 
 
@@ -90,12 +90,12 @@ def test_sin2_trivial_limits(sr):
         sin2_matrix_element(st, -1.0)
 
 
-def test_sin2_small_k_matches_r2(hydrogen, solver):
+def test_sin2_small_k_matches_r2(hydrogen, solver, moment):
     # isotropic small-k limit: <sin^2(kx)> -> k^2 <r^2> / 3
     st = hydrogen.state(15, "1S0")
     kq = 1e-7
     got = sin2_matrix_element(st, kq, m_l=None)
-    r2 = solver.radial_integral(st, st, 2)
+    r2 = moment(solver, st, st, 2)
     assert got == pytest.approx(kq * kq * r2 / 3.0, rel=1e-6)
 
 
@@ -256,30 +256,22 @@ def test_numerov_matches_sequential_loop(sr, yb, hydrogen, monkeypatch):
         assert np.abs(got - want).max() / np.abs(want).max() <= 1e-11
 
 
-def test_radial_integral_symmetric_and_matches_trapezoid(sr, yb, hydrogen):
+def test_radial_integral_symmetric_and_matches_trapezoid(sr, yb, hydrogen, moment):
     # the stored-mesh dot product against the per-pair trapezoid it replaced
     fresh = RadialSolver()
     states = _oracle_states(sr, yb, hydrogen)
-    # dipole pairs and diagonals; pairs with |delta L| = 2 at power 2 cancel
-    # to 1.6e-13 relative, still 5e-16 of the integrand's absolute sum
+    # dipole pairs and diagonals
     pairs = [
         (a, b)
         for a in states
         for b in states
         if a.species is b.species and (a is b or abs(a.L - b.L) == 1)
     ]
-    h = fresh.h
     for a, b in pairs:
-        sa, sb = fresh.solve(a), fresh.solve(b)
-        j0, j1 = max(sa.j_in, sb.j_in), min(sa.j_out, sb.j_out)
-        va = sa.v[j0 - sa.j_in : j1 - sa.j_in + 1]
-        vb = sb.v[j0 - sb.j_in : j1 - sb.j_in + 1]
-        x = h * np.arange(j0, j1 + 1)
-        for power in (0, 1, 2):
-            got = fresh.radial_integral(a, b, power)
-            assert got == fresh.radial_integral(b, a, power)
-            old = 2.0 * h * float(np.trapezoid(va * vb * x ** (2 * power + 2)))
-            assert got == pytest.approx(old, rel=1e-13, abs=0.0), (a, b, power)
+        got = fresh.radial_integral(a, b)
+        assert got == fresh.radial_integral(b, a)
+        old = moment(fresh, a, b, 1)
+        assert got == pytest.approx(old, rel=1e-13, abs=0.0), (a, b)
 
 
 def test_numerov_zero_pivot_raises():
@@ -303,7 +295,7 @@ def test_pair_integrals_thread_safe_while_mesh_grows(sr, yb):
     for n in range(8, 51, 2):
         for sp in (sr, yb):
             a, b = sp.state(n, "3S1"), sp.state(n, "3P1")
-            pairs += [(a, b, 1), (b, a, 2)]
+            pairs += [(a, b), (b, a)]
     serial_solver = RadialSolver()
     serial = [serial_solver.radial_integral(*pair) for pair in pairs]
     interval = sys.getswitchinterval()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydtherm.bbr import bbr_shift_sum
+from rydtherm.bbr import bbr_shift_sum, linewidths
 from rydtherm.polarizability import static_polarizability
 from rydtherm.thermometry import (
     ThermometryError,
@@ -238,6 +238,23 @@ def test_joint_rejects_mixed_species(sr, yb):
         joint_solve_temperature_field(meas)
 
 
+def test_joint_species_compared_by_content(sr):
+    # two Species parsed from the same bytes are one species, as for
+    # transition_bbr_shift: the joint solve gives the one-object answer
+    from rydtherm.species import Species, bundled_species_path
+
+    with open(bundled_species_path("sr"), "rb") as fh:
+        content = fh.read()
+    twin = Species("twin.species", content)
+    assert twin is not sr
+    meas = [_measure(sr, n, 300.0, field_v_per_m=5.0) for n in (25, 30)]
+    moved = ThermometryMeasurement(
+        twin.state(30, "3D1"), meas[1].offset_hz, meas[1].sigma_hz
+    )
+    mixed = [meas[0], moved]
+    assert joint_solve_temperature_field(mixed) == joint_solve_temperature_field(meas)
+
+
 # -- interaction shifts and cycle budgets ----------------------------------------
 
 
@@ -282,6 +299,18 @@ def test_error_budget_computes_linewidth_when_not_given(sr):
     assert 0.0 < eb.line_split_factor < 1.0
 
 
+@pytest.mark.parametrize("name, n, series", [("sr", 30, "3D1"), ("yb", 30, "3P0")])
+def test_error_budget_explicit_metastable_is_default(request, name, n, series):
+    # one level rule and one width rule: spelling out the default lower
+    # state changes no field (the frequency keeps the clock level, and the
+    # clock state's mHz width stays out)
+    species = request.getfixturevalue(name)
+    upper = species.state(n, series)
+    default = error_budget(upper, 1.7e-16, 300.0)
+    explicit = error_budget(upper, 1.7e-16, 300.0, lower=species.metastable_state())
+    assert explicit == default
+
+
 def test_error_budget_rydberg_rydberg_route(sr):
     eb = error_budget(
         sr.state(40, "3D1"), 1.0e-13, 300.0, lower=sr.state(40, "3P0")
@@ -293,6 +322,11 @@ def test_error_budget_rydberg_rydberg_route(sr):
         _state_slope(sr.state(40, "3D1"), 300.0)
         - _state_slope(sr.state(40, "3P0"), 300.0),
         rel=1e-6,
+    )
+    # a Rydberg lower state's width counts; a clock state's would not
+    assert eb.total_linewidth_hz == (
+        linewidths(sr.state(40, "3D1"), 300.0).total_hz
+        + linewidths(sr.state(40, "3P0"), 300.0).total_hz
     )
 
 
