@@ -44,7 +44,6 @@ from .polarizability import (
     static_polarizability,
 )
 from .radial import (
-    MeshOverflowError,
     RadialSolver,
     RadialUnsolvableError,
     default_solver,
@@ -67,8 +66,8 @@ from .transitions import (
     TransitionTable,
     build_transition_table,
     channel_alpha_au,
+    dipole_rate_s,
     downward_channels,
-    einstein_a_s,
 )
 
 __version__ = "0.1.0"

@@ -69,7 +69,6 @@ from .transitions import (
     channel_table,
     dipole_rate_s,
     downward_channels,
-    einstein_a_s,
 )
 
 DEFAULT_TAIL_FRACTION = 0.25
@@ -574,7 +573,7 @@ class LinewidthResult:
 
 def natural_linewidth(state: RydbergState) -> float:
     """Natural (spontaneous) FWHM linewidth, Hz: sum of A over 2 pi."""
-    rates = einstein_a_s(downward_channels(state))
+    rates = dipole_rate_s(downward_channels(state))
     return math.fsum(rates.tolist()) / (2.0 * _PI)
 
 
@@ -594,7 +593,7 @@ def bbr_depopulation_rate(
     down = downward_channels(state)
     table = build_transition_table(state, span)
     up = table.omega_au > 0
-    rates = np.concatenate([einstein_a_s(down), dipole_rate_s(table)[up]])
+    rates = np.concatenate([dipole_rate_s(down), dipole_rate_s(table)[up]])
     x = np.abs(np.concatenate([down.omega_au, table.omega_au[up]])) / kt
     keep = x <= 700.0  # nbar < e^-700: the channel adds nothing
     return math.fsum((rates[keep] / np.expm1(x[keep])).tolist()) / (2.0 * _PI)

@@ -121,7 +121,8 @@ def solve_magic_wavelength(
     omega.  Roots with alpha >= 0 are flagged invalid rather than dropped.
     ``include_orbit_average=False`` zeroes <sin^2> (the point-dipole
     approximation) for consistency checks.  Raises ValueError when
-    ``state`` belongs to another species file than ``species`` or the file
+    ``state`` belongs to another species file than ``species``, is a clock
+    (ground or metastable) state rather than a Rydberg partner, or the file
     has no magic bracket, and MagicSolverError when a lattice-model
     resonance sits inside the bracket or no sign change is found.
 
@@ -138,6 +139,12 @@ def solve_magic_wavelength(
     exact points; at worst every point is exact.
     """
     species.check_states(state)
+    role = species.state_role(state)
+    if role is not None:
+        raise ValueError(
+            f"{state} is the {role} clock state, "
+            "not a Rydberg partner of the metastable state"
+        )
     if not 0.0 < k_ratio <= 1.0:
         raise ValueError(f"k_ratio must lie in (0, 1], got {k_ratio}")
     bracket_nm = species.magic_bracket_nm

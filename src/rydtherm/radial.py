@@ -59,10 +59,6 @@ class RadialUnsolvableError(ValueError):
     """State has no usable Coulomb-approximation radial solution."""
 
 
-class MeshOverflowError(RadialUnsolvableError):
-    """State's principal quantum number exceeds the species mesh budget."""
-
-
 @dataclass(frozen=True)
 class RadialSolution:
     """Normalized v(x) on the aligned mesh x_j = j*h, j_in <= j <= j_out, with
@@ -217,11 +213,6 @@ class RadialSolver:
         sd = state.defect
         l = sd.L
         nst = state.n_eff
-        if state.n > state.species.rydberg_n_max:
-            raise MeshOverflowError(
-                f"{state}: n = {state.n} exceeds the species mesh budget "
-                f"(rydberg_n_max = {state.species.rydberg_n_max})"
-            )
         if nst <= l + 0.15:
             raise RadialUnsolvableError(
                 f"{state}: n_eff = {nst:.3f} too close to/below l = {l}; "

@@ -13,7 +13,7 @@ Key families (see ``data/sr.species`` for a commented example):
 
     format_version, name, data_version, mass_amu, ionization_limit_hartree,
     rydberg_n_max,
-    defect.<series>.{n_min,n_max,mu0,mu2,mu4},
+    defect.<series>.{n_min,mu0,mu2,mu4},
     ground.{series,n}, metastable.{series,n},
     line.<i>.{omega_au,d_au}, line.core_alpha_au,
     bbrline.<ground|metastable>.<i>.{omega_au,d_au},
@@ -22,8 +22,11 @@ Key families (see ``data/sr.species`` for a commented example):
     clock.frequency_hz, clock.bbr_sensitivity_per_K,
     magic.bracket_nm_low, magic.bracket_nm_high
 
-An entry number <i> has no leading zero, so ``line.01.d_au`` is an
-unknown key.  The line lists load as columns (``Species.line_lists``).
+A series' states run from its ``n_min`` to ``rydberg_n_max``, the one
+upper bound on n of every series (and of every radial table built from
+them); a ``defect.<series>.n_max`` line is an unknown key.  An entry
+number <i> has no leading zero, so ``line.01.d_au`` is an unknown key.
+The line lists load as columns (``Species.line_lists``).
 
 The ``lowlying`` family patches decay channels whose compact final states
 (effective quantum number below l+1) have no Coulomb-approximation
@@ -50,7 +53,6 @@ from dataclasses import dataclass, field
 from . import constants as k
 
 _L_LETTERS = "SPDFGHIK"
-_SERIES_RE = re.compile(r"^([13])([SPDFGH])(\d)$")
 _ENV_DATA_DIR = "RYDTHERM_DATA_DIR"
 
 
@@ -67,7 +69,6 @@ class SeriesDefect:
     L: int
     J: float
     n_min: int
-    n_max: int
     mu0: float
     mu2: float
     mu4: float
@@ -103,12 +104,13 @@ class LowLyingChannel:
 
 @dataclass(frozen=True)
 class RydbergState:
-    """A bound (n, series) state of a loaded species."""
+    """A bound (n, series) state of a loaded species, made only by
+    ``Species.state``, which checks n and sets the cache key."""
 
     species: "Species" = field(repr=False, compare=False)
-    n: int = 0
-    series: str = ""
-    _key: tuple = field(default=(), repr=False)
+    n: int
+    series: str
+    _key: tuple = field(repr=False)
 
     @property
     def defect(self) -> SeriesDefect:
@@ -145,12 +147,10 @@ class RydbergState:
 
 
 def _parse_series_label(label: str) -> tuple[float, int, float]:
-    m = _SERIES_RE.match(label)
-    if not m:
-        raise SpeciesDataError(f"bad series label {label!r} (expected e.g. 3D1)")
-    S = (int(m.group(1)) - 1) / 2.0
-    L = _L_LETTERS.index(m.group(2))
-    J = float(m.group(3))
+    """S, L, J of a label the key grammar admitted (``_SERIES``)."""
+    S = (int(label[0]) - 1) / 2.0
+    L = _L_LETTERS.index(label[1])
+    J = float(label[2])
     if not (abs(L - S) <= J <= L + S):
         raise SpeciesDataError(f"series label {label!r} violates |L-S| <= J <= L+S")
     return S, L, J
@@ -167,7 +167,7 @@ _KEY_PATTERNS = {
         r"|rydberg_n_max|(ground|metastable)\.(series|n)|clock\.frequency_hz"
         r"|clock\.bbr_sensitivity_per_K|magic\.bracket_nm_(low|high)"
     ),
-    "defect": re.compile(rf"defect\.(?P<list>{_SERIES})\.(n_min|n_max|mu0|mu2|mu4)"),
+    "defect": re.compile(rf"defect\.(?P<list>{_SERIES})\.(n_min|mu0|mu2|mu4)"),
     "line": re.compile(
         rf"(?P<list>line|bbrline\.(ground|metastable))"
         rf"\.({_ENTRY}\.(omega_au|d_au)|core_alpha_au)"
@@ -311,13 +311,12 @@ class Species:
                 label,
                 *_parse_series_label(label),  # S, L, J
                 n_min=kvw.int_(f"{pre}.n_min"),
-                n_max=kvw.int_(f"{pre}.n_max"),
                 mu0=kvw.float_(f"{pre}.mu0"),
                 mu2=kvw.float_(f"{pre}.mu2", required=False),
                 mu4=kvw.float_(f"{pre}.mu4", required=False),
             )
-            if sd.n_min > sd.n_max:
-                raise SpeciesDataError(f"{path}: {pre}: n_min > n_max")
+            if sd.n_min > self.rydberg_n_max:
+                raise SpeciesDataError(f"{path}: {pre}: n_min > rydberg_n_max")
             # n* must stay positive everywhere; perturbed low members may dip
             # below L (e.g. Sr 4d), which the radial engine refuses to solve
             # but whose energies remain valid data
@@ -332,7 +331,7 @@ class Species:
 
         self._ground = (kvw.str_("ground.series"), kvw.int_("ground.n"))
         self._metastable = None
-        if kvw.has("metastable.series"):
+        if kvw.has("metastable.series") or kvw.has("metastable.n"):
             self._metastable = (kvw.str_("metastable.series"), kvw.int_("metastable.n"))
 
         self.line_lists = {
@@ -393,10 +392,11 @@ class Species:
         for gs_label, gs_n in (self._ground, self._metastable or self._ground):
             if gs_label not in self._series:
                 raise SpeciesDataError(f"{path}: unknown series {gs_label!r}")
-            sd = self._series[gs_label]
-            if not sd.n_min <= gs_n <= sd.n_max:
+            n_min = self._series[gs_label].n_min
+            if not n_min <= gs_n <= self.rydberg_n_max:
                 raise SpeciesDataError(
-                    f"{path}: n = {gs_n} outside [{sd.n_min}, {sd.n_max}] for {gs_label}"
+                    f"{path}: n = {gs_n} outside [{n_min}, {self.rydberg_n_max}] "
+                    f"for {gs_label}"
                 )
 
     # -- states ------------------------------------------------------------
@@ -418,11 +418,14 @@ class Species:
             ) from None
 
     def state(self, n: int, series: str) -> RydbergState:
-        sd = self.series_info(series)
-        if not sd.n_min <= n <= sd.n_max:
+        """The state (n, series), the one way to make a state: n must lie
+        in [n_min of the series, rydberg_n_max], the one upper bound on n,
+        so every radial table and mesh built from a state stays inside it."""
+        n_min = self.series_info(series).n_min
+        if not n_min <= n <= self.rydberg_n_max:
             raise SpeciesDataError(
                 f"{self.name} {series}: n = {n} outside valid range "
-                f"[{sd.n_min}, {sd.n_max}]"
+                f"[{n_min}, {self.rydberg_n_max}]"
             )
         return RydbergState(
             species=self, n=n, series=series, _key=(self.sha256, n, series)

@@ -214,9 +214,11 @@ def joint_solve_temperature_field(
     Model per measurement: offset = BBR(T) - (1/2) alpha_n(0) E^2, with
     alpha_n the Rydberg state's static polarizability (the metastable
     state's DC response is negligible on this scale).  E^2 keeps the
-    field part of the model linear; a negative estimate is clamped to 0
-    and flagged.  Raises on fewer than 2 measurements or degenerate
-    design (all states identical).
+    field part of the model linear; where a step would make it negative,
+    E^2 is clamped to 0 and flagged, and T takes the step of the fit with
+    E^2 held at 0, so a clamped solve ends at that fit's best T.  Raises
+    on fewer than 2 measurements or degenerate design (all states
+    identical).
     """
     if len(measurements) < 2:
         raise ThermometryError("joint solve needs >= 2 measurements")
@@ -279,12 +281,12 @@ def joint_solve_temperature_field(
                 "do not separate temperature from field"
             )
         step = np.linalg.solve(gram, jac.T @ r)
-        t_new = float(np.clip(t + step[0], t_lo + 1.0e-6, t_hi - 1.0e-9))
         e2_new = e2 + step[1]
-        if e2_new < 0.0:
-            e2_new, clamped = 0.0, True
-        else:
-            clamped = False
+        clamped = bool(e2_new < 0.0)
+        if clamped:  # the Gauss-Newton step in T of the fit at E^2 = 0
+            r0, a = (offsets - bbr) / sigmas, jac[:, 0]
+            e2_new, step[0] = 0.0, (a @ r0) / (a @ a)
+        t_new = float(np.clip(t + step[0], t_lo + 1.0e-6, t_hi - 1.0e-9))
         done = abs(t_new - t) < TOL_K and abs(e2_new - e2) <= 1.0e-9 * max(
             e2, 1.0
         )

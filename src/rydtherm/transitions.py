@@ -9,13 +9,16 @@ A ``TransitionTable`` holds one initial state's channels as columns, sorted
 by |omega| when the table is built: ``channel_ids``, and read-only arrays
 ``omega_au``, ``z2`` and ``j_final``.  Blackbody shift sums,
 polarizabilities, linewidths and the lattice model all read these columns
-whole; ``channel_alpha_au`` and ``einstein_a_s`` take a table and return one
+whole; ``channel_alpha_au`` and ``dipole_rate_s`` take a table and return one
 value per row.  There are three kinds of table:
 
 * ``build_transition_table(state, span)`` - the radial table: all channels
-  with n' in [max(n_min', n - span), min(n_max', n + span)] for each
-  dipole-coupled series.  The summed oscillator strength (Thomas-Reiche-Kuhn,
-  one active electron) tells callers how much strength the window missed.
+  with n' in [max(n_min', n - span), min(rydberg_n_max, n + span)] for
+  each dipole-coupled series, where n_min' is the final series' lowest n
+  and rydberg_n_max the species' one upper bound on n, so every final
+  state lies within the bound.  The summed oscillator strength
+  (Thomas-Reiche-Kuhn, one active electron) tells callers how much
+  strength the window missed.
 * ``species_line_table(species, name)`` - a complete line list of the
   species file (a clock state's ``bbrline.*`` list, or the ``line.*``
   lattice model) plus a static core polarizability, from one cache keyed
@@ -23,7 +26,8 @@ value per row.  There are three kinds of table:
   state is named, so ``j_final`` is None.
 * ``downward_channels(state)`` - every channel below the state regardless
   of span, for spontaneous-decay sums.  It walks the coupled series the
-  same way as the radial table, over its own n range.
+  same way as the radial table, from n_min' to the first final not below
+  the state.
 
 ``channel_table(state, span)`` is the one dispatch: the line table of a
 clock state, the radial table of any other state.
@@ -47,12 +51,7 @@ import numpy as np
 
 from . import constants as kconst
 from . import units
-from .radial import (
-    MeshOverflowError,
-    RadialSolver,
-    RadialUnsolvableError,
-    default_solver,
-)
+from .radial import RadialSolver, RadialUnsolvableError, default_solver
 from .species import LineList, RydbergState, SeriesDefect, Species
 from .wigner import line_strength_factor
 
@@ -123,19 +122,11 @@ def channel_alpha_au(table: TransitionTable, omega_au) -> np.ndarray:
 
 def dipole_rate_s(table: TransitionTable) -> np.ndarray:
     """4 |omega|^3 z^2 / c^3 per channel (atomic units), in s^-1: the
-    spontaneous rate of a downward channel, and by detailed balance the
-    absorption rate per thermal photon of an upward one."""
+    spontaneous rate (Einstein A = (4/3) |omega|^3 S / ((2 J_i + 1) c^3))
+    of a downward channel, and by detailed balance the absorption rate per
+    thermal photon of an upward one."""
     w3 = np.float_power(np.abs(table.omega_au), 3)
     return 4.0 * w3 * table.z2 / _C3 / kconst.ATOMIC_TIME_S
-
-
-def einstein_a_s(table: TransitionTable) -> np.ndarray:
-    """Spontaneous rate of each channel, s^-1 (0 for an upward channel).
-
-    A = (4/3) |omega|^3 S / ((2 J_i + 1) c^3) = 4 |omega|^3 z^2 / c^3
-    in atomic units, converted to SI.
-    """
-    return np.where(table.omega_au < 0, dipole_rate_s(table), 0.0)
 
 
 def coupled_series(state: RydbergState) -> tuple[str, ...]:
@@ -195,11 +186,6 @@ def build_transition_table(
     """All dipole channels with |n' - n| <= span (cached on the solver)."""
     if span < 1:
         raise ValueError(f"span must be >= 1, got {span}")
-    if state.n > state.species.rydberg_n_max:
-        raise MeshOverflowError(
-            f"{state}: n = {state.n} exceeds the species mesh budget "
-            f"(rydberg_n_max = {state.species.rydberg_n_max})"
-        )
     solver = solver or default_solver()
     key = ("table", state._key, span)
     return solver.cached(key, lambda: _build_table(state, span, solver))
@@ -244,8 +230,10 @@ def _walk(
 def _build_table(
     state: RydbergState, span: int, solver: RadialSolver
 ) -> TransitionTable:
+    n_max = state.species.rydberg_n_max
+
     def window(sd: SeriesDefect) -> range:
-        return range(max(sd.n_min, state.n - span), min(sd.n_max, state.n + span) + 1)
+        return range(max(sd.n_min, state.n - span), min(n_max, state.n + span) + 1)
 
     return _walk(state, solver, window, span)
 
@@ -308,7 +296,7 @@ def _build_downward(state: RydbergState, solver: RadialSolver) -> TransitionTabl
         # a series' energies rise with n: stop at its first final not below
         return itertools.takewhile(
             lambda n: state.species.state(n, sd.label).energy_au < state.energy_au,
-            range(sd.n_min, sd.n_max + 1),
+            range(sd.n_min, state.species.rydberg_n_max + 1),
         )
 
     return _walk(state, solver, below)

@@ -23,6 +23,18 @@ def hydrogen():
 
 
 @pytest.fixture(scope="session")
+def sr_n_max_60(tmp_path_factory):
+    """A copy of the bundled Sr file whose one bound on n is 60, not 80."""
+    from rydtherm.species import bundled_species_path
+
+    text = open(bundled_species_path("sr"), encoding="utf-8").read()
+    assert text.count("rydberg_n_max = 80") == 1
+    path = tmp_path_factory.mktemp("sr60") / "sr.species"
+    path.write_text(text.replace("rydberg_n_max = 80", "rydberg_n_max = 60"))
+    return load_species(str(path))
+
+
+@pytest.fixture(scope="session")
 def solver():
     return default_solver()
 

@@ -40,7 +40,7 @@ from rydtherm.thermometry import (
     joint_solve_temperature_field,
     transition_bbr_shift,
 )
-from rydtherm.transitions import downward_channels, einstein_a_s
+from rydtherm.transitions import dipole_rate_s, downward_channels
 
 _PUBLISHED_YB_TABLE = {
     # n: (magic wavelength nm, light shift kHz/(kW/cm^2), drive wavelength nm)
@@ -231,7 +231,7 @@ def test_c09_hydrogen_oracles(hydrogen, moment):
     r_2p = solver.radial_integral(st2p, st2p)
     r2_2p = moment(solver, st2p, st2p, 2)
     d_1s2p = solver.radial_integral(st1s, st2p)
-    a_2p = float(einstein_a_s(downward_channels(st2p)).sum())
+    a_2p = float(dipole_rate_s(downward_channels(st2p)).sum())
     exact_d = 128.0 * math.sqrt(6.0) / 243.0
     _report(
         "9",

@@ -3,8 +3,10 @@
 Each command is rerun in-process and compared with ``tests/golden/<name>.csv``:
 the header and row count exactly, text columns exactly, numeric columns to
 1e-10 relative (with an absolute floor for zeros).  ``manifest_id`` is not
-compared; it hashes the tool version, the schema, the parsed option values
-and the sha256 of the input files, not the results.
+compared there; it hashes the tool version, the schema, the parsed option
+values and the sha256 of the input files, not the results, and
+``test_golden_manifest_id`` checks it apart, so an edited species file
+cannot leave a golden's id stale.
 A ``{golden}`` token in a command names a committed input file in that
 directory.
 
@@ -13,6 +15,7 @@ explained) with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import csv
+import functools
 import io
 import math
 import os
@@ -65,6 +68,12 @@ def run_csv(argv: list[str]) -> str:
     return out.getvalue()
 
 
+@functools.cache
+def golden_output(name: str) -> str:
+    """CSV text of the golden command ``name``, run once per session."""
+    return run_csv(command_argv(name))
+
+
 def command_argv(name: str) -> list[str]:
     return [tok.replace("{golden}", GOLDEN_DIR) for tok in COMMANDS[name].split()]
 
@@ -105,10 +114,21 @@ def compare_csv(got: str, want: str, ignore: tuple[str, ...] = IGNORED) -> list[
     return errors
 
 
+def _column(text: str, col: str) -> list[str]:
+    rows = list(csv.reader(io.StringIO(text)))
+    i = rows[0].index(col)
+    return [row[i] for row in rows[1:]]
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_golden(name):
-    got = run_csv(command_argv(name))
-    assert compare_csv(got, read_golden(name)) == []
+    assert compare_csv(golden_output(name), read_golden(name)) == []
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_manifest_id(name):
+    got = _column(golden_output(name), "manifest_id")
+    assert got == _column(read_golden(name), "manifest_id")
 
 
 if __name__ == "__main__":

@@ -90,6 +90,21 @@ def test_magic_solver_rejects_a_state_of_another_species(sr, yb, tmp_path):
         solve_magic_wavelength(copy, yb.state(25, "3P0"))
 
 
+@pytest.mark.parametrize("name", ["sr", "yb"])
+@pytest.mark.parametrize("role", ["ground", "metastable"])
+def test_magic_solver_rejects_a_clock_state_partner(request, monkeypatch, name, role):
+    # a clock state is no Rydberg partner: its quantum-defect orbit against
+    # the lattice model of the metastable state gave a "valid" root
+    species = request.getfixturevalue(name)
+
+    def no_orbit_average(*args, **kwargs):
+        raise AssertionError("orbit average taken for a clock state")
+
+    monkeypatch.setattr(lattice, "sin2_matrix_element", no_orbit_average)
+    with pytest.raises(ValueError, match=f"is the {role} clock state"):
+        solve_magic_wavelength(species, species.clock_state(role))
+
+
 def test_sr_magic_band(sr):
     lam15 = pick_magic_root(solve_magic_wavelength(sr, sr.state(15, "3D1")))
     lam40 = pick_magic_root(solve_magic_wavelength(sr, sr.state(40, "3D1")))

@@ -7,7 +7,6 @@ import pytest
 
 from rydtherm import radial
 from rydtherm.radial import (
-    MeshOverflowError,
     RadialSolver,
     RadialUnsolvableError,
     default_solver,
@@ -68,19 +67,6 @@ def test_mesh_halving_converged(hydrogen):
     coarse = RadialSolver(h=0.01).radial_integral(st1s, st2p)
     fine = RadialSolver(h=0.005).radial_integral(st1s, st2p)
     assert fine == pytest.approx(coarse, rel=1e-5)
-
-
-def test_mesh_overflow_guard(sr, solver):
-    # species.state() range-checks n first, so build the state directly
-    from rydtherm.species import RydbergState
-
-    beyond = RydbergState(sr, 81, "3S1")
-    with pytest.raises(MeshOverflowError):
-        solver.solve(beyond)
-
-
-def test_mesh_overflow_is_unsolvable_subclass():
-    assert issubclass(MeshOverflowError, RadialUnsolvableError)
 
 
 def test_sin2_trivial_limits(sr):

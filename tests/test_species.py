@@ -70,6 +70,24 @@ def test_out_of_range_n_raises(sr):
         sr.state(500, "3S1")
 
 
+def test_rydberg_n_max_is_the_one_bound_on_n(sr, sr_n_max_60):
+    assert sr.state(80, "3D1").n == 80
+    with pytest.raises(SpeciesDataError, match=r"n = 81 outside valid range \[4, 80\]"):
+        sr.state(81, "3D1")
+    assert sr_n_max_60.state(60, "3D1").n == 60
+    for series in sr_n_max_60.series_labels():
+        with pytest.raises(SpeciesDataError, match=r"n = 61 outside valid range"):
+            sr_n_max_60.state(61, series)
+
+
+def test_states_come_only_from_species_state(sr):
+    # no field defaults: a hand-built state would share the cache key ()
+    from rydtherm.species import RydbergState
+
+    with pytest.raises(TypeError):
+        RydbergState(sr, 81, "3S1")
+
+
 def test_unknown_series_raises(sr):
     with pytest.raises(SpeciesDataError):
         sr.state(30, "3X1")
@@ -118,6 +136,14 @@ def test_zero_padded_entry_is_an_unknown_key(tmp_path, key):
     # to pass the key check and then vanish from its list
     path, lineno = _edited_sr(tmp_path, [f"{key} = 1.0"])
     with pytest.raises(SpeciesDataError, match=f":{lineno}: unknown key '{key}'"):
+        load_species(path)
+
+
+def test_per_series_n_max_is_an_unknown_key(tmp_path):
+    # rydberg_n_max is the one upper bound on n; older files stated it
+    # again per series
+    path, lineno = _edited_sr(tmp_path, ["defect.3S1.n_max = 80"])
+    with pytest.raises(SpeciesDataError, match=f":{lineno}: unknown key 'defect.3S1.n_max'"):
         load_species(path)
 
 
@@ -257,3 +283,102 @@ def test_non_finite_values_are_rejected(tmp_path, key, value):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SpeciesDataError, match=f":{lineno}: bad float"):
         load_species(str(path))
+
+
+# One case per check of the loader: (lines, replacement, message).  Each
+# full line of the bundled Sr file that matches the ``lines`` regex is
+# replaced (an empty replacement deletes it); the copy then fails to load,
+# or, without a metastable state, fails when that state is asked for.
+_BROKEN_SR = {
+    "series-label-grammar": (
+        r"defect\.3S1\.mu0 = 3\.371", "defect.3X1.mu0 = 3.371",
+        r":\d+: unknown key 'defect\.3X1\.mu0'",
+    ),
+    "series-J-outside-L-S": (
+        r"name = Sr", "name = Sr\ndefect.3D0.mu0 = 2.6",
+        r"series label '3D0' violates \|L-S\| <= J <= L\+S",
+    ),
+    "no-equals-sign": (r"name = Sr", "name Sr", r":\d+: expected 'key = value'"),
+    "duplicate-key": (r"name = Sr", "name = Sr\nname = Sr", r":\d+: duplicate key 'name'"),
+    "bad-float": (
+        r"defect\.3D1\.mu0 = 2\.658", "defect.3D1.mu0 = 2.658x",
+        r":\d+: bad float '2\.658x' for 'defect\.3D1\.mu0'",
+    ),
+    "bad-integer": (
+        r"rydberg_n_max = 80.*", "rydberg_n_max = 80.0",
+        r":\d+: bad integer '80\.0' for 'rydberg_n_max'",
+    ),
+    "line-omega-not-positive": (
+        r"line\.2\.omega_au = .*", "line.2.omega_au = 0",
+        r"line\.2\.omega_au must be positive",
+    ),
+    "line-d-not-positive": (
+        r"bbrline\.ground\.1\.d_au = .*", "bbrline.ground.1.d_au = -5.248",
+        r"bbrline\.ground\.1\.d_au must be positive",
+    ),
+    "format-version": (
+        r"format_version = 1", "format_version = 2", r"unsupported format_version",
+    ),
+    "mass-not-positive": (
+        r"mass_amu = .*", "mass_amu = 0", r"mass_amu must be positive or inf",
+    ),
+    "ionization-limit-not-positive": (
+        r"ionization_limit_hartree = .*", "ionization_limit_hartree = -0.2",
+        r"ionization_limit_hartree must be > 0",
+    ),
+    "n_min-above-bound": (
+        r"defect\.3S1\.n_min = 6", "defect.3S1.n_min = 81",
+        r"defect\.3S1: n_min > rydberg_n_max",
+    ),
+    "n_eff-unphysical": (
+        r"defect\.3S1\.n_min = 6", "defect.3S1.n_min = 3",
+        r"defect\.3S1: n_eff\(3\) = -\d+\.\d+ is not physical",
+    ),
+    "no-defect-entries": (r"defect\..*", "", r"no defect\.<series> entries"),
+    "lowlying-unknown-initial": (
+        r"name = Sr", "name = Sr\nlowlying.1G4.1.final = 3F3:4",
+        r"lowlying\.1G4: unknown initial series",
+    ),
+    "lowlying-final-spelling": (
+        r"lowlying\.3P0\.1\.final = 3D1:4", "lowlying.3P0.1.final = 3D1-4",
+        r"lowlying\.3P0\.1\.final = '3D1-4' must be '<series>:<n>'",
+    ),
+    "lowlying-not-dipole-coupled": (
+        r"lowlying\.3P0\.1\.final = 3D1:4", "lowlying.3P0.1.final = 3P1:5",
+        r"lowlying\.3P0\.1: '3P1:5' is not dipole-coupled",
+    ),
+    "lowlying-dipole-not-positive": (
+        r"lowlying\.3P0\.1\.dipole_n32_au = 8\.9", "lowlying.3P0.1.dipole_n32_au = 0",
+        r"lowlying\.3P0\.1\.dipole_n32_au must be > 0",
+    ),
+    "magic-bracket": (
+        r"magic\.bracket_nm_high = 2450", "magic.bracket_nm_high = 2200",
+        r"bad magic bracket",
+    ),
+    "ground-series-unknown": (
+        r"ground\.series = 1S0", "ground.series = 1G4", r"unknown series '1G4'",
+    ),
+    "ground-n-out-of-range": (
+        r"ground\.n = 5", "ground.n = 4", r"n = 4 outside \[5, 80\] for 1S0",
+    ),
+    "metastable-n-without-series": (
+        r"metastable\.series = 3P0", "", r"missing required key 'metastable\.series'",
+    ),
+    "no-metastable-state": (
+        r"metastable\.(series|n) = .*", "", r"Sr: no metastable state defined",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_SR))
+def test_broken_species_file_names_its_fault(tmp_path, case):
+    lines, replacement, message = _BROKEN_SR[case]
+    text = open(bundled_species_path("sr"), encoding="utf-8").read()
+    edited, count = re.subn(
+        rf"^(?:{lines})\n", replacement and replacement + "\n", text, flags=re.M
+    )
+    assert count >= 1
+    path = tmp_path / "sr.species"
+    path.write_text(edited)
+    with pytest.raises(SpeciesDataError, match=message):
+        load_species(str(path)).metastable_state()

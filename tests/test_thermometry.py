@@ -212,6 +212,28 @@ def test_joint_zero_field_clamps_cleanly(sr):
     assert sol.field_v_per_m == pytest.approx(0.0, abs=1e-3)
 
 
+def test_joint_clamped_field_gives_the_zero_field_fit(sr):
+    # -2 Hz on 30 3D1 asks for E^2 < 0: the reported T is the best fit
+    # with E^2 held at 0, not the T of the negative-E^2 fit (300.037 K)
+    from scipy import optimize
+
+    meas = _measure(sr, 25, 300.0), _measure(sr, 30, 300.0)
+    meas = [meas[0], ThermometryMeasurement(meas[1].state, meas[1].offset_hz - 2.0, 0.16)]
+    sol = joint_solve_temperature_field(meas)
+    assert sol.field_sq_clamped and sol.field_v_per_m == 0.0
+
+    def chi2_slope(t):  # d(chi^2)/dT / -2 at E^2 = 0
+        return sum(
+            (m.offset_hz - shift) * slope / m.sigma_hz**2
+            for m in meas
+            for shift, slope in [transition_bbr_shift(sr, m.state, t, derivative=True)]
+        )
+
+    best = optimize.brentq(chi2_slope, 299.0, 301.0, xtol=1e-10)
+    assert best == pytest.approx(299.9374, abs=1e-4)
+    assert abs(sol.temperature_k - best) < 1e-6
+
+
 def test_joint_order_invariance(sr):
     meas = [_measure(sr, n, 320.0, field_v_per_m=3.0) for n in (25, 30)]
     a = joint_solve_temperature_field(meas)

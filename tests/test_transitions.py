@@ -109,3 +109,21 @@ def test_empty_downward_table(sr):
     assert table.omega_au.shape == table.z2.shape == table.j_final.shape == (0,)
     assert table.f_missing == 1.0
     assert natural_linewidth(state) == 0.0
+
+
+def _top_final(table):
+    return max(int(cid.split(":")[1]) for cid in table.channel_ids)
+
+
+def test_walks_stop_at_the_one_bound_on_n(sr, sr_n_max_60):
+    # with rydberg_n_max = 60, the n' <= 75 window of Sr 40 3D1 ends at 60:
+    # no final above the bound is solved, or skipped as unsolvable
+    table = build_transition_table(sr_n_max_60.state(40, "3D1"))
+    assert _top_final(table) == 60
+    assert table.skipped_unsolvable == 0
+    # 60 3F2 lies above 3D 61 and 62: the downward walk stops at the bound
+    # too, and skips only the compact finals the bundled file skips
+    full = downward_channels(sr.state(60, "3F2"))
+    down = downward_channels(sr_n_max_60.state(60, "3F2"))
+    assert (_top_final(full), _top_final(down)) == (62, 60)
+    assert down.skipped_unsolvable == full.skipped_unsolvable == 3
