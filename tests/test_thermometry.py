@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from rydtherm.bbr import bbr_shift_sum, linewidths
 from rydtherm.polarizability import static_polarizability
@@ -215,10 +216,8 @@ def test_joint_zero_field_clamps_cleanly(sr):
 def test_joint_clamped_field_gives_the_zero_field_fit(sr):
     # -2 Hz on 30 3D1 asks for E^2 < 0: the reported T is the best fit
     # with E^2 held at 0, not the T of the negative-E^2 fit (300.037 K)
-    from scipy import optimize
-
-    meas = _measure(sr, 25, 300.0), _measure(sr, 30, 300.0)
-    meas = [meas[0], ThermometryMeasurement(meas[1].state, meas[1].offset_hz - 2.0, 0.16)]
+    low, high = _measure(sr, 25, 300.0), _measure(sr, 30, 300.0)
+    meas = [low, ThermometryMeasurement(high.state, high.offset_hz - 2.0, 0.16)]
     sol = joint_solve_temperature_field(meas)
     assert sol.field_sq_clamped and sol.field_v_per_m == 0.0
 
