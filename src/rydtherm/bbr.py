@@ -39,10 +39,13 @@ temperature.  A result is flagged converged when |tail| is at most
 
 Both routes read the channels of ``channel_table``.  The tail's
 quadrature nodes are channels too (node u at w = E_bind/u), summed by the
-same rule.  The channel sum makes one kernel call for all channels of a
-table and one for the tail's nodes, and from the same F and F' it returns
-the temperature derivative: d/dT [(kT)^3 F(w/kT)] = k^3 T^2 (3F - yF') per
-channel, and 4 shift/T for the static core term.  For a clock state (the
+same rule.  The channel sum makes one kernel call for all channels of one
+model evaluation: ``bbr_shift_sums`` joins the table and tail channels of
+every state it is given into one array and splits the result by state
+(the kernel works element by element, so a state's shift does not depend
+on the others).  From the same F and F' it returns the temperature
+derivative: d/dT [(kT)^3 F(w/kT)] = k^3 T^2 (3F - yF') per channel, and
+4 shift/T for the static core term.  For a clock state (the
 species' ground/metastable role) the table is the literature-anchored line
 list from the species file plus a static core/background term, folded in
 through its static-limit shift; the list is complete by construction, so
@@ -426,91 +429,126 @@ _TAIL_NODE_WEIGHTS = _TAIL_WEIGHTS * (_KRAMERS_P - 1.0) * _TAIL_NODES_U ** (_KRA
 
 
 def truncation_tail_shift(
-    f_missing: float, binding_au: float, temperature_k: float
-) -> tuple[float, float]:
-    """Continuum completion of a truncated channel sum and its d/dT.
+    f_missing: float, binding_au: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Channels of the continuum completion of a truncated channel sum.
 
     Distributes the missing oscillator strength ``f_missing`` above the
     ionization threshold ``binding_au`` with the Kramers profile
-    df/dw proportional to w^-7/2 and folds it through the Farley-Wing
-    kernel.  Each of the 48 quadrature nodes u_i is a channel at
-    w_i = binding_au / u_i with z_i^2 = f_missing W_i / (2 w_i), W the
-    node weights, summed by the channel rule.  Returns (shift in Hz,
-    d(shift)/dT in Hz/K).  Both are 0 for T = 0 or when no strength is
-    missing (a small negative ``f_missing`` can arise from the finite
-    accuracy of the one-channel radial model at low n and is clamped).
+    df/dw proportional to w^-7/2.  Each of the 48 quadrature nodes u_i is
+    a channel at w_i = binding_au / u_i with z_i^2 = f_missing W_i /
+    (2 w_i), W the node weights; returns their (omega_au, z2) columns, to
+    be folded through the Farley-Wing kernel by the channel rule.  No
+    channels when no strength is missing (a small negative ``f_missing``
+    can arise from the finite accuracy of the one-channel radial model at
+    low n and is clamped).
     """
-    _check_temperature(temperature_k)
-    if kconst.KB_AU * temperature_k == 0.0 or f_missing <= 0.0:
-        return 0.0, 0.0
+    if f_missing <= 0.0:
+        return np.empty(0), np.empty(0)
     omega = binding_au / _TAIL_NODES_U
-    z2 = f_missing * _TAIL_NODE_WEIGHTS / (2.0 * omega)
-    hz, slopes = _channel_shifts_sum_hz(omega, z2, temperature_k)
-    return math.fsum(hz.tolist()), math.fsum(slopes.tolist())
+    return omega, f_missing * _TAIL_NODE_WEIGHTS / (2.0 * omega)
 
 
-def _bbr_shift(
-    state: RydbergState,
+def _bbr_shifts(
+    states: list[RydbergState],
     temperature_k: float,
     span: int,
     solver: RadialSolver | None,
     method: str,
     tail_fraction: float,
-) -> BBRShiftResult:
+) -> list[BBRShiftResult]:
     _check_temperature(temperature_k)
-    table = channel_table(state, span, solver)
+    tables = [channel_table(state, span, solver) for state in states]
     if kconst.KB_AU * temperature_k == 0.0:
-        return BBRShiftResult(
-            state_str=str(state),
-            temperature_k=temperature_k,
-            shift_hz=0.0,
-            channel_hz=0.0,
-            tail_hz=0.0,
-            f_missing=None,
-            converged=True,
-            method=method,
-            span=table.span,
-            slope_hz_per_k=0.0 if method == "sum" else None,
-        )
-    if method == "sum":
-        hz, slopes = _channel_shifts_sum_hz(table.omega_au, table.z2, temperature_k)
-        parts, slope_parts = hz.tolist(), slopes.tolist()
-    else:
-        parts = [
-            _channel_shift_integral_hz(w, z2, temperature_k)
-            for w, z2 in zip(table.omega_au.tolist(), table.z2.tolist())
+        return [
+            BBRShiftResult(
+                state_str=str(state),
+                temperature_k=temperature_k,
+                shift_hz=0.0,
+                channel_hz=0.0,
+                tail_hz=0.0,
+                f_missing=None,
+                converged=True,
+                method=method,
+                span=table.span,
+                slope_hz_per_k=0.0 if method == "sum" else None,
+            )
+            for state, table in zip(states, tables)
         ]
-    if table.core_alpha_au is not None:
-        core = static_limit_shift(table.core_alpha_au, temperature_k)
-        parts.append(core)
+    # One kernel call for every state: its table's channels (sum route
+    # only), then its tail nodes.  The tail is a continuum model, not a
+    # discrete channel, so both routes fold it through the kernel; the
+    # sum-vs-integral cross-check exercises the per-channel kernels.
+    none = (np.empty(0), np.empty(0))
+    blocks = []
+    for state, table in zip(states, tables):
+        blocks.append((table.omega_au, table.z2) if method == "sum" else none)
+        blocks.append(  # a line table is complete: it has no tail
+            none if table.f_missing is None
+            else truncation_tail_shift(table.f_missing, state.binding_au)
+        )
+    hz, slopes = _channel_shifts_sum_hz(
+        np.concatenate([b[0] for b in blocks]),
+        np.concatenate([b[1] for b in blocks]),
+        temperature_k,
+    )
+    hz, slopes = hz.tolist(), slopes.tolist()
+    ends = np.cumsum([0] + [b[0].size for b in blocks]).tolist()
+    results = []
+    for i, (state, table) in enumerate(zip(states, tables)):
+        start, mid, end = ends[2 * i : 2 * i + 3]
         if method == "sum":
-            slope_parts.append(4.0 * core / temperature_k)  # core ~ T^4
-    # fsum is exactly rounded: the sums do not depend on the order of terms
-    channel_hz = math.fsum(parts)
-    # The tail is a continuum model, not a discrete channel, so both routes
-    # share one implementation; the sum-vs-integral cross-check exercises
-    # the per-channel kernels.
-    tail, tail_slope = (
-        (0.0, 0.0)
-        if table.f_missing is None
-        else truncation_tail_shift(table.f_missing, state.binding_au, temperature_k)
-    )
-    shift = channel_hz + tail
-    converged = abs(tail) <= tail_fraction * max(abs(shift), 1e-3)
-    return BBRShiftResult(
-        state_str=str(state),
-        temperature_k=temperature_k,
-        shift_hz=shift,
-        channel_hz=channel_hz,
-        tail_hz=tail,
-        f_missing=table.f_missing,
-        converged=converged,
-        method=method,
-        span=table.span,
-        slope_hz_per_k=(
-            math.fsum(slope_parts) + tail_slope if method == "sum" else None
-        ),
-    )
+            parts, slope_parts = hz[start:mid], slopes[start:mid]
+        else:
+            parts = [
+                _channel_shift_integral_hz(w, z2, temperature_k)
+                for w, z2 in zip(table.omega_au.tolist(), table.z2.tolist())
+            ]
+        if table.core_alpha_au is not None:
+            core = static_limit_shift(table.core_alpha_au, temperature_k)
+            parts.append(core)
+            if method == "sum":
+                slope_parts.append(4.0 * core / temperature_k)  # core ~ T^4
+        # fsum is exactly rounded: the sums do not depend on the order of terms
+        channel_hz = math.fsum(parts)
+        tail = math.fsum(hz[mid:end])
+        shift = channel_hz + tail
+        results.append(
+            BBRShiftResult(
+                state_str=str(state),
+                temperature_k=temperature_k,
+                shift_hz=shift,
+                channel_hz=channel_hz,
+                tail_hz=tail,
+                f_missing=table.f_missing,
+                converged=abs(tail) <= tail_fraction * max(abs(shift), 1e-3),
+                method=method,
+                span=table.span,
+                slope_hz_per_k=(
+                    math.fsum(slope_parts) + math.fsum(slopes[mid:end])
+                    if method == "sum"
+                    else None
+                ),
+            )
+        )
+    return results
+
+
+def bbr_shift_sums(
+    states: list[RydbergState],
+    temperature_k: float,
+    span: int = DEFAULT_SPAN,
+    solver: RadialSolver | None = None,
+    tail_fraction: float = DEFAULT_TAIL_FRACTION,
+) -> list[BBRShiftResult]:
+    """``bbr_shift_sum`` of each state, from one kernel call.
+
+    The channels of every state, tail nodes included, go through the
+    kernel as one array, which is then split by state; the kernel works
+    element by element, so each result is bitwise the one a call for that
+    state alone gives.
+    """
+    return _bbr_shifts(states, temperature_k, span, solver, "sum", tail_fraction)
 
 
 def bbr_shift_sum(
@@ -526,7 +564,7 @@ def bbr_shift_sum(
     static core term for a clock state, the radial table with sum-rule tail
     completion for any other state.
     """
-    return _bbr_shift(state, temperature_k, span, solver, "sum", tail_fraction)
+    return bbr_shift_sums([state], temperature_k, span, solver, tail_fraction)[0]
 
 
 def bbr_shift_integral(
@@ -548,9 +586,9 @@ def bbr_shift_integral(
     absolute floor.  Far below 1 K the shifts lie far under that floor, so
     there the two routes are not comparable (they may differ in sign).
     """
-    return _bbr_shift(
-        state, temperature_k, span, solver, "integral", tail_fraction
-    )
+    return _bbr_shifts(
+        [state], temperature_k, span, solver, "integral", tail_fraction
+    )[0]
 
 
 # ---------------------------------------------------------------------------

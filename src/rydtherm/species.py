@@ -46,6 +46,7 @@ import hashlib
 import importlib.resources
 import io
 import math
+import operator
 import os
 import re
 from dataclasses import dataclass, field
@@ -420,8 +421,15 @@ class Species:
     def state(self, n: int, series: str) -> RydbergState:
         """The state (n, series), the one way to make a state: n must lie
         in [n_min of the series, rydberg_n_max], the one upper bound on n,
-        so every radial table and mesh built from a state stays inside it."""
+        so every radial table and mesh built from a state stays inside it.
+        n must be an integer (a Python or numpy int), not a float or str."""
         n_min = self.series_info(series).n_min
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise SpeciesDataError(
+                f"{self.name} {series}: n = {n!r} is not an integer"
+            ) from None
         if not n_min <= n <= self.rydberg_n_max:
             raise SpeciesDataError(
                 f"{self.name} {series}: n = {n} outside valid range "

@@ -8,7 +8,9 @@ This module turns that into instrumentation:
 
 * ``transition_bbr_shift`` — the transition's shift and, with
   ``derivative=True``, its d/dT, differentiated analytically from the same
-  kernel values as the shift (``BBRShiftResult.slope_hz_per_k``);
+  kernel values as the shift (``BBRShiftResult.slope_hz_per_k``); both
+  states share one kernel call (``bbr_shift_sums``), as do all states of
+  one joint-solve iterate;
 * ``invert_temperature`` — bracket-safeguarded Newton solve of
   shift(T) = offset;
 * ``joint_solve_temperature_field`` — weighted least squares over
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants as kconst
-from .bbr import TEMPERATURE_RANGE_K, bbr_shift_sum, linewidths
+from .bbr import TEMPERATURE_RANGE_K, bbr_shift_sums, linewidths
 from .lattice import level_energy_au
 from .polarizability import static_polarizability
 from .radial import RadialSolver
@@ -112,12 +114,26 @@ def transition_bbr_shift(
     if lower is None:
         lower = species.metastable_state()
     species.check_states(upper, lower)
-    up = bbr_shift_sum(upper, temperature_k, span=span, solver=solver)
-    lo = bbr_shift_sum(lower, temperature_k, span=span, solver=solver)
-    shift = up.shift_hz - lo.shift_hz
-    if derivative:
-        return shift, up.slope_hz_per_k - lo.slope_hz_per_k
-    return shift
+    ((shift, slope),) = _transition_shifts([upper], lower, temperature_k, span, solver)
+    return (shift, slope) if derivative else shift
+
+
+def _transition_shifts(
+    uppers: list[RydbergState],
+    lower: RydbergState,
+    temperature_k: float,
+    span: int,
+    solver: RadialSolver | None,
+) -> list[tuple[float, float]]:
+    """(BBR shift in Hz, d/dT in Hz/K) of each ``lower -> upper``
+    transition, from one ``bbr_shift_sums`` call over the distinct states."""
+    states = list(dict.fromkeys([lower, *uppers]))
+    res = dict(zip(states, bbr_shift_sums(states, temperature_k, span, solver)))
+    lo = res[lower]
+    return [
+        (res[u].shift_hz - lo.shift_hz, res[u].slope_hz_per_k - lo.slope_hz_per_k)
+        for u in uppers
+    ]
 
 
 def invert_temperature(
@@ -247,16 +263,12 @@ def joint_solve_temperature_field(
     offsets = np.array([m.offset_hz for m in measurements])
     sigmas = np.array([m.sigma_hz for m in measurements])
 
+    uppers = [m.state for m in measurements]
+    lower = species.metastable_state()
+
     def bbr_and_slope(t: float) -> np.ndarray:
         """Rows: each transition's BBR shift and its d/dT at t."""
-        return np.array(
-            [
-                transition_bbr_shift(
-                    species, m.state, t, span=span, solver=solver, derivative=True
-                )
-                for m in measurements
-            ]
-        ).T
+        return np.array(_transition_shifts(uppers, lower, t, span, solver)).T
 
     t_lo, t_hi = TEMPERATURE_RANGE_K
     t = min(max(seed_k, t_lo + 1.0), t_hi - 1.0)

@@ -459,6 +459,16 @@ def test_nonconvergence_exits_4_with_rows(capsys):
     assert "rydtherm" in err
 
 
+@pytest.mark.parametrize("n, code", [(71, EXIT_OK), (76, EXIT_NUMERIC)])
+def test_usable_n_stops_about_span_below_the_bound(capsys, n, code):
+    # n = 76 loads (n <= rydberg_n_max = 80), but its window is clipped at
+    # the bound, so the tail misses 0.60 of the strength and the row is
+    # flagged; n = 71 still converges (f_missing 0.243)
+    got, out, _ = _run(capsys, "bbr", "--species", "Sr", "--state", f"{n}:3D1")
+    assert got == code
+    assert _rows(out)[0]["converged"] == ("true" if code == EXIT_OK else "false")
+
+
 def test_magic_no_root_exits_4(capsys, yb, tmp_path):
     # a Yb file whose magic bracket holds no root of the magic condition
     from test_lattice import _with_bracket

@@ -1,9 +1,11 @@
 """Species data files: parsing, validation, state construction."""
 
+import math
 import os
 import re
 import shutil
 
+import numpy as np
 import pytest
 
 from rydtherm import constants as k
@@ -78,6 +80,17 @@ def test_rydberg_n_max_is_the_one_bound_on_n(sr, sr_n_max_60):
     for series in sr_n_max_60.series_labels():
         with pytest.raises(SpeciesDataError, match=r"n = 61 outside valid range"):
             sr_n_max_60.state(61, series)
+
+
+@pytest.mark.parametrize("n", [30.5, 30.0, "30", math.nan])
+def test_non_integral_n_is_rejected(sr, n):
+    with pytest.raises(SpeciesDataError, match="is not an integer"):
+        sr.state(n, "3D1")
+
+
+def test_numpy_integer_n_is_an_int(sr):
+    st = sr.state(np.int64(30), "3D1")
+    assert type(st.n) is int and st == sr.state(30, "3D1")
 
 
 def test_states_come_only_from_species_state(sr):

@@ -276,6 +276,88 @@ def test_joint_species_compared_by_content(sr):
     assert joint_solve_temperature_field(mixed) == joint_solve_temperature_field(meas)
 
 
+# -- one kernel call per model evaluation ----------------------------------------
+
+_MERGE_TEMPERATURES_K = (0.0, 1e-3, 5.0, 50.0, 300.0, 777.7, 1000.0)
+
+
+@pytest.mark.parametrize("sp_name, series", [("sr", "3D1"), ("sr", "3S1"), ("yb", "3P0")])
+def test_transition_shift_is_the_difference_of_its_state_shifts(request, sp_name, series):
+    # the transition's states share one kernel call; the kernel works
+    # element by element, so each state's shift and slope are bitwise those
+    # of its own call
+    sp = request.getfixturevalue(sp_name)
+    meta = sp.metastable_state()
+    for n in range(25, 31):
+        upper = sp.state(n, series)
+        for lower in (None, meta, sp.state(25, series)):
+            lo_state = meta if lower is None else lower
+            for t in _MERGE_TEMPERATURES_K:
+                up, lo = bbr_shift_sum(upper, t), bbr_shift_sum(lo_state, t)
+                got = transition_bbr_shift(sp, upper, t, lower=lower, derivative=True)
+                assert got == (
+                    up.shift_hz - lo.shift_hz, up.slope_hz_per_k - lo.slope_hz_per_k
+                ), (str(upper), str(lo_state), t)
+
+
+def test_joint_solve_of_the_golden_input_is_unchanged(sr):
+    # the measurements of tests/golden/meas_sr.csv; the values are those of
+    # the solve with one kernel call per state and per evaluation, to the bit
+    meas = [
+        ThermometryMeasurement(sr.state(25, "3D1"), 3442.58218, 0.16),
+        ThermometryMeasurement(sr.state(30, "3D1"), 7376.01495, 0.16),
+    ]
+    sol = joint_solve_temperature_field(meas)
+    assert sol.temperature_k == float.fromhex("0x1.2c00000598b52p+8")  # 300.0000003335782
+    assert sol.field_v_per_m == float.fromhex("0x1.4000000069f08p+2")  # 5.0000000003854055
+    assert sol.iterations == 2
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The number of ``farley_wing_fast`` calls made so far."""
+    from rydtherm import bbr
+
+    calls = []
+    kernel = bbr.farley_wing_fast
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(bbr, "farley_wing_fast", counted)
+    return lambda: len(calls)
+
+
+@pytest.mark.parametrize("temperature_k, calls", [(300.0, 1), (0.0, 0)])
+def test_one_kernel_call_per_model_evaluation(sr, kernel_calls, temperature_k, calls):
+    rydberg, meta = sr.state(30, "3D1"), sr.metastable_state()
+    for state in (rydberg, meta):  # warm tables: a build calls no kernel
+        bbr_shift_sum(state, temperature_k)
+    for evaluate in (
+        lambda: bbr_shift_sum(rydberg, temperature_k),
+        lambda: bbr_shift_sum(meta, temperature_k),
+        lambda: transition_bbr_shift(sr, rydberg, temperature_k, derivative=True),
+        lambda: transition_bbr_shift(
+            sr, rydberg, temperature_k, lower=sr.state(25, "3D1"), derivative=True
+        ),
+    ):
+        before = kernel_calls()
+        evaluate()
+        assert kernel_calls() - before == calls
+
+
+def test_one_kernel_call_per_joint_iterate(sr, kernel_calls):
+    # three transitions share the metastable state: one call per iterate,
+    # iterates 0 .. iterations
+    meas = [_measure(sr, n, 300.0, field_v_per_m=5.0) for n in (25, 27, 30)]
+    for m in meas:
+        static_polarizability(m.state)
+    before = kernel_calls()
+    sol = joint_solve_temperature_field(meas)
+    assert kernel_calls() - before == sol.iterations + 1
+
+
 # -- interaction shifts and cycle budgets ----------------------------------------
 
 
