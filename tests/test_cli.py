@@ -460,7 +460,7 @@ def test_nonconvergence_exits_4_with_rows(capsys):
 
 
 @pytest.mark.parametrize("n, code", [(71, EXIT_OK), (76, EXIT_NUMERIC)])
-def test_usable_n_stops_about_span_below_the_bound(capsys, n, code):
+def test_usable_n_stops_below_the_bound(capsys, n, code):
     # n = 76 loads (n <= rydberg_n_max = 80), but its window is clipped at
     # the bound, so the tail misses 0.60 of the strength and the row is
     # flagged; n = 71 still converges (f_missing 0.243)
