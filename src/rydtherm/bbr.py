@@ -61,9 +61,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 from . import constants as kconst
+from ._brent import brentq
 from .radial import RadialSolver
 from .species import RydbergState
 from .transitions import (
@@ -98,11 +98,19 @@ def _check_temperature(temperature_k: float) -> None:
 # Farley-Wing profile function
 
 
+# zeta(4), zeta(6), ..., zeta(36): scipy.special.zeta's values, bit for bit
+_ZETA_EVEN = (
+    1.0823232337111381, 1.0173430619844492, 1.0040773561979444,
+    1.000994575127818, 1.000246086553308, 1.0000612481350588,
+    1.0000152822594086, 1.000003817293265, 1.0000009539620338,
+    1.0000002384505027, 1.000000059608189, 1.0000000149015549,
+    1.000000003725334, 1.0000000009313275, 1.000000000232831,
+    1.0000000000582077, 1.000000000014552,
+)
 # F(a) = 2 sum_m Gamma(2m+4) zeta(2m+4) / a^(2m+1) for large a, highest
 # order first
 _ASYMPTOTIC_COEF = tuple(
-    2.0 * math.gamma(2 * m + 4) * float(special.zeta(2 * m + 4))
-    for m in reversed(range(17))
+    2.0 * math.gamma(2 * m + 4) * _ZETA_EVEN[m] for m in reversed(range(17))
 )
 
 
@@ -155,6 +163,7 @@ def farley_wing(y: float) -> float:
         return -(_PI**2) * y / 3.0 - y**3 * (math.log(a / (2.0 * _PI)) + np.euler_gamma)
     if a > 40.0:
         return sign * float(_fw_asymptotic(np.array(a))[0])
+    from scipy import integrate  # reference route only: kept out of import
 
     def g(x: float) -> float:
         return x**3 / ((x * x - a * a) * math.expm1(x))
@@ -280,7 +289,7 @@ def farley_wing_fast(y, derivative: bool = False):
 
 def farley_wing_zero() -> float:
     """Positive zero crossing of F (between the minimum and the asymptote)."""
-    return float(optimize.brentq(farley_wing_fast, 0.5, 6.0, xtol=1e-10))
+    return brentq(farley_wing_fast, 0.5, 6.0, xtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +391,8 @@ def _channel_shift_integral_hz(omega_au, z2, temperature_k) -> float:
     Cauchy-weight quadrature on a symmetric window.  Independent of the
     Farley-Wing function.
     """
+    from scipy import integrate  # reference route only: kept out of import
+
     kt = kconst.KB_AU * temperature_k
     c = abs(omega_au)
 

@@ -44,10 +44,10 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import constants as kconst
 from . import units
+from ._brent import brentq
 from .radial import sin2_matrix_element
 from .species import RydbergState, Species
 from .transitions import TransitionTable, channel_alpha_au, species_line_table
@@ -208,7 +208,7 @@ def solve_magic_wavelength(
         if fa == 0.0:
             root = a
         elif fa * fb < 0.0:
-            root = optimize.brentq(residual, a, b, rtol=1e-12, maxiter=200)
+            root = brentq(residual, a, b, rtol=1e-12, maxiter=200)
         else:
             continue
         s = sin2_at(root)

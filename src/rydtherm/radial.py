@@ -23,6 +23,17 @@ evaluated by one numpy kernel in two regions split by a binary search:
 below max(1, L) a Horner-form power series (where the closed forms lose
 digits to cancellation), above it upward recurrence from
 j0 = sin z / z and j1 = (j0 - cos z) / z (where the series would).
+When the whole orbit lies in a moment region, Z = q r_top <= _MOMENT_Z
+with r_top the state's outermost node, the series is summed over radial
+moments instead of over the mesh:
+
+    <j_L(q r)> = 2h Z^L sum_i c_i (-Z^2/2)^i m_(L+2i),
+    m_k = sum' v_j^2 r_j (r_j / r_top)^k,
+
+the same terms in another order.  The moments do not depend on q, so each
+state builds them once (as many as orders 0..2L need) and every average
+after that is a few dozen float operations.  Above _MOMENT_Z the mesh
+kernel runs as described; the Sr and Yb magic lattices stay below it.
 
 Conventions:
 * energies E = -mu/(2 n*^2) hartree from the species quantum defects;
@@ -98,11 +109,15 @@ def _numerov_inward(kf: np.ndarray, h: float) -> np.ndarray:
     return v
 
 
+# Below Z = q r_top = _MOMENT_Z an orbit average sums the power series over
+# the state's cached radial moments instead of over the mesh
+_MOMENT_Z = 4.0
+
+
 @functools.lru_cache(maxsize=None)
-def _series_coefs(order: int) -> tuple[float, ...]:
+def _series_coefs(order: int, z: float) -> tuple[float, ...]:
     """c_i = 1 / (i! (2i + 2L + 1)!!) of j_L(z) = z^L sum_i c_i (-z^2/2)^i,
-    through the first term below 1e-17 at z = max(1, L)."""
-    z = max(1.0, order)
+    through the first term below 1e-17 at ``z``."""
     coefs = []
     den = math.prod(range(1, 2 * order + 2, 2))  # (2L + 1)!!
     i = 0
@@ -127,7 +142,7 @@ def _bessel_j(order: int, z: np.ndarray) -> np.ndarray:
     if split:
         lo = z[:split]
         t = -0.5 * lo * lo
-        coefs = _series_coefs(order)
+        coefs = _series_coefs(order, float(max(1, order)))
         acc = np.full_like(lo, coefs[-1])
         for c in coefs[-2::-1]:
             acc *= t
@@ -146,6 +161,18 @@ def _bessel_j(order: int, z: np.ndarray) -> np.ndarray:
                 j_prev, j = j, (2 * k + 1) / hi * j - j_prev
             out[split:] = j
     return out
+
+
+def _moment_series(order: int, z: float, m: tuple[float, ...]) -> float:
+    """z^L sum_i c_i (-z^2/2)^i m_(L+2i): the series of ``_bessel_j`` summed
+    over moments m_k = sum_j w_j rho_j^k, for z = q r_top and rho = r / r_top
+    (so it is sum_j w_j j_L(q r_j)), with the terms needed at _MOMENT_Z."""
+    coefs = _series_coefs(order, _MOMENT_Z)
+    t = -0.5 * z * z
+    acc = 0.0
+    for i in range(len(coefs) - 1, -1, -1):
+        acc = acc * t + coefs[i] * m[order + 2 * i]
+    return z**order * acc
 
 
 class _Mesh:
@@ -263,11 +290,45 @@ class RadialSolver:
         """<a| r |b> over the common mesh (u_a u_b r dr)."""
         return self._pair_integral(a, b, lambda mesh, nodes: mesh.power(4)[nodes])
 
+    def _moments(self, state: RydbergState) -> tuple[float, tuple[float, ...]]:
+        """(r_top, m) of the state: r_top is r at j_out, and
+        m_k = sum' v_j^2 r_j (r_j / r_top)^k (trapezoid, end terms halved)
+        for k = 0..K, as far as the series of orders 0..2L need at
+        z = _MOMENT_Z.  Every power is <= 1, so none overflows."""
+
+        def build() -> tuple[float, tuple[float, ...]]:
+            sol = self.solve(state)
+            r = self._mesh_through(sol.j_out).power(2)[sol.j_in : sol.j_out + 1]
+            r_top = float(r[-1])
+            rho = r / r_top
+            p = sol.v * sol.v * r
+            p[0] *= 0.5
+            p[-1] *= 0.5
+            top = max(
+                order + 2 * len(_series_coefs(order, _MOMENT_Z)) - 2
+                for order in range(2 * state.L + 1)
+            )
+            m = []
+            for _ in range(top + 1):
+                m.append(float(np.sum(p)))
+                p *= rho
+            return r_top, tuple(m)
+
+        return self.cached(("moments", state._key), build)
+
     def _bessel_pair(self, state: RydbergState, order: int, q_au: float) -> float:
         if order < 0 or not 0.0 <= q_au < math.inf:
             raise ValueError(
                 f"need order >= 0 and a finite q >= 0, got {order} and {q_au}"
             )
+        r_top, m = self._moments(state)
+        z = q_au * r_top
+        if z <= _MOMENT_Z and order <= 2 * state.L:
+            return 2.0 * self.h * _moment_series(order, z, m)
+        return self._mesh_average(state, order, q_au)
+
+    def _mesh_average(self, state: RydbergState, order: int, q_au: float) -> float:
+        """<j_order(q r)> as one overlap sum weighted by ``_bessel_j``."""
 
         def weight(mesh: _Mesh, nodes: slice) -> np.ndarray:
             x2 = mesh.power(2)[nodes]

@@ -65,6 +65,30 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_import_and_magic_leave_scipy_solvers_unloaded():
+    # start-up is most of a short command: importing the package and the
+    # CLI, and a magic solve, load none of scipy's optimize, integrate or
+    # special (only the reference quadrature routes import integrate)
+    import subprocess
+    import sys
+
+    import rydtherm
+
+    code = (
+        "import sys, rydtherm, rydtherm.cli\n"
+        "assert rydtherm.cli.main(['magic', '--species', 'Yb', '--n', '25']) == 0\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate',"
+        " 'scipy.special') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(rydtherm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+
+
 def test_parser_is_built_once():
     assert _build_parser() is _build_parser()
 

@@ -135,6 +135,23 @@ def test_zero_crossing():
     assert abs(farley_wing(root)) < 1e-8
 
 
+def test_zero_crossing_is_scipy_brentq_bit_for_bit():
+    # farley_wing_zero runs the package's port of scipy's brentq
+    assert farley_wing_zero() == brentq(farley_wing_fast, 0.5, 6.0, xtol=1e-10)
+
+
+def test_zeta_literals_are_scipy_zeta():
+    # the asymptotic series' zeta(2m + 4) are written out so that the
+    # package needs no scipy.special import; these are scipy's values
+    from scipy import special
+
+    from rydtherm import bbr
+
+    assert len(bbr._ZETA_EVEN) == 17
+    for m, value in enumerate(bbr._ZETA_EVEN):
+        assert value == float(special.zeta(2 * m + 4)), 2 * m + 4
+
+
 def test_large_y_asymptote():
     y = 200.0
     asym = (2.0 * math.pi**4 / 15.0) / y

@@ -291,6 +291,53 @@ def test_magic_scan_orbit_average_count(case, request, tmp_path, monkeypatch):
     assert lattice._FIT_NODES <= calls <= 30
 
 
+def _both_brents(f, a, b, **kwargs):
+    """The port's root and scipy's, with the points each evaluated f at."""
+    from rydtherm import _brent
+
+    seen = ([], [])
+    roots = [
+        solve(lambda x, xs=xs: xs.append(x) or f(x), a, b, **kwargs)
+        for solve, xs in zip((_brent.brentq, optimize.brentq), seen)
+    ]
+    return roots, seen
+
+
+def test_brent_port_is_scipy_brentq_bit_for_bit(sr, yb, monkeypatch):
+    # every Brent call of these magic solves, replayed through scipy: the
+    # same evaluation points and the same root, to the bit
+    calls = []
+    port = lattice.brentq
+
+    def record(f, a, b, **kwargs):
+        calls.append((f, a, b, kwargs))
+        return port(f, a, b, **kwargs)
+
+    monkeypatch.setattr(lattice, "brentq", record)
+    for species, series in ((sr, "3D1"), (sr, "3S1"), (yb, "3P0"), (yb, "1S0")):
+        for n in range(15, 41):
+            for k_ratio in (1.0, 0.5):
+                solve_magic_wavelength(species, species.state(n, series), k_ratio=k_ratio)
+    assert len(calls) >= 200
+    for f, a, b, kwargs in calls:
+        (mine, theirs), (my_xs, their_xs) = _both_brents(f, a, b, **kwargs)
+        assert type(mine) is type(theirs) is float
+        assert mine == theirs and my_xs == their_xs, (a, b)
+
+
+def test_brent_port_fails_as_scipy_does():
+    from rydtherm import _brent
+
+    for solve in (_brent.brentq, optimize.brentq):
+        with pytest.raises(ValueError, match="different signs"):
+            solve(lambda x: x * x + 1.0, -1.0, 2.0)
+        with pytest.raises(ValueError, match="NaN"):
+            solve(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
+        with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations"):
+            solve(lambda x: x**3 - 2.0, 0.0, 2.0, maxiter=3)
+        assert solve(lambda x: x - 1.0, 1.0, 2.0) == 1.0  # a root at an end
+
+
 def test_lattice_table_keyed_by_file_content(tmp_path, sr):
     # a copy of the Sr file with one lattice line changed keeps the name and
     # data_version: it must get its own line table, and the bundled file's

@@ -400,6 +400,61 @@ def test_orbit_averages_match_mesh_oracle(species_name, series, sr, yb):
                 assert got == pytest.approx(want, rel=0.0, abs=1e-14), (st, k_au, m_l)
 
 
+def _seam_q(solver, state):
+    """(q_below, q_above): the largest q with q r_top <= _MOMENT_Z (the
+    moment path) and the next float up (the mesh path)."""
+    r_top = solver._moments(state)[0]
+    q = radial._MOMENT_Z / r_top
+    while q * r_top > radial._MOMENT_Z:
+        q = np.nextafter(q, 0.0)
+    while np.nextafter(q, np.inf) * r_top <= radial._MOMENT_Z:
+        q = np.nextafter(q, np.inf)
+    return float(q), float(np.nextafter(q, np.inf))
+
+
+@pytest.mark.parametrize(
+    "species_name, series, n",
+    [("sr", "3S1", 30), ("sr", "3D1", 15), ("sr", "3D1", 40), ("yb", "3P0", 40),
+     ("sr", "3F2", 20), ("sr", "3F2", 45)],
+)
+def test_moment_and_mesh_paths_agree_at_the_seam(species_name, series, n, sr, yb):
+    # on both sides of Z = q r_top = _MOMENT_Z, where the series over the
+    # cached moments has the fewest digits to spare, the two paths agree;
+    # below the seam an average takes the moment path, above it the mesh
+    st = {"sr": sr, "yb": yb}[species_name].state(n, series)
+    solver = RadialSolver()
+    r_top, m = solver._moments(st)
+    below, above = _seam_q(solver, st)
+    assert below * r_top <= radial._MOMENT_Z < above * r_top
+    for order in range(7):
+        for q in (below, above):
+            mesh = solver._mesh_average(st, order, q)
+            got = solver.bessel_average(st, order, q)
+            if order > 2 * st.L:  # no moments built for this order
+                assert got == mesh
+                continue
+            moments = 2.0 * solver.h * radial._moment_series(order, q * r_top, m)
+            assert abs(moments - mesh) <= 1e-15, (st, order, q)
+            assert got == (moments if q == below else mesh), (st, order, q)
+
+
+@pytest.mark.parametrize("species_name, series", [("sr", "3D1"), ("yb", "3P0"), ("sr", "3F2")])
+def test_moments_finite_at_rydberg_n_max(species_name, series, sr, yb):
+    # r_top scales every power to <= 1: at the one bound on n the moments
+    # are finite and fall with k, and the averages match the mesh
+    sp = {"sr": sr, "yb": yb}[species_name]
+    st = sp.state(sp.rydberg_n_max, series)
+    solver = RadialSolver()
+    r_top, m = solver._moments(st)
+    assert all(math.isfinite(v) and v > 0.0 for v in m)
+    assert all(b <= a for a, b in zip(m, m[1:]))
+    q = _seam_q(solver, st)[0]
+    for order in range(0, 2 * st.L + 1):
+        got = solver.bessel_average(st, order, q)
+        assert math.isfinite(got)
+        assert abs(got - solver._mesh_average(st, order, q)) <= 1e-15, (st, order)
+
+
 @pytest.mark.parametrize(
     "order, q", [(2, -1e-4), (2, math.nan), (0, math.inf), (-1, 1e-4)]
 )
