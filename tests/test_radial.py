@@ -272,18 +272,26 @@ def test_numerov_zero_pivot_raises():
 def test_pair_integrals_thread_safe_while_mesh_grows(sr, yb):
     # four threads share a fresh solver whose stored mesh starts empty; the
     # pairs come in rising n, so the threads keep asking for longer meshes
-    # while others slice the current one.  Every integral must equal a
-    # serial run on another fresh solver bit for bit, in each of 4 rounds.
+    # while others slice the current one, and the orbit averages build and
+    # read each state's cached moments.  Every value must equal a serial
+    # run on another fresh solver bit for bit, in each of 4 rounds.
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
-    pairs = []
+    tasks = []
     for n in range(8, 51, 2):
         for sp in (sr, yb):
             a, b = sp.state(n, "3S1"), sp.state(n, "3P1")
-            pairs += [(a, b), (b, a)]
+            tasks += [(a, b), (b, a)]
+            tasks += [(sp.state(n, "3P1"), order, 1e-3) for order in (0, 2)]
+
+    def value(solver, task):
+        if isinstance(task[1], int):
+            return solver.bessel_average(*task)
+        return solver.radial_integral(*task)
+
     serial_solver = RadialSolver()
-    serial = [serial_solver.radial_integral(*pair) for pair in pairs]
+    serial = [value(serial_solver, task) for task in tasks]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -292,7 +300,7 @@ def test_pair_integrals_thread_safe_while_mesh_grows(sr, yb):
             with ThreadPoolExecutor(max_workers=4) as pool:
                 got = list(
                     pool.map(
-                        lambda pair: shared.radial_integral(*pair), pairs, timeout=300
+                        lambda task: value(shared, task), tasks, timeout=300
                     )
                 )
             assert got == serial

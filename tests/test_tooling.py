@@ -93,7 +93,8 @@ def test_perfbench_calls_bind_to_the_package():
 def test_bench_records_match_benchmark():
     # every committed BENCH_<NN>.json (written by tools/bench_record.py)
     # names exactly the declared workloads and metrics at the declared
-    # run length
+    # run length; from FIRST_E2E_RECORD on it also holds the CLI and
+    # tier-1 wall times
     import json
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
@@ -116,6 +117,27 @@ def test_bench_records_match_benchmark():
                 bound = end_to_end[metric] * spread["median"]
                 assert spread["q3"] - spread["q1"] <= bound, (path, name, metric)
             assert set(entry["per_layer_seed1"]) == per_layer, (path, name)
+        if int(os.path.basename(path)[len("BENCH_"):-len(".json")]) >= FIRST_E2E_RECORD:
+            _check_end_to_end_wall_times(path, record)
+
+
+# records from this number on also hold the fresh-process CLI wall times
+# and the tier-1 wall time
+FIRST_E2E_RECORD = 20
+
+
+def _check_end_to_end_wall_times(path, record):
+    import math
+
+    cli = record["cli_wall_s"]
+    assert "import rydtherm" in cli and len(cli) > 1, path
+    for name, timing in cli.items():
+        runs = timing["runs_s"]
+        assert len(runs) == 3 and all(0.0 < t < math.inf for t in runs), (path, name)
+        assert timing["min_s"] == min(runs), (path, name)
+        assert timing["exit_codes"] == [0, 0, 0], (path, name)
+    assert 0.0 < record["tier1"]["wall_s"] < math.inf, path
+    assert " passed" in record["tier1"]["summary"], path
 
 
 def _trees(dirs):

@@ -9,7 +9,11 @@ drift spreads over all of them), then once per workload with ``--seed 1
   numpy and scipy versions;
 * per workload, the median and quartiles of the four end-to-end metrics
   over the seeds, with the per-seed values and failed shares;
-* per workload, the seed-1 per-layer values of the traced run.
+* per workload, the seed-1 per-layer values of the traced run;
+* end to end, the fresh-process wall time (min of 3, with the runs and
+  exit codes) of ``import rydtherm`` and of every command in README's
+  command-line block, and the wall time and summary line of one tier-1
+  run (``python -m pytest -q``).
 
     python3 tools/bench_record.py 11            # writes BENCH_11.json
 
@@ -26,15 +30,21 @@ import datetime
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 
 import numpy
 import scipy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3, 4, 5)
+CLI_REPEATS = 3
+# the file README's ``thermo joint --measurements meas.csv`` reads
+MEASUREMENTS = os.path.join(ROOT, "tests", "golden", "meas_sr.csv")
 
 
 def _git(*args):
@@ -55,6 +65,61 @@ def _run(workload, seed, seconds, trace):
     if not lines or not lines[-1].startswith("{"):
         raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode} without a result")
     return json.loads(lines[-1])
+
+
+def readme_commands():
+    """The ``rydtherm ...`` lines of README's command-line block, each as
+    the argument list after ``rydtherm``, comments dropped."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [
+        line.split("#", 1)[0].split()[1:]
+        for line in block.splitlines()
+        if line.startswith("rydtherm ")
+    ]
+
+
+def _cli_wall_times():
+    """Fresh-process wall time of ``import rydtherm`` and of each README
+    command, run in a scratch directory holding README's ``meas.csv``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    cases = {"import rydtherm": ["-c", "import rydtherm"]}
+    for argv in readme_commands():
+        cases[" ".join(argv)] = [
+            "-c", "import sys; from rydtherm.cli import main; sys.exit(main(sys.argv[1:]))",
+            *argv,
+        ]
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copy(MEASUREMENTS, os.path.join(tmp, "meas.csv"))
+        for name, args in cases.items():
+            print(f"wall time: {name}", file=sys.stderr)
+            runs, codes = [], []
+            for _ in range(CLI_REPEATS):
+                t0 = time.perf_counter()
+                proc = subprocess.run(
+                    [sys.executable, *args], cwd=tmp, env=env,
+                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                )
+                runs.append(time.perf_counter() - t0)
+                codes.append(proc.returncode)
+            out[name] = {"min_s": min(runs), "runs_s": runs, "exit_codes": codes}
+    return out
+
+
+def _tier1():
+    """Wall time and last output line (the pass/fail summary) of one
+    tier-1 run."""
+    print("tier-1", file=sys.stderr)
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider"],
+        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    wall = time.perf_counter() - t0
+    return {"wall_s": wall, "summary": proc.stdout.strip().splitlines()[-1]}
 
 
 def _spread(values):
@@ -87,6 +152,8 @@ def main(argv=None):
         "seeds": list(SEEDS),
         "seconds": seconds,
         "workloads": {},
+        "cli_wall_s": _cli_wall_times(),
+        "tier1": _tier1(),
     }
     for w in workloads:
         print(f"{w} seed 1 traced", file=sys.stderr)
