@@ -27,7 +27,9 @@ def brentq(
     def call(x: float) -> float:
         fx = f(x)
         if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue."
+            )
         return fx
 
     xpre, xcur = float(a), float(b)

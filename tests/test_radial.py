@@ -446,7 +446,9 @@ def test_moment_and_mesh_paths_agree_at_the_seam(species_name, series, n, sr, yb
             assert got == (moments if q == below else mesh), (st, order, q)
 
 
-@pytest.mark.parametrize("species_name, series", [("sr", "3D1"), ("yb", "3P0"), ("sr", "3F2")])
+@pytest.mark.parametrize(
+    "species_name, series", [("sr", "3D1"), ("yb", "3P0"), ("sr", "3F2")]
+)
 def test_moments_finite_at_rydberg_n_max(species_name, series, sr, yb):
     # r_top scales every power to <= 1: at the one bound on n the moments
     # are finite and fall with k, and the averages match the mesh

@@ -84,12 +84,10 @@ def _cli_wall_times():
     """Fresh-process wall time of ``import rydtherm`` and of each README
     command, run in a scratch directory holding README's ``meas.csv``."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    run_cli = "import sys; from rydtherm.cli import main; sys.exit(main(sys.argv[1:]))"
     cases = {"import rydtherm": ["-c", "import rydtherm"]}
     for argv in readme_commands():
-        cases[" ".join(argv)] = [
-            "-c", "import sys; from rydtherm.cli import main; sys.exit(main(sys.argv[1:]))",
-            *argv,
-        ]
+        cases[" ".join(argv)] = ["-c", run_cli, *argv]
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copy(MEASUREMENTS, os.path.join(tmp, "meas.csv"))
