@@ -13,10 +13,14 @@ spectral density, z_ch^2 the scalar dipole strength of one channel
 
 Two independent implementations of F are provided: ``farley_wing`` (the
 reference: symmetric pole excision + analytic local term + Richardson
-extrapolation in the excision radius) and ``farley_wing_fast`` (a
-committed piecewise Chebyshev table of F(y)/y in ln|y|, fitted to the
-reference by ``tools/make_kernel_table.py``; it takes a whole array of y
-and also returns F', and is used inside channel sums).  A third route,
+extrapolation in the excision radius, and above |y| = 40 the asymptotic
+series) and ``farley_wing_fast`` (a committed piecewise Chebyshev table of
+F(y)/y in ln|y|, 560 pieces of degree 7 over 1e-5 <= |y| <= 1e5, fitted
+to the reference by ``tools/make_kernel_table.py``; it takes a whole array
+of y and also returns F', and is used inside channel sums).  Against a
+30-digit quadrature the table is within 2.3e-12 in F and 4e-10 max(1, |F'|)
+in F'.  Its top at 1e5 is the fast route's seam with the series, above
+every channel of a Rydberg shift at room temperature.  A third route,
 ``bbr_shift_integral``, never touches F in its channels: it evaluates the
 defining frequency integral with the polarizability pole of each channel
 handled as a Cauchy principal value, and must agree with the F-based
@@ -118,8 +122,10 @@ def _fw_asymptotic(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """F(a) and F'(a) from 17 terms of the large-a series, element-wise.
 
     The series diverges, but for a > 34.5 its first 17 terms all decrease,
-    so it is summed whole (Horner in 1/a^2).  Both routes use it only above
-    a = 40, where its error is below 4e-13; at a = 31 it would be 8.5e-10.
+    so it is summed whole (Horner in 1/a^2).  The reference uses it above
+    a = 40, where its error is below 4e-13 (at a = 31 it would be 8.5e-10),
+    and the kernel table's top pieces are fitted to it; the fast route sums
+    it only above the table's top at a = 1e5.
     """
     inv = 1.0 / a
     inv2 = inv * inv  # underflows to 0 for a > ~1e154: later terms vanish
@@ -249,37 +255,50 @@ def _clenshaw(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
     return coef[0] + t * b1 - b2
 
 
+def _fw_table(a: np.ndarray, table: tuple) -> tuple[np.ndarray, np.ndarray]:
+    # F and F' = G + dG/ds from the table at |y| = a, element-wise; a NaN
+    # lands in piece 0 and stays NaN.  np.minimum/np.maximum and take give
+    # what np.clip and fancy indexing give, in a third of the time
+    _, _, s_min, width, coef, dcoef = table
+    u = (np.log(a) - s_min) / width
+    piece = np.minimum(np.maximum(u.astype(np.intp), 0), coef.shape[1] - 1)
+    t = 2.0 * (u - piece) - 1.0
+    g = _clenshaw(coef.take(piece, axis=1), t)
+    return a * g, g + _clenshaw(dcoef.take(piece, axis=1), t)
+
+
 def farley_wing_fast(y, derivative: bool = False):
     """Table evaluation of F(y), and of F'(y) with ``derivative=True``.
 
     Takes a float or an array of y and returns the same kind (a pair
-    (F, F') with ``derivative``).  For 1e-5 <= |y| <= 40 it sums the
-    committed piecewise Chebyshev table of F(y)/y in ln|y| (32 pieces of
-    degree 20, fitted to ``farley_wing``; within 3e-12 of a 30-digit
-    quadrature in F, and F' is the derivative of the same polynomials);
+    (F, F') with ``derivative``).  For 1e-5 <= |y| <= 1e5 it sums the
+    committed piecewise Chebyshev table of F(y)/y in ln|y| (560 pieces of
+    degree 7, fitted to ``farley_wing``, whose asymptotic series it follows
+    above 40; within 2.3e-12 of a 30-digit quadrature in F, and F' is the
+    derivative of the same polynomials, within 4e-10 max(1, |F'|));
     below, -pi^2 y / 3 (error ~1e-14 at 1e-5); above, the asymptotic
-    series (error < 4e-13).  F is odd and F' even.
+    series, which a Rydberg shift reaches only as T -> 0.  F is odd and F'
+    even.
     """
     arr = np.asarray(y, dtype=float)
     a = np.abs(arr)
-    y_min, y_max, s_min, width, coef, dcoef = _kernel_table()
-    f = np.empty_like(a)
-    df = np.empty_like(a)
-    small, big = a < y_min, a > y_max
-    mid = ~(small | big)
-    if small.any():
-        f[small] = -(_PI**2 / 3.0) * a[small]
-        df[small] = -(_PI**2 / 3.0)
-    if big.any():
-        f[big], df[big] = _fw_asymptotic(a[big])
-    if mid.any():
-        am = a[mid]
-        u = (np.log(am) - s_min) / width
-        piece = np.clip(u.astype(np.intp), 0, coef.shape[1] - 1)
-        t = 2.0 * (u - piece) - 1.0
-        g = _clenshaw(coef[:, piece], t)
-        f[mid] = am * g
-        df[mid] = g + _clenshaw(dcoef[:, piece], t)  # F' = G + dG/ds
+    table = _kernel_table()
+    y_min, y_max = table[:2]
+    if a.size and y_min <= a.min() and a.max() <= y_max:
+        # every element inside the table, the usual case: no masks
+        f, df = _fw_table(a, table)
+    else:
+        f = np.empty_like(a)
+        df = np.empty_like(a)
+        small, big = a < y_min, a > y_max
+        mid = ~(small | big)
+        if small.any():
+            f[small] = -(_PI**2 / 3.0) * a[small]
+            df[small] = -(_PI**2 / 3.0)
+        if big.any():
+            f[big], df[big] = _fw_asymptotic(a[big])
+        if mid.any():
+            f[mid], df[mid] = _fw_table(a[mid], table)
     # odd extension; "+ 0.0" turns the -0.0 of y = 0 into 0.0
     f = np.where(arr < 0.0, -f, f) + 0.0
     if arr.ndim == 0:

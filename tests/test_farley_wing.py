@@ -28,6 +28,10 @@ mp.mp.dps = 30
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 ORACLE_Y = [float(y) for y in np.geomspace(1e-3, 40.0, 25)]
+# above 40 the table follows the reference's asymptotic series up to its top
+# at 1e5, and the fast route switches to that series there
+TABLE_TOP = 1e5
+ABOVE_40_Y = [40.5, 150.0, 1145.0, 3e4, 99999.0, TABLE_TOP, 100001.0, 2.5e5]
 
 
 def _oracle_mp(y):
@@ -74,6 +78,19 @@ def test_table_derivative_against_oracle():
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), y
 
 
+def test_kernel_above_40_against_oracle():
+    # both sides of the table's top: F within 1e-11, F' within 1e-9 relative
+    # of a central difference of the oracle (step 1e-6 y)
+    f, df = farley_wing_fast(np.array(ABOVE_40_Y), derivative=True)
+    for y, fv, dv in zip(ABOVE_40_Y, f, df):
+        step = 1e-6 * y
+        want_d = float((_oracle_mp(y + step) - _oracle_mp(y - step)) / (2 * step))
+        want = _oracle(y)
+        assert abs(fv - want) <= 1e-11, y
+        assert abs(farley_wing(y) - want) <= 1e-11, y
+        assert abs(dv - want_d) <= 1e-9 * abs(want_d), y
+
+
 def test_kernel_table_file_is_reproducible():
     # tools/make_kernel_table.py rebuilds the committed coefficients exactly
     path = os.path.join(ROOT, "tools", "make_kernel_table.py")
@@ -82,12 +99,13 @@ def test_kernel_table_file_is_reproducible():
     spec.loader.exec_module(gen)
     data = os.path.join(ROOT, "src", "rydtherm", "data", _KERNEL_TABLE)
     assert os.path.samefile(gen.PATH, data)
+    assert gen.Y_MAX == TABLE_TOP
     with open(data, encoding="utf-8") as fh:
         assert fh.read() == gen.table_text()
 
 
 def test_array_and_scalar_calls_agree():
-    grid = np.geomspace(1e-7, 1e3, 40)
+    grid = np.append(np.geomspace(1e-7, 1e3, 40), [3e4, TABLE_TOP, 2 * TABLE_TOP, 1e9])
     ys = np.concatenate([-grid, [0.0], grid])
     f, df = farley_wing_fast(ys, derivative=True)
     for y, fv, dv in zip(ys, f, df):
@@ -95,6 +113,16 @@ def test_array_and_scalar_calls_agree():
         assert got == (fv, dv)
         assert type(got[0]) is float and type(got[1]) is float
     assert farley_wing_fast(ys[:6].reshape(2, 3)).shape == (2, 3)
+    # an array wholly inside the table skips the branch masks: the same bits
+    inside = (np.abs(ys) >= 1e-5) & (np.abs(ys) <= TABLE_TOP)
+    f_in, df_in = farley_wing_fast(ys[inside], derivative=True)
+    assert np.array_equal(f_in, f[inside]) and np.array_equal(df_in, df[inside])
+    edge = np.array([1e-5, TABLE_TOP * (1 - 1e-15), TABLE_TOP, -TABLE_TOP])
+    f_edge = farley_wing_fast(edge)
+    assert np.array_equal(f_edge, [farley_wing_fast(float(y)) for y in edge])
+    assert np.array_equal(
+        f_edge, farley_wing_fast(np.append(edge, 2 * TABLE_TOP))[:-1]
+    )
 
 
 def test_value_at_origin():
@@ -180,9 +208,10 @@ def test_routes_agree_everywhere():
 
 
 def test_continuity_across_route_seams():
-    # the fast map switches branches at 1e-5 and 40, the reference at 1e-3
-    # and 40; across each seam F moves only by F' times the step
-    for y0 in (1e-5, 1e-3, 40.0):
+    # the fast map switches branches at 1e-5 and at the table's top, the
+    # reference at 1e-3 and 40; across each seam F moves only by F' times
+    # the step
+    for y0 in (1e-5, 1e-3, 40.0, TABLE_TOP):
         for fn in (farley_wing, farley_wing_fast):
             lo = fn(y0 * (1 - 1e-6))
             hi = fn(y0 * (1 + 1e-6))
