@@ -302,14 +302,15 @@ def test_transition_shift_is_the_difference_of_its_state_shifts(request, sp_name
 
 def test_joint_solve_of_the_golden_input_is_unchanged(sr):
     # the measurements of tests/golden/meas_sr.csv; the values are those of
-    # the solve with one kernel call per state and per evaluation, to the bit
+    # the solve with one kernel call per evaluation and the 560 x 7 kernel
+    # table, to the bit
     meas = [
         ThermometryMeasurement(sr.state(25, "3D1"), 3442.58218, 0.16),
         ThermometryMeasurement(sr.state(30, "3D1"), 7376.01495, 0.16),
     ]
     sol = joint_solve_temperature_field(meas)
-    assert sol.temperature_k == float.fromhex("0x1.2c00000598b52p+8")  # 300.0000003335782
-    assert sol.field_v_per_m == float.fromhex("0x1.4000000069f08p+2")  # 5.0000000003854055
+    assert sol.temperature_k == float.fromhex("0x1.2c00000598b42p+8")  # 300.0000003335773
+    assert sol.field_v_per_m == float.fromhex("0x1.4000000069f21p+2")  # 5.000000000385428
     assert sol.iterations == 2
 
 
