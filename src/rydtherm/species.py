@@ -42,6 +42,7 @@ energy mu_red/(2 n*^2) hartree (mu_red = reduced-mass factor).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.resources
 import io
@@ -469,9 +470,16 @@ class Species:
         return None
 
 
+@functools.cache
+def _bundled_data():
+    # looked up once: files() is most of a load_species call.  rydtherm.data
+    # is a namespace package, whose str() is "MultiplexedPath('...')", not a
+    # directory, so the name is joined onto the Traversable itself
+    return importlib.resources.files("rydtherm.data")
+
+
 def bundled_species_path(name: str) -> str:
-    ref = importlib.resources.files("rydtherm.data").joinpath(f"{name}.species")
-    return str(ref)
+    return str(_bundled_data().joinpath(f"{name}.species"))
 
 
 # every Species parsed so far, by the sha256 of its file's content

@@ -202,6 +202,19 @@ def test_env_data_dir_override(tmp_path, monkeypatch, sr):
     monkeypatch.setenv("RYDTHERM_DATA_DIR", str(tmp_path))
     sp = load_species("sr")
     assert (sp.name, sp.data_version) == (sr.name, sr.data_version)
+    # the bundled directory is looked up once per process, but each load
+    # still looks in RYDTHERM_DATA_DIR first and reads the file it finds
+    bundled = bundled_species_path("sr")
+    assert os.path.isfile(bundled)
+    text = open(bundled, encoding="utf-8").read()
+    for mu0 in ("2.50", "2.60"):
+        (tmp_path / "sr.species").write_text(
+            text.replace("defect.3D1.mu0 = 2.658\n", f"defect.3D1.mu0 = {mu0}\n")
+        )
+        assert load_species("sr").series_info("3D1").mu0 == float(mu0)
+    monkeypatch.delenv("RYDTHERM_DATA_DIR")
+    assert load_species("sr") is sr
+    assert bundled_species_path("sr") == bundled
 
 
 def test_caches_are_keyed_by_file_content(tmp_path, sr):
