@@ -150,6 +150,22 @@ def test_sum_and_integral_routes_agree(sr):
         assert b == pytest.approx(a, rel=5e-13)
 
 
+@pytest.mark.parametrize(
+    "n,series,temperatures",
+    [(30, "3D1", (33.0, 42.0, 100.0, 1000.0)), (5, "3P0", (0.4, 1.0, 30.0, 1000.0))],
+)
+def test_routes_agree_to_c05_tolerance_above_their_floor(sr, n, series, temperatures):
+    # the floors of bbr_shift_integral's docstring: on a 160-point grid up
+    # to 1000 K the last disagreement past c05's 1.5e-12 lies at 31.9 K
+    # (30 3D1, near the shift's zero at 22.2 K) and at 0.36 K (5 3P0, where
+    # the shift is 1e-11 Hz); the worst agreement above is 1.1e-12
+    st = sr.state(n, series)
+    for t in temperatures:
+        a = bbr_shift_sum(st, t).shift_hz
+        b = bbr_shift_integral(st, t).shift_hz
+        assert abs(a - b) < 1.5e-12 * max(abs(a), 1e-12), t
+
+
 @pytest.mark.parametrize("n,series", [(5, "3P0"), (5, "1S0"), (30, "3D1"), (12, "3S1")])
 def test_slope_matches_central_difference(sr, n, series):
     # channels, tail nodes and the static core term are differentiated
