@@ -158,7 +158,7 @@ def test_routes_agree_to_c05_tolerance_above_their_floor(sr, n, series, temperat
     # the floors of bbr_shift_integral's docstring: on a 160-point grid up
     # to 1000 K the last disagreement past c05's 1.5e-12 lies at 31.9 K
     # (30 3D1, near the shift's zero at 22.2 K) and at 0.36 K (5 3P0, where
-    # the shift is 1e-11 Hz); the worst agreement above is 1.1e-12
+    # the shift is -8e-12 Hz); the worst agreement above is 1.1e-12
     st = sr.state(n, series)
     for t in temperatures:
         a = bbr_shift_sum(st, t).shift_hz
