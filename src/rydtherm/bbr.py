@@ -43,13 +43,16 @@ temperature.  A result is flagged converged when |tail| is at most
 
 Both routes read the channels of ``channel_table``.  The tail's
 quadrature nodes are channels too (node u at w = E_bind/u), summed by the
-same rule.  The channel sum makes one kernel call for all channels of one
-model evaluation: ``bbr_shift_sums`` joins the table and tail channels of
-every state it is given into one array and splits the result by state
-(the kernel works element by element, so a state's shift does not depend
-on the others).  From the same F and F' it returns the temperature
-derivative: d/dT [(kT)^3 F(w/kT)] = k^3 T^2 (3F - yF') per channel, and
-4 shift/T for the static core term.  For a clock state (the
+same rule.  ``bbr_shift_sums`` is the one engine: it makes one kernel call
+for all channels of one model evaluation, joining the table and tail
+channels of every state it is given into one array and splitting the
+result by state (the kernel works element by element, so a state's shift
+does not depend on the others).  From the same F and F' it returns the
+temperature derivative: d/dT [(kT)^3 F(w/kT)] = k^3 T^2 (3F - yF') per
+channel, and 4 shift/T for the static core term.  ``bbr_shift_integral``
+is the sum route's result with only the table's channel terms (and the
+same core term) re-summed from their PV integrals; its tail is the sum
+route's, bit for bit.  For a clock state (the
 species' ground/metastable role) the table is the literature-anchored line
 list from the species file plus a static core/background term, folded in
 through its static-limit shift; the list is complete by construction, so
@@ -364,7 +367,8 @@ class BBRShiftResult:
 
     shift_hz = channel_hz + tail_hz always; ``converged`` means the
     truncation tail is small against the total (or against a 1 mHz floor).
-    Line-list (clock-role) results have a complete channel set: their tail
+    ``f_missing`` is the channel table's, at every temperature (0 K too);
+    line-list (clock-role) results have a complete channel set: their tail
     is zero and f_missing is None.  ``slope_hz_per_k`` is d(shift)/dT from
     the same kernel values (channels, tail and core term differentiated
     analytically); None on the integral route.  The channels summed are
@@ -438,7 +442,11 @@ def _channel_shift_integral_hz(omega_au, z2, temperature_k) -> float:
     scale = 0.5 * abs(omega_au) * z2 * kconst.HARTREE_HZ
     err_hz = scale * (lo_err + mid_err + hi_err)
     hz = -0.5 * omega_au * z2 * pv * kconst.HARTREE_HZ
-    if err_hz > max(1e-6 * abs(hz), 1e-9):
+    # floors: 1e-9 Hz, and 1e-10 of the channel's size (the factor before F,
+    # as farley_wing's 1e-10 is in units of F) for a large channel whose
+    # shift passes through zero near y = 2.6162
+    size_hz = (2.0 / (_PI * _C3)) * kt**3 * z2 * kconst.HARTREE_HZ
+    if err_hz > max(1e-6 * abs(hz), 1e-10 * size_hz, 1e-9):
         raise QuadratureError(
             f"PV frequency integral did not converge at the resonance "
             f"|omega| = {c:.6e} a.u. (error {err_hz:.2e} Hz vs value {hz:.2e} Hz)"
@@ -479,89 +487,22 @@ def truncation_tail_shift(
     return omega, f_missing * _TAIL_NODE_WEIGHTS / (2.0 * omega)
 
 
-def _bbr_shifts(
-    states: list[RydbergState],
-    temperature_k: float,
-    span: int,
-    solver: RadialSolver | None,
-    method: str,
-    tail_fraction: float,
-) -> list[BBRShiftResult]:
-    _check_temperature(temperature_k)
-    tables = [channel_table(state, span, solver) for state in states]
-    if kconst.KB_AU * temperature_k == 0.0:
-        return [
-            BBRShiftResult(
-                state_str=str(state),
-                temperature_k=temperature_k,
-                shift_hz=0.0,
-                channel_hz=0.0,
-                tail_hz=0.0,
-                f_missing=None,
-                converged=True,
-                method=method,
-                span=table.span,
-                slope_hz_per_k=0.0 if method == "sum" else None,
-            )
-            for state, table in zip(states, tables)
-        ]
-    # One kernel call for every state: its table's channels (sum route
-    # only), then its tail nodes.  The tail is a continuum model, not a
-    # discrete channel, so both routes fold it through the kernel; the
-    # sum-vs-integral cross-check exercises the per-channel kernels.
-    none = (np.empty(0), np.empty(0))
-    blocks = []
-    for state, table in zip(states, tables):
-        blocks.append((table.omega_au, table.z2) if method == "sum" else none)
-        blocks.append(  # a line table is complete: it has no tail
-            none if table.f_missing is None
-            else truncation_tail_shift(table.f_missing, state.binding_au)
-        )
-    hz, slopes = _channel_shifts_sum_hz(
-        np.concatenate([b[0] for b in blocks]),
-        np.concatenate([b[1] for b in blocks]),
-        temperature_k,
+def _result(state, temperature_k, table, channel_hz, tail_hz, tail_fraction,
+            slope_hz_per_k, method="sum") -> BBRShiftResult:
+    # the one constructor: shift = channel + tail and the converged rule
+    shift = channel_hz + tail_hz
+    return BBRShiftResult(
+        state_str=str(state),
+        temperature_k=temperature_k,
+        shift_hz=shift,
+        channel_hz=channel_hz,
+        tail_hz=tail_hz,
+        f_missing=table.f_missing,
+        converged=abs(tail_hz) <= tail_fraction * max(abs(shift), 1e-3),
+        method=method,
+        span=table.span,
+        slope_hz_per_k=slope_hz_per_k,
     )
-    hz, slopes = hz.tolist(), slopes.tolist()
-    ends = np.cumsum([0] + [b[0].size for b in blocks]).tolist()
-    results = []
-    for i, (state, table) in enumerate(zip(states, tables)):
-        start, mid, end = ends[2 * i : 2 * i + 3]
-        if method == "sum":
-            parts, slope_parts = hz[start:mid], slopes[start:mid]
-        else:
-            parts = [
-                _channel_shift_integral_hz(w, z2, temperature_k)
-                for w, z2 in zip(table.omega_au.tolist(), table.z2.tolist())
-            ]
-        if table.core_alpha_au is not None:
-            core = static_limit_shift(table.core_alpha_au, temperature_k)
-            parts.append(core)
-            if method == "sum":
-                slope_parts.append(4.0 * core / temperature_k)  # core ~ T^4
-        # fsum is exactly rounded: the sums do not depend on the order of terms
-        channel_hz = math.fsum(parts)
-        tail = math.fsum(hz[mid:end])
-        shift = channel_hz + tail
-        results.append(
-            BBRShiftResult(
-                state_str=str(state),
-                temperature_k=temperature_k,
-                shift_hz=shift,
-                channel_hz=channel_hz,
-                tail_hz=tail,
-                f_missing=table.f_missing,
-                converged=abs(tail) <= tail_fraction * max(abs(shift), 1e-3),
-                method=method,
-                span=table.span,
-                slope_hz_per_k=(
-                    math.fsum(slope_parts) + math.fsum(slopes[mid:end])
-                    if method == "sum"
-                    else None
-                ),
-            )
-        )
-    return results
 
 
 def bbr_shift_sums(
@@ -578,7 +519,47 @@ def bbr_shift_sums(
     element by element, so each result is bitwise the one a call for that
     state alone gives.
     """
-    return _bbr_shifts(states, temperature_k, span, solver, "sum", tail_fraction)
+    _check_temperature(temperature_k)
+    tables = [channel_table(state, span, solver) for state in states]
+    if kconst.KB_AU * temperature_k == 0.0:
+        return [
+            _result(state, temperature_k, table, 0.0, 0.0, tail_fraction, 0.0)
+            for state, table in zip(states, tables)
+        ]
+    # One kernel call for every state: its table's channels, then its tail
+    # nodes
+    none = (np.empty(0), np.empty(0))
+    blocks = []
+    for state, table in zip(states, tables):
+        blocks.append((table.omega_au, table.z2))
+        blocks.append(  # a line table is complete: it has no tail
+            none if table.f_missing is None
+            else truncation_tail_shift(table.f_missing, state.binding_au)
+        )
+    hz, slopes = _channel_shifts_sum_hz(
+        np.concatenate([b[0] for b in blocks]),
+        np.concatenate([b[1] for b in blocks]),
+        temperature_k,
+    )
+    hz, slopes = hz.tolist(), slopes.tolist()
+    ends = np.cumsum([0] + [b[0].size for b in blocks]).tolist()
+    results = []
+    for i, (state, table) in enumerate(zip(states, tables)):
+        start, mid, end = ends[2 * i : 2 * i + 3]
+        parts, slope_parts = hz[start:mid], slopes[start:mid]
+        if table.core_alpha_au is not None:
+            core = static_limit_shift(table.core_alpha_au, temperature_k)
+            parts.append(core)
+            slope_parts.append(4.0 * core / temperature_k)  # core ~ T^4
+        # fsum is exactly rounded: the sums do not depend on the order of terms
+        results.append(
+            _result(
+                state, temperature_k, table, math.fsum(parts),
+                math.fsum(hz[mid:end]), tail_fraction,
+                math.fsum(slope_parts) + math.fsum(slopes[mid:end]),
+            )
+        )
+    return results
 
 
 def bbr_shift_sum(
@@ -608,22 +589,38 @@ def bbr_shift_integral(
 
     Evaluates -1/4 integral E^2(w,T) alpha(w) dw channel by channel (the
     integral is linear in the polarizability's pole decomposition), with a
-    Cauchy principal value at every resonance.  Shares the channel table
-    with ``bbr_shift_sum`` but none of the Farley-Wing machinery, so the
-    two routes cross-validate each other.
+    Cauchy principal value at every resonance.  It is ``bbr_shift_sum``'s
+    result with only ``channel_hz`` re-summed, from the same channels and
+    static core term but none of the Farley-Wing machinery, so the two
+    routes cross-validate each other.  The tail (a continuum model, folded
+    through the kernel), ``f_missing`` and ``span`` are the sum route's;
+    ``slope_hz_per_k`` is None.
 
-    Each channel's quadrature is accepted at 1e-6 relative or at a 1e-9 Hz
-    absolute floor.  The two routes agree within 1.5e-12 relative (the
-    acceptance tolerance) at every temperature from 33 K to 1000 K for Sr
-    30 3D1 and from 0.4 K for Sr 5 3P0 (measured on a 160-point grid).
-    Their difference is about 1e-11 Hz for the Rydberg state, so below its
-    floor they part relatively near the shift's zeros (1.23 and 22.2 K); far
-    below 1 K the shifts lie far under the quadrature floor, and there the
-    routes are not comparable (they may differ in sign).
+    Each channel's quadrature is accepted at 1e-6 relative or at an
+    absolute floor, the larger of 1e-9 Hz and 1e-10 of the channel's size
+    (2/(pi c^3)) (kT)^3 z^2, which a large channel at F's zero (y = 2.6162)
+    needs.  The two routes agree within 1.5e-12 relative (the acceptance
+    tolerance) at every temperature from 33 K to 1000 K for Sr 30 3D1 and
+    from 0.4 K for Sr 5 3P0 (measured on a 160-point grid).  Their
+    difference is about 1e-11 Hz for the Rydberg state, so below its floor
+    they part relatively near the shift's zeros (1.23 and 22.2 K); far below
+    1 K the shifts lie far under the quadrature floor, and there the routes
+    are not comparable (they may differ in sign).
     """
-    return _bbr_shifts(
-        [state], temperature_k, span, solver, "integral", tail_fraction
-    )[0]
+    res = bbr_shift_sums([state], temperature_k, span, solver, tail_fraction)[0]
+    table = channel_table(state, span, solver)
+    parts = []
+    if kconst.KB_AU * temperature_k != 0.0:
+        parts = [
+            _channel_shift_integral_hz(w, z2, temperature_k)
+            for w, z2 in zip(table.omega_au.tolist(), table.z2.tolist())
+        ]
+        if table.core_alpha_au is not None:
+            parts.append(static_limit_shift(table.core_alpha_au, temperature_k))
+    return _result(
+        state, temperature_k, table, math.fsum(parts), res.tail_hz,
+        tail_fraction, None, "integral",
+    )
 
 
 # ---------------------------------------------------------------------------

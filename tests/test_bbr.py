@@ -1,18 +1,24 @@
 """BBR Stark shifts: thermal field, clock states, Rydberg plateau, widths."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy import integrate
 
+from rydtherm import bbr
 from rydtherm import constants as k
+from rydtherm import load_species
 from rydtherm.bbr import (
     TEMPERATURE_RANGE_K,
     bbr_depopulation_rate,
     bbr_shift_integral,
     bbr_shift_sum,
     farley_wing_fast,
+    farley_wing_zero,
     free_electron_sensitivity,
     free_electron_shift,
     linewidths,
@@ -20,6 +26,7 @@ from rydtherm.bbr import (
     planck_spectral_density,
     static_limit_shift,
 )
+from rydtherm.species import bundled_species_path
 from rydtherm.transitions import channel_table
 
 
@@ -121,10 +128,16 @@ def test_static_limit_consistency(sr):
 
 
 def test_zero_temperature_is_zero(sr):
-    res = bbr_shift_sum(sr.state(30, "3S1"), 0.0)
-    assert res.shift_hz == 0.0
-    assert res.converged
-    assert bbr_shift_sum(sr.state(5, "1S0"), 0.0).shift_hz == 0.0
+    rydberg, clock = sr.state(30, "3S1"), sr.state(5, "1S0")
+    for route in (bbr_shift_sum, bbr_shift_integral):
+        res = route(rydberg, 0.0)
+        assert res.shift_hz == 0.0
+        assert res.converged
+        # the table's f_missing at every temperature; a line list has none
+        assert res.f_missing == channel_table(rydberg).f_missing > 0.0
+        assert res.f_missing == route(rydberg, 1e-6).f_missing
+        assert route(clock, 0.0).shift_hz == 0.0
+        assert route(clock, 0.0).f_missing is None
 
 
 @pytest.mark.parametrize("temperature", [1e-6, 1e-300, 5e-324])
@@ -164,6 +177,102 @@ def test_routes_agree_to_c05_tolerance_above_their_floor(sr, n, series, temperat
         a = bbr_shift_sum(st, t).shift_hz
         b = bbr_shift_integral(st, t).shift_hz
         assert abs(a - b) < 1.5e-12 * max(abs(a), 1e-12), t
+
+
+def _with_metastable_lines(path, lines):
+    """Load the bundled Sr file, written to ``path`` with its metastable
+    line list replaced by ``lines``, (omega_au, d_au) pairs; the list's
+    core term is kept."""
+    text = open(bundled_species_path("sr"), encoding="utf-8").read()
+    text, count = re.subn(r"^bbrline\.metastable\.\d+\..*\n", "", text, flags=re.M)
+    assert count == 10
+    entries = "".join(
+        f"bbrline.metastable.{i}.omega_au = {w!r}\nbbrline.metastable.{i}.d_au = {d!r}\n"
+        for i, (w, d) in enumerate(lines, 1)
+    )
+    core = "bbrline.metastable.core_alpha_au"
+    text = text.replace(core, entries + core)
+    path.write_text(text, encoding="utf-8")
+    return load_species(str(path))
+
+
+def _channel_size_hz(table, temperature_k):
+    # sum over channels of the factor before F in a channel's shift
+    kt = k.KB_AU * temperature_k
+    return 2.0 / (math.pi * k.C_AU**3) * kt**3 * float(table.z2.sum()) * k.HARTREE_HZ
+
+
+def test_integral_route_accepts_a_channel_at_the_kernel_zero(sr, tmp_path):
+    # Sr's first metastable line made large and moved to y = 2.6162, where
+    # F and so its shift pass through zero: its quadrature error (2e-9 Hz)
+    # is 5e-11 of its size (47 Hz), but was refused against a 1e-9 Hz floor
+    listed = sr.line_lists["metastable"]
+    lines = [(farley_wing_zero() * k.KB_AU * 300.0, 10.0)]
+    lines += zip(listed.omega_au[1:], listed.d_au[1:])
+    state = _with_metastable_lines(tmp_path / "sr.species", lines).metastable_state()
+    a = bbr_shift_sum(state, 300.0)
+    b = bbr_shift_integral(state, 300.0)
+    assert a.shift_hz == pytest.approx(-1.5906, abs=1e-4)
+    assert abs(a.shift_hz - b.shift_hz) < 1e-11 * _channel_size_hz(channel_table(state), 300.0)
+
+
+# the property test's bound on |sum - integral| in units of the summed
+# channel sizes: a scan of 45,000 single channels (y from 1e-3 to 1e4, z^2
+# from 1e-2 to 1e2, 20 to 1000 K, a fifth within 1e-3 of F's zero) found
+# at most 3.1e-12 (near y = 2.03), about the kernel table's error in F
+_ROUTE_BOUND = 5e-12
+_Y_ZERO = farley_wing_zero()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    lines=hst.lists(
+        hst.tuples(
+            hst.one_of(
+                hst.floats(-3.0, 4.0).map(lambda e: 10.0**e),
+                hst.floats(-1e-3, 1e-3).map(lambda dy: _Y_ZERO + dy),
+            ),
+            hst.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    temperature=hst.floats(20.0, 1000.0),
+)
+def test_routes_agree_on_random_line_lists(tmp_path_factory, lines, temperature):
+    # lines are (y = omega/kT, z^2) of the metastable (J = 0) state, whose
+    # shift can cancel to near zero: the bound is on the channel sizes
+    kt = k.KB_AU * temperature
+    path = tmp_path_factory.getbasetemp() / "random_lines.species"
+    species = _with_metastable_lines(
+        path, [(y * kt, math.sqrt(3.0 * z2)) for y, z2 in lines]
+    )
+    state = species.metastable_state()
+    a = bbr_shift_sum(state, temperature)
+    b = bbr_shift_integral(state, temperature)
+    assert a.tail_hz == b.tail_hz == 0.0
+    size = _channel_size_hz(channel_table(state), temperature)
+    assert abs(a.shift_hz - b.shift_hz) <= _ROUTE_BOUND * size
+
+
+def test_integral_route_channels_never_read_the_kernel(sr, monkeypatch):
+    # the cross-check holds only while the PV route's channel terms are
+    # independent of F; its tail is folded through the kernel on purpose
+    real = farley_wing_fast
+
+    def perturbed(y, derivative=False):
+        f, df = real(y, derivative=True)
+        return (f * (1.0 + 1e-3), df) if derivative else f * (1.0 + 1e-3)
+
+    states = (sr.state(30, "3D1"), sr.state(5, "3P0"))
+    before = [(bbr_shift_sum(s, 300.0), bbr_shift_integral(s, 300.0)) for s in states]
+    monkeypatch.setattr(bbr, "farley_wing_fast", perturbed)
+    after = [(bbr_shift_sum(s, 300.0), bbr_shift_integral(s, 300.0)) for s in states]
+    for (sum0, int0), (sum1, int1) in zip(before, after):
+        assert int1.channel_hz == int0.channel_hz
+        assert sum1.channel_hz != sum0.channel_hz
+    rydberg_int0, rydberg_int1 = before[0][1], after[0][1]
+    assert rydberg_int1.tail_hz != rydberg_int0.tail_hz
 
 
 @pytest.mark.parametrize("n,series", [(5, "3P0"), (5, "1S0"), (30, "3D1"), (12, "3S1")])
