@@ -287,21 +287,16 @@ def farley_wing_fast(y, derivative: bool = False):
     a = np.abs(arr)
     table = _kernel_table()
     y_min, y_max = table[:2]
-    if a.size and y_min <= a.min() and a.max() <= y_max:
-        # every element inside the table, the usual case: no masks
-        f, df = _fw_table(a, table)
-    else:
-        f = np.empty_like(a)
-        df = np.empty_like(a)
+    # every element inside the table is the usual case; otherwise the table
+    # reads |y| clamped into it and the elements outside are overwritten
+    inside = a.size and y_min <= a.min() and a.max() <= y_max
+    f, df = _fw_table(a if inside else np.minimum(np.maximum(a, y_min), y_max), table)
+    if not inside:
+        f, df = np.array(f), np.array(df)  # a 0-d result is a numpy scalar
         small, big = a < y_min, a > y_max
-        mid = ~(small | big)
-        if small.any():
-            f[small] = -(_PI**2 / 3.0) * a[small]
-            df[small] = -(_PI**2 / 3.0)
-        if big.any():
-            f[big], df[big] = _fw_asymptotic(a[big])
-        if mid.any():
-            f[mid], df[mid] = _fw_table(a[mid], table)
+        f[small] = -(_PI**2 / 3.0) * a[small]
+        df[small] = -(_PI**2 / 3.0)
+        f[big], df[big] = _fw_asymptotic(a[big])
     # odd extension; "+ 0.0" turns the -0.0 of y = 0 into 0.0
     f = np.where(arr < 0.0, -f, f) + 0.0
     if arr.ndim == 0:
@@ -528,14 +523,11 @@ def bbr_shift_sums(
         ]
     # One kernel call for every state: its table's channels, then its tail
     # nodes
-    none = (np.empty(0), np.empty(0))
     blocks = []
     for state, table in zip(states, tables):
         blocks.append((table.omega_au, table.z2))
-        blocks.append(  # a line table is complete: it has no tail
-            none if table.f_missing is None
-            else truncation_tail_shift(table.f_missing, state.binding_au)
-        )
+        # a line table (f_missing None) is complete: no tail channels
+        blocks.append(truncation_tail_shift(table.f_missing or 0.0, state.binding_au))
     hz, slopes = _channel_shifts_sum_hz(
         np.concatenate([b[0] for b in blocks]),
         np.concatenate([b[1] for b in blocks]),

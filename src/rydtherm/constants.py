@@ -1,56 +1,26 @@
-"""Physical constants loaded from the bundled CODATA-2018 data file.
+"""Physical constants, CODATA 2018 (Tiesinga et al., Rev. Mod. Phys. 93,
+025010 (2021); values as published by NIST).
 
-Every numeric constant used by the package comes from ``data/codata_2018.dat``
-via this module, so the provenance of each number is recorded in exactly one
-place.  Module attributes are plain floats, e.g. ``constants.C_AU`` for the
-speed of light in atomic units.
+Every numeric constant used by the package is a float literal in this
+module, with its unit and standard uncertainty u, so the provenance of each
+number is recorded in exactly one place and nothing else inlines it.  Module
+attributes are plain floats, e.g. ``constants.C_AU`` for the speed of light
+in atomic units.
 """
 
-from __future__ import annotations
-
-import importlib.resources
-
-
-class ConstantsError(RuntimeError):
-    """Raised when the constants data file is missing or malformed."""
-
-
-def _load(name: str = "codata_2018.dat") -> dict[str, float]:
-    ref = importlib.resources.files("rydtherm.data").joinpath(name)
-    values: dict[str, float] = {}
-    with ref.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConstantsError(f"{name}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            try:
-                values[key] = float(val)
-            except ValueError as exc:
-                raise ConstantsError(f"{name}:{lineno}: bad float {val!r}") from exc
-    if values.get("format_version") != 1:
-        raise ConstantsError(f"{name}: unsupported or missing format_version")
-    return values
-
-
-_V = _load()
-
 # SI values
-C_SI = _V["speed_of_light_m_per_s"]
-KB_SI = _V["boltzmann_constant_j_per_k"]
-EPS0_SI = _V["vacuum_permittivity_f_per_m"]
-HARTREE_J = _V["hartree_energy_j"]
-HARTREE_HZ = _V["hartree_frequency_hz"]
-BOHR_M = _V["bohr_radius_m"]
-ATOMIC_TIME_S = _V["atomic_time_s"]
-ATOMIC_FIELD_V_PER_M = _V["atomic_field_v_per_m"]
-ELECTRON_MASS_U = _V["electron_mass_u"]
+C_SI = 299792458.0  # speed of light, m/s, exact
+KB_SI = 1.380649e-23  # Boltzmann constant, J/K, exact
+EPS0_SI = 8.8541878128e-12  # vacuum permittivity, F/m, u = 1.3e-21
+HARTREE_J = 4.3597447222071e-18  # Hartree energy E_h, J, u = 8.5e-30
+HARTREE_HZ = 6.579683920502e15  # E_h/h, Hz, u = 1.3e4
+BOHR_M = 5.29177210903e-11  # Bohr radius a0, m, u = 8.0e-21
+ATOMIC_TIME_S = 2.4188843265857e-17  # hbar/E_h, s, u = 4.7e-29
+ATOMIC_FIELD_V_PER_M = 5.14220674763e11  # E_h/(e a0), V/m, u = 7.8e2
+ELECTRON_MASS_U = 5.48579909065e-4  # electron mass, u (dalton), u = 1.6e-14
 
 # atomic units
-C_AU = _V["inverse_fine_structure"]     # speed of light = 1/alpha
-KB_AU = KB_SI / HARTREE_J               # Boltzmann constant, hartree/K
+C_AU = 137.035999084  # speed of light = 1/alpha, u = 2.1e-8
+KB_AU = KB_SI / HARTREE_J  # Boltzmann constant, hartree/K
 
-__all__ = [name for name in dir() if name.isupper()] + ["ConstantsError"]
+__all__ = [name for name in dir() if name.isupper() and not name.startswith("_")]

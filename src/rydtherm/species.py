@@ -233,10 +233,10 @@ class _KV:
     def str_(self, key: str) -> str:
         return self._get(key)[0]
 
-    def float_(self, key: str, required: bool = True, default: float = 0.0) -> float:
+    def float_(self, key: str, required: bool = True) -> float:
         got = self._get(key, required)
-        if got is None:
-            return default
+        if got is None:  # a missing optional float reads 0.0
+            return 0.0
         val, lineno = got
         try:
             x = float(val)
@@ -383,7 +383,7 @@ class Species:
             else None
         )
         self.magic_bracket_nm = None
-        if kvw.has("magic.bracket_nm_low"):
+        if kvw.has("magic.bracket_nm_low") or kvw.has("magic.bracket_nm_high"):
             self.magic_bracket_nm = (
                 kvw.float_("magic.bracket_nm_low"),
                 kvw.float_("magic.bracket_nm_high"),

@@ -328,13 +328,20 @@ def vdw_shift_estimate(n: int, spacing_um: float) -> float:
 
     Anchored scaling estimate: 1 Hz at n = 25 and 4 um spacing, scaled
     by (n/25)^11 (4 um/R)^6.  An order-of-magnitude density guide, not a
-    computed C6 coefficient.
+    computed C6 coefficient.  Raises ValueError unless n >= 15 and the
+    spacing are finite, spacing > 0, and the shift is within float range.
     """
-    if n < 15:
-        raise ValueError(f"scaling anchor requires n >= 15, got {n}")
-    if spacing_um <= 0:
-        raise ValueError(f"spacing must be > 0, got {spacing_um}")
-    return 1.0 * (n / 25.0) ** 11 * (4.0 / spacing_um) ** 6
+    if not (math.isfinite(n) and n >= 15):
+        raise ValueError(f"scaling anchor requires a finite n >= 15, got {n}")
+    if not (math.isfinite(spacing_um) and spacing_um > 0):
+        raise ValueError(f"spacing must be finite and > 0, got {spacing_um}")
+    try:
+        shift = 1.0 * (n / 25.0) ** 11 * (4.0 / spacing_um) ** 6
+    except OverflowError:
+        shift = math.inf
+    if math.isinf(shift):
+        raise ValueError(f"vdW shift at n = {n}, {spacing_um} um is past float range")
+    return shift
 
 
 def measurement_budget(
@@ -343,12 +350,23 @@ def measurement_budget(
     """Shot-noise cycle count to reach a target frequency resolution.
 
     SNR = sqrt(atoms); one cycle resolves linewidth / (kappa * SNR) with
-    kappa = LINE_SPLIT; averaging M cycles improves by sqrt(M).
+    kappa = LINE_SPLIT; averaging M cycles improves by sqrt(M).  Raises
+    ValueError unless every argument is finite and > 0 and the count is
+    within float range.
     """
-    if atoms <= 0 or linewidth_hz <= 0 or target_resolution_hz <= 0:
-        raise ValueError("atoms, linewidth and target must all be > 0")
+    for name, value in (
+        ("atoms", atoms), ("linewidth", linewidth_hz), ("target", target_resolution_hz)
+    ):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     per_cycle = linewidth_hz / (LINE_SPLIT * math.sqrt(atoms))
-    return max(1, math.ceil((per_cycle / target_resolution_hz) ** 2))
+    try:  # ** overflows, or ceil meets an inf quotient
+        return max(1, math.ceil((per_cycle / target_resolution_hz) ** 2))
+    except OverflowError:
+        raise ValueError(
+            f"cycle count for linewidth {linewidth_hz} Hz over target "
+            f"{target_resolution_hz} Hz is past float range"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -381,6 +381,10 @@ _BROKEN_SR = {
         r"magic\.bracket_nm_high = 2450", "magic.bracket_nm_high = 2200",
         r"bad magic bracket",
     ),
+    "magic-bracket-high-alone": (
+        r"magic\.bracket_nm_low = 2300", "",
+        r"missing required key 'magic\.bracket_nm_low'",
+    ),
     "ground-series-unknown": (
         r"ground\.series = 1S0", "ground.series = 1G4", r"unknown series '1G4'",
     ),

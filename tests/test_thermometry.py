@@ -370,6 +370,15 @@ def test_vdw_reference_point():
         vdw_shift_estimate(10, 4.0)
     with pytest.raises(ValueError):
         vdw_shift_estimate(25, 0.0)
+    # non-finite input names its argument; a shift past float range raises
+    for n, spacing, message in (
+        (25, math.nan, "spacing"), (25, math.inf, "spacing"),
+        (math.nan, 4.0, "n >= 15"), (math.inf, 4.0, "n >= 15"),
+        (1e30, 4.0, "float range"), (25, 1e-60, "float range"),
+        (25, 1e-310, "float range"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            vdw_shift_estimate(n, spacing)
 
 
 def test_measurement_budget_cycles():
@@ -379,6 +388,15 @@ def test_measurement_budget_cycles():
     # a narrower line cuts quadratically
     assert measurement_budget(1.0e4, 1750.0, 0.16) == 11963
     assert measurement_budget(1.0e12, 1.0, 1.0) == 1
+    # every argument finite and > 0, and a count within float range
+    for args, message in (
+        ((1e3, math.inf, 1.0), "linewidth"), ((1e3, math.nan, 1.0), "linewidth"),
+        ((math.inf, 1.0, 1.0), "atoms"), ((1e3, 1.0, math.nan), "target"),
+        ((1e3, 1.0, 0.0), "target"), ((1e3, 1.0, 1e-300), "float range"),
+        ((5e-324, 1e300, 1.0), "float range"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            measurement_budget(*args)
 
 
 # -- full error budget ------------------------------------------------------------

@@ -85,3 +85,10 @@ def test_nan_lattice_wavelength_names_the_wavelength(capsys):
             "--wavelength-nm", "nan"]
     assert main(argv) == EXIT_USAGE
     assert "wavelength must be finite" in capsys.readouterr().err
+
+
+def test_constants_export_only_public_floats():
+    assert len(k.__all__) == 11
+    for name in k.__all__:
+        assert name.isupper() and not name.startswith("_")
+        assert type(getattr(k, name)) is float
