@@ -259,8 +259,8 @@ def _clenshaw(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _fw_table(a: np.ndarray, table: tuple) -> tuple[np.ndarray, np.ndarray]:
-    # F and F' = G + dG/ds from the table at |y| = a, element-wise; a NaN
-    # lands in piece 0 and stays NaN.  np.minimum/np.maximum and take give
+    # F and F' = G + dG/ds from the table at |y| = a, element-wise, for a
+    # within the table (no NaN).  np.minimum/np.maximum and take give
     # what np.clip and fancy indexing give, in a third of the time
     _, _, s_min, width, coef, dcoef = table
     u = (np.log(a) - s_min) / width
@@ -288,15 +288,17 @@ def farley_wing_fast(y, derivative: bool = False):
     table = _kernel_table()
     y_min, y_max = table[:2]
     # every element inside the table is the usual case; otherwise the table
-    # reads |y| clamped into it and the elements outside are overwritten
+    # reads |y| clamped into it (a NaN as y_min) and the elements outside
+    # are overwritten
     inside = a.size and y_min <= a.min() and a.max() <= y_max
-    f, df = _fw_table(a if inside else np.minimum(np.maximum(a, y_min), y_max), table)
+    f, df = _fw_table(a if inside else np.fmin(np.fmax(a, y_min), y_max), table)
     if not inside:
         f, df = np.array(f), np.array(df)  # a 0-d result is a numpy scalar
-        small, big = a < y_min, a > y_max
+        small, big, nan = a < y_min, a > y_max, np.isnan(a)
         f[small] = -(_PI**2 / 3.0) * a[small]
         df[small] = -(_PI**2 / 3.0)
         f[big], df[big] = _fw_asymptotic(a[big])
+        f[nan] = df[nan] = np.nan
     # odd extension; "+ 0.0" turns the -0.0 of y = 0 into 0.0
     f = np.where(arr < 0.0, -f, f) + 0.0
     if arr.ndim == 0:

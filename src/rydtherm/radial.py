@@ -15,7 +15,9 @@ The trapezoid rule is spectrally accurate here because the integrand's
 derivatives vanish at both ends of the domain.  The inward Numerov
 recurrence is one banded triangular solve (LAPACK ``dtbtrs``), and the
 weights x^k of every overlap sum are slices of one mesh stored on the
-solver.
+solver.  ``dtbtrs`` is taken from scipy's Fortran LAPACK extension, loaded
+by itself: importing the ``scipy.linalg`` package around it would double
+the start-up of ``import rydtherm`` (see _load_flapack).
 
 Lattice orbit averages <j_L(q r)> weight the same overlap sum with the
 spherical Bessel function of the ascending mesh argument z = q x^2,
@@ -52,11 +54,14 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import sys
 import threading
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .species import RydbergState
 from .wigner import legendre_moment
@@ -64,6 +69,39 @@ from .wigner import legendre_moment
 DEFAULT_MESH_STEP = 0.01
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
+
+
+def _load_flapack():
+    """scipy's LAPACK extension ``scipy.linalg._flapack``, without importing
+    the ``scipy.linalg`` package (about half of ``import rydtherm`` and
+    ~19 MB of resident memory, none of it LAPACK).
+
+    The extension is loaded by the ``module_from_spec``/``exec_module``
+    recipe and registered under its own name first, so a later
+    ``import scipy.linalg`` reuses this module and ``scipy.linalg.lapack``
+    re-exports the same ``dtbtrs`` (the package then has no ``_flapack``
+    attribute; scipy reads it only by ``from`` imports).  Where scipy's
+    files do not hold the extension (an editable install keeps it in a
+    build directory) the ordinary import gives the same module.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    import scipy
+
+    spec = PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "linalg")])
+    if spec is None:
+        from scipy.linalg import _flapack
+
+        return _flapack
+    module = module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _load_flapack()
 
 
 class RadialUnsolvableError(ValueError):

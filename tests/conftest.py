@@ -1,5 +1,7 @@
 """Shared fixtures: species load once, radial solutions cache in-process."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ def sr_n_max_60(tmp_path_factory):
     """A copy of the bundled Sr file whose one bound on n is 60, not 80."""
     from rydtherm.species import bundled_species_path
 
-    text = open(bundled_species_path("sr"), encoding="utf-8").read()
+    text = Path(bundled_species_path("sr")).read_text(encoding="utf-8")
     assert text.count("rydberg_n_max = 80") == 1
     path = tmp_path_factory.mktemp("sr60") / "sr.species"
     path.write_text(text.replace("rydberg_n_max = 80", "rydberg_n_max = 60"))

@@ -2,6 +2,7 @@
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,7 +184,7 @@ def _with_metastable_lines(path, lines):
     """Load the bundled Sr file, written to ``path`` with its metastable
     line list replaced by ``lines``, (omega_au, d_au) pairs; the list's
     core term is kept."""
-    text = open(bundled_species_path("sr"), encoding="utf-8").read()
+    text = Path(bundled_species_path("sr")).read_text(encoding="utf-8")
     text, count = re.subn(r"^bbrline\.metastable\.\d+\..*\n", "", text, flags=re.M)
     assert count == 10
     entries = "".join(

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -65,20 +66,32 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_import_and_magic_leave_scipy_solvers_unloaded():
+def test_import_and_magic_leave_scipy_solvers_unloaded(tmp_path):
     # start-up is most of a short command: importing the package and the
-    # CLI, and a magic solve, load none of scipy's optimize, integrate or
-    # special (only the reference quadrature routes import integrate)
+    # CLI, and the magic, thermo invert, bbr and fig3 commands, load none of
+    # scipy's optimize, integrate or special (only the reference quadrature
+    # routes import integrate), nor the linalg package (the radial solver
+    # loads LAPACK's extension alone)
     import subprocess
     import sys
 
     import rydtherm
 
+    commands = [
+        ["magic", "--species", "Yb", "--n", "25"],
+        ["thermo", "invert", "--species", "Sr", "--state", "30:3D1",
+         "--offset-hz", "2350.73", "--sigma-hz", "0.16"],
+        ["bbr", "--species", "Sr", "--state", "30:3D1", "--temperature", "300"],
+        ["fig3", "--species", "Sr", "--series", "3S1", "--n-min", "20",
+         "--n-max", "22"],
+    ]
+    out = str(tmp_path / "out.csv")
     code = (
         "import sys, rydtherm, rydtherm.cli\n"
-        "assert rydtherm.cli.main(['magic', '--species', 'Yb', '--n', '25']) == 0\n"
+        f"for args in {commands!r}:\n"
+        f"    assert rydtherm.cli.main(args + ['-o', {out!r}]) == 0\n"
         "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate',"
-        " 'scipy.special') if m in sys.modules))\n"
+        " 'scipy.special', 'scipy.linalg') if m in sys.modules))\n"
     )
     src = os.path.dirname(os.path.dirname(rydtherm.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -213,8 +226,8 @@ def test_manifest_id_is_keyed_by_file_content(tmp_path, capsys):
     from rydtherm.species import bundled_species_path
 
     golden = os.path.join(os.path.dirname(__file__), "golden", "meas_sr.csv")
-    text = open(golden, encoding="utf-8").read()
-    species = open(bundled_species_path("sr"), encoding="utf-8").read()
+    text = Path(golden).read_text(encoding="utf-8")
+    species = Path(bundled_species_path("sr")).read_text(encoding="utf-8")
     ids = set()
     for name in ("a", "b"):
         (tmp_path / name).mkdir()
@@ -263,7 +276,7 @@ def test_manifest_names_species_content(tmp_path, capsys):
 
     from rydtherm.species import bundled_species_path
 
-    text = open(bundled_species_path("sr"), encoding="utf-8").read()
+    text = Path(bundled_species_path("sr")).read_text(encoding="utf-8")
     copy = tmp_path / "sr.species"
     copy.write_text(text + "# an edited copy\n")
     ids = []
@@ -460,7 +473,7 @@ def test_nan_in_species_file_exits_3(capsys, tmp_path, key):
     # four for the core polarizability
     from rydtherm.species import bundled_species_path
 
-    lines = open(bundled_species_path("sr"), encoding="utf-8").read().splitlines()
+    lines = Path(bundled_species_path("sr")).read_text(encoding="utf-8").splitlines()
     lines = [f"{key} = nan" if ln.startswith(f"{key} =") else ln for ln in lines]
     path = tmp_path / "sr.species"
     path.write_text("\n".join(lines) + "\n")

@@ -14,6 +14,7 @@ nothing with either implementation route (pole-excised adaptive quadrature
 import importlib.util
 import math
 import os
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -126,6 +127,24 @@ def test_array_and_scalar_calls_agree():
     assert np.array_equal(
         f_edge, farley_wing_fast(np.append(edge, 2 * TABLE_TOP))[:-1]
     )
+
+
+def test_nan_gives_nan_without_warning():
+    # a NaN reads the clamped table like any y outside it and is overwritten
+    # with NaN; no cast warning, and every other element keeps its bits
+    seam = [1e-5, np.nextafter(1e-5, 0), TABLE_TOP, np.nextafter(TABLE_TOP, np.inf)]
+    pos = np.concatenate([[0.0, np.inf, 5e-324], seam, np.geomspace(1e-310, 1e308, 60)])
+    ys = np.concatenate([pos, -pos, [-0.0]])
+    f, df = farley_wing_fast(ys, derivative=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(math.isnan(v) for v in farley_wing_fast(math.nan, derivative=True))
+        at = [0, 9, len(ys)]
+        g, dg = farley_wing_fast(np.insert(ys, at, np.nan), derivative=True)
+    holes = np.isnan(g)
+    assert np.flatnonzero(holes).tolist() == [0, 10, len(ys) + 2]
+    assert np.array_equal(np.isnan(dg), holes)
+    assert g[~holes].tobytes() == f.tobytes() and dg[~holes].tobytes() == df.tobytes()
 
 
 def test_value_at_origin():

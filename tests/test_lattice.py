@@ -1,6 +1,7 @@
 """Standing-wave lattice: metastable polarizability, magic-wavelength solver."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ def _with_bracket(species, bracket_nm, tmp_path):
     """A copy of the species' bundled file whose magic bracket is
     ``bracket_nm``: the solver searches only the file's bracket."""
     name = species.name.lower()
-    text = open(bundled_species_path(name), encoding="utf-8").read()
+    text = Path(bundled_species_path(name)).read_text(encoding="utf-8")
     old = "magic.bracket_nm_low = %g\nmagic.bracket_nm_high = %g\n" % (
         species.magic_bracket_nm
     )
@@ -348,7 +349,7 @@ def test_lattice_table_keyed_by_file_content(tmp_path, sr):
 
     omega = units.wavelength_nm_to_omega_au(2390.0)
     before = lattice_alpha_au(sr, omega)
-    text = open(bundled_species_path("sr"), encoding="utf-8").read()
+    text = Path(bundled_species_path("sr")).read_text(encoding="utf-8")
     assert "line.1.d_au = 3.72\n" in text
     path = tmp_path / "sr.species"
     path.write_text(text.replace("line.1.d_au = 3.72\n", "line.1.d_au = 3.0\n"))

@@ -1,6 +1,9 @@
 """Radial engine against exact hydrogen results and scaling laws."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -160,7 +163,6 @@ def test_shared_solver_is_thread_safe(sr, yb):
     # fresh solver bit for bit, and every caller of one key must get the
     # one stored table (a lost update would hand two threads different
     # objects).
-    import sys
     from concurrent.futures import ThreadPoolExecutor
 
     from rydtherm.bbr import bbr_shift_sum
@@ -267,6 +269,58 @@ def test_numerov_zero_pivot_raises():
     assert 1.0 + (1.0 / 12.0) * kf[17] == 0.0
     with pytest.raises(RadialUnsolvableError, match="mesh index 17"):
         radial._numerov_inward(kf, 1.0)
+
+
+@pytest.mark.parametrize(
+    "first, then",
+    [("rydtherm.radial", "scipy.linalg.lapack"), ("scipy.linalg", "rydtherm.radial")],
+)
+def test_dtbtrs_is_scipys_in_either_import_order(first, then):
+    # the radial solver loads LAPACK's extension alone; importing scipy.linalg
+    # before or after it leaves one module object, shared by both
+    code = (
+        "import gc, importlib, sys, types\n"
+        f"importlib.import_module({first!r})\n"
+        f"importlib.import_module({then!r})\n"
+        "import scipy.linalg.lapack\n"
+        "from rydtherm import radial\n"
+        "name = 'scipy.linalg._flapack'\n"
+        "mods = [m for m in gc.get_objects()\n"
+        "        if isinstance(m, types.ModuleType) and m.__name__ == name]\n"
+        "assert mods == [radial.lapack] and sys.modules[name] is radial.lapack\n"
+        "assert radial.lapack.dtbtrs is scipy.linalg.lapack.dtbtrs\n"
+        "print('ok')\n"
+    )
+    src = os.path.dirname(os.path.dirname(radial.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.splitlines() == ["ok"], proc.stdout
+
+
+def test_flapack_loader_falls_back_to_the_package_import(monkeypatch):
+    # where scipy's files do not hold the extension (an editable install),
+    # the loader imports it through scipy.linalg: the same dtbtrs
+    import scipy.linalg.lapack
+
+    name = "scipy.linalg._flapack"
+    lookups = []
+
+    class NoSpec:
+        @staticmethod
+        def find_spec(fullname, path):
+            lookups.append(fullname)
+            return None
+
+    monkeypatch.setattr(radial, "PathFinder", NoSpec)
+    # the package attribute that the ordinary import would have set, so the
+    # fallback loads no second module object
+    monkeypatch.setattr(scipy.linalg, "_flapack", sys.modules[name], raising=False)
+    monkeypatch.delitem(sys.modules, name)
+    module = radial._load_flapack()
+    assert lookups == [name]
+    assert module.dtbtrs is scipy.linalg.lapack.dtbtrs is radial.lapack.dtbtrs
 
 
 def test_pair_integrals_thread_safe_while_mesh_grows(sr, yb):

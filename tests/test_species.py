@@ -4,6 +4,7 @@ import math
 import os
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,7 +131,7 @@ def test_line_lists_present(sr, yb):
 
 
 def _edited_sr(tmp_path, extra_lines):
-    text = open(bundled_species_path("sr"), encoding="utf-8").read()
+    text = Path(bundled_species_path("sr")).read_text(encoding="utf-8")
     path = tmp_path / "sr.species"
     path.write_text(text + "".join(f"{ln}\n" for ln in extra_lines))
     return str(path), text.count("\n") + 1
@@ -170,7 +171,7 @@ def test_lowlying_dipole_without_final_is_rejected(tmp_path):
 def test_core_term_without_lines_is_rejected(tmp_path, key):
     # a core polarizability with no line beside it used to load and be
     # ignored: the list it belongs to was no line list
-    text = open(bundled_species_path("hydrogen"), encoding="utf-8").read()
+    text = Path(bundled_species_path("hydrogen")).read_text(encoding="utf-8")
     path = tmp_path / "h.species"
     path.write_text(text + f"{key} = 5.0\n")
     lineno = text.count("\n") + 1
@@ -206,7 +207,7 @@ def test_env_data_dir_override(tmp_path, monkeypatch, sr):
     # still looks in RYDTHERM_DATA_DIR first and reads the file it finds
     bundled = bundled_species_path("sr")
     assert os.path.isfile(bundled)
-    text = open(bundled, encoding="utf-8").read()
+    text = Path(bundled).read_text(encoding="utf-8")
     for mu0 in ("2.50", "2.60"):
         (tmp_path / "sr.species").write_text(
             text.replace("defect.3D1.mu0 = 2.658\n", f"defect.3D1.mu0 = {mu0}\n")
@@ -223,7 +224,7 @@ def test_caches_are_keyed_by_file_content(tmp_path, sr):
     from rydtherm.polarizability import static_polarizability
     from rydtherm.radial import RadialSolver
 
-    text = open(bundled_species_path("sr"), encoding="utf-8").read()
+    text = Path(bundled_species_path("sr")).read_text(encoding="utf-8")
     assert "defect.3D1.mu0 = 2.658\n" in text
     path = tmp_path / "sr.species"
     path.write_text(text.replace("defect.3D1.mu0 = 2.658\n", "defect.3D1.mu0 = 2.50\n"))
@@ -255,7 +256,7 @@ def test_one_species_per_file_content(tmp_path, sr):
 
 
 def test_broken_file_raises_on_every_load(tmp_path):
-    good = open(bundled_species_path("sr"), encoding="utf-8").read()
+    good = Path(bundled_species_path("sr")).read_text(encoding="utf-8")
     broken = good.replace("ionization_limit_hartree =", "ionization_limit =")
     assert broken != good
     paths = [tmp_path / "a.species", tmp_path / "b.species"]
@@ -302,7 +303,7 @@ def test_energy_au_is_negative_binding(sr):
 def test_non_finite_values_are_rejected(tmp_path, key, value):
     # every number in a species file must be finite; only mass_amu = inf
     # (hydrogen's infinitely heavy nucleus) is allowed
-    lines = open(bundled_species_path("sr"), encoding="utf-8").read().splitlines()
+    lines = Path(bundled_species_path("sr")).read_text(encoding="utf-8").splitlines()
     (lineno,) = [i for i, ln in enumerate(lines, 1) if ln.startswith(f"{key} =")]
     lines[lineno - 1] = f"{key} = {value}"
     path = tmp_path / "sr.species"
@@ -403,7 +404,7 @@ _BROKEN_SR = {
 @pytest.mark.parametrize("case", sorted(_BROKEN_SR))
 def test_broken_species_file_names_its_fault(tmp_path, case):
     lines, replacement, message = _BROKEN_SR[case]
-    text = open(bundled_species_path("sr"), encoding="utf-8").read()
+    text = Path(bundled_species_path("sr")).read_text(encoding="utf-8")
     edited, count = re.subn(
         rf"^(?:{lines})\n", replacement and replacement + "\n", text, flags=re.M
     )

@@ -1,6 +1,7 @@
 """Transition tables: the column invariants every channel sum relies on."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ def test_line_tables_are_cached_by_file_content(sr, tmp_path):
     lattice = species_line_table(sr, "lattice")
     assert lattice is not table and lattice.channel_ids != ()
     copy = tmp_path / "sr.species"
-    copy.write_text(open(bundled_species_path("sr"), encoding="utf-8").read() + "#\n")
+    copy.write_text(Path(bundled_species_path("sr")).read_text(encoding="utf-8") + "#\n")
     assert channel_table(load_species(str(copy)).metastable_state()) is not table
 
 
