@@ -15,9 +15,15 @@ The trapezoid rule is spectrally accurate here because the integrand's
 derivatives vanish at both ends of the domain.  The inward Numerov
 recurrence is one banded triangular solve (LAPACK ``dtbtrs``), and the
 weights x^k of every overlap sum are slices of one mesh stored on the
-solver.  ``dtbtrs`` is taken from scipy's Fortran LAPACK extension, loaded
-by itself: importing the ``scipy.linalg`` package around it would double
-the start-up of ``import rydtherm`` (see _load_flapack).
+solver.  So are the state-independent terms of kfun, -3/(4 x^2) + 8 mu
+per reduced-mass factor and 4 l(l+1)/x^2 per l: a solve adds them to its
+own 8 mu E x^2 in place, the same IEEE operations as the formula above.
+The stored v is allocated after the solve's temporaries are released, so
+it reuses their heap space (normalised in place instead, it raised a
+cold scan's peak RSS by ~3 MB).  ``dtbtrs`` is taken from scipy's Fortran
+LAPACK extension, loaded by itself: importing the ``scipy.linalg`` package
+around it would double the start-up of ``import rydtherm`` (see
+_load_flapack).
 
 Lattice orbit averages <j_L(q r)> weight the same overlap sum with the
 spherical Bessel function of the ascending mesh argument z = q x^2,
@@ -67,8 +73,6 @@ from .species import RydbergState
 from .wigner import legendre_moment
 
 DEFAULT_MESH_STEP = 0.01
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
 def _load_flapack():
@@ -130,21 +134,25 @@ def _numerov_inward(kf: np.ndarray, h: float) -> np.ndarray:
     RadialUnsolvableError when some pivot c[j] is exactly zero.
     """
     n = kf.shape[0]
-    c = 1.0 + (h * h / 12.0) * kf
-    ab = np.zeros((3, n - 1), order="F")
+    c = kf * (h * h / 12.0)
+    c += 1.0
+    # the band in LAPACK's upper storage, ab[2 + i - j, j] = A[i, j] (the
+    # corner ab[0, :2], ab[1, 0] lies outside the matrix and is never read):
+    # the transpose of a C-order buffer is F-contiguous, so f2py copies nothing
+    ab = np.empty((n - 1, 3)).T
     ab[0, 2:] = c[2 : n - 1]
-    ab[1, 1:] = 10.0 * c[1 : n - 1] - 12.0
+    np.multiply(c[1 : n - 1], 10.0, out=ab[1, 1:])
+    ab[1, 1:] -= 12.0
     ab[2, :-1] = c[: n - 2]
     ab[2, -1] = 1.0
-    b = np.zeros((n - 1, 1))
-    b[-1, 0] = 1e-12
-    x, info = lapack.dtbtrs(ab, b, uplo="U")
+    v = np.zeros(n)
+    v[-2] = 1e-12
+    # the right-hand side is v[:-1] itself, overwritten with the solution
+    _, info = lapack.dtbtrs(ab, v[:-1, None], uplo="U", overwrite_b=1)
     if info > 0:
         raise RadialUnsolvableError(
             f"Numerov pivot 1 + h^2 kf/12 is zero at mesh index {info - 1}"
         )
-    v = np.zeros(n)
-    v[:-1] = x[:, 0]
     return v
 
 
@@ -215,18 +223,34 @@ def _moment_series(order: int, z: float, m: tuple[float, ...]) -> float:
 
 
 class _Mesh:
-    """The aligned mesh x_j = j*h for j < len(x), and the powers x^k asked
-    for so far.  Its x never changes: a longer mesh replaces it on the
-    solver, so a caller slices the one mesh it read."""
+    """The aligned mesh x_j = j*h for j < len(x), and the powers x^k and
+    potential terms asked for so far.  Its x never changes: a longer mesh
+    replaces it on the solver, so a caller slices the one mesh it read."""
 
     def __init__(self, h: float, size: int):
         self.x = h * np.arange(size)
         self._powers: dict[int, np.ndarray] = {}
+        self._terms: dict[tuple, np.ndarray] = {}
 
     def power(self, k: int) -> np.ndarray:
         w = self._powers.get(k)
         if w is None:
             w = self._powers.setdefault(k, self.x**k)
+        return w
+
+    def potential_terms(self, mu: float, l: int) -> tuple[np.ndarray, np.ndarray]:
+        """The state-independent terms of the Numerov coefficient,
+        -3/(4 x^2) + 8 mu and 4 l(l+1)/x^2, on x_1, x_2, ... (x_0 = 0 would
+        divide by zero), so element j - 1 belongs to x_j."""
+        return (
+            self._term(("mu", mu), lambda x2: -3.0 / (4.0 * x2) + 8.0 * mu),
+            self._term(("l", l), lambda x2: 4.0 * l * (l + 1) / x2),
+        )
+
+    def _term(self, key: tuple, make) -> np.ndarray:
+        w = self._terms.get(key)
+        if w is None:
+            w = self._terms.setdefault(key, make(self.power(2)[1:]))
         return w
 
 
@@ -242,6 +266,8 @@ class RadialSolver:
     """
 
     def __init__(self, h: float = DEFAULT_MESH_STEP):
+        if not 0.0 < h < math.inf:
+            raise ValueError(f"mesh step h must be finite and > 0, got {h!r}")
         self.h = h
         self._cache: dict[tuple, object] = {}
         self._lock = threading.Lock()
@@ -250,8 +276,7 @@ class RadialSolver:
     def cached(self, key: tuple, build):
         """The value under ``key``; on a miss ``build()`` runs outside the
         lock, and the first value stored is the one every caller gets."""
-        with self._lock:
-            hit = self._cache.get(key)
+        hit = self._cache.get(key)  # one dict read: atomic without the lock
         if hit is None:
             hit = build()
             with self._lock:
@@ -299,14 +324,22 @@ class RadialSolver:
         j_out = math.floor(math.sqrt(r_max) / h)
         mesh = self._mesh_through(j_out)
         x2 = mesh.power(2)[j_in : j_out + 1]
-        kf = (
-            -3.0 / (4.0 * x2)
-            + 8.0 * mu
-            + 8.0 * mu * energy * x2
-            - 4.0 * l * (l + 1) / x2
-        )
+        mu_term, l_term = mesh.potential_terms(mu, l)
+        # kfun in one buffer, the same IEEE operations as the formula of the
+        # module docstring evaluated left to right (the sum commutes)
+        kf = x2 * (8.0 * mu * energy)
+        kf += mu_term[j_in - 1 : j_out]
+        kf -= l_term[j_in - 1 : j_out]
         v = _numerov_inward(kf, h)
-        norm_sq = 2.0 * h * float(_trapz(v * v * x2))
+        # trapz(v^2 x^2) with unit step, as np.trapezoid sums it
+        y = np.multiply(v, v, out=kf)
+        y *= x2
+        s = y[1:] + y[:-1]
+        s /= 2.0
+        norm_sq = 2.0 * h * float(np.add.reduce(s))
+        # the stored v is allocated after the temporaries are released: it
+        # then reuses their heap space instead of growing the heap
+        del kf, y, s
         v = v / math.sqrt(norm_sq)
         return RadialSolution(j_in=j_in, j_out=j_out, v=v)
 

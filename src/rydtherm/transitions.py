@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
@@ -149,41 +150,21 @@ def coupled_series(state: RydbergState) -> tuple[str, ...]:
 _PATCH_SCALE_RATIO = 2.0
 
 
-def _patched_radial(state: RydbergState, series: str, n: int) -> float | None:
-    """Species-file calibrated dipole for a compact final, or None."""
-    for lch in state.species.lowlying_channels(state.series):
-        if lch.final_series == series and lch.final_n == n:
-            return lch.dipole_n32_au / state.n_eff**1.5
-    return None
-
-
-def _channel_radial(
-    state: RydbergState,
-    final: RydbergState,
-    solver: RadialSolver,
-) -> float | None:
-    """Radial integral for one channel: calibrated patch, else solver.
-
-    Calibrated species-file dipoles override the one-channel Coulomb value
-    whenever the scale separation backing the n*^-3/2 law holds; they also
-    serve as the fallback when the final state has no radial solution.
-    Returns None when the channel has neither a solution nor a patch.
-    """
-    patched = _patched_radial(state, final.series, final.n)
-    if patched is not None and state.n_eff >= _PATCH_SCALE_RATIO * final.n_eff:
-        return patched
-    try:
-        return solver.radial_integral(state, final)
-    except RadialUnsolvableError:
-        return patched
-
-
 def build_transition_table(
     state: RydbergState,
     span: int = DEFAULT_SPAN,
     solver: RadialSolver | None = None,
 ) -> TransitionTable:
-    """All dipole channels with |n' - n| <= span (cached on the solver)."""
+    """All dipole channels with |n' - n| <= span (cached on the solver).
+    ``span`` is an integer >= 1 (a Python or numpy int, not a bool, float
+    or str)."""
+    try:
+        n = operator.index(span)
+    except TypeError:
+        n = None
+    if n is None or isinstance(span, bool):
+        raise ValueError(f"span must be an integer, got {span!r}")
+    span = n
     if span < 1:
         raise ValueError(f"span must be >= 1, got {span}")
     solver = solver or default_solver()
@@ -198,8 +179,21 @@ def _walk(
     span: int | None = None,
 ) -> TransitionTable:
     """The radial table of the channels to the finals ``n_range(series)``
-    of each dipole-coupled series."""
+    of each dipole-coupled series.
+
+    A channel's radial integral is the solver's, or a species-file
+    calibrated patch (``lowlying.*``): the patch overrides the one-channel
+    Coulomb value whenever the scale separation backing its n*^-3/2 law
+    holds, and is the fallback when the final state has no radial
+    solution.  A final with neither is skipped and counted.
+    """
+    n_eff = state.n_eff
     e_i = state.energy_au
+    patches: dict[tuple[str, int], float] = {}
+    for lch in state.species.lowlying_channels(state.series):
+        patches.setdefault(
+            (lch.final_series, lch.final_n), lch.dipole_n32_au / n_eff**1.5
+        )
     ids, omega, strength, j_final = [], [], [], []
     skipped = 0
     for label in coupled_series(state):
@@ -209,7 +203,12 @@ def _walk(
             continue
         for n_f in n_range(sd):
             final = state.species.state(n_f, label)
-            radial = _channel_radial(state, final, solver)
+            radial = patches.get((label, n_f))
+            if radial is None or n_eff < _PATCH_SCALE_RATIO * final.n_eff:
+                try:
+                    radial = solver.radial_integral(state, final)
+                except RadialUnsolvableError:
+                    pass  # the patch, if any, stands in
             if radial is None:
                 skipped += 1
                 continue

@@ -244,6 +244,90 @@ def test_numerov_matches_sequential_loop(sr, yb, hydrogen, monkeypatch):
         assert np.abs(got - want).max() / np.abs(want).max() <= 1e-11
 
 
+def _solve_reference(solver, state):
+    """(j_in, j_out, v) by the arithmetic ``RadialSolver._solve`` used
+    before its potential terms were cached on the mesh: kfun as one
+    expression, a zero-filled band and a separate right-hand side, and the
+    norm from ``np.trapezoid``.  The solver must match it bit for bit."""
+    sd = state.defect
+    l = sd.L
+    nst = state.n_eff
+    if nst <= l + 0.15:
+        raise RadialUnsolvableError(str(state))
+    mu = state.species.reduced_mass_factor
+    energy = -state.binding_au
+    if sd.mu0 == 0.0 and sd.mu2 == 0.0 and sd.mu4 == 0.0:
+        r_min = 0.001 * (l + 1) ** 2
+    else:
+        r_min = 0.05 * l * (l + 1) + 1.0
+    r_max = 2.0 * nst * (nst + 15.0)
+    h = solver.h
+    j_in = max(1, math.ceil(math.sqrt(r_min) / h))
+    j_out = math.floor(math.sqrt(r_max) / h)
+    x2 = (h * np.arange(j_out + 1)) ** 2
+    x2 = x2[j_in:]
+    kf = (
+        -3.0 / (4.0 * x2)
+        + 8.0 * mu
+        + 8.0 * mu * energy * x2
+        - 4.0 * l * (l + 1) / x2
+    )
+    n = kf.shape[0]
+    c = 1.0 + (h * h / 12.0) * kf
+    ab = np.zeros((3, n - 1), order="F")
+    ab[0, 2:] = c[2 : n - 1]
+    ab[1, 1:] = 10.0 * c[1 : n - 1] - 12.0
+    ab[2, :-1] = c[: n - 2]
+    ab[2, -1] = 1.0
+    b = np.zeros((n - 1, 1))
+    b[-1, 0] = 1e-12
+    x, info = radial.lapack.dtbtrs(ab, b, uplo="U")
+    assert info == 0
+    v = np.zeros(n)
+    v[:-1] = x[:, 0]
+    norm_sq = 2.0 * h * float(np.trapezoid(v * v * x2))
+    return j_in, j_out, v / math.sqrt(norm_sq)
+
+
+def _every_series_states(sr, yb):
+    return [
+        sp.state(n, series)
+        for sp in (sr, yb)
+        for series in sp.series_labels()
+        for n in sorted(
+            {sp.series_info(series).n_min, 8, 20, 30, 50, sp.rydberg_n_max}
+        )
+        if n >= sp.series_info(series).n_min
+    ]
+
+
+def test_solve_is_bitwise_the_reference_arithmetic(sr, yb, hydrogen):
+    # cached potential terms, an in-place band and right-hand side, and the
+    # trapezoid sum written out change no bit of any solution
+    fresh = RadialSolver()
+    states = _oracle_states(sr, yb, hydrogen) + _every_series_states(sr, yb)
+    solved = 0
+    for st in states:
+        try:
+            want = _solve_reference(fresh, st)
+        except RadialUnsolvableError:
+            with pytest.raises(RadialUnsolvableError):
+                fresh.solve(st)
+            continue
+        got = fresh.solve(st)
+        assert (got.j_in, got.j_out) == want[:2], st
+        assert got.v.dtype == want[2].dtype and got.v.shape == want[2].shape
+        assert got.v.tobytes() == want[2].tobytes(), st
+        solved += 1
+    assert solved >= 150
+
+
+@pytest.mark.parametrize("h", [0.0, -0.01, math.nan, math.inf, -math.inf])
+def test_mesh_step_must_be_finite_and_positive(h):
+    with pytest.raises(ValueError, match="mesh step h must be finite and > 0"):
+        RadialSolver(h)
+
+
 def test_radial_integral_symmetric_and_matches_trapezoid(sr, yb, hydrogen, moment):
     # the stored-mesh dot product against the per-pair trapezoid it replaced
     fresh = RadialSolver()
@@ -324,11 +408,13 @@ def test_flapack_loader_falls_back_to_the_package_import(monkeypatch):
 
 
 def test_pair_integrals_thread_safe_while_mesh_grows(sr, yb):
-    # four threads share a fresh solver whose stored mesh starts empty; the
-    # pairs come in rising n, so the threads keep asking for longer meshes
-    # while others slice the current one, and the orbit averages build and
-    # read each state's cached moments.  Every value must equal a serial
-    # run on another fresh solver bit for bit, in each of 4 rounds.
+    # four threads share a fresh solver whose stored mesh starts empty.  In
+    # rising n the threads keep asking for longer meshes (each with its own
+    # potential terms) while others slice the current one; in falling n
+    # the first task builds the longest mesh and the rest build that mesh's
+    # terms concurrently.  The orbit averages build and read each state's
+    # cached moments.  Every value and every solution's bytes must equal a
+    # serial run on another fresh solver, in each of 4 rounds.
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
@@ -336,7 +422,7 @@ def test_pair_integrals_thread_safe_while_mesh_grows(sr, yb):
     for n in range(8, 51, 2):
         for sp in (sr, yb):
             a, b = sp.state(n, "3S1"), sp.state(n, "3P1")
-            tasks += [(a, b), (b, a)]
+            tasks += [(a, b), (b, a), (b, sp.state(n, "3D1"))]
             tasks += [(sp.state(n, "3P1"), order, 1e-3) for order in (0, 2)]
 
     def value(solver, task):
@@ -344,20 +430,30 @@ def test_pair_integrals_thread_safe_while_mesh_grows(sr, yb):
             return solver.bessel_average(*task)
         return solver.radial_integral(*task)
 
+    states = {st for task in tasks for st in task[:2] if not isinstance(st, int)}
+
+    def solutions(solver):
+        return [
+            (solver.solve(st).j_in, solver.solve(st).v.tobytes()) for st in states
+        ]
+
     serial_solver = RadialSolver()
     serial = [value(serial_solver, task) for task in tasks]
+    serial_solutions = solutions(serial_solver)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for _ in range(4):
+        for order in (1, -1, 1, -1):
             shared = RadialSolver()
+            assert shared._mesh.x.shape == (0,)
             with ThreadPoolExecutor(max_workers=4) as pool:
                 got = list(
                     pool.map(
-                        lambda task: value(shared, task), tasks, timeout=300
+                        lambda task: value(shared, task), tasks[::order], timeout=300
                     )
                 )
-            assert got == serial
+            assert got == serial[::order]
+            assert solutions(shared) == serial_solutions
     finally:
         sys.setswitchinterval(interval)
 

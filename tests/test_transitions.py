@@ -78,6 +78,32 @@ def test_table_equality_is_identity(sr):
     assert table != build_transition_table(sr.state(30, "3D1"), span=20)
 
 
+def test_tables_bitwise_equal_in_either_solve_order(sr, yb):
+    # rising n replaces the mesh (and its cached potential terms) several
+    # times; falling n builds the longest mesh first.  The tables of two
+    # fresh solvers must agree bit for bit.
+    from rydtherm.radial import RadialSolver
+
+    states = [
+        sp.state(n, series)
+        for sp, series in ((sr, "3D1"), (sr, "3P1"), (yb, "3S1"), (yb, "1S0"))
+        for n in (10, 25, 45, 70)
+    ]
+    rising, falling = RadialSolver(), RadialSolver()
+    up = [build_transition_table(st, solver=rising) for st in states]
+    down = [build_transition_table(st, solver=falling) for st in states[::-1]]
+    for a, b in zip(up, down[::-1]):
+        assert a.channel_ids == b.channel_ids
+        assert a.z2.tobytes() == b.z2.tobytes()
+        assert a.omega_au.tobytes() == b.omega_au.tobytes()
+
+
+@pytest.mark.parametrize("span", [2.5, 2.0, True, "3", 0, -1])
+def test_span_must_be_an_integer_at_least_one(sr, span):
+    with pytest.raises(ValueError, match="span must be"):
+        build_transition_table(sr.state(30, "3D1"), span=span)
+
+
 def test_line_table_rows_sorted_from_unsorted_file(sr):
     # the Sr ground-state bbrline list is not in |omega| order in the file
     omega = sr.line_lists["ground"].omega_au
