@@ -245,10 +245,10 @@ def test_numerov_matches_sequential_loop(sr, yb, hydrogen, monkeypatch):
 
 
 def _solve_reference(solver, state):
-    """(j_in, j_out, v) by the arithmetic ``RadialSolver._solve`` used
-    before its potential terms were cached on the mesh: kfun as one
-    expression, a zero-filled band and a separate right-hand side, and the
-    norm from ``np.trapezoid``.  The solver must match it bit for bit."""
+    """(j_in, j_out, v) by the plainest arithmetic of the module
+    docstring: kfun as one expression on a fresh mesh, a zero-filled band
+    and a separate right-hand side, and the norm from ``np.trapezoid``.
+    ``RadialSolver.solve`` must match it bit for bit."""
     sd = state.defect
     l = sd.L
     nst = state.n_eff
