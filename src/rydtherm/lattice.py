@@ -49,8 +49,8 @@ from . import constants as kconst
 from . import units
 from ._brent import brentq
 from .radial import sin2_matrix_element
-from .species import RydbergState, Species
-from .transitions import TransitionTable, channel_alpha_au, species_line_table
+from .species import RydbergState, Species, TransitionTable
+from .transitions import channel_alpha_au
 
 SCAN_POINTS = 200  # evenly spaced frequencies scanned for sign changes
 _FIT_NODES = 16  # exact <sin^2> values behind the Chebyshev proxy
@@ -63,9 +63,9 @@ class MagicSolverError(RuntimeError):
 
 
 def _lattice_table(species: Species) -> TransitionTable:
-    if "lattice" not in species.line_lists:
+    if "lattice" not in species.line_tables:
         raise ValueError(f"{species.name}: species file has no lattice lines")
-    return species_line_table(species, "lattice")
+    return species.line_tables["lattice"]
 
 
 def lattice_alpha_au(species: Species, omega_au):

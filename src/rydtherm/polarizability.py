@@ -109,11 +109,16 @@ def ac_polarizability(
     ``m_j`` defaults to the stretched component m_J = J; pass None for the
     orientation average.  Raises ValueError for a non-finite or negative
     ``omega_au`` and for an m_J that is not one of J, J - 1, ..., -J;
+    OverflowError when ``omega_au`` squared exceeds the double range;
     ResonanceGuardError when ``omega_au`` is within ``GUARD_FRACTION``
     (relative) of any channel resonance.
     """
     if not (math.isfinite(omega_au) and omega_au >= 0):
         raise ValueError(f"probe frequency must be finite and >= 0, got {omega_au}")
+    if math.isinf(omega_au * omega_au):  # every channel term squares it
+        raise OverflowError(
+            f"probe frequency {omega_au:g} a.u. squared lies beyond the double range"
+        )
     if m_j == "stretched":
         m_j = state.J
     if m_j is not None and m_j not in [state.J - k for k in range(int(2 * state.J) + 1)]:

@@ -322,6 +322,11 @@ class RadialSolver:
         h = self.h
         j_in = max(1, math.ceil(math.sqrt(r_min) / h))
         j_out = math.floor(math.sqrt(r_max) / h)
+        if j_out - j_in < 2:  # Numerov needs three nodes
+            raise RadialUnsolvableError(
+                f"{state}: mesh step h = {h:g} leaves {max(0, j_out - j_in + 1)} "
+                "nodes between the inner and outer edges; Numerov needs 3"
+            )
         mesh = self._mesh_through(j_out)
         x2 = mesh.power(2)[j_in : j_out + 1]
         mu_term, l_term = mesh.potential_terms(mu, l)

@@ -24,16 +24,26 @@ Key families (see ``data/sr.species`` for a commented example):
 
 A series' states run from its ``n_min`` to ``rydberg_n_max``, the one
 upper bound on n of every series (and of every radial table built from
-them); a ``defect.<series>.n_max`` line is an unknown key.  An entry
-number <i> has no leading zero, so ``line.01.d_au`` is an unknown key.
-The line lists load as columns (``Species.line_lists``).
+them); a ``defect.<series>.n_max`` line is an unknown key, and a ``mu0``
+equal to an n of its own series is rejected (mu(n) is undefined there).
+An entry number <i> has no leading zero, so ``line.01.d_au`` is an unknown
+key.
+
+Each line list loads as the ``TransitionTable`` of the state it belongs
+to, in ``Species.line_tables``: "ground" and "metastable" (the
+``bbrline`` lists) at the J of that clock state, which must be defined,
+and "lattice" (the ``line`` model) at J = 0.  A line's reduced dipole d
+enters as z^2 = d^2 / (3 (2J + 1)); the list's core polarizability is the
+table's ``core_alpha_au``.
 
 The ``lowlying`` family patches decay channels whose compact final states
 (effective quantum number below l+1) have no Coulomb-approximation
 wavefunction: ``final`` names the final state as ``<series>:<n>`` and
 ``dipole_n32_au`` is the coefficient D of the standard compact-state
 scaling <final|r|n*, l> = D / n*^(3/2) for a Rydberg initial state with
-effective quantum number n*.
+effective quantum number n*.  Each initial series loads as a map from
+(final series, final n) to D in ``Species.lowlying``; a final must be a
+state of its series, and may be listed once.
 
 Energies: a state (n, series) has effective quantum number
 n* = n - mu(n), mu(n) = mu0 + mu2/(n-mu0)^2 + mu4/(n-mu0)^4, and binding
@@ -52,7 +62,10 @@ import os
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import constants as k
+from . import units
 
 _L_LETTERS = "SPDFGHIK"
 _ENV_DATA_DIR = "RYDTHERM_DATA_DIR"
@@ -80,28 +93,48 @@ class SeriesDefect:
         return self.mu0 + self.mu2 / m**2 + self.mu4 / m**4
 
 
-@dataclass(frozen=True)
-class LineList:
-    """One line list as columns: each line's transition energy and reduced
-    dipole (a.u.), and the list's static core polarizability."""
+@dataclass(frozen=True, eq=False)
+class TransitionTable:
+    """One initial state's channels as columns, and what lies outside them.
 
-    omega_au: tuple[float, ...]
-    d_au: tuple[float, ...]
-    core_alpha_au: float
-
-
-@dataclass(frozen=True)
-class LowLyingChannel:
-    """Decay channel to a compact state the radial engine cannot solve.
-
-    The radial dipole integral from a Rydberg state with effective quantum
-    number n* is modeled as dipole_n32_au / n*^(3/2) — the normalization
-    scaling of a Rydberg wavefunction against a fixed compact orbital.
+    Row i is one channel: ``channel_ids[i]`` names it (``series:n``, or
+    ``<wavelength>nm`` for a line-list entry), ``omega_au[i]`` is its signed
+    transition energy, ``z2[i]`` its scalar strength and ``j_final[i]`` the
+    final state's J.  Rows are sorted by |omega|; the arrays are read-only.
+    A radial table covers a span window (a downward table: every channel
+    below the state, ``span`` None) and misses ``f_missing`` of the
+    oscillator strength; a line table is complete (``span``, ``f_missing``
+    and ``j_final`` are None) and adds a static ``core_alpha_au``.
+    Equality is identity: tables are compared as objects, not by content.
     """
 
-    final_series: str
-    final_n: int
-    dipole_n32_au: float
+    span: int | None
+    channel_ids: tuple[str, ...]
+    omega_au: np.ndarray
+    z2: np.ndarray
+    j_final: np.ndarray | None
+    f_missing: float | None
+    core_alpha_au: float | None = None
+    skipped_unsolvable: int = 0  # finals with no radial solution and no patch
+
+
+def _columns(
+    ids: list[str], omega_au: list[float], z2: np.ndarray, j_final: list[float] | None
+) -> dict:
+    """TransitionTable columns, rows stably sorted by |omega|, read-only."""
+    order = sorted(range(len(ids)), key=lambda i: abs(omega_au[i]))
+
+    def column(values) -> np.ndarray:
+        arr = np.asarray(values, dtype=float)[order]
+        arr.flags.writeable = False
+        return arr
+
+    return {
+        "channel_ids": tuple(ids[i] for i in order),
+        "omega_au": column(omega_au),
+        "z2": column(z2),
+        "j_final": None if j_final is None else column(j_final),
+    }
 
 
 @dataclass(frozen=True)
@@ -261,7 +294,9 @@ class _KV:
         return key in self.kv
 
 
-def _line_list(kvw: _KV, prefix: str, entries: set[int]) -> LineList:
+def _line_table(kvw: _KV, prefix: str, entries: set[int], j: float) -> TransitionTable:
+    """The complete table of one line list, for a state whose total angular
+    momentum is ``j``."""
     if not entries:  # its core term alone would be loaded and never used
         _, lineno = kvw.kv[f"{prefix}.core_alpha_au"]
         raise SpeciesDataError(
@@ -277,12 +312,19 @@ def _line_list(kvw: _KV, prefix: str, entries: set[int]) -> LineList:
             )
         if d[-1] <= 0:
             raise SpeciesDataError(f"{kvw.path}: {prefix}.{i}.d_au must be positive")
-    core = kvw.float_(f"{prefix}.core_alpha_au", required=False)
-    return LineList(omega_au=tuple(omega), d_au=tuple(d), core_alpha_au=core)
+    ids = [f"{units.omega_au_to_wavelength_nm(w):.0f}nm" for w in omega]
+    z2 = np.float_power(d, 2) / (3.0 * (2.0 * j + 1.0))
+    return TransitionTable(
+        span=None,
+        **_columns(ids, omega, z2, None),
+        f_missing=None,
+        core_alpha_au=kvw.float_(f"{prefix}.core_alpha_au", required=False),
+    )
 
 
 class Species:
-    """Loaded species data: defects, line lists, clock metadata."""
+    """Loaded species data: defects, line tables, low-lying patches, clock
+    metadata."""
 
     def __init__(self, path: str, content: bytes):
         # caches are keyed by content: two files that share a name and a
@@ -319,6 +361,12 @@ class Species:
             )
             if sd.n_min > self.rydberg_n_max:
                 raise SpeciesDataError(f"{path}: {pre}: n_min > rydberg_n_max")
+            if sd.mu0.is_integer() and sd.n_min <= sd.mu0 <= self.rydberg_n_max:
+                val, lineno = kv[f"{pre}.mu0"]
+                raise SpeciesDataError(
+                    f"{path}:{lineno}: {pre}.mu0 = {val} equals n = {sd.mu0:.0f} "
+                    "of its series, where mu(n) divides by n - mu0 = 0"
+                )
             # n* must stay positive everywhere; perturbed low members may dip
             # below L (e.g. Sr 4d), which the radial engine refuses to solve
             # but whose energies remain valid data
@@ -336,43 +384,44 @@ class Species:
         if kvw.has("metastable.series") or kvw.has("metastable.n"):
             self._metastable = (kvw.str_("metastable.series"), kvw.int_("metastable.n"))
 
-        self.line_lists = {
-            name: _line_list(kvw, prefix, lists["line"][prefix])
-            for name, prefix in _LINE_LISTS.items()
-            if prefix in lists.get("line", {})
-        }
-
-        self._lowlying: dict[str, tuple[LowLyingChannel, ...]] = {}
+        self.lowlying: dict[str, dict[tuple[str, int], float]] = {}
         for initial, idx in sorted(lists.get("lowlying", {}).items()):
             if initial not in self._series:
                 raise SpeciesDataError(
                     f"{path}: lowlying.{initial}: unknown initial series"
                 )
-            chans = []
+            dipoles = self.lowlying[initial] = {}
             for i in sorted(idx):
-                final = kvw.str_(f"lowlying.{initial}.{i}.final")
-                dip = kvw.float_(f"lowlying.{initial}.{i}.dipole_n32_au")
+                pre = f"lowlying.{initial}.{i}"
+                final, lineno = kvw._get(f"{pre}.final")
+                dip = kvw.float_(f"{pre}.dipole_n32_au")
                 fs, _, fn = final.partition(":")
                 if fs not in self._series or not fn.isdigit():
                     raise SpeciesDataError(
-                        f"{path}: lowlying.{initial}.{i}.final = {final!r} "
+                        f"{path}: {pre}.final = {final!r} "
                         "must be '<series>:<n>' for a declared series"
                     )
                 if abs(self._series[fs].L - self._series[initial].L) != 1:
                     raise SpeciesDataError(
-                        f"{path}: lowlying.{initial}.{i}: {final!r} is not "
+                        f"{path}: {pre}: {final!r} is not "
                         "dipole-coupled to the initial series"
                     )
                 if dip <= 0:
+                    raise SpeciesDataError(f"{path}: {pre}.dipole_n32_au must be > 0")
+                # a final no table reaches, or a second dipole of one final,
+                # would load and never be used
+                n_min, n_f = self._series[fs].n_min, int(fn)
+                if not n_min <= n_f <= self.rydberg_n_max:
                     raise SpeciesDataError(
-                        f"{path}: lowlying.{initial}.{i}.dipole_n32_au must be > 0"
+                        f"{path}:{lineno}: {pre}.final = {final!r} lies outside "
+                        f"[{n_min}, {self.rydberg_n_max}] for {fs}"
                     )
-                chans.append(
-                    LowLyingChannel(
-                        final_series=fs, final_n=int(fn), dipole_n32_au=dip
+                if (fs, n_f) in dipoles:
+                    raise SpeciesDataError(
+                        f"{path}:{lineno}: {pre}.final = {final!r} is listed "
+                        f"twice for lowlying.{initial}"
                     )
-                )
-            self._lowlying[initial] = tuple(chans)
+                dipoles[fs, n_f] = dip
 
         self.clock_frequency_hz = (
             kvw.float_("clock.frequency_hz") if kvw.has("clock.frequency_hz") else None
@@ -401,14 +450,26 @@ class Species:
                     f"for {gs_label}"
                 )
 
+        self.line_tables: dict[str, TransitionTable] = {}
+        for name, prefix in _LINE_LISTS.items():
+            if prefix not in lists.get("line", {}):
+                continue
+            if name == "lattice":  # a model of the J = 0 metastable state
+                j = 0.0
+            else:
+                try:
+                    j = self.clock_state(name).J
+                except SpeciesDataError as exc:  # a list of no clock state
+                    lineno = min(
+                        ln for key, (_, ln) in kv.items() if key.startswith(f"{prefix}.")
+                    )
+                    raise SpeciesDataError(f"{path}:{lineno}: {prefix}: {exc}") from None
+            self.line_tables[name] = _line_table(kvw, prefix, lists["line"][prefix], j)
+
     # -- states ------------------------------------------------------------
 
     def series_labels(self) -> tuple[str, ...]:
         return tuple(sorted(self._series))
-
-    def lowlying_channels(self, initial_series: str) -> tuple[LowLyingChannel, ...]:
-        """Patched compact-state decay channels for a Rydberg series."""
-        return self._lowlying.get(initial_series, ())
 
     def series_info(self, label: str) -> SeriesDefect:
         try:

@@ -172,8 +172,8 @@ def invert_temperature(
     if f_lo > 0.0 or f_hi < 0.0:
         raise ThermometryError(
             f"{measurement.transition_id}: offset {target:.6g} Hz lies "
-            f"outside the invertible range [{f_lo + target:.6g}, "
-            f"{f_hi + target:.6g}] Hz for T in [{t_lo:g}, {t_hi:g}] K"
+            f"outside the invertible range [0, {shift_hi:.6g}] Hz "
+            f"for T in [{t_lo:g}, {t_hi:g}] K"
         )
 
     if abs(f_hi) <= f_tol:  # the offset of the top of the range itself

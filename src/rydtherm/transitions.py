@@ -19,11 +19,11 @@ value per row.  There are three kinds of table:
   state lies within the bound.  The summed oscillator strength
   (Thomas-Reiche-Kuhn, one active electron) tells callers how much
   strength the window missed.
-* ``species_line_table(species, name)`` - a complete line list of the
-  species file (a clock state's ``bbrline.*`` list, or the ``line.*``
-  lattice model) plus a static core polarizability, from one cache keyed
-  by file content and list name; no strength is missing, and no final
-  state is named, so ``j_final`` is None.
+* a line table - a complete line list of the species file (a clock
+  state's ``bbrline.*`` list, or the ``line.*`` lattice model) plus a
+  static core polarizability, built when the file loads
+  (``Species.line_tables``); no strength is missing, and no final state
+  is named, so ``j_final`` is None.
 * ``downward_channels(state)`` - every channel below the state regardless
   of span, for spontaneous-decay sums.  It walks the coupled series the
   same way as the radial table, from n_min' to the first final not below
@@ -35,9 +35,11 @@ clock state, the radial table of any other state.
 Compact final states with no Coulomb-approximation solution (effective
 quantum number at/below l) are normally skipped and their strength folded
 into the caller's sum-rule tail.  For decay channels that dominate a
-linewidth, species files may patch them explicitly (``lowlying.*`` keys):
-the radial integral is then modeled as D / n_i*^(3/2), the standard scaling
-of a Rydberg bound-bound integral onto a fixed compact state.
+linewidth, species files may patch them explicitly (``lowlying.*`` keys,
+loaded as ``Species.lowlying``): the radial integral is then modeled as
+D / n_i*^(3/2), the standard scaling of a Rydberg bound-bound integral
+onto a fixed compact state.  ``TransitionTable`` itself lives in
+``species``, which builds the line tables.
 """
 
 from __future__ import annotations
@@ -46,63 +48,17 @@ import itertools
 import math
 import operator
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import constants as kconst
-from . import units
 from .radial import RadialSolver, RadialUnsolvableError, default_solver
-from .species import LineList, RydbergState, SeriesDefect, Species
+from .species import RydbergState, SeriesDefect, TransitionTable, _columns
 from .wigner import line_strength_factor
 
 DEFAULT_SPAN = 35
 
 _C3 = kconst.C_AU**3
-
-
-@dataclass(frozen=True, eq=False)
-class TransitionTable:
-    """One initial state's channels as columns, and what lies outside them.
-
-    Row i is one channel: ``channel_ids[i]`` names it (``series:n``, or
-    ``<wavelength>nm`` for a line-list entry), ``omega_au[i]`` is its signed
-    transition energy, ``z2[i]`` its scalar strength and ``j_final[i]`` the
-    final state's J.  Rows are sorted by |omega|; the arrays are read-only.
-    A radial table covers a span window (a downward table: every channel
-    below the state, ``span`` None) and misses ``f_missing`` of the
-    oscillator strength; a line table is complete (``span``, ``f_missing``
-    and ``j_final`` are None) and adds a static ``core_alpha_au``.
-    Equality is identity: tables are compared as objects, not by content.
-    """
-
-    span: int | None
-    channel_ids: tuple[str, ...]
-    omega_au: np.ndarray
-    z2: np.ndarray
-    j_final: np.ndarray | None
-    f_missing: float | None
-    core_alpha_au: float | None = None
-    skipped_unsolvable: int = 0  # finals with no radial solution and no patch
-
-
-def _columns(
-    ids: list[str], omega_au: list[float], z2: np.ndarray, j_final: list[float] | None
-) -> dict:
-    """TransitionTable columns, rows stably sorted by |omega|, read-only."""
-    order = sorted(range(len(ids)), key=lambda i: abs(omega_au[i]))
-
-    def column(values) -> np.ndarray:
-        arr = np.asarray(values, dtype=float)[order]
-        arr.flags.writeable = False
-        return arr
-
-    return {
-        "channel_ids": tuple(ids[i] for i in order),
-        "omega_au": column(omega_au),
-        "z2": column(z2),
-        "j_final": None if j_final is None else column(j_final),
-    }
 
 
 def channel_alpha_au(table: TransitionTable, omega_au) -> np.ndarray:
@@ -189,11 +145,7 @@ def _walk(
     """
     n_eff = state.n_eff
     e_i = state.energy_au
-    patches: dict[tuple[str, int], float] = {}
-    for lch in state.species.lowlying_channels(state.series):
-        patches.setdefault(
-            (lch.final_series, lch.final_n), lch.dipole_n32_au / n_eff**1.5
-        )
+    dipoles = state.species.lowlying.get(state.series, {})
     ids, omega, strength, j_final = [], [], [], []
     skipped = 0
     for label in coupled_series(state):
@@ -203,7 +155,8 @@ def _walk(
             continue
         for n_f in n_range(sd):
             final = state.species.state(n_f, label)
-            radial = patches.get((label, n_f))
+            dipole = dipoles.get((label, n_f))
+            radial = None if dipole is None else dipole / n_eff**1.5
             if radial is None or n_eff < _PATCH_SCALE_RATIO * final.n_eff:
                 try:
                     radial = solver.radial_integral(state, final)
@@ -237,37 +190,6 @@ def _build_table(
     return _walk(state, solver, window, span)
 
 
-def line_table(lines: LineList, j: float) -> TransitionTable:
-    """The uncached table of a complete line list of a state with total
-    angular momentum ``j``."""
-    d2 = np.float_power(lines.d_au, 2)
-    ids = [f"{units.omega_au_to_wavelength_nm(abs(w)):.0f}nm" for w in lines.omega_au]
-    return TransitionTable(
-        span=None,
-        **_columns(ids, list(lines.omega_au), d2 / (3.0 * (2.0 * j + 1.0)), None),
-        f_missing=None,
-        core_alpha_au=lines.core_alpha_au,
-    )
-
-
-# line tables by (species file sha256, list name): a clock state's list is
-# read twice per thermometry model evaluation, the lattice list about 200
-# times per magic solve, and the CLI reloads the species file per command
-_LINE_TABLES: dict[tuple[str, str], TransitionTable] = {}
-
-
-def species_line_table(species: Species, name: str) -> TransitionTable:
-    """The table of ``species.line_lists[name]``: a clock state's list
-    ("ground", "metastable") at that state's J, or the "lattice" model, a
-    fit for the J = 0 metastable state."""
-    key = (species.sha256, name)
-    table = _LINE_TABLES.get(key)
-    if table is None:
-        j = 0.0 if name == "lattice" else species.clock_state(name).J
-        table = _LINE_TABLES.setdefault(key, line_table(species.line_lists[name], j))
-    return table
-
-
 def channel_table(
     state: RydbergState,
     span: int = DEFAULT_SPAN,
@@ -275,10 +197,10 @@ def channel_table(
 ) -> TransitionTable:
     """The channels of any state: its species line list for a clock state
     (ground/metastable role with ``bbrline`` entries), else the radial table."""
-    role = state.species.state_role(state)
-    if role in state.species.line_lists:
-        return species_line_table(state.species, role)
-    return build_transition_table(state, span, solver)
+    table = state.species.line_tables.get(state.species.state_role(state))
+    if table is None:
+        table = build_transition_table(state, span, solver)
+    return table
 
 
 def downward_channels(state: RydbergState) -> TransitionTable:

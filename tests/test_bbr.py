@@ -207,9 +207,9 @@ def test_integral_route_accepts_a_channel_at_the_kernel_zero(sr, tmp_path):
     # Sr's first metastable line made large and moved to y = 2.6162, where
     # F and so its shift pass through zero: its quadrature error (2e-9 Hz)
     # is 5e-11 of its size (47 Hz), but was refused against a 1e-9 Hz floor
-    listed = sr.line_lists["metastable"]
+    listed = sr.line_tables["metastable"]  # J = 0: d = sqrt(3 z^2)
     lines = [(farley_wing_zero() * k.KB_AU * 300.0, 10.0)]
-    lines += zip(listed.omega_au[1:], listed.d_au[1:])
+    lines += zip(listed.omega_au[1:].tolist(), np.sqrt(3.0 * listed.z2[1:]).tolist())
     state = _with_metastable_lines(tmp_path / "sr.species", lines).metastable_state()
     a = bbr_shift_sum(state, 300.0)
     b = bbr_shift_integral(state, 300.0)

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -446,7 +447,23 @@ def test_one_input_route_per_value(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("probe", [
+    "--omega-au 1e300", "--omega-au 2e154", "--wavelength-nm 1e-300",
+])
+def test_probe_frequency_squared_beyond_double_range_exits_4(capsys, probe):
+    # omega^2 overflowed inside the channel sum: numpy warned, and the row
+    # was written with alpha 0 and -0
+    argv = f"polarizability --species Sr --state 25:3D1 {probe}".split()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, *argv)
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert "squared lies beyond the double range" in err
+
+
 def test_data_errors_exit_3(capsys, tmp_path):
+    from rydtherm.species import bundled_species_path
+
     assert (
         _run(capsys, "bbr", "--species-file", "/no/such.species",
              "--state", "30:3S1")[0]
@@ -454,6 +471,13 @@ def test_data_errors_exit_3(capsys, tmp_path):
     )
     bad = tmp_path / "bad.species"
     bad.write_text("format_version = 1\nname = Xx\n")
+    assert (
+        _run(capsys, "bbr", "--species-file", str(bad), "--state", "30:3S1")[0]
+        == EXIT_DATA
+    )
+    # a mu0 equal to an n of its own series divided by zero in the loader
+    sr_text = Path(bundled_species_path("sr")).read_text(encoding="utf-8")
+    bad.write_text(sr_text.replace("defect.3S1.mu0 = 3.371\n", "defect.3S1.mu0 = 6.0\n"))
     assert (
         _run(capsys, "bbr", "--species-file", str(bad), "--state", "30:3S1")[0]
         == EXIT_DATA
@@ -764,6 +788,7 @@ def _argv(draw):
 @example(argv="polarizability --species hydrogen --state 2:1S0".split())
 @example(argv="polarizability --species hydrogen --state 3:1D2".split())
 @example(argv="thermo budget --species Sr --state 30:3D1 --lower-state 30:3D1".split())
+@example(argv="polarizability --species Sr --state 25:3D1 --omega-au 1e300".split())
 def test_cli_exit_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -344,8 +344,8 @@ def test_lattice_table_keyed_by_file_content(tmp_path, sr):
     # data_version: it must get its own line table, and the bundled file's
     # alpha must stay the term-by-term sum of a freshly built table
     from rydtherm import load_species
-    from rydtherm.species import bundled_species_path
-    from rydtherm.transitions import channel_alpha_au, line_table
+    from rydtherm.species import Species, bundled_species_path
+    from rydtherm.transitions import channel_alpha_au
 
     omega = units.wavelength_nm_to_omega_au(2390.0)
     before = lattice_alpha_au(sr, omega)
@@ -358,7 +358,9 @@ def test_lattice_table_keyed_by_file_content(tmp_path, sr):
     assert copy.sha256 != sr.sha256
     assert lattice_alpha_au(copy, omega) != before
     assert lattice_alpha_au(load_species("sr"), omega) == before
-    table = line_table(sr.line_lists["lattice"], 0.0)
+    bundled = bundled_species_path("sr")
+    table = Species(bundled, Path(bundled).read_bytes()).line_tables["lattice"]
+    assert table is not sr.line_tables["lattice"]
     want = table.core_alpha_au
     for alpha in channel_alpha_au(table, omega).tolist():
         want += alpha

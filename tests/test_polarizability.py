@@ -1,6 +1,7 @@
 """Dipole polarizabilities: channel oracle, conventions, guards, units."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -11,16 +12,20 @@ from rydtherm.polarizability import (
     ac_polarizability,
     static_polarizability,
 )
-from rydtherm.species import LineList
-from rydtherm.transitions import channel_alpha_au, line_table
+from rydtherm.species import Species, bundled_species_path
+from rydtherm.transitions import channel_alpha_au
 
 
 def test_single_channel_oracle():
     # hydrogen 1s <- 2p channel: f = 0.4162, static contribution f/w^2
     w = 3.0 / 8.0
     radial = 128.0 * math.sqrt(6.0) / 243.0
-    # a one-line table of a J = 0 state: z^2 = l> radial^2 / 3, l> = 1
-    table = line_table(LineList(omega_au=(w,), d_au=(radial,), core_alpha_au=0.0), 0.0)
+    # a one-line table of a J = 0 state: z^2 = l> radial^2 / 3, l> = 1; the
+    # lattice list of a hydrogen file is such a table, with no core term
+    path = bundled_species_path("hydrogen")
+    lines = f"line.1.omega_au = {w!r}\nline.1.d_au = {radial!r}\n"
+    table = Species(path, Path(path).read_bytes() + lines.encode()).line_tables["lattice"]
+    assert table.core_alpha_au == 0.0
     f_osc = 2.0 * table.omega_au[0] * table.z2[0]
     assert f_osc == pytest.approx(0.41620, rel=1e-4)
     assert channel_alpha_au(table, 0.0)[0] == pytest.approx(f_osc / w**2, rel=1e-12)

@@ -328,6 +328,13 @@ def test_mesh_step_must_be_finite_and_positive(h):
         RadialSolver(h)
 
 
+def test_mesh_too_coarse_for_three_nodes_is_unsolvable(sr):
+    # h = 1000 puts no node inside Sr 20 3S1's orbit: numpy used to fail
+    # with a bare "negative dimensions are not allowed"
+    with pytest.raises(RadialUnsolvableError, match="mesh step h = 1000 leaves 0 nodes"):
+        RadialSolver(1000.0).solve(sr.state(20, "3S1"))
+
+
 def test_radial_integral_symmetric_and_matches_trapezoid(sr, yb, hydrogen, moment):
     # the stored-mesh dot product against the per-pair trapezoid it replaced
     fresh = RadialSolver()

@@ -119,15 +119,17 @@ def test_states_are_frozen_and_hashable(sr):
 
 def test_line_lists_present(sr, yb):
     for sp in (sr, yb):
-        assert set(sp.line_lists) == {"ground", "metastable", "lattice"}
-        for lines in sp.line_lists.values():
-            assert len(lines.omega_au) == len(lines.d_au) >= 1
-            assert lines.core_alpha_au >= 0.0
-            assert all(w > 0 for w in lines.omega_au)
-            assert all(d > 0 for d in lines.d_au)
-    # the Sr lattice model: five lines, in file order, and its core term
-    assert sr.line_lists["lattice"].d_au == (3.72, 1.97, 2.5, 0.62, 1.49)
-    assert sr.line_lists["lattice"].core_alpha_au == 5.6
+        assert set(sp.line_tables) == {"ground", "metastable", "lattice"}
+        for table in sp.line_tables.values():
+            assert len(table.omega_au) == len(table.z2) >= 1
+            assert table.core_alpha_au >= 0.0
+            assert all(w > 0 for w in table.omega_au.tolist())
+            assert all(z2 > 0 for z2 in table.z2.tolist())
+    # the Sr lattice model: five lines (rows by |omega|, which is the file
+    # order here), z^2 = d^2 / 3 at J = 0, and its core term
+    d = np.array([3.72, 1.97, 2.5, 0.62, 1.49])
+    assert sr.line_tables["lattice"].z2.tolist() == (np.float_power(d, 2) / 3.0).tolist()
+    assert sr.line_tables["lattice"].core_alpha_au == 5.6
 
 
 def _edited_sr(tmp_path, extra_lines):
@@ -165,6 +167,19 @@ def test_lowlying_dipole_without_final_is_rejected(tmp_path):
     path, _ = _edited_sr(tmp_path, ["lowlying.3P0.7.dipole_n32_au = 8.9"])
     with pytest.raises(SpeciesDataError, match="'lowlying.3P0.7.final'"):
         load_species(path)
+
+
+def test_clock_list_without_its_state_is_rejected_at_load(tmp_path):
+    # a bbrline.metastable list of a file with no metastable state used to
+    # load and be read by nothing
+    text = Path(bundled_species_path("sr")).read_text(encoding="utf-8")
+    text = re.sub(r"^metastable\.(series|n) = .*\n", "", text, flags=re.M)
+    lines = enumerate(text.splitlines(), 1)
+    lineno = next(i for i, ln in lines if ln.startswith("bbrline.metastable."))
+    path = tmp_path / "sr.species"
+    path.write_text(text)
+    with pytest.raises(SpeciesDataError, match=f":{lineno}: bbrline.metastable: "):
+        load_species(str(path))
 
 
 @pytest.mark.parametrize("key", ["line.core_alpha_au", "bbrline.ground.core_alpha_au"])
@@ -315,7 +330,7 @@ def test_non_finite_values_are_rejected(tmp_path, key, value):
 # One case per check of the loader: (lines, replacement, message).  Each
 # full line of the bundled Sr file that matches the ``lines`` regex is
 # replaced (an empty replacement deletes it); the copy then fails to load,
-# or, without a metastable state, fails when that state is asked for.
+# or at the latest when its metastable state is asked for.
 _BROKEN_SR = {
     "series-label-grammar": (
         r"defect\.3S1\.mu0 = 3\.371", "defect.3X1.mu0 = 3.371",
@@ -378,6 +393,25 @@ _BROKEN_SR = {
         r"lowlying\.3P0\.1\.dipole_n32_au = 8\.9", "lowlying.3P0.1.dipole_n32_au = 0",
         r"lowlying\.3P0\.1\.dipole_n32_au must be > 0",
     ),
+    # a final no table reaches, or a second dipole for one final, would
+    # load and never be used
+    "lowlying-final-below-n_min": (
+        r"lowlying\.3P0\.1\.final = 3D1:4", "lowlying.3P0.1.final = 3D1:3",
+        r":\d+: lowlying\.3P0\.1\.final = '3D1:3' lies outside \[4, 80\] for 3D1",
+    ),
+    "lowlying-final-above-bound": (
+        r"lowlying\.3P0\.1\.final = 3D1:4", "lowlying.3P0.1.final = 3D1:99",
+        r":\d+: lowlying\.3P0\.1\.final = '3D1:99' lies outside \[4, 80\] for 3D1",
+    ),
+    "lowlying-final-listed-twice": (
+        r"name = Sr",
+        "name = Sr\nlowlying.3P0.2.final = 3D1:4\nlowlying.3P0.2.dipole_n32_au = 99",
+        r":\d+: lowlying\.3P0\.2\.final = '3D1:4' is listed twice for lowlying\.3P0",
+    ),
+    "mu0-at-an-n-of-its-series": (
+        r"defect\.3S1\.mu0 = 3\.371", "defect.3S1.mu0 = 6.0",
+        r":\d+: defect\.3S1\.mu0 = 6\.0 equals n = 6 of its series",
+    ),
     "magic-bracket": (
         r"magic\.bracket_nm_high = 2450", "magic.bracket_nm_high = 2200",
         r"bad magic bracket",
@@ -397,6 +431,12 @@ _BROKEN_SR = {
     ),
     "no-metastable-state": (
         r"metastable\.(series|n) = .*", "", r"Sr: no metastable state defined",
+    ),
+    # the same edit, read as the bbrline.metastable list it leaves orphaned:
+    # the load names the list's first line
+    "bbrline-list-without-its-state": (
+        r"metastable\.(series|n) = .*", "",
+        r":\d+: bbrline\.metastable: Sr: no metastable state defined",
     ),
 }
 

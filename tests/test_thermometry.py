@@ -1,6 +1,7 @@
 """Thermometry: sensitivities, inversions, joint fits, error budgets."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +192,17 @@ def test_invert_iterations_from_default_seed(sr, true_t):
 def test_invert_out_of_range_offset(sr):
     with pytest.raises(ThermometryError):
         invert_temperature(ThermometryMeasurement(sr.state(30, "3D1"), 1e9, 0.16))
+
+
+@pytest.mark.parametrize("offset", [1e300, 1e6])
+def test_out_of_range_message_names_the_shift_at_the_top(sr, offset):
+    # the range used to be rebuilt as (shift - offset) + offset, which
+    # cancels to [0, 0] at an offset of 1e300
+    state = sr.state(30, "3D1")
+    top = transition_bbr_shift(sr, state, 1000.0, derivative=True)[0]
+    message = re.escape(f"invertible range [0, {top:.6g}] Hz for T in [0, 1000] K")
+    with pytest.raises(ThermometryError, match=message):
+        invert_temperature(ThermometryMeasurement(state, offset, 0.16))
 
 
 # -- joint temperature + field fit ----------------------------------------------

@@ -1,6 +1,7 @@
 """Transition tables: the column invariants every channel sum relies on."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +9,11 @@ import pytest
 
 from rydtherm import load_species
 from rydtherm.bbr import natural_linewidth
+from rydtherm.species import bundled_species_path
 from rydtherm.transitions import (
     build_transition_table,
     channel_table,
     downward_channels,
-    species_line_table,
 )
 
 # (species, n, series): Rydberg and low-lying states of each bundled species
@@ -26,7 +27,7 @@ _STATES = [
 def _table(kind, name, n, series):
     species = load_species(name)
     if kind == "lattice":
-        return species_line_table(species, "lattice")
+        return species.line_tables["lattice"]
     state = species.state(n, series)
     build = {
         "radial": build_transition_table,
@@ -106,7 +107,9 @@ def test_span_must_be_an_integer_at_least_one(sr, span):
 
 def test_line_table_rows_sorted_from_unsorted_file(sr):
     # the Sr ground-state bbrline list is not in |omega| order in the file
-    omega = sr.line_lists["ground"].omega_au
+    text = Path(bundled_species_path("sr")).read_text(encoding="utf-8")
+    listed = re.findall(r"^bbrline\.ground\.\d+\.omega_au = (.*)$", text, re.M)
+    omega = [float(w) for w in listed]
     table = channel_table(sr.state(5, "1S0"))
     assert list(omega) != table.omega_au.tolist()
     assert sorted(omega) == table.omega_au.tolist()
@@ -114,14 +117,12 @@ def test_line_table_rows_sorted_from_unsorted_file(sr):
 
 def test_line_tables_are_cached_by_file_content(sr, tmp_path):
     # every caller of a line list reads one table per species file content
-    from rydtherm.species import bundled_species_path
-
     meta = sr.metastable_state()
     table = channel_table(meta)
     assert channel_table(meta) is table
-    assert species_line_table(sr, "metastable") is table
+    assert sr.line_tables["metastable"] is table
     assert channel_table(load_species("sr").metastable_state()) is table
-    lattice = species_line_table(sr, "lattice")
+    lattice = sr.line_tables["lattice"]
     assert lattice is not table and lattice.channel_ids != ()
     copy = tmp_path / "sr.species"
     copy.write_text(Path(bundled_species_path("sr")).read_text(encoding="utf-8") + "#\n")
