@@ -47,12 +47,14 @@ same rule.  ``bbr_shift_sums`` is the one engine: it makes one kernel call
 for all channels of one model evaluation, joining the table and tail
 channels of every state it is given into one array and splitting the
 result by state (the kernel works element by element, so a state's shift
-does not depend on the others).  From the same F and F' it returns the
-temperature derivative: d/dT [(kT)^3 F(w/kT)] = k^3 T^2 (3F - yF') per
-channel, and 4 shift/T for the static core term.  ``bbr_shift_integral``
-is the sum route's result with only the table's channel terms (and the
-same core term) re-summed from their PV integrals; its tail is the sum
-route's, bit for bit.  For a clock state (the
+does not depend on the others).  The joined columns do not depend on T:
+they are built once per solver, states and span, so a warm evaluation is
+one division by kT, one kernel call and the sums.  From the same F and F'
+it returns the temperature derivative: d/dT [(kT)^3 F(w/kT)] =
+k^3 T^2 (3F - yF') per channel, and 4 shift/T for the static core term.
+``bbr_shift_integral`` is the sum route's result with only the table's
+channel terms (and the same core term) re-summed from their PV integrals;
+its tail is the sum route's, bit for bit.  For a clock state (the
 species' ground/metastable role) the table is the literature-anchored line
 list from the species file plus a static core/background term, folded in
 through its static-limit shift; the list is complete by construction, so
@@ -71,12 +73,13 @@ import numpy as np
 
 from . import constants as kconst
 from ._brent import brentq
-from .radial import RadialSolver
+from .radial import RadialSolver, default_solver
 from .species import RydbergState
 from .transitions import (
     DEFAULT_SPAN,
     build_transition_table,
     channel_table,
+    check_span,
     dipole_rate_s,
     downward_channels,
 )
@@ -514,29 +517,23 @@ def bbr_shift_sums(
     The channels of every state, tail nodes included, go through the
     kernel as one array, which is then split by state; the kernel works
     element by element, so each result is bitwise the one a call for that
-    state alone gives.
+    state alone gives.  What does not depend on T is built once per
+    solver, states and ``span`` (``_joined_channels``).
     """
     _check_temperature(temperature_k)
-    tables = [channel_table(state, span, solver) for state in states]
+    span = check_span(span)
+    solver = solver or default_solver()
+    tables, omega_au, z2, ends = solver.cached(
+        ("joined", tuple(state._key for state in states), span),
+        lambda: _joined_channels(states, span, solver),
+    )
     if kconst.KB_AU * temperature_k == 0.0:
         return [
             _result(state, temperature_k, table, 0.0, 0.0, tail_fraction, 0.0)
             for state, table in zip(states, tables)
         ]
-    # One kernel call for every state: its table's channels, then its tail
-    # nodes
-    blocks = []
-    for state, table in zip(states, tables):
-        blocks.append((table.omega_au, table.z2))
-        # a line table (f_missing None) is complete: no tail channels
-        blocks.append(truncation_tail_shift(table.f_missing or 0.0, state.binding_au))
-    hz, slopes = _channel_shifts_sum_hz(
-        np.concatenate([b[0] for b in blocks]),
-        np.concatenate([b[1] for b in blocks]),
-        temperature_k,
-    )
+    hz, slopes = _channel_shifts_sum_hz(omega_au, z2, temperature_k)
     hz, slopes = hz.tolist(), slopes.tolist()
-    ends = np.cumsum([0] + [b[0].size for b in blocks]).tolist()
     results = []
     for i, (state, table) in enumerate(zip(states, tables)):
         start, mid, end = ends[2 * i : 2 * i + 3]
@@ -554,6 +551,26 @@ def bbr_shift_sums(
             )
         )
     return results
+
+
+def _joined_channels(
+    states: list[RydbergState], span: int, solver: RadialSolver
+) -> tuple[tuple, np.ndarray, np.ndarray, list[int]]:
+    """The channel tables of ``states`` and their channels as one pair of
+    read-only (omega_au, z2) columns: each state's table channels, then
+    its tail nodes.  ``ends[2i : 2i + 3]`` are the start of state i's
+    channels, of its tail nodes, and the end of both."""
+    tables = tuple(channel_table(state, span, solver) for state in states)
+    blocks = []
+    for state, table in zip(states, tables):
+        blocks.append((table.omega_au, table.z2))
+        # a line table (f_missing None) is complete: no tail channels
+        blocks.append(truncation_tail_shift(table.f_missing or 0.0, state.binding_au))
+    omega_au = np.concatenate([b[0] for b in blocks])
+    z2 = np.concatenate([b[1] for b in blocks])
+    omega_au.flags.writeable = z2.flags.writeable = False
+    ends = np.cumsum([0] + [b[0].size for b in blocks]).tolist()
+    return tables, omega_au, z2, ends
 
 
 def bbr_shift_sum(

@@ -33,13 +33,14 @@ import numpy as np
 
 from . import constants as kconst
 from . import units
-from .radial import RadialSolver
+from .radial import RadialSolver, default_solver
 from .species import RydbergState
 from .transitions import (
     DEFAULT_SPAN,
     TransitionTable,
     channel_alpha_au,
     channel_table,
+    check_span,
 )
 from .wigner import threej
 
@@ -168,6 +169,17 @@ def static_polarizability(
     span: int = DEFAULT_SPAN,
     solver: RadialSolver | None = None,
 ) -> PolarizabilityResult:
-    """Static dipole polarizability (the omega = 0 sum over states)."""
-    return ac_polarizability(state, 0.0, m_j=m_j, span=span, solver=solver)
+    """Static dipole polarizability (the omega = 0 sum over states).
+
+    The result is computed once per solver, state, ``m_j`` and ``span``
+    and the same object returned after that.  ``m_j`` is keyed by its
+    repr, so inputs that compare equal but are echoed differently in the
+    result (1, 1.0, True) keep entries of their own.
+    """
+    span = check_span(span)
+    solver = solver or default_solver()
+    return solver.cached(
+        ("static", state._key, repr(m_j), span),
+        lambda: ac_polarizability(state, 0.0, m_j=m_j, span=span, solver=solver),
+    )
 

@@ -256,8 +256,14 @@ class _Mesh:
 
 class RadialSolver:
     """Solves radial wavefunctions and matrix elements on one mesh of step
-    ``h``; caches what is built on it (solutions, transition tables,
-    downward channels).
+    ``h``; caches what is built on it: solutions and radial moments,
+    transition tables and downward channels, and the parts of the
+    thermometry models that do not depend on T (the joined channel
+    columns of ``bbr_shift_sums``, the shift and slope at the top of
+    ``invert_temperature``'s range, ``static_polarizability`` results).
+    Keys hold the states' content keys, and any span in them is one that
+    ``transitions.check_span`` admitted; a build that raises stores
+    nothing.
 
     Every function of the package works on the shared ``default_solver()``
     unless it takes a ``solver=`` and is given one: a fresh solver starts

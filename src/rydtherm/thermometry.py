@@ -32,9 +32,9 @@ from . import constants as kconst
 from .bbr import TEMPERATURE_RANGE_K, bbr_shift_sums, linewidths
 from .lattice import level_energy_au
 from .polarizability import static_polarizability
-from .radial import RadialSolver
+from .radial import RadialSolver, default_solver
 from .species import RydbergState, Species
-from .transitions import DEFAULT_SPAN
+from .transitions import DEFAULT_SPAN, check_span
 
 DEFAULT_SEED_K = 300.0
 TOL_K = 1.0e-7  # temperature step at which both solvers stop
@@ -149,8 +149,12 @@ def invert_temperature(
     bracket kept from all previous evaluations: a step that leaves the
     bracket is replaced by bisection.  Stops when a step is at most
     ``TOL_K`` or the residual is at most ``RESIDUAL_TOL`` times the
-    measurement uncertainty.
+    measurement uncertainty.  The shift and slope at the top of the range,
+    which bound the invertible offsets, are computed once per solver,
+    state and ``span``.
     """
+    span = check_span(span)
+    solver = solver or default_solver()
     species = measurement.state.species
 
     def model(t: float) -> tuple[float, float]:
@@ -167,7 +171,11 @@ def invert_temperature(
     # Rydberg state's static polarizability makes it dip under zero, and a
     # small offset can have a second root there.
     lo, hi = t_lo, t_hi
-    shift_hi, slope_hi = model(t_hi)
+    # the lower state is the species' metastable state, which the sha256
+    # in the upper state's key identifies
+    shift_hi, slope_hi = solver.cached(
+        ("invert_top", measurement.state._key, span), lambda: model(t_hi)
+    )
     f_lo, f_hi = -target, shift_hi - target  # shift(0) = 0
     if f_lo > 0.0 or f_hi < 0.0:
         raise ThermometryError(

@@ -106,23 +106,30 @@ def coupled_series(state: RydbergState) -> tuple[str, ...]:
 _PATCH_SCALE_RATIO = 2.0
 
 
-def build_transition_table(
-    state: RydbergState,
-    span: int = DEFAULT_SPAN,
-    solver: RadialSolver | None = None,
-) -> TransitionTable:
-    """All dipole channels with |n' - n| <= span (cached on the solver).
-    ``span`` is an integer >= 1 (a Python or numpy int, not a bool, float
-    or str)."""
+def check_span(span) -> int:
+    """``span`` as an int; ValueError unless it is an integer >= 1 (a
+    Python or numpy int, not a bool, float or str).  Every cache key that
+    holds a span is formed from this value: ``2.0 == 2`` and ``True == 1``
+    hash alike, so a raw span would find the entry of another."""
     try:
         n = operator.index(span)
     except TypeError:
         n = None
     if n is None or isinstance(span, bool):
         raise ValueError(f"span must be an integer, got {span!r}")
-    span = n
-    if span < 1:
-        raise ValueError(f"span must be >= 1, got {span}")
+    if n < 1:
+        raise ValueError(f"span must be >= 1, got {n}")
+    return n
+
+
+def build_transition_table(
+    state: RydbergState,
+    span: int = DEFAULT_SPAN,
+    solver: RadialSolver | None = None,
+) -> TransitionTable:
+    """All dipole channels with |n' - n| <= span (cached on the solver).
+    ``span`` is as ``check_span`` admits it."""
+    span = check_span(span)
     solver = solver or default_solver()
     key = ("table", state._key, span)
     return solver.cached(key, lambda: _build_table(state, span, solver))
@@ -196,7 +203,9 @@ def channel_table(
     solver: RadialSolver | None = None,
 ) -> TransitionTable:
     """The channels of any state: its species line list for a clock state
-    (ground/metastable role with ``bbrline`` entries), else the radial table."""
+    (ground/metastable role with ``bbrline`` entries), else the radial table.
+    ``span`` is checked for both (``check_span``)."""
+    span = check_span(span)
     table = state.species.line_tables.get(state.species.state_role(state))
     if table is None:
         table = build_transition_table(state, span, solver)

@@ -1,5 +1,6 @@
 """Thermometry: sensitivities, inversions, joint fits, error budgets."""
 
+import dataclasses
 import math
 import re
 
@@ -9,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from rydtherm.bbr import bbr_shift_sum, linewidths
-from rydtherm.polarizability import static_polarizability
+from rydtherm import bbr, polarizability, transitions
+from rydtherm.bbr import bbr_shift_sum, bbr_shift_sums, linewidths
+from rydtherm.polarizability import ResonanceGuardError, static_polarizability
+from rydtherm.radial import RadialSolver
 from rydtherm.thermometry import (
     ThermometryError,
     ThermometryMeasurement,
@@ -327,19 +330,32 @@ def test_joint_solve_of_the_golden_input_is_unchanged(sr):
 
 
 @pytest.fixture
-def kernel_calls(monkeypatch):
+def layer_calls(monkeypatch):
+    """Calls made so far, by function name, to the kernel, the tail nodes,
+    the radial table and the AC polarizability, as their callers reach them."""
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+        calls[name] = 0
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(bbr, "farley_wing_fast")
+    count(bbr, "truncation_tail_shift")
+    count(transitions, "build_transition_table")
+    count(polarizability, "ac_polarizability")
+    return calls
+
+
+@pytest.fixture
+def kernel_calls(layer_calls):
     """The number of ``farley_wing_fast`` calls made so far."""
-    from rydtherm import bbr
-
-    calls = []
-    kernel = bbr.farley_wing_fast
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(bbr, "farley_wing_fast", counted)
-    return lambda: len(calls)
+    return lambda: layer_calls["farley_wing_fast"]
 
 
 @pytest.mark.parametrize("temperature_k, calls", [(300.0, 1), (0.0, 0)])
@@ -369,6 +385,153 @@ def test_one_kernel_call_per_joint_iterate(sr, kernel_calls):
     before = kernel_calls()
     sol = joint_solve_temperature_field(meas)
     assert kernel_calls() - before == sol.iterations + 1
+
+
+# -- temperature-independent parts built once per solver ---------------------------
+
+
+def _calls_of(layer_calls, call) -> dict:
+    """The calls ``call()`` makes, by function name."""
+    before = dict(layer_calls)
+    call()
+    return {name: layer_calls[name] - before[name] for name in layer_calls}
+
+
+def test_repeated_solves_rebuild_nothing(sr, layer_calls):
+    solver = RadialSolver()
+    m = _measure(sr, 30, 300.0)
+    first = _calls_of(layer_calls, lambda: invert_temperature(m, solver=solver))
+    again = _calls_of(layer_calls, lambda: invert_temperature(m, solver=solver))
+    assert first["truncation_tail_shift"] > 0 and first["build_transition_table"] > 0
+    # the shift at the top of the range is kept: one model evaluation fewer
+    assert again == {
+        "farley_wing_fast": first["farley_wing_fast"] - 1,
+        "truncation_tail_shift": 0,
+        "build_transition_table": 0,
+        "ac_polarizability": 0,
+    }
+    meas = [_measure(sr, n, 300.0, field_v_per_m=5.0) for n in (25, 30)]
+    joint = _calls_of(
+        layer_calls, lambda: joint_solve_temperature_field(meas, solver=solver)
+    )
+    assert joint["ac_polarizability"] == 2
+    again = _calls_of(
+        layer_calls, lambda: joint_solve_temperature_field(meas, solver=solver)
+    )
+    assert again["ac_polarizability"] == 0
+    assert again["truncation_tail_shift"] == again["build_transition_table"] == 0
+
+
+def _hexed(value):
+    """``value`` with every float as ``float.hex``, through nested tuples."""
+    if isinstance(value, tuple):
+        return tuple(_hexed(v) for v in value)
+    return float.hex(value) if isinstance(value, float) else value
+
+
+def _outcome(solve):
+    """Every field of ``solve()``'s solution, floats as hex, or the type and
+    message of the error it raised."""
+    try:
+        sol = solve()
+    except (ThermometryError, ResonanceGuardError) as exc:
+        return type(exc), str(exc)
+    return {f.name: _hexed(getattr(sol, f.name)) for f in dataclasses.fields(sol)}
+
+
+def _cold_warm_fresh(solve):
+    """Outcomes of ``solve(solver)``: twice on one new solver, then on
+    another new solver."""
+    warm = RadialSolver()
+    return [_outcome(lambda: solve(s)) for s in (warm, warm, RadialSolver())]
+
+
+@pytest.mark.parametrize(
+    "sp_name, n, series",
+    [("sr", 25, "3D1"), ("sr", 30, "3D1"), ("sr", 30, "3S1"), ("yb", 25, "3P0")],
+)
+def test_warm_inversion_equals_a_fresh_one(request, sp_name, n, series):
+    sp = request.getfixturevalue(sp_name)
+    state = sp.state(n, series)
+    top = transition_bbr_shift(sp, state, 1000.0)
+    for offset in (top, transition_bbr_shift(sp, state, 300.0), 1.5 * top):
+        m = ThermometryMeasurement(state, offset, 0.16)
+        cold, warm, fresh = _cold_warm_fresh(lambda s: invert_temperature(m, solver=s))
+        assert cold == warm == fresh, offset
+        if offset == top:
+            assert (warm["temperature_k"], warm["iterations"]) == ((1000.0).hex(), 0)
+        if offset > top:
+            assert warm[0] is ThermometryError
+
+
+@pytest.mark.parametrize(
+    "sp_name, upper_states",
+    [
+        ("sr", ((25, "3D1"), (30, "3D1"))),
+        ("sr", ((30, "3D1"), (30, "3S1"))),
+        ("yb", ((25, "3P0"), (30, "3P0"))),
+        # zero-frequency channels (l-degenerate levels): alpha(0) is guarded
+        ("hydrogen", ((25, "1P1"), (30, "1P1"))),
+    ],
+)
+def test_warm_joint_solve_equals_a_fresh_one(request, sp_name, upper_states):
+    sp = request.getfixturevalue(sp_name)
+    states = [sp.state(n, series) for n, series in upper_states]
+    if sp_name == "hydrogen":  # no metastable state: any offsets
+        meas = [ThermometryMeasurement(st, 1.0, 0.16) for st in states]
+    else:
+        meas = []
+        for st in states:
+            offset = transition_bbr_shift(sp, st, 300.0)
+            offset -= 0.5 * static_polarizability(st).value_hz_m2_v2 * 0.05**2
+            meas.append(ThermometryMeasurement(st, offset, 0.16))
+    cold, warm, fresh = _cold_warm_fresh(
+        lambda s: joint_solve_temperature_field(meas, solver=s)
+    )
+    assert cold == warm == fresh
+    if sp_name == "hydrogen":
+        assert warm[0] is ResonanceGuardError
+
+
+def test_span_keys_admit_only_integers(sr):
+    # cache keys hold the span: 2.0 == 2 and True == 1 hash alike, so each
+    # call must reject them before it looks up an entry made for 2 or 1
+    solver = RadialSolver()
+    state, meta = sr.state(30, "3D1"), sr.metastable_state()
+    # offsets at the top of each span's range, which the kept shift at the
+    # top alone inverts; 2.0 and True find these entries too
+    at_top = {
+        span: ThermometryMeasurement(
+            state, transition_bbr_shift(sr, state, 1000.0, span=span), 0.16
+        )
+        for span in (1, 2)
+    }
+    calls = {
+        "bbr_shift_sums": lambda span: bbr_shift_sums(
+            [meta, state], 300.0, span=span, solver=solver
+        ),
+        "transition_bbr_shift": lambda span: transition_bbr_shift(
+            sr, state, 300.0, span=span, solver=solver
+        ),
+        "invert_temperature": lambda span: invert_temperature(
+            at_top.get(span, at_top[2]), span=span, solver=solver
+        ),
+        "static_polarizability": lambda span: static_polarizability(
+            state, span=span, solver=solver
+        ),
+    }
+    for name, call in calls.items():
+        at_two = call(2)
+        call(1)
+        for span in (2.0, True, "3"):
+            with pytest.raises(ValueError, match="span must be an integer"):
+                call(span)
+        assert call(np.int64(2)) == at_two, name
+    alpha = static_polarizability(state, span=2, solver=solver)
+    assert static_polarizability(state, span=np.int64(2), solver=solver) is alpha
+    # m_j too is echoed as given: 1.0 and 1 keep entries of their own
+    assert type(static_polarizability(state, 1.0, solver=solver).m_j) is float
+    assert type(static_polarizability(state, 1, solver=solver).m_j) is int
 
 
 # -- interaction shifts and cycle budgets ----------------------------------------

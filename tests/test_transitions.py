@@ -103,6 +103,9 @@ def test_tables_bitwise_equal_in_either_solve_order(sr, yb):
 def test_span_must_be_an_integer_at_least_one(sr, span):
     with pytest.raises(ValueError, match="span must be"):
         build_transition_table(sr.state(30, "3D1"), span=span)
+    # a clock state's line table has no span, but the span is still checked
+    with pytest.raises(ValueError, match="span must be"):
+        channel_table(sr.metastable_state(), span=span)
 
 
 def test_line_table_rows_sorted_from_unsorted_file(sr):
