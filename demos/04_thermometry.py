@@ -10,6 +10,7 @@ measurements, inverts them for temperature, separates a stray electric
 field, and runs the full accuracy budget down to the clock.
 """
 
+from rydtherm.bbr import bbr_shift_sum, free_electron_sensitivity
 from rydtherm.polarizability import static_polarizability
 from rydtherm.species import load_species
 from rydtherm.thermometry import (
@@ -35,6 +36,9 @@ st30 = sr.state(30, "3D1")
 
 _, sens = transition_bbr_shift(sr, st30, 300.0, derivative=True)
 print(f"3P0 -> 30 3D1 sensitivity at 300 K: {sens:.2f} Hz/K")
+for st in (st30, sr.metastable_state()):
+    print(f"  {st} alone: {bbr_shift_sum(st, 300.0).slope_hz_per_k:+.4f} Hz/K")
+print(f"  free electron: {free_electron_sensitivity(300.0):+.4f} Hz/K")
 
 # %%
 # Synthesize, then invert

@@ -19,8 +19,11 @@ F(y)/y in ln|y|, 560 pieces of degree 7 over 1e-5 <= |y| <= 1e5, fitted
 to the reference by ``tools/make_kernel_table.py``; it takes a whole array
 of y and also returns F', and is used inside channel sums).  Against a
 30-digit quadrature the table is within 2.3e-12 in F and 4e-10 max(1, |F'|)
-in F'.  Its top at 1e5 is the fast route's seam with the series, above
-every channel of a Rydberg shift at room temperature.  A third route,
+in F'.  In memory the coefficients of F/y and of its derivative stand side
+by side in one array, so one gather and one in-place Clenshaw pass give
+both, bit for bit what two separate passes give.  The table's top at 1e5
+is the fast route's seam with the series, above every channel of a
+Rydberg shift at room temperature.  A third route,
 ``bbr_shift_integral``, never touches F in its channels: it evaluates the
 defining frequency integral with the polarizability pole of each channel
 handled as a Cauchy principal value, and must agree with the F-based
@@ -43,13 +46,15 @@ temperature.  A result is flagged converged when |tail| is at most
 
 Both routes read the channels of ``channel_table``.  The tail's
 quadrature nodes are channels too (node u at w = E_bind/u), summed by the
-same rule.  ``bbr_shift_sums`` is the one engine: it makes one kernel call
-for all channels of one model evaluation, joining the table and tail
+same rule.  ``bbr_shift_fsums`` is the one engine: it makes one kernel
+call for all channels of one model evaluation, joining the table and tail
 channels of every state it is given into one array and splitting the
-result by state (the kernel works element by element, so a state's shift
-does not depend on the others).  The joined columns do not depend on T:
-they are built once per solver, states and span, so a warm evaluation is
-one division by kT, one kernel call and the sums.  From the same F and F'
+result into each state's exactly rounded sums (the kernel works element
+by element, so a state's shift does not depend on the others).
+``bbr_shift_sums`` wraps those sums in results; the thermometry models
+read them directly.  The joined columns do not depend on T: they are
+built once per solver, states and span, so a warm evaluation is one
+division by kT, one kernel call and the sums.  From the same F and F'
 it returns the temperature derivative: d/dT [(kT)^3 F(w/kT)] =
 k^3 T^2 (3F - yF') per channel, and 4 shift/T for the static core term.
 ``bbr_shift_integral`` is the sum route's result with only the table's
@@ -218,11 +223,15 @@ _KERNEL_TABLE = "farley_wing_table.dat"
 
 
 @functools.cache
-def _kernel_table() -> tuple[float, float, float, float, np.ndarray, np.ndarray]:
+def _kernel_table() -> tuple[float, float, float, float, np.ndarray]:
     """The committed Chebyshev table of G(s) = F(e^s)/e^s, s = ln|y|.
 
-    Returns (y_min, y_max, s_min, piece width, coefficients, coefficients
-    of dG/ds), the coefficient arrays shaped (degree + 1, pieces).  The
+    Returns (y_min, y_max, s_min, piece width, coefficients).  The
+    coefficients are one (degree + 1, 2 x pieces) array: column p holds G
+    on piece p, column pieces + p holds dG/ds on piece p, whose degree is
+    one lower, under a zero row for the missing top order.  A Clenshaw
+    step on that zero row leaves its recurrence at +0.0, where it starts,
+    so dG/ds is bit for bit what a sum over its own degree gives.  The
     file is written by ``tools/make_kernel_table.py`` from ``farley_wing``.
     """
     ref = importlib.resources.files("rydtherm.data").joinpath(_KERNEL_TABLE)
@@ -244,33 +253,52 @@ def _kernel_table() -> tuple[float, float, float, float, np.ndarray, np.ndarray]
     s_min, s_max = meta["s_min"], meta["s_max"]
     width = (s_max - s_min) / pieces
     dcoef = np.polynomial.chebyshev.chebder(coef, axis=1) * (2.0 / width)
-    return (
-        math.exp(s_min), math.exp(s_max), s_min, width,
-        np.ascontiguousarray(coef.T), np.ascontiguousarray(dcoef.T),
-    )
+    stacked = np.zeros((degree + 1, 2 * pieces))
+    stacked[:, :pieces] = coef.T
+    stacked[:degree, pieces:] = dcoef.T
+    stacked.flags.writeable = False
+    return math.exp(s_min), math.exp(s_max), s_min, width, stacked
 
 
 def _clenshaw(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # sum_j coef[j] T_j(t), column k of coef for element k of t; element-wise
-    # operations only, so a value does not depend on the array around it
-    t2 = 2.0 * t
-    b1 = np.zeros_like(t)
-    b2 = np.zeros_like(t)
+    """sum_j coef[j] T_j(t), element-wise over the trailing axes of coef
+    (t broadcast against them).
+
+    On the kernel's (2, N) block, row 0 is G and row 1 dG/ds: one pass
+    sums both.  Each step is c + t2 b1 - b2, in that order, written into
+    three buffers that rotate in place, so every element goes through the
+    IEEE operations of a pass over its own column alone, and a value does
+    not depend on the array around it.  2t is written out to the full
+    shape once, which the steps then read without broadcasting.
+    """
+    shape = coef.shape[1:]
+    t2 = np.multiply(2.0, t, out=np.empty(shape))
+    b1 = np.zeros(shape)
+    b2 = np.zeros(shape)
+    tmp = np.empty(shape)
     for c in coef[:0:-1]:
-        b1, b2 = c + t2 * b1 - b2, b1
-    return coef[0] + t * b1 - b2
+        np.multiply(t2, b1, out=tmp)
+        np.add(c, tmp, out=tmp)
+        np.subtract(tmp, b2, out=tmp)
+        b1, b2, tmp = tmp, b1, b2
+    np.multiply(t, b1, out=tmp)
+    np.add(coef[0], tmp, out=tmp)
+    return np.subtract(tmp, b2, out=tmp)
 
 
 def _fw_table(a: np.ndarray, table: tuple) -> tuple[np.ndarray, np.ndarray]:
     # F and F' = G + dG/ds from the table at |y| = a, element-wise, for a
     # within the table (no NaN).  np.minimum/np.maximum and take give
-    # what np.clip and fancy indexing give, in a third of the time
-    _, _, s_min, width, coef, dcoef = table
+    # what np.clip and fancy indexing give, in a third of the time.  One
+    # gather takes both halves of the table, and one Clenshaw pass sums G
+    # (row 0) and dG/ds (row 1)
+    _, _, s_min, width, coef = table
+    pieces = coef.shape[1] // 2
     u = (np.log(a) - s_min) / width
-    piece = np.minimum(np.maximum(u.astype(np.intp), 0), coef.shape[1] - 1)
+    piece = np.minimum(np.maximum(u.astype(np.intp), 0), pieces - 1)
     t = 2.0 * (u - piece) - 1.0
-    g = _clenshaw(coef.take(piece, axis=1), t)
-    return a * g, g + _clenshaw(dcoef.take(piece, axis=1), t)
+    g, dg = _clenshaw(coef.take(np.add.outer((0, pieces), piece), axis=1), t)
+    return a * g, g + dg
 
 
 def farley_wing_fast(y, derivative: bool = False):
@@ -393,10 +421,10 @@ def _channel_shifts_sum_hz(
     """Per-channel Farley-Wing shifts and their d/dT, Hz and Hz/K, from
     d/dT [(kT)^3 F(w/kT)] = (kT)^3 (3F - yF') / T."""
     kt = kconst.KB_AU * temperature_k
-    with np.errstate(over="ignore"):  # w/kT -> inf as T -> 0
+    # w/kT -> inf as T -> 0, and there y F' -> 0, but inf * 0 is nan
+    with np.errstate(over="ignore", invalid="ignore"):
         y = omega_au / kt
-    f, df = farley_wing_fast(y, derivative=True)
-    with np.errstate(invalid="ignore"):  # y F' -> 0 as y -> inf; inf * 0 is nan
+        f, df = farley_wing_fast(y, derivative=True)
         y_df = y * df
     slope_terms = 3.0 * f - np.where(np.isinf(y), 0.0, y_df)
     scale = -(2.0 / (_PI * _C3)) * kt**3 * z2
@@ -512,13 +540,29 @@ def bbr_shift_sums(
     solver: RadialSolver | None = None,
     tail_fraction: float = DEFAULT_TAIL_FRACTION,
 ) -> list[BBRShiftResult]:
-    """``bbr_shift_sum`` of each state, from one kernel call.
+    """``bbr_shift_sum`` of each state, from one kernel call: the sums of
+    ``bbr_shift_fsums``, each with its table's audit."""
+    tables, sums = bbr_shift_fsums(states, temperature_k, span, solver)
+    return [
+        _result(state, temperature_k, table, channel_hz, tail_hz, tail_fraction, slope)
+        for state, table, (channel_hz, tail_hz, slope) in zip(states, tables, sums)
+    ]
+
+
+def bbr_shift_fsums(
+    states: list[RydbergState],
+    temperature_k: float,
+    span: int = DEFAULT_SPAN,
+    solver: RadialSolver | None = None,
+) -> tuple[tuple, list[tuple[float, float, float]]]:
+    """The channel tables of ``states`` and, for each state, (channel_hz,
+    tail_hz, slope_hz_per_k), from one kernel call.
 
     The channels of every state, tail nodes included, go through the
     kernel as one array, which is then split by state; the kernel works
-    element by element, so each result is bitwise the one a call for that
-    state alone gives.  What does not depend on T is built once per
-    solver, states and ``span`` (``_joined_channels``).
+    element by element, so each state's sums are bitwise the ones a call
+    for that state alone gives.  What does not depend on T is built once
+    per solver, states and ``span`` (``_joined_channels``).
     """
     _check_temperature(temperature_k)
     span = check_span(span)
@@ -528,14 +572,11 @@ def bbr_shift_sums(
         lambda: _joined_channels(states, span, solver),
     )
     if kconst.KB_AU * temperature_k == 0.0:
-        return [
-            _result(state, temperature_k, table, 0.0, 0.0, tail_fraction, 0.0)
-            for state, table in zip(states, tables)
-        ]
+        return tables, [(0.0, 0.0, 0.0)] * len(tables)
     hz, slopes = _channel_shifts_sum_hz(omega_au, z2, temperature_k)
     hz, slopes = hz.tolist(), slopes.tolist()
-    results = []
-    for i, (state, table) in enumerate(zip(states, tables)):
+    sums = []
+    for i, table in enumerate(tables):
         start, mid, end = ends[2 * i : 2 * i + 3]
         parts, slope_parts = hz[start:mid], slopes[start:mid]
         if table.core_alpha_au is not None:
@@ -543,14 +584,12 @@ def bbr_shift_sums(
             parts.append(core)
             slope_parts.append(4.0 * core / temperature_k)  # core ~ T^4
         # fsum is exactly rounded: the sums do not depend on the order of terms
-        results.append(
-            _result(
-                state, temperature_k, table, math.fsum(parts),
-                math.fsum(hz[mid:end]), tail_fraction,
-                math.fsum(slope_parts) + math.fsum(slopes[mid:end]),
-            )
-        )
-    return results
+        sums.append((
+            math.fsum(parts),
+            math.fsum(hz[mid:end]),
+            math.fsum(slope_parts) + math.fsum(slopes[mid:end]),
+        ))
+    return tables, sums
 
 
 def _joined_channels(

@@ -109,7 +109,8 @@ def ac_polarizability(
 
     ``m_j`` defaults to the stretched component m_J = J; pass None for the
     orientation average.  Raises ValueError for a non-finite or negative
-    ``omega_au`` and for an m_J that is not one of J, J - 1, ..., -J;
+    ``omega_au``, for a bool ``m_j`` (True would pass as 1) and for an m_J
+    that is not one of J, J - 1, ..., -J;
     OverflowError when ``omega_au`` squared exceeds the double range;
     ResonanceGuardError when ``omega_au`` is within ``GUARD_FRACTION``
     (relative) of any channel resonance.
@@ -120,6 +121,8 @@ def ac_polarizability(
         raise OverflowError(
             f"probe frequency {omega_au:g} a.u. squared lies beyond the double range"
         )
+    if isinstance(m_j, (bool, np.bool_)):
+        raise ValueError(f"m_j must be a number or None, got {m_j!r}")
     if m_j == "stretched":
         m_j = state.J
     if m_j is not None and m_j not in [state.J - k for k in range(int(2 * state.J) + 1)]:
@@ -174,7 +177,8 @@ def static_polarizability(
     The result is computed once per solver, state, ``m_j`` and ``span``
     and the same object returned after that.  ``m_j`` is keyed by its
     repr, so inputs that compare equal but are echoed differently in the
-    result (1, 1.0, True) keep entries of their own.
+    result (1 and 1.0) keep entries of their own.  A bool ``m_j`` raises
+    ValueError, as in ``ac_polarizability``.
     """
     span = check_span(span)
     solver = solver or default_solver()

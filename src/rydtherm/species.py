@@ -450,6 +450,15 @@ class Species:
                     f"for {gs_label}"
                 )
 
+        # one object per role, which every call of clock_state returns
+        self._clock_states = {
+            role: self.state(series_n[1], series_n[0])
+            for role, series_n in (
+                ("ground", self._ground), ("metastable", self._metastable)
+            )
+            if series_n is not None
+        }
+
         self.line_tables: dict[str, TransitionTable] = {}
         for name, prefix in _LINE_LISTS.items():
             if prefix not in lists.get("line", {}):
@@ -502,11 +511,12 @@ class Species:
         )
 
     def clock_state(self, role: str) -> RydbergState:
-        """The "ground" or "metastable" state the species file names."""
-        series_n = self._ground if role == "ground" else self._metastable
-        if series_n is None:
+        """The "ground" or "metastable" state the species file names, the
+        same object on every call."""
+        state = self._clock_states.get("ground" if role == "ground" else "metastable")
+        if state is None:
             raise SpeciesDataError(f"{self.name}: no {role} state defined")
-        return self.state(series_n[1], series_n[0])
+        return state
 
     def metastable_state(self) -> RydbergState:
         return self.clock_state("metastable")

@@ -9,7 +9,7 @@ This module turns that into instrumentation:
 * ``transition_bbr_shift`` — the transition's shift and, with
   ``derivative=True``, its d/dT, differentiated analytically from the same
   kernel values as the shift (``BBRShiftResult.slope_hz_per_k``); both
-  states share one kernel call (``bbr_shift_sums``), as do all states of
+  states share one kernel call (``bbr_shift_fsums``), as do all states of
   one joint-solve iterate;
 * ``invert_temperature`` — bracket-safeguarded Newton solve of
   shift(T) = offset;
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants as kconst
-from .bbr import TEMPERATURE_RANGE_K, bbr_shift_sums, linewidths
+from .bbr import TEMPERATURE_RANGE_K, bbr_shift_fsums, linewidths
 from .lattice import level_energy_au
 from .polarizability import static_polarizability
 from .radial import RadialSolver, default_solver
@@ -114,26 +114,27 @@ def transition_bbr_shift(
     if lower is None:
         lower = species.metastable_state()
     species.check_states(upper, lower)
-    ((shift, slope),) = _transition_shifts([upper], lower, temperature_k, span, solver)
+    states = [lower] if upper == lower else [lower, upper]
+    ((shift, slope),) = _transition_shifts(
+        states, [len(states) - 1], temperature_k, span, solver
+    )
     return (shift, slope) if derivative else shift
 
 
 def _transition_shifts(
-    uppers: list[RydbergState],
-    lower: RydbergState,
+    states: list[RydbergState],
+    uppers: list[int],
     temperature_k: float,
     span: int,
     solver: RadialSolver | None,
 ) -> list[tuple[float, float]]:
-    """(BBR shift in Hz, d/dT in Hz/K) of each ``lower -> upper``
-    transition, from one ``bbr_shift_sums`` call over the distinct states."""
-    states = list(dict.fromkeys([lower, *uppers]))
-    res = dict(zip(states, bbr_shift_sums(states, temperature_k, span, solver)))
-    lo = res[lower]
-    return [
-        (res[u].shift_hz - lo.shift_hz, res[u].slope_hz_per_k - lo.slope_hz_per_k)
-        for u in uppers
-    ]
+    """(BBR shift in Hz, d/dT in Hz/K) of the transition from ``states[0]``
+    to ``states[i]`` for each i in ``uppers``, from one ``bbr_shift_fsums``
+    call over ``states``, which are distinct."""
+    _, sums = bbr_shift_fsums(states, temperature_k, span, solver)
+    shifts = [(channel_hz + tail_hz, slope) for channel_hz, tail_hz, slope in sums]
+    lo_shift, lo_slope = shifts[0]
+    return [(shifts[i][0] - lo_shift, shifts[i][1] - lo_slope) for i in uppers]
 
 
 def invert_temperature(
@@ -271,12 +272,15 @@ def joint_solve_temperature_field(
     offsets = np.array([m.offset_hz for m in measurements])
     sigmas = np.array([m.sigma_hz for m in measurements])
 
+    # the distinct states, the metastable one first, and each
+    # measurement's index among them: formed once per solve
     uppers = [m.state for m in measurements]
-    lower = species.metastable_state()
+    states = list(dict.fromkeys([species.metastable_state(), *uppers]))
+    index = [states.index(state) for state in uppers]
 
     def bbr_and_slope(t: float) -> np.ndarray:
         """Rows: each transition's BBR shift and its d/dT at t."""
-        return np.array(_transition_shifts(uppers, lower, t, span, solver)).T
+        return np.array(_transition_shifts(states, index, t, span, solver)).T
 
     t_lo, t_hi = TEMPERATURE_RANGE_K
     t = min(max(seed_k, t_lo + 1.0), t_hi - 1.0)

@@ -11,6 +11,7 @@ nothing with either implementation route (pole-excised adaptive quadrature
 / Chebyshev table), so agreement pins all three independently.
 """
 
+import importlib.resources
 import importlib.util
 import math
 import os
@@ -23,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
+from rydtherm import bbr
 from rydtherm.bbr import _KERNEL_TABLE, farley_wing, farley_wing_fast, farley_wing_zero
 
 mp.mp.dps = 30
@@ -103,6 +105,86 @@ def test_kernel_table_file_is_reproducible():
     assert gen.Y_MAX == TABLE_TOP
     with open(data, encoding="utf-8") as fh:
         assert fh.read() == gen.table_text()
+
+
+def _two_pass_coefficients():
+    """(s_min, piece width, G coefficients, dG/ds coefficients), each array
+    (degree + 1 or degree, pieces), read from the table file as two
+    arrays: the layout of the oracle below."""
+    text = importlib.resources.files("rydtherm.data").joinpath(_KERNEL_TABLE)
+    meta, rows = {}, []
+    for line in text.read_text(encoding="utf-8").splitlines():
+        line = line.split("#", 1)[0].strip()
+        if "=" in line:
+            key, value = line.split("=")
+            meta[key.strip()] = float(value)
+        elif line:
+            rows.append([float(x) for x in line.split()])
+    coef = np.array(rows)
+    width = (meta["s_max"] - meta["s_min"]) / int(meta["pieces"])
+    dcoef = np.polynomial.chebyshev.chebder(coef, axis=1) * (2.0 / width)
+    return meta["s_min"], width, np.ascontiguousarray(coef.T), np.ascontiguousarray(dcoef.T)
+
+
+def _clenshaw_alloc(coef, t):
+    """Clenshaw's recurrence with a new array at every step, one pass per
+    coefficient array: the oracle for the kernel's single in-place pass."""
+    t2 = 2.0 * t
+    b1 = np.zeros_like(t)
+    b2 = np.zeros_like(t)
+    for c in coef[:0:-1]:
+        b1, b2 = c + t2 * b1 - b2, b1
+    return coef[0] + t * b1 - b2
+
+
+def _fw_table_two_pass(a, _table):
+    """F and F' inside the table by two separate allocating passes, one
+    over G's coefficients and one over dG/ds's."""
+    s_min, width, coef, dcoef = _TWO_PASS
+    u = (np.log(a) - s_min) / width
+    piece = np.minimum(np.maximum(u.astype(np.intp), 0), coef.shape[1] - 1)
+    t = 2.0 * (u - piece) - 1.0
+    g = _clenshaw_alloc(coef.take(piece, axis=1), t)
+    return a * g, g + _clenshaw_alloc(dcoef.take(piece, axis=1), t)
+
+
+_TWO_PASS = _two_pass_coefficients()
+
+
+def test_kernel_matches_two_pass_oracle_bit_for_bit(monkeypatch):
+    # the stacked table and its one in-place pass give every F and F' of
+    # the two separate passes byte for byte: on a dense log grid, at every
+    # piece boundary, across both seams of the table, at -y, at y = 0 and
+    # for 0-d input.  The oracle reaches the same public function through
+    # the unchanged branch and sign handling around the table
+    s_min, width, coef, _ = _TWO_PASS
+    y_min, y_max = bbr._kernel_table()[:2]
+    bounds = np.exp(s_min + width * np.arange(coef.shape[1] + 1))
+    seams = [y_min, y_max, 1e-5, TABLE_TOP]
+    near = np.concatenate([bounds, seams])
+    pos = np.concatenate([
+        np.geomspace(1e-5, 1e5, 100_001),
+        near, np.nextafter(near, 0.0), np.nextafter(near, np.inf),
+        [0.0, 1e-7, 2 * TABLE_TOP],
+    ])
+    ys = np.concatenate([pos, -pos, [-0.0]])
+    got = farley_wing_fast(ys, derivative=True)
+    inside = (pos >= y_min) & (pos <= y_max)
+    got_inside = farley_wing_fast(pos[inside], derivative=True)
+    scalars = ys[:: len(ys) // 400].tolist() + [0.0, -0.0, y_min, y_max, -y_max]
+    got_scalars = [farley_wing_fast(y, derivative=True) for y in scalars]
+
+    monkeypatch.setattr(bbr, "_fw_table", _fw_table_two_pass)
+    want = farley_wing_fast(ys, derivative=True)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    want_inside = farley_wing_fast(pos[inside], derivative=True)
+    assert got_inside[0].tobytes() == want_inside[0].tobytes()
+    assert got_inside[1].tobytes() == want_inside[1].tobytes()
+    for y, pair in zip(scalars, got_scalars):
+        want_pair = farley_wing_fast(y, derivative=True)
+        assert tuple(map(float.hex, pair)) == tuple(map(float.hex, want_pair)), y
+        assert type(pair[0]) is float and type(pair[1]) is float
 
 
 def test_array_and_scalar_calls_agree():

@@ -3,6 +3,7 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rydtherm import constants as k
@@ -12,6 +13,7 @@ from rydtherm.polarizability import (
     ac_polarizability,
     static_polarizability,
 )
+from rydtherm.radial import RadialSolver
 from rydtherm.species import Species, bundled_species_path
 from rydtherm.transitions import channel_alpha_au
 
@@ -124,6 +126,25 @@ def test_scalar_vs_stretched_defaults(sr):
     assert stretched.value_au == pytest.approx(explicit.value_au, rel=1e-12)
     assert scalar.m_j is None
     assert scalar.value_au != pytest.approx(stretched.value_au, rel=1e-3)
+
+
+@pytest.mark.parametrize("m_j", [True, False, np.True_])
+@pytest.mark.parametrize("n, series", [(30, "3D1"), (25, "3S1")])
+def test_bool_m_j_is_rejected(sr, n, series, m_j):
+    # True == 1 and False == 0 are both m_J of a J = 1 state: without the
+    # check each passed as that number and was echoed as the bool
+    st = sr.state(n, series)
+    assert st.J == 1.0
+    solver = RadialSolver()
+    for call in (
+        lambda: ac_polarizability(st, 0.0, m_j=m_j, solver=solver),
+        lambda: static_polarizability(st, m_j=m_j, solver=solver),
+    ):
+        with pytest.raises(ValueError, match="m_j must be a number or None"):
+            call()
+    # the numbers stay accepted, each echoed as given
+    for m in (1, 1.0, 0, -1.0):
+        assert repr(static_polarizability(st, m_j=m, solver=solver).m_j) == repr(m)
 
 
 def test_m_weights_average_to_scalar(sr):

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from rydtherm import bbr, polarizability, transitions
+from rydtherm import bbr, polarizability, thermometry, transitions
 from rydtherm.bbr import bbr_shift_sum, bbr_shift_sums, linewidths
 from rydtherm.polarizability import ResonanceGuardError, static_polarizability
 from rydtherm.radial import RadialSolver
+from rydtherm.species import Species
 from rydtherm.thermometry import (
     ThermometryError,
     ThermometryMeasurement,
@@ -420,6 +421,71 @@ def test_repeated_solves_rebuild_nothing(sr, layer_calls):
     )
     assert again["ac_polarizability"] == 0
     assert again["truncation_tail_shift"] == again["build_transition_table"] == 0
+
+
+def test_warm_solves_build_no_state(sr, yb, monkeypatch):
+    # the metastable state is one object per species, and a solve forms
+    # its states once: a warm inversion or joint solve asks Species.state
+    # for nothing
+    solver = RadialSolver()
+    m = _measure(sr, 30, 300.0)
+    meas = [_measure(sr, n, 300.0, field_v_per_m=5.0) for n in (25, 30)]
+    upper = yb.state(25, "3P0")
+    yb_m = ThermometryMeasurement(upper, transition_bbr_shift(yb, upper, 77.0), 0.2)
+    solves = [
+        lambda: invert_temperature(m, solver=solver),
+        lambda: invert_temperature(yb_m, solver=solver),
+        lambda: joint_solve_temperature_field(meas, solver=solver),
+    ]
+    for solve in solves:
+        solve()
+    made = []
+    state = Species.state
+
+    def counted(self, n, series):
+        made.append((self.name, n, series))
+        return state(self, n, series)
+
+    monkeypatch.setattr(Species, "state", counted)
+    for solve in solves:
+        for _ in range(2):
+            solve()
+    assert made == []
+    assert sr.metastable_state() is sr.clock_state("metastable")
+    assert yb.clock_state("ground") is yb.clock_state("ground")
+    assert made == []
+
+
+@pytest.mark.parametrize("offset_at_k", [297.3, 50.0, 977.3, 1000.0])
+def test_every_inversion_model_evaluation_is_a_traced_call(
+    sr, kernel_calls, monkeypatch, offset_at_k
+):
+    # perfbench's thermometry.model layer wraps the module-global
+    # transition_bbr_shift: every model evaluation of a warm inversion
+    # must go through it, one kernel call each
+    solver = RadialSolver()
+    state = sr.state(30, "3D1")
+    m = ThermometryMeasurement(
+        state, transition_bbr_shift(sr, state, offset_at_k, solver=solver), 0.16
+    )
+    invert_temperature(m, solver=solver)
+    calls = []
+    model = thermometry.transition_bbr_shift
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return model(*args, **kwargs)
+
+    monkeypatch.setattr(thermometry, "transition_bbr_shift", counted)
+    kernel_before = kernel_calls()
+    sol = invert_temperature(m, solver=solver)
+    # the seed's evaluation and one per step; none when the offset is the
+    # top of the range, whose shift is kept
+    expect = 0 if offset_at_k == 1000.0 else sol.iterations + 1
+    assert sol.iterations > 0 or offset_at_k == 1000.0
+    assert len(calls) == expect
+    assert kernel_calls() - kernel_before == expect
+    assert sol.temperature_k in calls or expect == 0
 
 
 def _hexed(value):
