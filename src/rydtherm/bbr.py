@@ -50,9 +50,10 @@ same rule.  ``bbr_shift_fsums`` is the one engine: it makes one kernel
 call for all channels of one model evaluation, joining the table and tail
 channels of every state it is given into one array and splitting the
 result into each state's exactly rounded sums (the kernel works element
-by element, so a state's shift does not depend on the others).
-``bbr_shift_sums`` wraps those sums in results; the thermometry models
-read them directly.  The joined columns do not depend on T: they are
+by element, so a state's shift does not depend on the others).  The
+thermometry models read those sums directly; ``bbr_shift_sum`` and
+``bbr_shift_integral`` each make one call for their one state and build
+a result from it.  The joined columns do not depend on T: they are
 built once per solver, states and span, so a warm evaluation is one
 division by kT, one kernel call and the sums.  From the same F and F'
 it returns the temperature derivative: d/dT [(kT)^3 F(w/kT)] =
@@ -533,22 +534,6 @@ def _result(state, temperature_k, table, channel_hz, tail_hz, tail_fraction,
     )
 
 
-def bbr_shift_sums(
-    states: list[RydbergState],
-    temperature_k: float,
-    span: int = DEFAULT_SPAN,
-    solver: RadialSolver | None = None,
-    tail_fraction: float = DEFAULT_TAIL_FRACTION,
-) -> list[BBRShiftResult]:
-    """``bbr_shift_sum`` of each state, from one kernel call: the sums of
-    ``bbr_shift_fsums``, each with its table's audit."""
-    tables, sums = bbr_shift_fsums(states, temperature_k, span, solver)
-    return [
-        _result(state, temperature_k, table, channel_hz, tail_hz, tail_fraction, slope)
-        for state, table, (channel_hz, tail_hz, slope) in zip(states, tables, sums)
-    ]
-
-
 def bbr_shift_fsums(
     states: list[RydbergState],
     temperature_k: float,
@@ -625,7 +610,10 @@ def bbr_shift_sum(
     static core term for a clock state, the radial table with sum-rule tail
     completion for any other state.
     """
-    return bbr_shift_sums([state], temperature_k, span, solver, tail_fraction)[0]
+    (table,), ((channel_hz, tail_hz, slope),) = bbr_shift_fsums(
+        [state], temperature_k, span, solver
+    )
+    return _result(state, temperature_k, table, channel_hz, tail_hz, tail_fraction, slope)
 
 
 def bbr_shift_integral(
@@ -657,8 +645,7 @@ def bbr_shift_integral(
     1 K the shifts lie far under the quadrature floor, and there the routes
     are not comparable (they may differ in sign).
     """
-    res = bbr_shift_sums([state], temperature_k, span, solver, tail_fraction)[0]
-    table = channel_table(state, span, solver)
+    (table,), ((_, tail_hz, _),) = bbr_shift_fsums([state], temperature_k, span, solver)
     parts = []
     if kconst.KB_AU * temperature_k != 0.0:
         parts = [
@@ -668,8 +655,8 @@ def bbr_shift_integral(
         if table.core_alpha_au is not None:
             parts.append(static_limit_shift(table.core_alpha_au, temperature_k))
     return _result(
-        state, temperature_k, table, math.fsum(parts), res.tail_hz,
-        tail_fraction, None, "integral",
+        state, temperature_k, table, math.fsum(parts), tail_hz, tail_fraction,
+        None, "integral",
     )
 
 

@@ -53,7 +53,9 @@ Conventions:
 * states with n* <= l + 0.15 have no usable Coulomb-approximation solution
   (energy at/below the centrifugal barrier minimum) and raise
   RadialUnsolvableError; perturbed series bottoms (e.g. Sr 4d) are treated
-  by callers via sum-rule completion instead.
+  by callers via sum-rule completion instead;
+* a mesh step with h sqrt(8 mu) > 0.3 rad of Numerov phase per step (fewer
+  than 20 nodes per local oscillation) raises RadialUnsolvableError.
 """
 
 from __future__ import annotations
@@ -259,7 +261,7 @@ class RadialSolver:
     ``h``; caches what is built on it: solutions and radial moments,
     transition tables and downward channels, and the parts of the
     thermometry models that do not depend on T (the joined channel
-    columns of ``bbr_shift_sums``, the shift and slope at the top of
+    columns of ``bbr_shift_fsums``, the shift and slope at the top of
     ``invert_temperature``'s range, ``static_polarizability`` results).
     Keys hold the states' content keys, and any span in them is one that
     ``transitions.check_span`` admitted; a build that raises stores
@@ -332,6 +334,15 @@ class RadialSolver:
             raise RadialUnsolvableError(
                 f"{state}: mesh step h = {h:g} leaves {max(0, j_out - j_in + 1)} "
                 "nodes between the inner and outer edges; Numerov needs 3"
+            )
+        # every term of kfun but 8 mu is negative for a bound state, so
+        # h sqrt(8 mu) bounds the phase per step; 0.3 rad is >= 20 nodes
+        # per local oscillation
+        phase = h * math.sqrt(8.0 * mu)
+        if phase > 0.3:
+            raise RadialUnsolvableError(
+                f"{state}: mesh step h = {h:g} advances the Numerov phase by up "
+                f"to {phase:.3g} rad per step; the limit is 0.3"
             )
         mesh = self._mesh_through(j_out)
         x2 = mesh.power(2)[j_in : j_out + 1]

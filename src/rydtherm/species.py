@@ -312,6 +312,12 @@ def _line_table(kvw: _KV, prefix: str, entries: set[int], j: float) -> Transitio
             )
         if d[-1] <= 0:
             raise SpeciesDataError(f"{kvw.path}: {prefix}.{i}.d_au must be positive")
+        for name, x in (("omega_au", omega[-1]), ("d_au", d[-1])):
+            if not math.isfinite(x * x):  # omega^2 and z^2 must be numbers
+                val, lineno = kvw.kv[f"{prefix}.{i}.{name}"]
+                raise SpeciesDataError(
+                    f"{kvw.path}:{lineno}: {prefix}.{i}.{name} = {val} overflows squared"
+                )
     ids = [f"{units.omega_au_to_wavelength_nm(w):.0f}nm" for w in omega]
     z2 = np.float_power(d, 2) / (3.0 * (2.0 * j + 1.0))
     return TransitionTable(
@@ -343,9 +349,19 @@ class Species:
             if mass <= 0:
                 raise SpeciesDataError(f"{path}: mass_amu must be positive or inf")
             self.reduced_mass_factor = 1.0 / (1.0 + k.ELECTRON_MASS_U / mass)
+            if self.reduced_mass_factor == 0.0:
+                val, lineno = kv["mass_amu"]
+                raise SpeciesDataError(
+                    f"{path}:{lineno}: mass_amu = {val} gives a reduced-mass factor of 0"
+                )
         self.ionization_limit_au = kvw.float_("ionization_limit_hartree")
         if self.ionization_limit_au <= 0:
             raise SpeciesDataError(f"{path}: ionization_limit_hartree must be > 0")
+        if not math.isfinite(self.ionization_limit_au * k.HARTREE_HZ):
+            val, lineno = kv["ionization_limit_hartree"]
+            raise SpeciesDataError(
+                f"{path}:{lineno}: ionization_limit_hartree = {val} overflows in Hz"
+            )
         self.rydberg_n_max = kvw.int_("rydberg_n_max")
 
         self._series: dict[str, SeriesDefect] = {}
@@ -367,10 +383,18 @@ class Species:
                     f"{path}:{lineno}: {pre}.mu0 = {val} equals n = {sd.mu0:.0f} "
                     "of its series, where mu(n) divides by n - mu0 = 0"
                 )
+            try:
+                st_low = sd.n_min - sd.mu(sd.n_min)
+            except OverflowError:  # a power of n - mu0 overflows
+                st_low = math.nan
+            if not math.isfinite(st_low):
+                val, lineno = kv[f"{pre}.mu0"]
+                raise SpeciesDataError(
+                    f"{path}:{lineno}: {pre}: mu({sd.n_min}) overflows (mu0 = {val})"
+                )
             # n* must stay positive everywhere; perturbed low members may dip
             # below L (e.g. Sr 4d), which the radial engine refuses to solve
             # but whose energies remain valid data
-            st_low = sd.n_min - sd.mu(sd.n_min)
             if st_low <= 0.1:
                 raise SpeciesDataError(
                     f"{path}: {pre}: n_eff({sd.n_min}) = {st_low:.3f} is not physical"
@@ -379,10 +403,10 @@ class Species:
         if not self._series:
             raise SpeciesDataError(f"{path}: no defect.<series> entries")
 
-        self._ground = (kvw.str_("ground.series"), kvw.int_("ground.n"))
-        self._metastable = None
+        # the (series, n) of each clock role the file names
+        clock = {"ground": (kvw.str_("ground.series"), kvw.int_("ground.n"))}
         if kvw.has("metastable.series") or kvw.has("metastable.n"):
-            self._metastable = (kvw.str_("metastable.series"), kvw.int_("metastable.n"))
+            clock["metastable"] = (kvw.str_("metastable.series"), kvw.int_("metastable.n"))
 
         self.lowlying: dict[str, dict[tuple[str, int], float]] = {}
         for initial, idx in sorted(lists.get("lowlying", {}).items()):
@@ -440,7 +464,7 @@ class Species:
             if not 0 < self.magic_bracket_nm[0] < self.magic_bracket_nm[1]:
                 raise SpeciesDataError(f"{path}: bad magic bracket")
 
-        for gs_label, gs_n in (self._ground, self._metastable or self._ground):
+        for gs_label, gs_n in clock.values():
             if gs_label not in self._series:
                 raise SpeciesDataError(f"{path}: unknown series {gs_label!r}")
             n_min = self._series[gs_label].n_min
@@ -450,13 +474,11 @@ class Species:
                     f"for {gs_label}"
                 )
 
-        # one object per role, which every call of clock_state returns
-        self._clock_states = {
-            role: self.state(series_n[1], series_n[0])
-            for role, series_n in (
-                ("ground", self._ground), ("metastable", self._metastable)
-            )
-            if series_n is not None
+        # one object per role, which every call of clock_state returns, and
+        # each one's role by its content key (ground wins if both are one)
+        self._clock_states = {role: self.state(n, s) for role, (s, n) in clock.items()}
+        self._roles = {
+            st._key: role for role, st in reversed(self._clock_states.items())
         }
 
         self.line_tables: dict[str, TransitionTable] = {}
@@ -512,8 +534,10 @@ class Species:
 
     def clock_state(self, role: str) -> RydbergState:
         """The "ground" or "metastable" state the species file names, the
-        same object on every call."""
-        state = self._clock_states.get("ground" if role == "ground" else "metastable")
+        same object on every call; another role is a ValueError."""
+        if role not in ("ground", "metastable"):
+            raise ValueError(f"clock role must be 'ground' or 'metastable', got {role!r}")
+        state = self._clock_states.get(role)
         if state is None:
             raise SpeciesDataError(f"{self.name}: no {role} state defined")
         return state
@@ -533,12 +557,9 @@ class Species:
                 )
 
     def state_role(self, state: RydbergState) -> str | None:
-        """'ground' / 'metastable' if the state is one of the two, else None."""
-        if (state.series, state.n) == self._ground:
-            return "ground"
-        if self._metastable is not None and (state.series, state.n) == self._metastable:
-            return "metastable"
-        return None
+        """'ground' / 'metastable' if the state is one of the two, else None
+        (looked up by content key, so a state of another file has none)."""
+        return self._roles.get(state._key)
 
 
 @functools.cache

@@ -276,6 +276,27 @@ def test_integral_route_channels_never_read_the_kernel(sr, monkeypatch):
     assert rydberg_int1.tail_hz != rydberg_int0.tail_hz
 
 
+def test_each_result_is_one_engine_call(sr, monkeypatch):
+    # both routes build their result from one bbr_shift_fsums call, and the
+    # integral route reads its table from that call, not from a second lookup
+    calls = []
+    for name in ("bbr_shift_fsums", "channel_table"):
+        real = getattr(bbr, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(bbr, name, counted)
+    for route in (bbr_shift_sum, bbr_shift_integral):
+        solver = bbr.RadialSolver()
+        for state in (sr.state(12, "3S1"), sr.metastable_state()):
+            for want in (["bbr_shift_fsums", "channel_table"], ["bbr_shift_fsums"]):
+                calls.clear()  # cold, then warm: the engine's own lookup only
+                route(state, 300.0, solver=solver)
+                assert calls == want, (route.__name__, str(state))
+
+
 @pytest.mark.parametrize("n,series", [(5, "3P0"), (5, "1S0"), (30, "3D1"), (12, "3S1")])
 def test_slope_matches_central_difference(sr, n, series):
     # channels, tail nodes and the static core term are differentiated

@@ -335,6 +335,20 @@ def test_mesh_too_coarse_for_three_nodes_is_unsolvable(sr):
         RadialSolver(1000.0).solve(sr.state(20, "3S1"))
 
 
+def test_mesh_too_coarse_per_oscillation_is_unsolvable(sr):
+    # h = 5 solved Sr 20 3S1 on 6 nodes at ~14 rad of Numerov phase per
+    # step; kfun < 8 mu bounds the phase by h sqrt(8 mu), which may not
+    # pass 0.3 rad (20 nodes per oscillation)
+    st = sr.state(20, "3S1")
+    with pytest.raises(
+        RadialUnsolvableError, match=r"h = 5 advances the Numerov phase by up to 14\.1 rad"
+    ):
+        RadialSolver(5.0).solve(st)
+    with pytest.raises(RadialUnsolvableError, match=r"h = 0\.11 .* 0\.311 rad"):
+        RadialSolver(0.11).solve(st)
+    assert RadialSolver(0.1).solve(st).v.size > 3
+
+
 def test_radial_integral_symmetric_and_matches_trapezoid(sr, yb, hydrogen, moment):
     # the stored-mesh dot product against the per-pair trapezoid it replaced
     fresh = RadialSolver()

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from rydtherm import constants as k
 from rydtherm.species import (
@@ -64,6 +66,18 @@ def test_roles(sr, yb):
     assert sr.state_role(sr.state(5, "1S0")) == "ground"
     assert sr.state_role(sr.state(30, "3S1")) is None
     assert (yb.metastable_state().n, yb.metastable_state().series) == (6, "3P0")
+    # the two roles the file names, and no other spelling of them
+    for role in ("lattice", "Ground", "Metastable"):
+        with pytest.raises(ValueError, match=f"clock role must be .*, got '{role}'"):
+            sr.clock_state(role)
+
+
+def test_roles_are_keyed_by_file_content(sr, sr_n_max_60):
+    # an edited copy is another species: its states have no role in sr
+    copy_meta = sr_n_max_60.metastable_state()
+    assert sr_n_max_60.state_role(copy_meta) == "metastable"
+    assert sr.state_role(copy_meta) is None
+    assert sr_n_max_60.state_role(sr.metastable_state()) is None
 
 
 def test_out_of_range_n_raises(sr):
@@ -412,6 +426,31 @@ _BROKEN_SR = {
         r"defect\.3S1\.mu0 = 3\.371", "defect.3S1.mu0 = 6.0",
         r":\d+: defect\.3S1\.mu0 = 6\.0 equals n = 6 of its series",
     ),
+    # numbers that parse but overflow where the engine uses them
+    "mu-overflows-squared": (
+        r"defect\.3S1\.mu0 = 3\.371", "defect.3S1.mu0 = 1e308",
+        r":\d+: defect\.3S1: mu\(6\) overflows \(mu0 = 1e308\)",
+    ),
+    "mu-overflows-to-the-fourth": (
+        r"defect\.3D1\.mu0 = 2\.658", "defect.3D1.mu0 = 1e150",
+        r":\d+: defect\.3D1: mu\(4\) overflows \(mu0 = 1e150\)",
+    ),
+    "line-d-overflows-squared": (
+        r"bbrline\.metastable\.1\.d_au = .*", "bbrline.metastable.1.d_au = 1e308",
+        r":\d+: bbrline\.metastable\.1\.d_au = 1e308 overflows squared",
+    ),
+    "line-omega-overflows-squared": (
+        r"line\.1\.omega_au = .*", "line.1.omega_au = 1e200",
+        r":\d+: line\.1\.omega_au = 1e200 overflows squared",
+    ),
+    "reduced-mass-factor-zero": (
+        r"mass_amu = .*", "mass_amu = 5e-324",
+        r":\d+: mass_amu = 5e-324 gives a reduced-mass factor of 0",
+    ),
+    "ionization-limit-overflows-in-hz": (
+        r"ionization_limit_hartree = .*", "ionization_limit_hartree = 1e308",
+        r":\d+: ionization_limit_hartree = 1e308 overflows in Hz",
+    ),
     "magic-bracket": (
         r"magic\.bracket_nm_high = 2450", "magic.bracket_nm_high = 2200",
         r"bad magic bracket",
@@ -453,3 +492,33 @@ def test_broken_species_file_names_its_fault(tmp_path, case):
     path.write_text(edited)
     with pytest.raises(SpeciesDataError, match=message):
         load_species(str(path)).metastable_state()
+
+
+# Values a mutated key line may take; None deletes the line.
+_MUTANT_VALUES = (
+    "0", "-1", "nan", "inf", "-inf", "1e308", "1e-320", "5e-324", "", "x", "2.5", None,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(data=hst.data())
+def test_one_mutated_key_line_loads_or_names_its_fault(tmp_path_factory, data):
+    # a copy of a bundled file with one key line replaced or deleted either
+    # loads or raises SpeciesDataError: no other exception and (warnings
+    # being errors) no RuntimeWarning from an overflow
+    name = data.draw(hst.sampled_from(["sr", "yb", "hydrogen"]))
+    lines = Path(bundled_species_path(name)).read_text(encoding="utf-8").splitlines()
+    keyed = [i for i, ln in enumerate(lines) if "=" in ln.split("#", 1)[0]]
+    i = data.draw(hst.sampled_from(keyed))
+    value = data.draw(hst.sampled_from(_MUTANT_VALUES))
+    key = lines[i].partition("=")[0].strip()
+    if value is None:
+        del lines[i]
+    else:
+        lines[i] = f"{key} = {value}"
+    path = tmp_path_factory.getbasetemp() / f"mutant_{name}.species"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        load_species(str(path)).metastable_state()
+    except SpeciesDataError:
+        pass

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from rydtherm import bbr, polarizability, thermometry, transitions
-from rydtherm.bbr import bbr_shift_sum, bbr_shift_sums, linewidths
+from rydtherm.bbr import bbr_shift_fsums, bbr_shift_sum, linewidths
 from rydtherm.polarizability import ResonanceGuardError, static_polarizability
 from rydtherm.radial import RadialSolver
 from rydtherm.species import Species
@@ -573,7 +573,7 @@ def test_span_keys_admit_only_integers(sr):
         for span in (1, 2)
     }
     calls = {
-        "bbr_shift_sums": lambda span: bbr_shift_sums(
+        "bbr_shift_fsums": lambda span: bbr_shift_fsums(
             [meta, state], 300.0, span=span, solver=solver
         ),
         "transition_bbr_shift": lambda span: transition_bbr_shift(

@@ -14,6 +14,10 @@ import importlib
 import importlib.util
 import inspect
 import os
+import subprocess
+import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(__file__))
 TRACER_PATH = os.path.join(ROOT, "perfbench", "tracer.py")
@@ -43,6 +47,22 @@ def test_tracer_targets_resolve():
             assert hasattr(obj, part), f"{module_name}.{attr}"
             obj = getattr(obj, part)
         assert callable(obj), f"{module_name}.{attr}"
+
+
+@pytest.mark.parametrize(
+    "demo", sorted(os.path.basename(p) for p in glob.glob(os.path.join(ROOT, "demos", "*.py")))
+)
+def test_demo_runs(tmp_path, demo):
+    # the demos are readers the guards below count, so each must run: a
+    # fresh interpreter, overflow and invalid-value warnings as errors
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", os.path.join(ROOT, "demos", demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def _perfbench_calls():
