@@ -13,17 +13,20 @@ x_j = j*h, so any two states share mesh nodes and matrix elements are
 plain overlap sums:  integral u_a u_b r^p dr = 2h * trapz(v_a v_b x^(2p+2)).
 The trapezoid rule is spectrally accurate here because the integrand's
 derivatives vanish at both ends of the domain.  The inward Numerov
-recurrence is one banded triangular solve (LAPACK ``dtbtrs``), and the
-weights x^k of every overlap sum are slices of one mesh stored on the
-solver.  So are the state-independent terms of kfun, -3/(4 x^2) + 8 mu
-per reduced-mass factor and 4 l(l+1)/x^2 per l: a solve adds them to its
-own 8 mu E x^2 in place, the same IEEE operations as the formula above.
-The stored v is allocated after the solve's temporaries are released, so
-it reuses their heap space (normalised in place instead, it raised a
-cold scan's peak RSS by ~3 MB).  ``dtbtrs`` is taken from scipy's Fortran
-LAPACK extension, loaded by itself: importing the ``scipy.linalg`` package
-around it would double the start-up of ``import rydtherm`` (see
-_load_flapack).
+recurrence is one banded triangular solve (LAPACK ``dtbtrs``) whose rows
+are divided by their pivots first, so the serial back substitution runs
+on a unit diagonal with no division; the weights x^k of every overlap
+sum are slices of one mesh stored on the solver.  So are the
+state-independent terms of kfun, -3/(4 x^2) + 8 mu per reduced-mass
+factor and 4 l(l+1)/x^2 per l: a solve adds them to its own 8 mu E x^2
+in place, the same IEEE operations as the formula above.  The norm is
+one pairwise sum of (v x)^2, less half its end terms, in the buffer kfun
+held.  The stored v is allocated after the solve's temporaries are
+released, so it reuses their heap space (normalised in place instead, it
+raised a cold scan's peak RSS by ~3 MB).  ``dtbtrs`` is taken from
+scipy's Fortran LAPACK extension, loaded by itself: importing the
+``scipy.linalg`` package around it would double the start-up of
+``import rydtherm`` (see _load_flapack).
 
 Lattice orbit averages <j_L(q r)> weight the same overlap sum with the
 spherical Bessel function of the ascending mesh argument z = q x^2,
@@ -126,35 +129,41 @@ class RadialSolution:
 
 
 def _numerov_inward(kf: np.ndarray, h: float) -> np.ndarray:
-    """Solve v'' = -kf v inward, seeded with a tiny value at the outer end.
+    """Solve v'' = -kf v inward, seeded with a tiny value at the outer end;
+    ``kf`` is overwritten with c = 1 + h^2 kf / 12.
 
     The inward recurrence c[j-1] v[j-1] = (12 - 10 c[j]) v[j] - c[j+1] v[j+1],
-    c = 1 + h^2 kf / 12, with v[n-1] = 0 and v[n-2] = 1e-12, is one upper
-    triangular system of bandwidth 2 in v[0..n-2], solved by back
-    substitution in LAPACK.  It differs from a sequential loop over the
-    recurrence only by the rounding of fused multiply-adds.  Raises
+    with v[n-1] = 0 and v[n-2] = 1e-12, is one upper triangular system of
+    bandwidth 2 in v[0..n-2].  Row j is divided by its pivot c[j] up front,
+    in one vectorised pass, so the back substitution in LAPACK (``dtbtrs``
+    with a unit diagonal) has no division on its serial chain.  It differs
+    from a sequential loop over the recurrence only by rounding.  Raises
     RadialUnsolvableError when some pivot c[j] is exactly zero.
     """
     n = kf.shape[0]
-    c = kf * (h * h / 12.0)
+    c = kf
+    c *= h * h / 12.0
     c += 1.0
-    # the band in LAPACK's upper storage, ab[2 + i - j, j] = A[i, j] (the
-    # corner ab[0, :2], ab[1, 0] lies outside the matrix and is never read):
-    # the transpose of a C-order buffer is F-contiguous, so f2py copies nothing
+    if not c[: n - 2].all():
+        j = int(np.flatnonzero(c[: n - 2] == 0.0)[0])
+        raise RadialUnsolvableError(
+            f"Numerov pivot 1 + h^2 kf/12 is zero at mesh index {j}"
+        )
+    # the band in LAPACK's upper storage, ab[2 + i - j, j] = A[i, j], rows
+    # scaled to a unit diagonal that dtbtrs does not read (nor the corner
+    # ab[0, :2], ab[1, 0] outside the matrix): the transpose of a C-order
+    # buffer is F-contiguous, so f2py copies nothing
     ab = np.empty((n - 1, 3)).T
-    ab[0, 2:] = c[2 : n - 1]
-    np.multiply(c[1 : n - 1], 10.0, out=ab[1, 1:])
-    ab[1, 1:] -= 12.0
-    ab[2, :-1] = c[: n - 2]
-    ab[2, -1] = 1.0
+    np.divide(c[2 : n - 1], c[: n - 3], out=ab[0, 2:])
+    row = c[1 : n - 1] * 10.0  # contiguous, then one strided copy
+    row -= 12.0
+    row /= c[: n - 2]
+    ab[1, 1:] = row
+    del row
     v = np.zeros(n)
     v[-2] = 1e-12
     # the right-hand side is v[:-1] itself, overwritten with the solution
-    _, info = lapack.dtbtrs(ab, v[:-1, None], uplo="U", overwrite_b=1)
-    if info > 0:
-        raise RadialUnsolvableError(
-            f"Numerov pivot 1 + h^2 kf/12 is zero at mesh index {info - 1}"
-        )
+    lapack.dtbtrs(ab, v[:-1, None], uplo="U", diag="U", overwrite_b=1)
     return v
 
 
@@ -306,7 +315,11 @@ class RadialSolver:
     # -- wavefunctions -----------------------------------------------------
 
     def solve(self, state: RydbergState) -> RadialSolution:
-        return self.cached(("solution", state._key), lambda: self._solve(state))
+        key = ("solution", state._key)
+        hit = self._cache.get(key)  # a pair reads two solutions: no closure
+        if hit is None:
+            hit = self.cached(key, lambda: self._solve(state))
+        return hit
 
     def _solve(self, state: RydbergState) -> RadialSolution:
         sd = state.defect
@@ -353,36 +366,33 @@ class RadialSolver:
         kf += mu_term[j_in - 1 : j_out]
         kf -= l_term[j_in - 1 : j_out]
         v = _numerov_inward(kf, h)
-        # trapz(v^2 x^2) with unit step, as np.trapezoid sums it
-        y = np.multiply(v, v, out=kf)
-        y *= x2
-        s = y[1:] + y[:-1]
-        s /= 2.0
-        norm_sq = 2.0 * h * float(np.add.reduce(s))
+        # trapz(v^2 x^2) with unit step: one pairwise sum of (v x)^2 in the
+        # freed kf buffer, less half the end terms.  No BLAS call: np.dot
+        # over more than 10,000 elements wakes a second OpenBLAS thread in
+        # an unpinned process for no gain in wall time
+        y = np.multiply(v, mesh.x[j_in : j_out + 1], out=kf)
+        y *= y
+        ends = y.item(0) + y.item(-1)
+        norm_sq = 2.0 * h * (float(np.add.reduce(y)) - 0.5 * ends)
         # the stored v is allocated after the temporaries are released: it
         # then reuses their heap space instead of growing the heap
-        del kf, y, s
+        del kf, y
         v = v / math.sqrt(norm_sq)
         return RadialSolution(j_in=j_in, j_out=j_out, v=v)
 
     # -- matrix elements ---------------------------------------------------
 
-    def _pair_integral(self, a: RydbergState, b: RydbergState, weight) -> float:
-        """2h * trapz(v_a v_b w) over the common nodes j0..j1, with
-        w = weight(mesh, slice(j0, j1 + 1)); symmetric in (a, b) bit for bit."""
+    def radial_integral(self, a: RydbergState, b: RydbergState) -> float:
+        """<a| r |b> over the common mesh (u_a u_b r dr): 2h trapz(v_a v_b x^4)
+        over the common nodes j0..j1, symmetric in (a, b) bit for bit."""
         sa, sb = self.solve(a), self.solve(b)
         j0 = max(sa.j_in, sb.j_in)
         j1 = min(sa.j_out, sb.j_out)
         va = sa.v[j0 - sa.j_in : j1 - sa.j_in + 1]
-        vb = sb.v[j0 - sb.j_in : j1 - sb.j_in + 1]
-        w = weight(self._mesh_through(j1), slice(j0, j1 + 1))
-        f = va * vb
-        ends = f[0] * w[0] + f[-1] * w[-1]
-        return 2.0 * self.h * (float(np.dot(f, w)) - 0.5 * float(ends))
-
-    def radial_integral(self, a: RydbergState, b: RydbergState) -> float:
-        """<a| r |b> over the common mesh (u_a u_b r dr)."""
-        return self._pair_integral(a, b, lambda mesh, nodes: mesh.power(4)[nodes])
+        f = va * sb.v[j0 - sb.j_in : j1 - sb.j_in + 1]
+        w = self._mesh_through(j1).power(4)[j0 : j1 + 1]
+        ends = f.item(0) * w.item(0) + f.item(-1) * w.item(-1)
+        return 2.0 * self.h * (float(np.dot(f, w)) - 0.5 * ends)
 
     def _moments(self, state: RydbergState) -> tuple[float, tuple[float, ...]]:
         """(r_top, m) of the state: r_top is r at j_out, and
@@ -422,13 +432,13 @@ class RadialSolver:
         return self._mesh_average(state, order, q_au)
 
     def _mesh_average(self, state: RydbergState, order: int, q_au: float) -> float:
-        """<j_order(q r)> as one overlap sum weighted by ``_bessel_j``."""
-
-        def weight(mesh: _Mesh, nodes: slice) -> np.ndarray:
-            x2 = mesh.power(2)[nodes]
-            return x2 * _bessel_j(order, q_au * x2)
-
-        return self._pair_integral(state, state, weight)
+        """<j_order(q r)> as one overlap sum, 2h trapz(v^2 x^2 j_order(q x^2))."""
+        sol = self.solve(state)
+        x2 = self._mesh_through(sol.j_out).power(2)[sol.j_in : sol.j_out + 1]
+        f = sol.v * sol.v
+        w = x2 * _bessel_j(order, q_au * x2)
+        ends = f.item(0) * w.item(0) + f.item(-1) * w.item(-1)
+        return 2.0 * self.h * (float(np.dot(f, w)) - 0.5 * ends)
 
     def j0_average(self, state: RydbergState, q_au: float) -> float:
         """<j0(q r)> over the state's radial density."""

@@ -43,7 +43,8 @@ wavefunction: ``final`` names the final state as ``<series>:<n>`` and
 scaling <final|r|n*, l> = D / n*^(3/2) for a Rydberg initial state with
 effective quantum number n*.  Each initial series loads as a map from
 (final series, final n) to D in ``Species.lowlying``; a final must be a
-state of its series, and may be listed once.
+state of its series, and may be listed once, and D must be positive with
+a finite square (a channel's strength is D^2 / n*^3).
 
 Energies: a state (n, series) has effective quantum number
 n* = n - mu(n), mu(n) = mu0 + mu2/(n-mu0)^2 + mu4/(n-mu0)^4, and binding
@@ -432,6 +433,12 @@ class Species:
                     )
                 if dip <= 0:
                     raise SpeciesDataError(f"{path}: {pre}.dipole_n32_au must be > 0")
+                if not math.isfinite(dip * dip):  # a channel's strength is D^2
+                    val, dip_line = kvw.kv[f"{pre}.dipole_n32_au"]
+                    raise SpeciesDataError(
+                        f"{path}:{dip_line}: {pre}.dipole_n32_au = {val} "
+                        "overflows squared"
+                    )
                 # a final no table reaches, or a second dipole of one final,
                 # would load and never be used
                 n_min, n_f = self._series[fs].n_min, int(fn)

@@ -299,7 +299,12 @@ def joint_solve_temperature_field(
             )
         r = (offsets - model) / sigmas
         gram = jac.T @ jac
-        if np.linalg.cond(gram) > 1.0e12:
+        # the condition number of the symmetric 2 x 2 Gram matrix from its
+        # eigenvalues in closed form; lam_min <= 0 is degenerate
+        (a, b), (_, d) = gram.tolist()
+        lam_max = 0.5 * (a + d) + math.hypot(0.5 * (a - d), b)
+        lam_min = (a * d - b * b) / lam_max if lam_max > 0.0 else 0.0
+        if not lam_min > 0.0 or lam_max > 1.0e12 * lam_min:
             raise ThermometryError(
                 "joint solve: degenerate design matrix — the chosen states "
                 "do not separate temperature from field"

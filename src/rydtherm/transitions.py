@@ -150,23 +150,27 @@ def _walk(
     holds, and is the fallback when the final state has no radial
     solution.  A final with neither is skipped and counted.
     """
+    species = state.species
+    make_state = species.state
+    radial_integral = solver.radial_integral
     n_eff = state.n_eff
     e_i = state.energy_au
-    dipoles = state.species.lowlying.get(state.series, {})
+    dipoles = species.lowlying.get(state.series, {})
+    l_i, j_i, s_i = state.L, state.J, state.S
     ids, omega, strength, j_final = [], [], [], []
     skipped = 0
     for label in coupled_series(state):
-        sd = state.species.series_info(label)
-        ang = line_strength_factor(state.L, state.J, state.S, sd.L, sd.J)
+        sd = species.series_info(label)
+        ang = line_strength_factor(l_i, j_i, s_i, sd.L, sd.J)
         if ang == 0.0:
             continue
         for n_f in n_range(sd):
-            final = state.species.state(n_f, label)
+            final = make_state(n_f, label)
             dipole = dipoles.get((label, n_f))
             radial = None if dipole is None else dipole / n_eff**1.5
             if radial is None or n_eff < _PATCH_SCALE_RATIO * final.n_eff:
                 try:
-                    radial = solver.radial_integral(state, final)
+                    radial = radial_integral(state, final)
                 except RadialUnsolvableError:
                     pass  # the patch, if any, stands in
             if radial is None:
@@ -176,7 +180,7 @@ def _walk(
             omega.append(final.energy_au - e_i)
             strength.append(ang * radial * radial)
             j_final.append(sd.J)
-    z2 = np.array(strength) / (3.0 * (2.0 * state.J + 1.0))
+    z2 = np.array(strength) / (3.0 * (2.0 * j_i + 1.0))
     cols = _columns(ids, omega, z2, j_final)
     return TransitionTable(
         span=span,

@@ -247,7 +247,8 @@ def test_numerov_matches_sequential_loop(sr, yb, hydrogen, monkeypatch):
 def _solve_reference(solver, state):
     """(j_in, j_out, v) by the plainest arithmetic of the module
     docstring: kfun as one expression on a fresh mesh, a zero-filled band
-    and a separate right-hand side, and the norm from ``np.trapezoid``.
+    of rows divided by their pivots and a separate right-hand side, and
+    the trapezoid norm as the sum of (v x)^2 less half its end terms.
     ``RadialSolver.solve`` must match it bit for bit."""
     sd = state.defect
     l = sd.L
@@ -264,8 +265,8 @@ def _solve_reference(solver, state):
     h = solver.h
     j_in = max(1, math.ceil(math.sqrt(r_min) / h))
     j_out = math.floor(math.sqrt(r_max) / h)
-    x2 = (h * np.arange(j_out + 1)) ** 2
-    x2 = x2[j_in:]
+    x = (h * np.arange(j_out + 1))[j_in:]
+    x2 = x**2
     kf = (
         -3.0 / (4.0 * x2)
         + 8.0 * mu
@@ -275,17 +276,16 @@ def _solve_reference(solver, state):
     n = kf.shape[0]
     c = 1.0 + (h * h / 12.0) * kf
     ab = np.zeros((3, n - 1), order="F")
-    ab[0, 2:] = c[2 : n - 1]
-    ab[1, 1:] = 10.0 * c[1 : n - 1] - 12.0
-    ab[2, :-1] = c[: n - 2]
-    ab[2, -1] = 1.0
+    ab[0, 2:] = c[2 : n - 1] / c[: n - 3]
+    ab[1, 1:] = (10.0 * c[1 : n - 1] - 12.0) / c[: n - 2]
     b = np.zeros((n - 1, 1))
     b[-1, 0] = 1e-12
-    x, info = radial.lapack.dtbtrs(ab, b, uplo="U")
+    sol, info = radial.lapack.dtbtrs(ab, b, uplo="U", diag="U")
     assert info == 0
     v = np.zeros(n)
-    v[:-1] = x[:, 0]
-    norm_sq = 2.0 * h * float(np.trapezoid(v * v * x2))
+    v[:-1] = sol[:, 0]
+    y = (v * x) ** 2
+    norm_sq = 2.0 * h * (float(np.sum(y)) - 0.5 * (float(y[0]) + float(y[-1])))
     return j_in, j_out, v / math.sqrt(norm_sq)
 
 
@@ -302,8 +302,9 @@ def _every_series_states(sr, yb):
 
 
 def test_solve_is_bitwise_the_reference_arithmetic(sr, yb, hydrogen):
-    # cached potential terms, an in-place band and right-hand side, and the
-    # trapezoid sum written out change no bit of any solution
+    # cached potential terms, a band scaled in place and an in-place
+    # right-hand side, and the norm in the kf buffer change no bit of any
+    # solution
     fresh = RadialSolver()
     states = _oracle_states(sr, yb, hydrogen) + _every_series_states(sr, yb)
     solved = 0

@@ -439,6 +439,16 @@ _BROKEN_SR = {
         r"bbrline\.metastable\.1\.d_au = .*", "bbrline.metastable.1.d_au = 1e308",
         r":\d+: bbrline\.metastable\.1\.d_au = 1e308 overflows squared",
     ),
+    "lowlying-dipole-overflows-squared": (
+        r"lowlying\.3P0\.1\.dipole_n32_au = 8\.9",
+        "lowlying.3P0.1.dipole_n32_au = 1e308",
+        r":\d+: lowlying\.3P0\.1\.dipole_n32_au = 1e308 overflows squared",
+    ),
+    "lowlying-dipole-square-overflows": (
+        r"lowlying\.3P0\.1\.dipole_n32_au = 8\.9",
+        "lowlying.3P0.1.dipole_n32_au = 1e155",
+        r":\d+: lowlying\.3P0\.1\.dipole_n32_au = 1e155 overflows squared",
+    ),
     "line-omega-overflows-squared": (
         r"line\.1\.omega_au = .*", "line.1.omega_au = 1e200",
         r":\d+: line\.1\.omega_au = 1e200 overflows squared",

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -266,6 +267,26 @@ def test_joint_needs_two_distinct_states(sr):
         joint_solve_temperature_field(twins)
 
 
+@pytest.mark.parametrize("scale", [-2.0, 3.0])
+def test_joint_rejects_a_degenerate_design_matrix(sr, monkeypatch, scale):
+    # alpha proportional to each state's BBR slope at the first iterate makes
+    # the two Jacobian columns proportional: the Gram matrix has rank 1
+    # (scale -2 exactly, 3 up to rounding)
+    meas = [_measure(sr, 25, 300.0), _measure(sr, 30, 300.0)]
+    t0 = min(
+        max(thermometry.DEFAULT_SEED_K, thermometry.TEMPERATURE_RANGE_K[0] + 1.0),
+        thermometry.TEMPERATURE_RANGE_K[1] - 1.0,
+    )
+    slope = {m.state: _sensitivity(sr, m.state, t0) for m in meas}
+
+    def alpha_like_slope(state, span=None, solver=None):
+        return types.SimpleNamespace(value_hz_m2_v2=scale * slope[state])
+
+    monkeypatch.setattr(thermometry, "static_polarizability", alpha_like_slope)
+    with pytest.raises(ThermometryError, match="degenerate design matrix"):
+        joint_solve_temperature_field(meas)
+
+
 def test_joint_rejects_mixed_species(sr, yb):
     meas = [
         _measure(sr, 30, 300.0),
@@ -318,15 +339,15 @@ def test_transition_shift_is_the_difference_of_its_state_shifts(request, sp_name
 
 def test_joint_solve_of_the_golden_input_is_unchanged(sr):
     # the measurements of tests/golden/meas_sr.csv; the values are those of
-    # the solve with one kernel call per evaluation and the 560 x 7 kernel
-    # table, to the bit
+    # the solve with one kernel call per evaluation, the 560 x 7 kernel
+    # table and the unit-diagonal Numerov band, to the bit
     meas = [
         ThermometryMeasurement(sr.state(25, "3D1"), 3442.58218, 0.16),
         ThermometryMeasurement(sr.state(30, "3D1"), 7376.01495, 0.16),
     ]
     sol = joint_solve_temperature_field(meas)
-    assert sol.temperature_k == float.fromhex("0x1.2c00000598b42p+8")  # 300.0000003335773
-    assert sol.field_v_per_m == float.fromhex("0x1.4000000069f21p+2")  # 5.000000000385428
+    assert sol.temperature_k == float.fromhex("0x1.2c0000059819dp+8")  # 300.00000033343696
+    assert sol.field_v_per_m == float.fromhex("0x1.4000000069a9bp+2")  # 5.000000000384399
     assert sol.iterations == 2
 
 

@@ -11,6 +11,7 @@ from rydtherm import load_species
 from rydtherm.bbr import natural_linewidth
 from rydtherm.species import bundled_species_path
 from rydtherm.transitions import (
+    _PATCH_SCALE_RATIO,
     build_transition_table,
     channel_table,
     downward_channels,
@@ -97,6 +98,43 @@ def test_tables_bitwise_equal_in_either_solve_order(sr, yb):
         assert a.channel_ids == b.channel_ids
         assert a.z2.tobytes() == b.z2.tobytes()
         assert a.omega_au.tobytes() == b.omega_au.tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, n, series", [("sr", 30, "3D1"), ("sr", 12, "3S1"), ("yb", 25, "3P0")]
+)
+def test_table_z2_is_the_public_pair_call(name, n, series):
+    # the table walk computes each channel from solver.radial_integral, or
+    # from a species-file patch D / n*^(3/2) where that applies; every row's
+    # z2 is the one-pair result to the bit, and each integral is symmetric
+    from rydtherm.radial import RadialSolver, RadialUnsolvableError
+    from rydtherm.wigner import line_strength_factor
+
+    species = load_species(name)
+    state = species.state(n, series)
+    solver = RadialSolver()
+    table = build_transition_table(state, solver=solver)
+    dipoles = species.lowlying.get(series, {})
+    direct = 0
+    for cid, z2 in zip(table.channel_ids, table.z2.tolist()):
+        label, n_f = cid.split(":")
+        final = species.state(int(n_f), label)
+        sd = final.defect
+        ang = line_strength_factor(state.L, state.J, state.S, sd.L, sd.J)
+        dipole = dipoles.get((label, final.n))
+        try:
+            radial = solver.radial_integral(state, final)
+        except RadialUnsolvableError:
+            radial = None
+        if dipole is not None and (
+            radial is None or state.n_eff >= _PATCH_SCALE_RATIO * final.n_eff
+        ):
+            radial = dipole / state.n_eff**1.5
+        else:
+            assert radial == solver.radial_integral(final, state), cid
+            direct += 1
+        assert z2 == ang * radial * radial / (3.0 * (2.0 * state.J + 1.0)), cid
+    assert direct >= 100
 
 
 @pytest.mark.parametrize("span", [2.5, 2.0, True, "3", 0, -1])
