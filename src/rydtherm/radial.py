@@ -159,7 +159,6 @@ def _numerov_inward(kf: np.ndarray, h: float) -> np.ndarray:
     row -= 12.0
     row /= c[: n - 2]
     ab[1, 1:] = row
-    del row
     v = np.zeros(n)
     v[-2] = 1e-12
     # the right-hand side is v[:-1] itself, overwritten with the solution
@@ -367,9 +366,9 @@ class RadialSolver:
         kf -= l_term[j_in - 1 : j_out]
         v = _numerov_inward(kf, h)
         # trapz(v^2 x^2) with unit step: one pairwise sum of (v x)^2 in the
-        # freed kf buffer, less half the end terms.  No BLAS call: np.dot
-        # over more than 10,000 elements wakes a second OpenBLAS thread in
-        # an unpinned process for no gain in wall time
+        # freed kf buffer, less half the end terms.  No BLAS call: in a
+        # process that does not pin BLAS, np.dot over more than 10,000
+        # elements starts a second OpenBLAS thread
         y = np.multiply(v, mesh.x[j_in : j_out + 1], out=kf)
         y *= y
         ends = y.item(0) + y.item(-1)
