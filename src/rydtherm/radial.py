@@ -87,12 +87,13 @@ def _load_flapack():
     of it LAPACK).
 
     The extension is loaded by the ``module_from_spec``/``exec_module``
-    recipe and registered under its own name first, so a later
-    ``import scipy.linalg`` reuses this module and ``scipy.linalg.lapack``
-    re-exports the same ``dtbtrs`` (the package then has no ``_flapack``
-    attribute; scipy reads it only by ``from`` imports).  Where scipy's
-    files do not hold the extension (an editable install keeps it in a
-    build directory) the ordinary import gives the same module.
+    recipe.  It registers itself in ``sys.modules`` as it loads, and that
+    entry is removed again: a later ``import scipy.linalg`` then loads its
+    own module object of the extension, whose functions are the same
+    objects as this module's (one ``dtbtrs``), and sets the package's
+    ``_flapack`` attribute, which a ``sys.modules`` hit would leave unset.
+    Where scipy's files do not hold the extension (an editable install
+    keeps it in a build directory) the ordinary import gives the module.
     """
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
@@ -106,8 +107,8 @@ def _load_flapack():
 
         return _flapack
     module = module_from_spec(spec)
-    sys.modules[name] = module
     spec.loader.exec_module(module)
+    del sys.modules[name]
     return module
 
 
@@ -270,7 +271,8 @@ class RadialSolver:
     transition tables and downward channels, and the parts of the
     thermometry models that do not depend on T (the joined channel
     columns of ``bbr_shift_fsums``, the shift and slope at the top of
-    ``invert_temperature``'s range, ``static_polarizability`` results).
+    ``invert_temperature``'s range with its inverse proxy of the shift,
+    ``static_polarizability`` results).
     Keys hold the states' content keys, and any span in them is one that
     ``transitions.check_span`` admitted; a build that raises stores
     nothing.

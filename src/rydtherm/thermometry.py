@@ -12,7 +12,10 @@ This module turns that into instrumentation:
   states share one kernel call (``bbr_shift_fsums``), as do all states of
   one joint-solve iterate;
 * ``invert_temperature`` — bracket-safeguarded Newton solve of
-  shift(T) = offset;
+  shift(T) = offset, seeded from a per-state inverse proxy: T as a
+  Chebyshev series in sqrt(shift), fitted once per solver, state and span
+  to the model on [40, 1000] K, within 1e-3 K above 100 K, so that an
+  inversion takes one Newton step;
 * ``joint_solve_temperature_field`` — weighted least squares over
   (T, E^2) using two or more transitions with distinct static
   polarizabilities, separating temperature from a stray DC field;
@@ -41,6 +44,8 @@ TOL_K = 1.0e-7  # temperature step at which both solvers stop
 RESIDUAL_TOL = 1.0e-6  # inversion also stops at |residual| <= this * sigma
 INVERT_MAX_ITER = 60
 JOINT_MAX_ITER = 50
+PROXY_LOW_K = 40.0  # the inverse proxy is fitted on [PROXY_LOW_K, 1000] K
+PROXY_NODES = 28  # Chebyshev-Lobatto nodes in T, both ends included
 LINE_SPLIT = 1.0  # kappa: one cycle resolves linewidth / (kappa * SNR)
 
 
@@ -137,6 +142,39 @@ def _transition_shifts(
     return [(shifts[i][0] - lo_shift, shifts[i][1] - lo_slope) for i in uppers]
 
 
+def _inverse_proxy(model) -> tuple:
+    """The shift and slope at the top of the range, and the inverse proxy:
+    T as a Chebyshev series in u = sqrt(shift), interpolating ``model`` at
+    PROXY_NODES Chebyshev-Lobatto nodes in T on [PROXY_LOW_K, 1000] K, of
+    which 1000 K is one.  The proxy is (shift at PROXY_LOW_K, u_lo + u_hi,
+    u_hi - u_lo, coefficients), or None unless the sampled shifts are
+    positive and strictly increasing."""
+    t_hi = TEMPERATURE_RANGE_K[1]
+    mid, half = 0.5 * (t_hi + PROXY_LOW_K), 0.5 * (t_hi - PROXY_LOW_K)
+    temps = mid - half * np.cos(np.linspace(0.0, math.pi, PROXY_NODES))
+    samples = [model(t) for t in temps.tolist()]
+    shifts = np.array([shift for shift, _ in samples])
+    if not (shifts[0] > 0.0 and (np.diff(shifts) > 0.0).all()):
+        return samples[-1], None
+    u = np.sqrt(shifts)
+    u_sum, u_span = u[0] + u[-1], u[-1] - u[0]
+    coefs = np.polynomial.chebyshev.chebfit(
+        (2.0 * u - u_sum) / u_span, temps, PROXY_NODES - 1
+    )
+    return samples[-1], (samples[0][0], float(u_sum), float(u_span), coefs.tolist())
+
+
+def _proxy_temperature(proxy: tuple, offset_hz: float) -> float:
+    """The inverse proxy's T at a shift in [shift(PROXY_LOW_K), shift(1000 K)],
+    summed by Clenshaw's recurrence in Python floats."""
+    _, u_sum, u_span, coefs = proxy
+    x = (2.0 * math.sqrt(offset_hz) - u_sum) / u_span
+    x2, b1, b2 = 2.0 * x, 0.0, 0.0
+    for c in coefs[:0:-1]:
+        b1, b2 = c + x2 * b1 - b2, b1
+    return coefs[0] + x * b1 - b2
+
+
 def invert_temperature(
     measurement: ThermometryMeasurement,
     seed_k: float = DEFAULT_SEED_K,
@@ -145,14 +183,18 @@ def invert_temperature(
 ) -> ThermometrySolution:
     """Solve shift(T) = measured offset for T, assuming zero stray field.
 
-    Newton from ``seed_k`` with the analytic slope, taken on the square
-    root of the shift while the shift is positive, and safeguarded by a
-    bracket kept from all previous evaluations: a step that leaves the
-    bracket is replaced by bisection.  Stops when a step is at most
-    ``TOL_K`` or the residual is at most ``RESIDUAL_TOL`` times the
-    measurement uncertainty.  The shift and slope at the top of the range,
-    which bound the invertible offsets, are computed once per solver,
-    state and ``span``.
+    Newton with the analytic slope, taken on the square root of the shift
+    while the shift is positive, and safeguarded by a bracket kept from
+    all previous evaluations: a step that leaves the bracket is replaced
+    by bisection.  Stops when a step is at most ``TOL_K`` or the residual
+    is at most ``RESIDUAL_TOL`` times the measurement uncertainty.  Once
+    per solver, state and ``span`` the model is evaluated at the
+    PROXY_NODES Chebyshev-Lobatto nodes on [PROXY_LOW_K, 1000] K: the top
+    node bounds the invertible offsets, and all of them fit the inverse
+    proxy, T as a Chebyshev series in sqrt(shift).  Newton starts at the
+    proxy's T for an offset in [shift(PROXY_LOW_K), shift(1000 K)], and
+    at ``seed_k`` for an offset below that, or for every offset when the
+    sampled shifts are not positive and strictly increasing (no proxy).
     """
     span = check_span(span)
     solver = solver or default_solver()
@@ -174,8 +216,8 @@ def invert_temperature(
     lo, hi = t_lo, t_hi
     # the lower state is the species' metastable state, which the sha256
     # in the upper state's key identifies
-    shift_hi, slope_hi = solver.cached(
-        ("invert_top", measurement.state._key, span), lambda: model(t_hi)
+    (shift_hi, slope_hi), proxy = solver.cached(
+        ("inversion", measurement.state._key, span), lambda: _inverse_proxy(model)
     )
     f_lo, f_hi = -target, shift_hi - target  # shift(0) = 0
     if f_lo > 0.0 or f_hi < 0.0:
@@ -188,6 +230,8 @@ def invert_temperature(
     if abs(f_hi) <= f_tol:  # the offset of the top of the range itself
         t, shift, slope = t_hi, shift_hi, slope_hi
     else:
+        if proxy is not None and target >= proxy[0]:
+            seed_k = _proxy_temperature(proxy, target)
         t = min(max(seed_k, t_lo), t_hi)
         shift, slope = model(t)
     iterations = 0

@@ -383,17 +383,20 @@ def test_numerov_zero_pivot_raises():
 )
 def test_dtbtrs_is_scipys_in_either_import_order(first, then):
     # the radial solver loads LAPACK's extension alone; importing scipy.linalg
-    # before or after it leaves one module object, shared by both
+    # before or after it gives one dtbtrs, and the package its _flapack
+    # attribute (the radial solver's module, or the package's own object of
+    # the same extension when the solver loaded first)
     code = (
-        "import gc, importlib, sys, types\n"
+        "import importlib, sys\n"
         f"importlib.import_module({first!r})\n"
         f"importlib.import_module({then!r})\n"
         "import scipy.linalg.lapack\n"
         "from rydtherm import radial\n"
         "name = 'scipy.linalg._flapack'\n"
-        "mods = [m for m in gc.get_objects()\n"
-        "        if isinstance(m, types.ModuleType) and m.__name__ == name]\n"
-        "assert mods == [radial.lapack] and sys.modules[name] is radial.lapack\n"
+        "module = scipy.linalg._flapack\n"
+        "assert sys.modules[name] is module and module.__name__ == name\n"
+        f"assert (module is radial.lapack) is {first == 'scipy.linalg'}\n"
+        "assert module.dtbtrs is radial.lapack.dtbtrs\n"
         "assert radial.lapack.dtbtrs is scipy.linalg.lapack.dtbtrs\n"
         "print('ok')\n"
     )

@@ -189,9 +189,85 @@ def test_invert_near_top_of_range(request, species, n, series, true_t):
 
 @pytest.mark.parametrize("true_t", [50.0, 150.0, 300.0, 450.0, 900.0, 985.0])
 def test_invert_iterations_from_default_seed(sr, true_t):
+    # every offset of these is in the inverse proxy's range: one step
     sol = invert_temperature(_measure(sr, 30, true_t))
-    assert sol.iterations <= 7
+    assert sol.iterations == 1
     assert abs(sol.temperature_k - true_t) < 1e-3
+
+
+def _inversion_entry(solver, state, span=transitions.DEFAULT_SPAN):
+    """The inversion's cached ((shift, slope) at 1000 K, inverse proxy)."""
+    return solver._cache[("inversion", state._key, span)]
+
+
+@pytest.mark.parametrize(
+    "sp_name, n, series",
+    [
+        ("sr", 25, "3D1"), ("sr", 30, "3D1"), ("sr", 25, "3S1"), ("sr", 30, "3S1"),
+        ("sr", 40, "3D1"), ("sr", 50, "3P1"), ("yb", 25, "3P0"), ("yb", 30, "3P0"),
+    ],
+)
+def test_inverse_proxy_seeds_within_a_millikelvin(request, sp_name, n, series):
+    sp = request.getfixturevalue(sp_name)
+    state = sp.state(n, series)
+    solver = RadialSolver()
+    top = transition_bbr_shift(sp, state, 1000.0, solver=solver)
+    invert_temperature(ThermometryMeasurement(state, top, 0.16), solver=solver)
+    _, proxy = _inversion_entry(solver, state)
+    assert proxy[0] == transition_bbr_shift(sp, state, 40.0, solver=solver)
+    for t in np.linspace(100.0, 1000.0, 91).tolist():
+        offset = transition_bbr_shift(sp, state, t, solver=solver)
+        assert abs(thermometry._proxy_temperature(proxy, offset) - t) <= 1e-3, t
+
+
+def _below_100_k(model):
+    return lambda sp, st, t, **kw: tuple(
+        a - b for a, b in zip(model(sp, st, t, **kw), model(sp, st, 100.0, **kw))
+    )
+
+
+def _flat_above_500_k(model):
+    return lambda sp, st, t, **kw: (
+        model(sp, st, t, **kw) if t < 500.0 else (model(sp, st, 500.0, **kw)[0], 0.0)
+    )
+
+
+@pytest.mark.parametrize("patch", [_below_100_k, _flat_above_500_k])
+def test_no_proxy_unless_the_sampled_shifts_rise(sr, monkeypatch, patch):
+    # a model negative at 40 K, or flat above 500 K, gets no proxy: the
+    # inversion starts from its seed and still converges on the model
+    model = patch(transition_bbr_shift)
+    state = sr.state(30, "3D1")
+    target = model(sr, state, 321.0, derivative=True)[0]
+    monkeypatch.setattr(thermometry, "transition_bbr_shift", model)
+    solver = RadialSolver()
+    sol = invert_temperature(ThermometryMeasurement(state, target, 0.16), solver=solver)
+    assert _inversion_entry(solver, state)[1] is None
+    assert abs(sol.temperature_k - 321.0) < 1e-6
+    assert sol.iterations > 1
+
+
+def test_species_copy_gets_its_own_proxy(sr):
+    # a copy whose 3D1 mu0 differs in the last digit shares no proxy with
+    # the bundled file: its inversion on a shared solver is a fresh one's
+    from rydtherm.species import bundled_species_path
+
+    with open(bundled_species_path("sr"), "rb") as fh:
+        content = fh.read()
+    assert content.count(b"defect.3D1.mu0 = 2.658\n") == 1
+    copy = Species(
+        "copy.species",
+        content.replace(b"defect.3D1.mu0 = 2.658\n", b"defect.3D1.mu0 = 2.659\n"),
+    )
+    state, copy_state = sr.state(30, "3D1"), copy.state(30, "3D1")
+    offset = transition_bbr_shift(sr, state, 300.0)
+    shared = RadialSolver()
+    invert_temperature(ThermometryMeasurement(state, offset, 0.16), solver=shared)
+    m = ThermometryMeasurement(copy_state, offset, 0.16)
+    sol = invert_temperature(m, solver=shared)
+    assert sol == invert_temperature(m, solver=RadialSolver())
+    assert _inversion_entry(shared, copy_state) != _inversion_entry(shared, state)
+    assert abs(sol.temperature_k - 300.0) > 1e-3
 
 
 def test_invert_out_of_range_offset(sr):
@@ -423,11 +499,16 @@ def test_repeated_solves_rebuild_nothing(sr, layer_calls):
     solver = RadialSolver()
     m = _measure(sr, 30, 300.0)
     first = _calls_of(layer_calls, lambda: invert_temperature(m, solver=solver))
-    again = _calls_of(layer_calls, lambda: invert_temperature(m, solver=solver))
+    sols = []
+    again = _calls_of(
+        layer_calls, lambda: sols.append(invert_temperature(m, solver=solver))
+    )
     assert first["truncation_tail_shift"] > 0 and first["build_transition_table"] > 0
-    # the shift at the top of the range is kept: one model evaluation fewer
+    # the first solve also evaluates the inverse proxy's nodes, 1000 K among
+    # them; a warm one evaluates only its seed and one point per step
+    assert first["farley_wing_fast"] == thermometry.PROXY_NODES + sols[0].iterations + 1
     assert again == {
-        "farley_wing_fast": first["farley_wing_fast"] - 1,
+        "farley_wing_fast": sols[0].iterations + 1,
         "truncation_tail_shift": 0,
         "build_transition_table": 0,
         "ac_polarizability": 0,
