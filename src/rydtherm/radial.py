@@ -108,7 +108,7 @@ def _load_flapack():
         return _flapack
     module = module_from_spec(spec)
     spec.loader.exec_module(module)
-    del sys.modules[name]
+    sys.modules.pop(name, None)
     return module
 
 
