@@ -195,9 +195,9 @@ def test_invert_iterations_from_default_seed(sr, true_t):
     assert abs(sol.temperature_k - true_t) < 1e-3
 
 
-def _inversion_entry(solver, state, span=transitions.DEFAULT_SPAN):
+def _inversion_entry(solver, state):
     """The inversion's cached ((shift, slope) at 1000 K, inverse proxy)."""
-    return solver._cache[("inversion", state._key, span)]
+    return solver._cache[("inversion", state._key, transitions.DEFAULT_SPAN)]
 
 
 @pytest.mark.parametrize(
