@@ -189,9 +189,10 @@ def test_invert_near_top_of_range(request, species, n, series, true_t):
 
 @pytest.mark.parametrize("true_t", [50.0, 150.0, 300.0, 450.0, 900.0, 985.0])
 def test_invert_iterations_from_default_seed(sr, true_t):
-    # every offset of these is in the inverse proxy's range: one step
+    # every offset of these is in the inverse proxy's range, whose seed
+    # meets the stopping rule: no Newton step
     sol = invert_temperature(_measure(sr, 30, true_t))
-    assert sol.iterations == 1
+    assert sol.iterations == 0
     assert abs(sol.temperature_k - true_t) < 1e-3
 
 
@@ -208,6 +209,8 @@ def _inversion_entry(solver, state):
     ],
 )
 def test_inverse_proxy_seeds_within_a_millikelvin(request, sp_name, n, series):
+    # far within: the model at the seed meets the stopping rule at
+    # sigma = 0.1 Hz, |shift - offset| <= 1e-7 Hz, everywhere on [40, 1000] K
     sp = request.getfixturevalue(sp_name)
     state = sp.state(n, series)
     solver = RadialSolver()
@@ -215,9 +218,67 @@ def test_inverse_proxy_seeds_within_a_millikelvin(request, sp_name, n, series):
     invert_temperature(ThermometryMeasurement(state, top, 0.16), solver=solver)
     _, proxy = _inversion_entry(solver, state)
     assert proxy[0] == transition_bbr_shift(sp, state, 40.0, solver=solver)
-    for t in np.linspace(100.0, 1000.0, 91).tolist():
+    for t in np.linspace(40.0, 1000.0, 193).tolist():
         offset = transition_bbr_shift(sp, state, t, solver=solver)
-        assert abs(thermometry._proxy_temperature(proxy, offset) - t) <= 1e-3, t
+        # clamped into the range, as the inversion does
+        seed = min(thermometry._proxy_temperature(proxy, offset), 1000.0)
+        assert abs(seed - t) <= 1e-3, t
+        residual = transition_bbr_shift(sp, state, seed, solver=solver) - offset
+        assert abs(residual) <= thermometry.RESIDUAL_TOL * 0.1, t
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sp_name", ["sr", "yb"])
+def test_inverse_proxy_builds_warn_of_nothing(request, sp_name):
+    # chebfit warns (RankWarning) when its fit is ill-conditioned, and the
+    # CLI promises no warning: none at the proxy's node count for any
+    # series at the low and high ends of the proxied n
+    sp = request.getfixturevalue(sp_name)
+    solver = RadialSolver()
+    built = 0
+    for series in sp.series_labels():
+        for n in (20, 60):
+            state = sp.state(n, series)
+            _, proxy = thermometry._inverse_proxy(
+                lambda t: transition_bbr_shift(
+                    sp, state, t, solver=solver, derivative=True
+                )
+            )
+            built += proxy is not None
+    assert built > len(sp.series_labels())
+
+
+def test_seed_that_misses_the_rule_takes_a_step(yb):
+    # at n < 25 and near 40 K the proxy is not within the rule: Yb 15 1S0
+    # at 45 K seeds ~4e-6 Hz off, and Newton steps on the exact model
+    state = yb.state(15, "1S0")
+    solver = RadialSolver()
+    m = ThermometryMeasurement(
+        state, transition_bbr_shift(yb, state, 45.0, solver=solver), 0.1
+    )
+    sol = invert_temperature(m, solver=solver)
+    proxy = _inversion_entry(solver, state)[1]
+    seed = thermometry._proxy_temperature(proxy, m.offset_hz)
+    miss = transition_bbr_shift(yb, state, seed, solver=solver) - m.offset_hz
+    assert abs(miss) > thermometry.RESIDUAL_TOL * m.sigma_hz
+    assert sol.iterations >= 1
+    assert abs(sol.residuals_hz[0]) <= thermometry.RESIDUAL_TOL * m.sigma_hz
+    assert abs(sol.temperature_k - 45.0) < 1e-6
+
+
+def test_state_negative_at_40_k_inverts_from_its_seed(sr):
+    # Sr 20 3D1's shift is below zero at 40 K, so it gets no proxy and
+    # every inversion starts from seed_k (300 K; 321 K is not the seed)
+    state = sr.state(20, "3D1")
+    solver = RadialSolver()
+    assert transition_bbr_shift(sr, state, 40.0, solver=solver) < 0.0
+    m = ThermometryMeasurement(
+        state, transition_bbr_shift(sr, state, 321.0, solver=solver), 0.16
+    )
+    sol = invert_temperature(m, solver=solver)
+    assert _inversion_entry(solver, state)[1] is None
+    assert abs(sol.temperature_k - 321.0) < 1e-6
+    assert sol.iterations >= 1
 
 
 def _below_100_k(model):
@@ -558,9 +619,13 @@ def test_warm_solves_build_no_state(sr, yb, monkeypatch):
     assert made == []
 
 
-@pytest.mark.parametrize("offset_at_k", [297.3, 50.0, 977.3, 1000.0])
+@pytest.mark.parametrize(
+    "offset_at_k, sigma_hz",
+    [(297.3, 0.16), (50.0, 0.16), (977.3, 0.16), (1000.0, 0.16), (297.3, 1e-9)],
+    ids=["297.3", "50.0", "977.3", "1000.0", "297.3-sigma-1e-09"],
+)
 def test_every_inversion_model_evaluation_is_a_traced_call(
-    sr, kernel_calls, monkeypatch, offset_at_k
+    sr, kernel_calls, monkeypatch, offset_at_k, sigma_hz
 ):
     # perfbench's thermometry.model layer wraps the module-global
     # transition_bbr_shift: every model evaluation of a warm inversion
@@ -568,7 +633,7 @@ def test_every_inversion_model_evaluation_is_a_traced_call(
     solver = RadialSolver()
     state = sr.state(30, "3D1")
     m = ThermometryMeasurement(
-        state, transition_bbr_shift(sr, state, offset_at_k, solver=solver), 0.16
+        state, transition_bbr_shift(sr, state, offset_at_k, solver=solver), sigma_hz
     )
     invert_temperature(m, solver=solver)
     calls = []
@@ -582,9 +647,17 @@ def test_every_inversion_model_evaluation_is_a_traced_call(
     kernel_before = kernel_calls()
     sol = invert_temperature(m, solver=solver)
     # the seed's evaluation and one per step; none when the offset is the
-    # top of the range, whose shift is kept
-    expect = 0 if offset_at_k == 1000.0 else sol.iterations + 1
-    assert sol.iterations > 0 or offset_at_k == 1000.0
+    # top of the range, whose shift is kept.  At 0.16 Hz the proxy's seed
+    # meets the residual rule; no seed meets a 1e-15 Hz rule, so Newton
+    # steps, and every step's evaluation is traced too
+    if offset_at_k == 1000.0:
+        expect = 0
+    elif sigma_hz == 0.16:
+        expect = 1
+        assert sol.iterations == 0
+    else:
+        expect = sol.iterations + 1
+        assert sol.iterations > 0
     assert len(calls) == expect
     assert kernel_calls() - kernel_before == expect
     assert sol.temperature_k in calls or expect == 0

@@ -12,8 +12,9 @@ drift spreads over all of them), then once per workload with ``--seed 1
 * per workload, the seed-1 per-layer values of the traced run;
 * end to end, the fresh-process wall time (min of 3, with the runs and
   exit codes) of ``import rydtherm`` and of every command in README's
-  command-line block, and the wall time and summary line of one tier-1
-  run (``python -m pytest -q``).
+  command-line block, the three runs taken round-robin over the
+  commands, and the wall time and summary line of one tier-1 run
+  (``python -m pytest -q``).
 
     python3 tools/bench_record.py 11            # writes BENCH_11.json
 
@@ -88,22 +89,22 @@ def _cli_wall_times():
     cases = {"import rydtherm": ["-c", "import rydtherm"]}
     for argv in readme_commands():
         cases[" ".join(argv)] = ["-c", run_cli, *argv]
-    out = {}
+    out = {name: {"runs_s": [], "exit_codes": []} for name in cases}
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copy(MEASUREMENTS, os.path.join(tmp, "meas.csv"))
-        for name, args in cases.items():
-            print(f"wall time: {name}", file=sys.stderr)
-            runs, codes = [], []
-            for _ in range(CLI_REPEATS):
+        # round-robin over the commands, so that a noisy stretch of the
+        # host costs one run of several commands, not every run of one
+        for repeat in range(CLI_REPEATS):
+            for name, args in cases.items():
+                print(f"wall time {repeat + 1}/{CLI_REPEATS}: {name}", file=sys.stderr)
                 t0 = time.perf_counter()
                 proc = subprocess.run(
                     [sys.executable, *args], cwd=tmp, env=env,
                     stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                 )
-                runs.append(time.perf_counter() - t0)
-                codes.append(proc.returncode)
-            out[name] = {"min_s": min(runs), "runs_s": runs, "exit_codes": codes}
-    return out
+                out[name]["runs_s"].append(time.perf_counter() - t0)
+                out[name]["exit_codes"].append(proc.returncode)
+    return {name: {"min_s": min(t["runs_s"]), **t} for name, t in out.items()}
 
 
 def _tier1():
