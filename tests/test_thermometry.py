@@ -230,9 +230,9 @@ def test_inverse_proxy_seeds_within_a_millikelvin(request, sp_name, n, series):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("sp_name", ["sr", "yb"])
 def test_inverse_proxy_builds_warn_of_nothing(request, sp_name):
-    # chebfit warns (RankWarning) when its fit is ill-conditioned, and the
-    # CLI promises no warning: none at the proxy's node count for any
-    # series at the low and high ends of the proxied n
+    # chebfit warns (RankWarning) when its fit is ill-conditioned, and a
+    # warning would reach the stderr of every `rydtherm thermo invert`:
+    # none at the proxy's node count, for any series at n = 20 and 60
     sp = request.getfixturevalue(sp_name)
     solver = RadialSolver()
     built = 0
