@@ -68,7 +68,6 @@ from .polarizability import (
 from .radial import RadialUnsolvableError
 from .species import RydbergState, Species, SpeciesDataError, load_species
 from .thermometry import (
-    DEFAULT_SEED_K,
     ThermometryError,
     ThermometryMeasurement,
     error_budget,
@@ -312,12 +311,12 @@ def _thermo_invert_rows(args, species) -> list[list]:
     meas = ThermometryMeasurement(
         _parse_state(species, args.state), args.offset_hz, args.sigma_hz
     )
-    return [_solution_row(invert_temperature(meas, seed_k=args.seed, span=args.span))]
+    return [_solution_row(invert_temperature(meas, span=args.span))]
 
 
 def _thermo_joint_rows(args, species) -> list[list]:
     meas = _read_measurements(species, args.measurements)
-    sol = joint_solve_temperature_field(meas, seed_k=args.seed, span=args.span)
+    sol = joint_solve_temperature_field(meas, span=args.span)
     return [_solution_row(sol)]
 
 
@@ -421,8 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tolerance", type=_tolerance, default=DEFAULT_TAIL_FRACTION,
         help=f"convergence tolerance (BBR tail fraction) [{DEFAULT_TAIL_FRACTION}]",
     )
-    seed = _option("--seed", type=float, default=DEFAULT_SEED_K,
-                   help=f"temperature seed in K [{DEFAULT_SEED_K:g}]")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -470,11 +467,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thermo", help="thermometry solvers")
     tsub = p.add_subparsers(dest="thermo_command", required=True)
-    tp = tsub.add_parser("invert", parents=[species, seed, span])
+    tp = tsub.add_parser("invert", parents=[species, span])
     tp.add_argument("--state", required=True, help="n:series")
     tp.add_argument("--offset-hz", type=float, required=True)
     tp.add_argument("--sigma-hz", type=float, required=True)
-    tp = tsub.add_parser("joint", parents=[species, seed, span])
+    tp = tsub.add_parser("joint", parents=[species, span])
     tp.add_argument("--measurements", required=True,
                     help="CSV with columns state,offset_hz,sigma_hz")
     tp = tsub.add_parser("budget", parents=[species, temperature, span])

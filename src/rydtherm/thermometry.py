@@ -17,6 +17,7 @@ This module turns that into instrumentation:
   to the model on [40, 1000] K, so closely that for the bundled Sr and Yb
   states at n = 25-60 the seed itself meets the stopping rule at sigma >=
   0.1 Hz: an inversion is then one model evaluation and no Newton step;
+  an offset the proxy does not cover starts from the fixed ``SEED_K``;
 * ``joint_solve_temperature_field`` — weighted least squares over
   (T, E^2) using two or more transitions with distinct static
   polarizabilities, separating temperature from a stray DC field;
@@ -40,7 +41,7 @@ from .radial import RadialSolver, default_solver
 from .species import RydbergState, Species
 from .transitions import DEFAULT_SPAN, check_span
 
-DEFAULT_SEED_K = 300.0
+SEED_K = 300.0  # where a solve starts that no inverse proxy seeds
 TOL_K = 1.0e-7  # temperature step at which both solvers stop
 RESIDUAL_TOL = 1.0e-6  # inversion also stops at |residual| <= this * sigma
 INVERT_MAX_ITER = 60
@@ -185,7 +186,6 @@ def _proxy_temperature(proxy: tuple, offset_hz: float) -> float:
 
 def invert_temperature(
     measurement: ThermometryMeasurement,
-    seed_k: float = DEFAULT_SEED_K,
     span: int = DEFAULT_SPAN,
     solver: RadialSolver | None = None,
 ) -> ThermometrySolution:
@@ -201,7 +201,7 @@ def invert_temperature(
     node bounds the invertible offsets, and all of them fit the inverse
     proxy, T as a Chebyshev series in sqrt(shift).  Newton starts at the
     proxy's T for an offset in [shift(PROXY_LOW_K), shift(1000 K)], and
-    at ``seed_k`` for an offset below that, or for every offset when the
+    at ``SEED_K`` for an offset below that, or for every offset when the
     sampled shifts are not positive and strictly increasing (no proxy).
     A seed that already meets the stopping rule, as the proxy's T does
     for the bundled states at n = 25-60 and sigma >= 0.1 Hz, returns after
@@ -241,9 +241,10 @@ def invert_temperature(
     if abs(f_hi) <= f_tol:  # the offset of the top of the range itself
         t, shift, slope = t_hi, shift_hi, slope_hi
     else:
+        t = SEED_K
         if proxy is not None and target >= proxy[0]:
-            seed_k = _proxy_temperature(proxy, target)
-        t = min(max(seed_k, t_lo), t_hi)
+            t = _proxy_temperature(proxy, target)
+        t = min(max(t, t_lo), t_hi)
         shift, slope = model(t)
     iterations = 0
     while abs(shift - target) > f_tol:
@@ -285,7 +286,6 @@ def invert_temperature(
 
 def joint_solve_temperature_field(
     measurements: list[ThermometryMeasurement],
-    seed_k: float = DEFAULT_SEED_K,
     span: int = DEFAULT_SPAN,
     solver: RadialSolver | None = None,
 ) -> ThermometrySolution:
@@ -296,7 +296,8 @@ def joint_solve_temperature_field(
     state's DC response is negligible on this scale).  E^2 keeps the
     field part of the model linear; where a step would make it negative,
     E^2 is clamped to 0 and flagged, and T takes the step of the fit with
-    E^2 held at 0, so a clamped solve ends at that fit's best T.  Raises
+    E^2 held at 0, so a clamped solve ends at that fit's best T.  The
+    solve starts from T = ``SEED_K`` and E^2 = 0.  Raises
     on fewer than 2 measurements or degenerate design (all states
     identical).
     """
@@ -338,7 +339,7 @@ def joint_solve_temperature_field(
         return np.array(_transition_shifts(states, index, t, span, solver)).T
 
     t_lo, t_hi = TEMPERATURE_RANGE_K
-    t = min(max(seed_k, t_lo + 1.0), t_hi - 1.0)
+    t = SEED_K
     e2 = 0.0
     clamped = False
     done = False  # the final iterate's model and Jacobian are reported

@@ -2,7 +2,8 @@
 the benchmark's calls into the package must bind to its signatures, the
 committed benchmark records must match the benchmark's declaration, and
 every public definition, constant and field in the package must have a
-reader outside the tests.
+reader outside the tests, and every defaulted parameter a caller there that
+sets it.
 
 ``perfbench/run.py --trace 1`` patches these functions by name; a renamed
 or deleted target would otherwise only show as a missing layer count.
@@ -26,6 +27,9 @@ READER_DIRS = ("src", "demos", "perfbench", "tools")
 # fields with no reader yet, kept on purpose: ROADMAP item 2 turns them
 # into evidence columns
 UNREAD_FIELDS = {"skipped_unsolvable", "covariance"}
+# defaulted parameters no caller outside tests sets, kept on purpose: the
+# mesh-convergence tests refine the radial mesh step
+UNSET_OPTIONS = {"radial.py: RadialSolver(h)"}
 
 
 def _load_tracer():
@@ -225,6 +229,59 @@ def _public_fields():
     return fields
 
 
+def _defaulted_parameters():
+    """Each defaulted parameter of the public functions and methods of
+    ``src/rydtherm/*.py`` (a class's ``__init__`` is called by the class's
+    name), as "module: function(parameter)" -> (function, parameter,
+    position in a call, or None for a keyword-only one)."""
+    functions = []
+    for path, tree in _trees([os.path.join("src", "rydtherm")]):
+        module = os.path.basename(path)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                functions.append((module, node.name, node, 0))
+    for module, node in _public_classes():
+        for sub in node.body:
+            if isinstance(sub, ast.FunctionDef) and (
+                sub.name == "__init__" or not sub.name.startswith("_")
+            ):
+                static = any(
+                    getattr(d, "id", "") == "staticmethod" for d in sub.decorator_list
+                )
+                name = node.name if sub.name == "__init__" else sub.name
+                functions.append((module, name, sub, 0 if static else 1))
+    params = {}
+    for module, name, node, bound in functions:
+        args = node.args
+        positional = (args.posonlyargs + args.args)[bound:]
+        first_defaulted = len(positional) - len(args.defaults)
+        defaulted = [(a.arg, i) for i, a in enumerate(positional) if i >= first_defaulted]
+        defaulted += [
+            (a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        ]
+        for param, position in defaulted:
+            params[f"{module}: {name}({param})"] = (name, param, position)
+    return params
+
+
+def _arguments_set():
+    """The keyword names of every call outside ``tests/``, and (function
+    name, position) of each positional argument of a call there before
+    any starred one."""
+    keywords, positions = set(), set()
+    for _, tree in _trees(READER_DIRS):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            keywords.update(kw.arg for kw in node.keywords)
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for i, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                positions.add((name, i))
+    return keywords, positions
+
+
 def _identifiers_read():
     """Every Name and Attribute identifier read (``Load`` context) in the
     code outside ``tests/``.  Imports, assignment targets, strings and
@@ -269,3 +326,17 @@ def test_every_public_field_has_a_reader_outside_tests():
     # the exemption cannot go stale: each exempt field exists and is unread
     assert UNREAD_FIELDS <= set(fields.values())
     assert not UNREAD_FIELDS & loaded
+
+
+def test_every_option_is_set_outside_tests():
+    # a default no caller outside tests overrides is a constant, not an option
+    keywords, positions = _arguments_set()
+    unset = {
+        key for key, (name, param, position) in _defaulted_parameters().items()
+        if param not in keywords and (name, position) not in positions
+    }
+    assert not unset - UNSET_OPTIONS, (
+        f"defaulted parameters set only by tests (or by nothing): {sorted(unset - UNSET_OPTIONS)}"
+    )
+    # the exemption cannot go stale: each exempt parameter exists and is unset
+    assert UNSET_OPTIONS <= unset
