@@ -245,15 +245,12 @@ def _defaulted_parameters():
             if isinstance(sub, ast.FunctionDef) and (
                 sub.name == "__init__" or not sub.name.startswith("_")
             ):
-                static = any(
-                    getattr(d, "id", "") == "staticmethod" for d in sub.decorator_list
-                )
                 name = node.name if sub.name == "__init__" else sub.name
-                functions.append((module, name, sub, 0 if static else 1))
+                functions.append((module, name, sub, 1))  # a call passes no self
     params = {}
-    for module, name, node, bound in functions:
+    for module, name, node, skip in functions:
         args = node.args
-        positional = (args.posonlyargs + args.args)[bound:]
+        positional = (args.posonlyargs + args.args)[skip:]
         first_defaulted = len(positional) - len(args.defaults)
         defaulted = [(a.arg, i) for i, a in enumerate(positional) if i >= first_defaulted]
         defaulted += [
