@@ -20,13 +20,11 @@ A command is one row function ``(args, species) -> rows`` plus one entry
 in ``COMMANDS`` giving that function, its schema and its CSV header, and
 one subparser in ``_build_parser`` that accepts exactly the options the
 row function reads, so every hashed option shaped the output.  A command
-that reads a species takes exactly one of ``--species`` and
-``--species-file``.  ``main`` does the rest for every command: it loads
-the species when the command takes one, builds the manifest, writes the
-CSV, and exits 4 when a ``converged`` column holds false.
-
-The species data directory can be overridden with the environment
-variable RYDTHERM_DATA_DIR; individual files with ``--species-file``.
+that reads a species takes ``--species``, a bundled name or a file path,
+as ``load_species`` tells them apart.  ``main`` does the rest for every
+command: it loads the species when the command takes one, builds the
+manifest, writes the CSV, and exits 4 when a ``converged`` column holds
+false.
 """
 
 from __future__ import annotations
@@ -136,7 +134,7 @@ def _tolerance(text: str) -> float:
 
 # options the id leaves out: output destinations, and input files, which
 # enter by content (species_sha256, measurements_sha256)
-_UNHASHED = ("output", "manifest_out", "species", "species_file", "measurements")
+_UNHASHED = ("output", "manifest_out", "species", "measurements")
 
 
 def _manifest(args, species: Species | None, schema: str) -> dict:
@@ -409,9 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
     out.add_argument("--manifest-out", help="write the run manifest JSON here")
     out.add_argument("-o", "--output", help="write CSV here instead of stdout")
     species = argparse.ArgumentParser(add_help=False, parents=[out])
-    group = species.add_mutually_exclusive_group(required=True)
-    group.add_argument("--species", help="bundled species name (sr, yb, hydrogen)")
-    group.add_argument("--species-file", help="path to a .species data file")
+    species.add_argument("--species", required=True,
+                         help="bundled name (sr, yb, hydrogen) or path (./sr, x.species)")
     temperature = _option("--temperature", type=float, default=300.0,
                           help="temperature in K [300]")
     span = _option("--span", type=int, default=DEFAULT_SPAN,
@@ -507,8 +504,7 @@ def main(argv: list[str] | None = None) -> int:
         name = f"thermo {args.thermo_command}"
     cmd = COMMANDS[name]
     try:
-        species = (load_species(args.species_file or args.species)
-                   if "species" in vars(args) else None)
+        species = load_species(args.species) if "species" in vars(args) else None
         rows = cmd.rows(args, species)
         manifest = _manifest(args, species, cmd.schema)
         _emit(args, argv, t_start, manifest, cmd.header, rows)

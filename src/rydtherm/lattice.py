@@ -104,6 +104,16 @@ class MagicResult:
         return units.au_pol_to_khz_per_kw_cm2(self.alpha_au)
 
 
+def check_rydberg_partner(state: RydbergState) -> None:
+    """Raise ValueError if ``state`` is a clock state of its species."""
+    role = state.species.state_role(state)
+    if role is not None:
+        raise ValueError(
+            f"{state} is the {role} clock state, "
+            "not a Rydberg partner of the metastable state"
+        )
+
+
 def solve_magic_wavelength(
     species: Species,
     state: RydbergState,
@@ -129,22 +139,18 @@ def solve_magic_wavelength(
     Signs on the scan come from a proxy: <sin^2> is replaced by its
     Chebyshev interpolant through _FIT_NODES exact orbit averages, with an
     error bound of _FIT_SAFETY times its largest trailing coefficient.
-    The exact residual is evaluated wherever the proxy lies within that
-    bound (plus rounding) of zero and at both ends of every sign change,
-    and Brent runs on the exact residual over the same grid interval.  So
-    while the fit stays inside its bound the roots equal, bit for bit,
-    those of an exact residual at every scan point, and a typical solve
-    needs about 21 orbit averages instead of about 206.
+    Outside that bound (plus rounding) of zero the proxy has the exact
+    residual's sign.  Only if some point lies inside is the exact residual
+    evaluated: there, and then at both ends of every sign change (no point
+    did in 331 Sr and Yb solves).  Brent runs on the exact residual over
+    each sign change's grid interval.  So while the fit stays inside its
+    bound the roots equal, bit for bit, those of an exact residual at
+    every scan point, from about 21 orbit averages instead of about 206.
     A poor fit (a very wide bracket, say) has a larger bound and more
     exact points; at worst every point is exact.
     """
     species.check_states(state)
-    role = species.state_role(state)
-    if role is not None:
-        raise ValueError(
-            f"{state} is the {role} clock state, "
-            "not a Rydberg partner of the metastable state"
-        )
+    check_rydberg_partner(state)
     if not 0.0 < k_ratio <= 1.0:
         raise ValueError(f"k_ratio must lie in (0, 1], got {k_ratio}")
     bracket_nm = species.magic_bracket_nm
@@ -193,8 +199,8 @@ def solve_magic_wavelength(
         for i in todo:
             vals[i] = residual(grid[i])
         exact |= todo
-        # exact values at both ends of every sign change (or zero), so the
-        # tests below act only on exact values and Brent's ends straddle
+        # once a sign was in doubt: exact values at both ends of every sign
+        # change (or zero), so no sign below rests on a value in doubt
         todo = {
             j
             for i in range(SCAN_POINTS - 1)

@@ -69,7 +69,6 @@ from . import constants as k
 from . import units
 
 _L_LETTERS = "SPDFGHIK"
-_ENV_DATA_DIR = "RYDTHERM_DATA_DIR"
 
 
 class SpeciesDataError(ValueError):
@@ -194,7 +193,7 @@ def _parse_series_label(label: str) -> tuple[float, int, float]:
 
 _SERIES = r"[13][SPDFGH]\d"
 _ENTRY = r"(?P<entry>[1-9]\d*)"
-# The species-file grammar, one pattern per key family.  A family made of
+# The species file grammar, one pattern per key family.  A family made of
 # lists captures the list in group "list" (a series label, or a line
 # list's key prefix) and the number of an entry in group "entry".
 _KEY_PATTERNS = {
@@ -570,15 +569,12 @@ class Species:
 
 
 @functools.cache
-def _bundled_data():
-    # looked up once: files() is most of a load_species call.  rydtherm.data
-    # is a namespace package, whose str() is "MultiplexedPath('...')", not a
-    # directory, so the name is joined onto the Traversable itself
-    return importlib.resources.files("rydtherm.data")
-
-
 def bundled_species_path(name: str) -> str:
-    return str(_bundled_data().joinpath(f"{name}.species"))
+    # looked up once per name: files() is most of a load_species call.
+    # rydtherm.data is a namespace package, whose str() is
+    # "MultiplexedPath('...')", not a directory, so the name is joined onto
+    # the Traversable itself
+    return str(importlib.resources.files("rydtherm.data").joinpath(f"{name}.species"))
 
 
 # every Species parsed so far, by the sha256 of its file's content
@@ -588,21 +584,17 @@ _LOADED: dict[str, Species] = {}
 def load_species(name_or_path: str) -> Species:
     """Load a species by bundled name ('sr', 'yb', 'hydrogen') or file path.
 
-    The environment variable RYDTHERM_DATA_DIR, if set, is searched before
-    the bundled data directory.  The file is read on every call, but parsed
-    once per content: all loads of byte-identical files, under any name or
-    path, return one shared Species, to be treated as read-only.  A file
-    that fails to parse is not kept, so each load raises again.
+    A path has a directory separator or ends in ``.species`` (an edited
+    copy named ``sr`` is ``./sr``); anything else names a bundled file.
+    The file is read on every call, but parsed once per content: all loads
+    of byte-identical files, under any name or path, return one shared
+    Species, to be treated as read-only.  A file that fails to parse is not
+    kept, so each load raises again.
     """
     if os.sep in name_or_path or name_or_path.endswith(".species"):
         path = name_or_path
     else:
-        name = name_or_path.lower()
-        env_dir = os.environ.get(_ENV_DATA_DIR)
-        if env_dir and os.path.exists(os.path.join(env_dir, f"{name}.species")):
-            path = os.path.join(env_dir, f"{name}.species")
-        else:
-            path = bundled_species_path(name)
+        path = bundled_species_path(name_or_path.lower())
     if not os.path.exists(path):
         raise SpeciesDataError(f"no species data file at {path}")
     with open(path, "rb") as fh:

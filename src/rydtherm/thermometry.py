@@ -35,7 +35,7 @@ import numpy as np
 
 from . import constants as kconst
 from .bbr import TEMPERATURE_RANGE_K, bbr_shift_fsums, linewidths
-from .lattice import level_energy_au
+from .lattice import check_rydberg_partner, level_energy_au
 from .polarizability import static_polarizability
 from .radial import RadialSolver, default_solver
 from .species import RydbergState, Species
@@ -85,6 +85,7 @@ class ThermometryMeasurement:
             raise ValueError(
                 f"measurement uncertainty must be finite and > 0, got {self.sigma_hz}"
             )
+        check_rydberg_partner(self.state)
 
     @property
     def transition_id(self) -> str:
@@ -153,11 +154,11 @@ def _inverse_proxy(model) -> tuple:
     PROXY_NODES Chebyshev-Lobatto nodes in T on [PROXY_LOW_K, 1000] K, of
     which 1000 K is one.  The proxy is (shift at PROXY_LOW_K, u_lo + u_hi,
     u_hi - u_lo, coefficients), or None unless the sampled shifts are
-    positive and strictly increasing.  Interpolation converges
-    geometrically in the node count; at PROXY_NODES the model at the
-    proxy's T is within 1e-7 Hz of the offset for the bundled Sr and Yb
-    states at n = 25-60, while at lower n, near PROXY_LOW_K, it may not
-    be, and Newton steps from the seed."""
+    positive and strictly increasing and the fit has full rank.
+    Interpolation converges geometrically in the node count; at
+    PROXY_NODES the model at the proxy's T is within 1e-7 Hz of the offset
+    for the bundled Sr and Yb states at n = 25-60, while at lower n, near
+    PROXY_LOW_K, it may not be, and Newton steps from the seed."""
     t_hi = TEMPERATURE_RANGE_K[1]
     mid, half = 0.5 * (t_hi + PROXY_LOW_K), 0.5 * (t_hi - PROXY_LOW_K)
     temps = mid - half * np.cos(np.linspace(0.0, math.pi, PROXY_NODES))
@@ -167,9 +168,12 @@ def _inverse_proxy(model) -> tuple:
         return samples[-1], None
     u = np.sqrt(shifts)
     u_sum, u_span = u[0] + u[-1], u[-1] - u[0]
-    coefs = np.polynomial.chebyshev.chebfit(
-        (2.0 * u - u_sum) / u_span, temps, PROXY_NODES - 1
+    # full=True reports a deficient rank instead of a RankWarning
+    coefs, (_, rank, _, _) = np.polynomial.chebyshev.chebfit(
+        (2.0 * u - u_sum) / u_span, temps, PROXY_NODES - 1, full=True
     )
+    if rank < PROXY_NODES:
+        return samples[-1], None
     return samples[-1], (samples[0][0], float(u_sum), float(u_span), coefs.tolist())
 
 
@@ -202,7 +206,7 @@ def invert_temperature(
     proxy, T as a Chebyshev series in sqrt(shift).  Newton starts at the
     proxy's T for an offset in [shift(PROXY_LOW_K), shift(1000 K)], and
     at ``SEED_K`` for an offset below that, or for every offset when the
-    sampled shifts are not positive and strictly increasing (no proxy).
+    sampled shifts do not rise from above 0 or do not fit at full rank.
     A seed that already meets the stopping rule, as the proxy's T does
     for the bundled states at n = 25-60 and sigma >= 0.1 Hz, returns after
     its one evaluation with ``iterations == 0``.

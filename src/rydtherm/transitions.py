@@ -144,7 +144,7 @@ def _walk(
     """The radial table of the channels to the finals ``n_range(series)``
     of each dipole-coupled series.
 
-    A channel's radial integral is the solver's, or a species-file
+    A channel's radial integral is the solver's, or a species file's
     calibrated patch (``lowlying.*``): the patch overrides the one-channel
     Coulomb value whenever the scale separation backing its n*^-3/2 law
     holds, and is the fallback when the final state has no radial

@@ -235,12 +235,12 @@ def test_manifest_id_is_keyed_by_file_content(tmp_path, capsys):
         meas, sp = tmp_path / name / "m.csv", tmp_path / name / "sr.species"
         meas.write_text(text)
         sp.write_text(species)
-        ids.add(_id(capsys, "thermo", "joint", "--species-file", str(sp),
+        ids.add(_id(capsys, "thermo", "joint", "--species", str(sp),
                     "--measurements", str(meas)))
     assert ids == {_id(capsys, "thermo", "joint", "--species", "sr",
                        "--measurements", golden)}
     meas.write_text(text.replace("3442.58218", "3442.6"))
-    assert _id(capsys, "thermo", "joint", "--species-file", str(sp),
+    assert _id(capsys, "thermo", "joint", "--species", str(sp),
                "--measurements", str(meas)) not in ids
 
 
@@ -271,6 +271,33 @@ def test_species_data_version_in_manifest(tmp_path, capsys):
     assert manifest["species_data_version"].startswith("sr-")
 
 
+def test_species_is_a_bundled_name_or_a_path(tmp_path, monkeypatch, capsys, sr):
+    # an edited copy named `sr` in the working directory: `./sr` is that
+    # file and `sr` the bundled one, whatever the working directory holds
+    from rydtherm.bbr import bbr_shift_sum
+    from rydtherm.species import bundled_species_path, load_species
+
+    text = Path(bundled_species_path("sr")).read_text(encoding="utf-8")
+    (tmp_path / "sr").write_text(
+        text.replace("defect.3D1.mu0 = 2.658\n", "defect.3D1.mu0 = 2.60\n")
+    )
+    monkeypatch.chdir(tmp_path)
+    edited = load_species(os.path.join(".", "sr"))
+    assert edited is not sr
+    for spelling, species, hz in (
+        (os.path.join(".", "sr"), edited, 2378.91), ("sr", sr, 2346.64),
+    ):
+        code, out, _ = _run(capsys, "bbr", "--species", spelling, "--state", "30:3D1")
+        assert code == EXIT_OK, spelling
+        shift = bbr_shift_sum(species.state(30, "3D1"), 300.0).shift_hz
+        assert _rows(out)[0]["shift_hz"] == "%.12g" % shift, spelling
+        assert shift == pytest.approx(hz, abs=0.005), spelling
+    # the old spelling read the bundled file here
+    code, out, err = _run(capsys, "bbr", "--species-file", "sr", "--state", "30:3D1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "the following arguments are required: --species" in err
+
+
 def test_manifest_names_species_content(tmp_path, capsys):
     # two files with the same name and data_version but different content
     import hashlib
@@ -283,7 +310,7 @@ def test_manifest_names_species_content(tmp_path, capsys):
     ids = []
     for i, path in enumerate((bundled_species_path("sr"), str(copy))):
         mpath = tmp_path / f"run{i}.json"
-        _run(capsys, "bbr", "--species-file", path, "--state", "30:3S1",
+        _run(capsys, "bbr", "--species", path, "--state", "30:3S1",
              "--manifest-out", str(mpath))
         manifest = json.loads(mpath.read_text())
         with open(path, "rb") as fh:
@@ -407,26 +434,29 @@ def test_every_cli_option_is_read(monkeypatch, capsys):
 
 
 # the options each command stopped accepting when the commands were cut
-# down to the options they read
-_T, _S, _TOL = "--temperature 300", "--span 35", "--tolerance 0.25"
+# down to the options they read, and --species-file, since --species takes
+# a bundled name or a path
+_T, _S, _TOL, _SF = "--temperature 300", "--span 35", "--tolerance 0.25", "--species-file x"
 _DROPPED = {
-    "fw --y 1": ("--species sr", "--species-file x", _T, _S, _TOL),
-    "fig2": ("--species sr", "--species-file x", _T, _S, _TOL),
-    "polarizability --species sr --state 25:3D1": (_T, _TOL),
+    "fw --y 1": ("--species sr", _SF, _T, _S, _TOL),
+    "fig2": ("--species sr", _SF, _T, _S, _TOL),
+    "bbr --species sr --state 30:3S1": (_SF,),
+    "polarizability --species sr --state 25:3D1": (_SF, _T, _TOL),
     "thermo invert --species sr --state 30:3D1 --offset-hz 2350.73 --sigma-hz 0.16":
-        (_T, _TOL, "--measurements {meas}", "--seed 90"),
-    "thermo joint --species sr --measurements {meas}": (_T, _TOL, "--seed 90"),
-    "magic --species yb --n 25": (_T, _S, _TOL),
-    "table1 --species yb --n 25": (_T, _S, _TOL),
-    "linewidth --species sr --state 40:3P0": (_TOL,),
-    "thermo budget --species sr --state 30:3D1": (_TOL,),
+        (_SF, _T, _TOL, "--measurements {meas}", "--seed 90"),
+    "thermo joint --species sr --measurements {meas}": (_SF, _T, _TOL, "--seed 90"),
+    "magic --species yb --n 25": (_SF, _T, _S, _TOL),
+    "table1 --species yb --n 25": (_SF, _T, _S, _TOL),
+    "linewidth --species sr --state 40:3P0": (_SF, _TOL),
+    "thermo budget --species sr --state 30:3D1": (_SF, _TOL),
+    "fig3 --species sr --series 3S1 --n-min 20 --n-max 20": (_SF,),
 }
 
 
 def test_dropped_options_exit_2(capsys):
     meas = os.path.join(os.path.dirname(__file__), "golden", "meas_sr.csv")
     cases = [(base, flag) for base, flags in _DROPPED.items() for flag in flags]
-    assert len(cases) == 27
+    assert len(cases) == 36
     for base, flag in cases:
         argv = f"{base} {flag}".format(meas=meas).split()
         code, out, err = _run(capsys, *argv)
@@ -435,9 +465,7 @@ def test_dropped_options_exit_2(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    ("bbr --state 30:3S1", "one of the arguments --species --species-file is required"),
-    ("bbr --species sr --species-file x --state 30:3S1",
-     "--species-file: not allowed with argument --species"),
+    ("bbr --state 30:3S1", "required: --species"),
     ("polarizability --species sr --state 25:3D1 --omega-au 0.05 --wavelength-nm 900",
      "--wavelength-nm: not allowed with argument --omega-au"),
 ])
@@ -465,21 +493,21 @@ def test_data_errors_exit_3(capsys, tmp_path):
     from rydtherm.species import bundled_species_path
 
     assert (
-        _run(capsys, "bbr", "--species-file", "/no/such.species",
+        _run(capsys, "bbr", "--species", "/no/such.species",
              "--state", "30:3S1")[0]
         == EXIT_DATA
     )
     bad = tmp_path / "bad.species"
     bad.write_text("format_version = 1\nname = Xx\n")
     assert (
-        _run(capsys, "bbr", "--species-file", str(bad), "--state", "30:3S1")[0]
+        _run(capsys, "bbr", "--species", str(bad), "--state", "30:3S1")[0]
         == EXIT_DATA
     )
     # a mu0 equal to an n of its own series divided by zero in the loader
     sr_text = Path(bundled_species_path("sr")).read_text(encoding="utf-8")
     bad.write_text(sr_text.replace("defect.3S1.mu0 = 3.371\n", "defect.3S1.mu0 = 6.0\n"))
     assert (
-        _run(capsys, "bbr", "--species-file", str(bad), "--state", "30:3S1")[0]
+        _run(capsys, "bbr", "--species", str(bad), "--state", "30:3S1")[0]
         == EXIT_DATA
     )
     # out-of-range n is a data-validation failure, not a crash
@@ -502,7 +530,7 @@ def test_nan_in_species_file_exits_3(capsys, tmp_path, key):
     path = tmp_path / "sr.species"
     path.write_text("\n".join(lines) + "\n")
     code, out, err = _run(
-        capsys, "thermo", "budget", "--species-file", str(path), "--state", "25:3D1"
+        capsys, "thermo", "budget", "--species", str(path), "--state", "25:3D1"
     )
     assert code == EXIT_DATA
     assert out == ""
@@ -536,7 +564,7 @@ def test_magic_no_root_exits_4(capsys, yb, tmp_path):
 
     _with_bracket(yb, (2000.0, 2200.0), tmp_path)
     code, out, err = _run(
-        capsys, "magic", "--species-file", str(tmp_path / "yb.species"), "--n", "40"
+        capsys, "magic", "--species", str(tmp_path / "yb.species"), "--n", "40"
     )
     assert code == EXIT_NUMERIC
     assert out == ""
@@ -618,6 +646,22 @@ def test_thermo_invert_requires_inputs(capsys):
     code, _, err = _run(capsys, "thermo", "invert", "--species", "sr")
     assert code == EXIT_USAGE
     assert "required: --state, --offset-hz, --sigma-hz" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # exited 0 at 1000 K with an infinite sigma
+    "thermo invert --species Sr --state 5:3P0 --offset-hz 0 --sigma-hz 1",
+    # exited 0 at 242.8 K after a RankWarning
+    "thermo invert --species Sr --state 5:1S0 --offset-hz 1 --sigma-hz 1",
+    # exited 4 as a degenerate design matrix
+    "thermo joint --species Sr --measurements {meas}",
+])
+def test_clock_state_is_no_thermometer_exits_2(tmp_path, capsys, argv):
+    meas = tmp_path / "meas.csv"
+    meas.write_text("state,offset_hz,sigma_hz\n5:3P0,1.0,0.16\n30:3D1,2350.7,0.16\n")
+    code, out, err = _run(capsys, *argv.format(meas=meas).split())
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "clock state, not a Rydberg partner of the metastable state" in err
 
 
 def test_thermo_joint_from_csv(tmp_path, capsys):

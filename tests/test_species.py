@@ -221,28 +221,21 @@ def test_ionization_limit_positive(sr, yb):
         assert 1000 < sp.magic_bracket_nm[1] or sp.magic_bracket_nm[0] > 1000
 
 
-def test_load_by_path_matches_bundled(sr):
-    by_path = load_species(bundled_species_path("sr"))
-    assert (by_path.name, by_path.data_version) == (sr.name, sr.data_version)
-    assert by_path.state(30, "3S1").binding_au == sr.state(30, "3S1").binding_au
-
-
-def test_env_data_dir_override(tmp_path, monkeypatch, sr):
-    shutil.copy(bundled_species_path("sr"), tmp_path / "sr.species")
-    monkeypatch.setenv("RYDTHERM_DATA_DIR", str(tmp_path))
-    sp = load_species("sr")
-    assert (sp.name, sp.data_version) == (sr.name, sr.data_version)
-    # the bundled directory is looked up once per process, but each load
-    # still looks in RYDTHERM_DATA_DIR first and reads the file it finds
+def test_load_by_path_matches_bundled(tmp_path, sr):
     bundled = bundled_species_path("sr")
     assert os.path.isfile(bundled)
+    by_path = load_species(bundled)
+    assert (by_path.name, by_path.data_version) == (sr.name, sr.data_version)
+    assert by_path.state(30, "3S1").binding_au == sr.state(30, "3S1").binding_au
+    # each load reads the file at its path again
     text = Path(bundled).read_text(encoding="utf-8")
+    path = tmp_path / "sr.species"
     for mu0 in ("2.50", "2.60"):
-        (tmp_path / "sr.species").write_text(
+        path.write_text(
             text.replace("defect.3D1.mu0 = 2.658\n", f"defect.3D1.mu0 = {mu0}\n")
         )
-        assert load_species("sr").series_info("3D1").mu0 == float(mu0)
-    monkeypatch.delenv("RYDTHERM_DATA_DIR")
+        assert load_species(str(path)).series_info("3D1").mu0 == float(mu0)
+    # a bare name is the bundled file, whose path is looked up once per name
     assert load_species("sr") is sr
     assert bundled_species_path("sr") == bundled
 

@@ -222,25 +222,48 @@ def test_inverse_proxy_seeds_within_a_millikelvin(request, sp_name, n, series):
         assert abs(residual) <= thermometry.RESIDUAL_TOL * 0.1, t
 
 
+# low states whose sampled shifts rise, but whose fit has rank 54 of 58:
+# chebfit warned (RankWarning) on each
+_RANK_DEFICIENT = {
+    "sr": ((4, "1D2"),),
+    "yb": ((5, "1D2"), (5, "3D1"), (5, "3D2"), (5, "3D3"), (4, "3F3"), (4, "3F4"),
+           (6, "3P1"), (6, "3P2")),
+}
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("sp_name", ["sr", "yb"])
 def test_inverse_proxy_builds_warn_of_nothing(request, sp_name):
-    # chebfit warns (RankWarning) when its fit is ill-conditioned, and a
-    # warning would reach the stderr of every `rydtherm thermo invert`:
-    # none at the proxy's node count, for any series at n = 20 and 60
+    # a warning would reach the stderr of every `rydtherm thermo invert`:
+    # none for any series at n = 20 and 60, and a rank-deficient fit
+    # leaves no proxy instead of warning
     sp = request.getfixturevalue(sp_name)
     solver = RadialSolver()
-    built = 0
-    for series in sp.series_labels():
-        for n in (20, 60):
-            state = sp.state(n, series)
-            _, proxy = thermometry._inverse_proxy(
-                lambda t: transition_bbr_shift(
-                    sp, state, t, solver=solver, derivative=True
-                )
-            )
-            built += proxy is not None
+
+    def proxy_of(n, series):
+        state = sp.state(n, series)
+        return thermometry._inverse_proxy(
+            lambda t: transition_bbr_shift(sp, state, t, solver=solver, derivative=True)
+        )[1]
+
+    built = sum(
+        proxy_of(n, series) is not None
+        for series in sp.series_labels() for n in (20, 60)
+    )
     assert built > len(sp.series_labels())
+    for n, series in _RANK_DEFICIENT[sp_name]:
+        assert proxy_of(n, series) is None, (n, series)
+
+
+@pytest.mark.filterwarnings("error")
+def test_rank_deficient_state_inverts_from_the_seed(yb):
+    # `thermo invert --species Yb --state 6:3P1 --offset-hz 1` printed the
+    # RankWarning; with no proxy, Newton starts at SEED_K
+    m = ThermometryMeasurement(yb.state(6, "3P1"), 1.0, 0.1)
+    sol = invert_temperature(m, solver=RadialSolver())
+    assert sol.iterations > 0
+    assert abs(sol.residuals_hz[0]) <= thermometry.RESIDUAL_TOL * 0.1
+    assert sol.temperature_k == pytest.approx(256.901085, abs=1e-5)
 
 
 def test_seed_that_misses_the_rule_takes_a_step(yb):

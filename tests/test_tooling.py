@@ -3,7 +3,7 @@ the benchmark's calls into the package must bind to its signatures, the
 committed benchmark records must match the benchmark's declaration, and
 every public definition, constant and field in the package must have a
 reader outside the tests, and every defaulted parameter a caller there that
-sets it.
+sets it, and no module of the package may read the environment.
 
 ``perfbench/run.py --trace 1`` patches these functions by name; a renamed
 or deleted target would otherwise only show as a missing layer count.
@@ -337,3 +337,19 @@ def test_every_option_is_set_outside_tests():
     )
     # the exemption cannot go stale: each exempt parameter exists and is unset
     assert UNSET_OPTIONS <= unset
+
+
+def test_no_module_reads_the_environment():
+    # an environment variable is an option that the guards above cannot
+    # see: a setting the package reads comes through a parameter or the CLI
+    env_reads = {"environ", "environb", "getenv", "getenvb"}
+    found = sorted(
+        f"{os.path.basename(path)}:{node.lineno}"
+        for path, tree in _trees([os.path.join("src", "rydtherm")])
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in env_reads)
+        or (isinstance(node, ast.Name) and node.id in env_reads)
+        or (isinstance(node, ast.ImportFrom)
+            and any(alias.name in env_reads for alias in node.names))
+    )
+    assert not found, f"environment reads in src/rydtherm: {found}"
