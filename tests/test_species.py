@@ -240,6 +240,23 @@ def test_load_by_path_matches_bundled(tmp_path, sr):
     assert bundled_species_path("sr") == bundled
 
 
+def test_env_data_dir_override(tmp_path, monkeypatch, sr):
+    # RYDTHERM_DATA_DIR no longer names a data directory: an edited copy
+    # there is read only through its path, never in place of a bare name
+    bundled = bundled_species_path("sr")
+    text = Path(bundled).read_text(encoding="utf-8")
+    edited = text.replace("defect.3D1.mu0 = 2.658\n", "defect.3D1.mu0 = 2.50\n")
+    assert edited != text
+    (tmp_path / "sr.species").write_text(edited)
+    monkeypatch.setenv("RYDTHERM_DATA_DIR", str(tmp_path))
+    assert load_species("sr") is sr
+    assert sr.series_info("3D1").mu0 == 2.658
+    assert bundled_species_path("sr") == bundled
+    assert not bundled.startswith(str(tmp_path))
+    copy = load_species(str(tmp_path / "sr.species"))
+    assert copy.series_info("3D1").mu0 == 2.50
+
+
 def test_caches_are_keyed_by_file_content(tmp_path, sr):
     # same name and data_version, different quantum defect: the copy must
     # not be served the bundled file's cached radial solutions and tables
