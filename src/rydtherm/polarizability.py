@@ -17,10 +17,11 @@ plus what lies outside the channels:
 Polarizabilities are m_J-resolved: a linearly polarized probe along the
 quantization axis sees `alpha(m) = sum 2 w_ch S_ch (3j(J' 1 J; -m 0 m))^2
 / (w_ch^2 - w^2)`.  The default ``m_j="stretched"`` is the component
-m_J = J, which is what the lattice/thermometry drive prepares; ``m_j=None``
-requests the orientation average (the scalar polarizability).  For J = 0
-states all conventions coincide.  Line-list channels carry no final-state
-J, so there only the scalar polarizability (m_j = None or 0) is defined.
+m_J = J, which the lattice/thermometry drive prepares and the one
+``static_polarizability`` gives; ``m_j=None`` requests the orientation
+average (the scalar value).  For J = 0 states all conventions coincide.
+Line-list channels carry no final-state J, so there only the scalar
+polarizability (m_j = None or 0) is defined.
 """
 
 from __future__ import annotations
@@ -168,22 +169,16 @@ def ac_polarizability(
 
 def static_polarizability(
     state: RydbergState,
-    m_j: float | Literal["stretched"] | None = "stretched",
     span: int = DEFAULT_SPAN,
     solver: RadialSolver | None = None,
 ) -> PolarizabilityResult:
-    """Static dipole polarizability (the omega = 0 sum over states).
-
-    The result is computed once per solver, state, ``m_j`` and ``span``
-    and the same object returned after that.  ``m_j`` is keyed by its
-    repr, so inputs that compare equal but are echoed differently in the
-    result (1 and 1.0) keep entries of their own.  A bool ``m_j`` raises
-    ValueError, as in ``ac_polarizability``.
-    """
+    """Static dipole polarizability (the omega = 0 sum over states) of the
+    stretched component m_J = J, computed once per solver, state and
+    ``span`` and the same object returned after that."""
     span = check_span(span)
     solver = solver or default_solver()
     return solver.cached(
-        ("static", state._key, repr(m_j), span),
-        lambda: ac_polarizability(state, 0.0, m_j=m_j, span=span, solver=solver),
+        ("static", state._key, span),
+        lambda: ac_polarizability(state, 0.0, span=span, solver=solver),
     )
 

@@ -75,7 +75,7 @@ def test_published_nd_scale(sr):
     assert a25 == pytest.approx(-100.0, rel=0.30)
     assert a30 == pytest.approx(-440.0, rel=0.30)
     # the orientation average is larger in magnitude for these nd states
-    s25 = static_polarizability(sr.state(25, "3D1"), m_j=None).value_hz_m2_v2
+    s25 = ac_polarizability(sr.state(25, "3D1"), 0.0, m_j=None).value_hz_m2_v2
     assert abs(s25) > abs(a25)
 
 
@@ -136,15 +136,11 @@ def test_bool_m_j_is_rejected(sr, n, series, m_j):
     st = sr.state(n, series)
     assert st.J == 1.0
     solver = RadialSolver()
-    for call in (
-        lambda: ac_polarizability(st, 0.0, m_j=m_j, solver=solver),
-        lambda: static_polarizability(st, m_j=m_j, solver=solver),
-    ):
-        with pytest.raises(ValueError, match="m_j must be a number or None"):
-            call()
+    with pytest.raises(ValueError, match="m_j must be a number or None"):
+        ac_polarizability(st, 0.0, m_j=m_j, solver=solver)
     # the numbers stay accepted, each echoed as given
     for m in (1, 1.0, 0, -1.0):
-        assert repr(static_polarizability(st, m_j=m, solver=solver).m_j) == repr(m)
+        assert repr(ac_polarizability(st, 0.0, m_j=m, solver=solver).m_j) == repr(m)
 
 
 def test_m_weights_average_to_scalar(sr):

@@ -785,9 +785,6 @@ def test_span_keys_admit_only_integers(sr):
         assert call(np.int64(2)) == at_two, name
     alpha = static_polarizability(state, span=2, solver=solver)
     assert static_polarizability(state, span=np.int64(2), solver=solver) is alpha
-    # m_j too is echoed as given: 1.0 and 1 keep entries of their own
-    assert type(static_polarizability(state, 1.0, solver=solver).m_j) is float
-    assert type(static_polarizability(state, 1, solver=solver).m_j) is int
 
 
 # -- interaction shifts and cycle budgets ----------------------------------------
