@@ -20,7 +20,8 @@ This module turns that into instrumentation:
   an offset the proxy does not cover starts from the fixed ``SEED_K``;
 * ``joint_solve_temperature_field`` — weighted least squares over
   (T, E^2) using two or more transitions with distinct static
-  polarizabilities, separating temperature from a stray DC field;
+  polarizabilities, separating temperature from a stray DC field: E^2
+  is projected out in closed form, so the solve steps in T alone;
 * ``vdw_shift_estimate`` — anchored (n/25)^11 (4 um/R)^6 density limit;
 * ``measurement_budget`` / ``error_budget`` — shot-noise cycle counts and
   the full accuracy chain down to the clock's BBR uncertainty.
@@ -64,6 +65,11 @@ def _transition_label(lower: RydbergState, upper: RydbergState) -> str:
         f"{lower.species.name} {lower.n} {lower.series} -> "
         f"{upper.n} {upper.series}"
     )
+
+
+def _dot(x: list[float], y: list[float]) -> float:
+    """The dot product, exactly rounded sum of the rounded products."""
+    return math.fsum(a * b for a, b in zip(x, y))
 
 
 @dataclass(frozen=True)
@@ -297,13 +303,16 @@ def joint_solve_temperature_field(
 
     Model per measurement: offset = BBR(T) - (1/2) alpha_n(0) E^2, with
     alpha_n the Rydberg state's static polarizability (the metastable
-    state's DC response is negligible on this scale).  E^2 keeps the
-    field part of the model linear; where a step would make it negative,
-    E^2 is clamped to 0 and flagged, and T takes the step of the fit with
-    E^2 held at 0, so a clamped solve ends at that fit's best T.  The
-    solve starts from T = ``SEED_K`` and E^2 = 0.  Raises
-    on fewer than 2 measurements or degenerate design (all states
-    identical).
+    state's DC response is negligible on this scale).  E^2 enters
+    linearly and is projected out (variable projection), so each iterate
+    takes the Gauss-Newton step in T alone and sets E^2 to its best value
+    at the stepped T.  A negative E^2 is clamped to 0 and flagged, and T
+    takes the step of the fit with E^2 held at 0, so a clamped solve ends
+    at that fit's best T.  From T = ``SEED_K`` the solve stops at a T step
+    below ``TOL_K``, after one more evaluation; the covariance over
+    (T, E^2) is the closed-form inverse of the 2 x 2 Gram matrix there.
+    Raises on fewer than 2 measurements or a degenerate design (all
+    states identical, or a Gram matrix of condition number above 1e12).
     """
     if len(measurements) < 2:
         raise ThermometryError("joint solve needs >= 2 measurements")
@@ -321,16 +330,11 @@ def joint_solve_temperature_field(
             f"(got only {keys.pop()})"
         )
 
-    alphas = np.array(
-        [
-            static_polarizability(
-                m.state, span=span, solver=solver
-            ).value_hz_m2_v2
-            for m in measurements
-        ]
-    )
-    offsets = np.array([m.offset_hz for m in measurements])
-    sigmas = np.array([m.sigma_hz for m in measurements])
+    alphas = [static_polarizability(m.state, span=span, solver=solver).value_hz_m2_v2
+              for m in measurements]
+    # the field column: d(residual)/d(E^2) in units of sigma
+    c = [0.5 * alpha / m.sigma_hz for alpha, m in zip(alphas, measurements)]
+    cc = _dot(c, c)
 
     # the distinct states, the metastable one first, and each
     # measurement's index among them: formed once per solve
@@ -338,63 +342,50 @@ def joint_solve_temperature_field(
     states = list(dict.fromkeys([species.metastable_state(), *uppers]))
     index = [states.index(state) for state in uppers]
 
-    def bbr_and_slope(t: float) -> np.ndarray:
-        """Rows: each transition's BBR shift and its d/dT at t."""
-        return np.array(_transition_shifts(states, index, t, span, solver)).T
-
     t_lo, t_hi = TEMPERATURE_RANGE_K
-    t = SEED_K
-    e2 = 0.0
-    clamped = False
-    done = False  # the final iterate's model and Jacobian are reported
+    t, done = SEED_K, False  # the final iterate's model and Gram matrix are reported
     for iterations in range(JOINT_MAX_ITER + 1):
-        bbr, bbr_slope = bbr_and_slope(t)
-        model = bbr - 0.5 * alphas * e2
-        jac = np.column_stack([bbr_slope / sigmas, -0.5 * alphas / sigmas])
+        shifts = _transition_shifts(states, index, t, span, solver)
+        r0 = [(m.offset_hz - s) / m.sigma_hz for m, (s, _) in zip(measurements, shifts)]
+        g = [slope / m.sigma_hz for m, (_, slope) in zip(measurements, shifts)]
+        gg, gc = _dot(g, g), _dot(g, c)
+        # the condition number of the Gram matrix [[gg, -gc], [-gc, cc]]
+        det = gg * cc - gc * gc
+        lam_max = 0.5 * (gg + cc) + math.hypot(0.5 * (gg - cc), gc)
+        lam_min = det / lam_max if lam_max > 0.0 else 0.0
+        if not lam_min > 0.0 or lam_max > 1.0e12 * lam_min:
+            raise ThermometryError(
+                "joint solve: degenerate design matrix — the chosen states "
+                "do not separate temperature from field"
+            )
         if done:
             break
         if iterations == JOINT_MAX_ITER:
             raise ThermometryError(
                 f"joint solve did not converge in {JOINT_MAX_ITER} iterations"
             )
-        r = (offsets - model) / sigmas
-        gram = jac.T @ jac
-        # the condition number of the symmetric 2 x 2 Gram matrix from its
-        # eigenvalues in closed form; lam_min <= 0 is degenerate
-        (a, b), (_, d) = gram.tolist()
-        lam_max = 0.5 * (a + d) + math.hypot(0.5 * (a - d), b)
-        lam_min = (a * d - b * b) / lam_max if lam_max > 0.0 else 0.0
-        if not lam_min > 0.0 or lam_max > 1.0e12 * lam_min:
-            raise ThermometryError(
-                "joint solve: degenerate design matrix — the chosen states "
-                "do not separate temperature from field"
-            )
-        step = np.linalg.solve(gram, jac.T @ r)
-        e2_new = e2 + step[1]
-        clamped = bool(e2_new < 0.0)
+        # the Gauss-Newton step in T, the field column c projected out of g
+        g_p = [gi - ci * gc / cc for gi, ci in zip(g, c)]
+        step = _dot(g_p, r0) / _dot(g_p, g_p)
+        e2 = (gc * step - _dot(c, r0)) / cc  # the best E^2 at t + step
+        clamped = e2 < 0.0
         if clamped:  # the Gauss-Newton step in T of the fit at E^2 = 0
-            r0, a = (offsets - bbr) / sigmas, jac[:, 0]
-            e2_new, step[0] = 0.0, (a @ r0) / (a @ a)
-        t_new = float(np.clip(t + step[0], t_lo + 1.0e-6, t_hi - 1.0e-9))
-        done = abs(t_new - t) < TOL_K and abs(e2_new - e2) <= 1.0e-9 * max(
-            e2, 1.0
-        )
-        t, e2 = t_new, e2_new
+            e2, step = 0.0, _dot(g, r0) / gg
+        t, t_old = min(max(t + step, t_lo + 1.0e-6), t_hi - 1.0e-9), t
+        done = abs(t - t_old) < TOL_K
 
-    cov = np.linalg.inv(jac.T @ jac)
-    sigma_t = math.sqrt(max(cov[0, 0], 0.0))
-    sigma_e2 = math.sqrt(max(cov[1, 1], 0.0))
+    cov = ((cc / det, gc / det), (gc / det, gg / det))  # the Gram matrix's inverse
+    sigma_t, sigma_e2 = math.sqrt(cov[0][0]), math.sqrt(cov[1][1])
     e_field = math.sqrt(e2)
-    sigma_e = sigma_e2 / (2.0 * e_field) if e_field > 1.0e-12 else math.sqrt(
-        sigma_e2
-    )
+    sigma_e = sigma_e2 / (2.0 * e_field) if e_field > 1.0e-12 else math.sqrt(sigma_e2)
     return ThermometrySolution(
         temperature_k=t,
         sigma_temperature_k=sigma_t,
         field_v_per_m=e_field,
         sigma_field_v_per_m=sigma_e,
-        covariance=tuple(tuple(row) for row in cov),
-        residuals_hz=tuple(float(x) for x in offsets - model),
+        covariance=cov,
+        residuals_hz=tuple(m.offset_hz - (s - 0.5 * alpha * e2)
+                           for m, (s, _), alpha in zip(measurements, shifts, alphas)),
         field_sq_clamped=clamped,
         iterations=iterations,
     )

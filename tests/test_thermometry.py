@@ -491,16 +491,41 @@ def test_transition_shift_is_the_difference_of_its_state_shifts(request, sp_name
 
 def test_joint_solve_of_the_golden_input_is_unchanged(sr):
     # the measurements of tests/golden/meas_sr.csv; the values are those of
-    # the solve with one kernel call per evaluation, the 560 x 7 kernel
-    # table and the unit-diagonal Numerov band, to the bit
+    # the solve in T alone with the field projected out in closed form
+    # (math.fsum dot products), to the bit; its precision is pinned apart
+    # from its arithmetic by test_joint_solve_recovers_its_own_model
     meas = [
         ThermometryMeasurement(sr.state(25, "3D1"), 3442.58218, 0.16),
         ThermometryMeasurement(sr.state(30, "3D1"), 7376.01495, 0.16),
     ]
     sol = joint_solve_temperature_field(meas)
-    assert sol.temperature_k == float.fromhex("0x1.2c0000059819dp+8")  # 300.00000033343696
-    assert sol.field_v_per_m == float.fromhex("0x1.4000000069a9bp+2")  # 5.000000000384399
+    assert sol.temperature_k == float.fromhex("0x1.2c00000598194p+8")  # 300.00000033343645
+    assert sol.field_v_per_m == 5.000000000384405
     assert sol.iterations == 2
+
+
+@pytest.mark.parametrize("field_v_per_m", [0.05, 5.0])
+@pytest.mark.parametrize("true_t", [50.0, 120.0, 300.0, 600.0, 900.0])
+@pytest.mark.parametrize("sp_name, upper_states", [
+    ("sr", ((25, "3D1"), (30, "3S1"))),
+    ("yb", ((25, "3P0"), (30, "3P0"))),
+    ("sr", ((25, "3D1"), (27, "3D1"), (30, "3D1"))),
+])
+def test_joint_solve_recovers_its_own_model(request, sp_name, upper_states, true_t,
+                                             field_v_per_m):
+    # offsets from the program's own model at (T0, E0): the solve returns
+    # them to far below any sigma, whatever order its sums are taken in
+    sp = request.getfixturevalue(sp_name)
+    meas = []
+    for n, series in upper_states:
+        st = sp.state(n, series)
+        offset = transition_bbr_shift(sp, st, true_t)
+        offset -= 0.5 * static_polarizability(st).value_hz_m2_v2 * field_v_per_m**2
+        meas.append(ThermometryMeasurement(st, offset, 0.16))
+    sol = joint_solve_temperature_field(meas)
+    assert abs(sol.temperature_k - true_t) <= 1e-9
+    assert abs(sol.field_v_per_m - field_v_per_m) <= 1e-9
+    assert not sol.field_sq_clamped
 
 
 @pytest.fixture
