@@ -314,8 +314,7 @@ def _thermo_invert_rows(args, species) -> list[list]:
 
 def _thermo_joint_rows(args, species) -> list[list]:
     meas = _read_measurements(species, args.measurements)
-    sol = joint_solve_temperature_field(meas, span=args.span)
-    return [_solution_row(sol)]
+    return [_solution_row(joint_solve_temperature_field(meas, span=args.span))]
 
 
 def _thermo_budget_rows(args, species) -> list[list]:
@@ -386,6 +385,20 @@ COMMANDS = {
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Names the unknown options that argparse's missing-option error hides."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.argv = args or []
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        unknown = [arg for arg in self.argv if arg.startswith("--") and not any(
+            f.startswith(arg.split("=")[0]) for f in self._option_string_actions)]
+        super().error(f"unrecognized arguments: {' '.join(unknown)}; {message}"
+                      if unknown and "are required" in message else message)
+
+
 def _option(*flags, **kwargs) -> argparse.ArgumentParser:
     """A parent parser holding one option, for the commands that read it."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -395,7 +408,7 @@ def _option(*flags, **kwargs) -> argparse.ArgumentParser:
 
 @functools.cache  # one per process; parse_args returns a new Namespace per call
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rydtherm",
         description=(
             "Blackbody shifts, magic lattices, and Rydberg thermometry "

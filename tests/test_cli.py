@@ -296,6 +296,7 @@ def test_species_is_a_bundled_name_or_a_path(tmp_path, monkeypatch, capsys, sr):
     code, out, err = _run(capsys, "bbr", "--species-file", "sr", "--state", "30:3D1")
     assert (code, out) == (EXIT_USAGE, "")
     assert "the following arguments are required: --species" in err
+    assert "unrecognized arguments: --species-file" in err
 
 
 def test_manifest_names_species_content(tmp_path, capsys):
