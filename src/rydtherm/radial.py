@@ -46,6 +46,13 @@ state builds them once (as many as orders 0..2L need) and every average
 after that is a few dozen float operations.  Above _MOMENT_Z the mesh
 kernel runs as described; the Sr and Yb magic lattices stay below it.
 
+A solution depends on the state only through its radial key (l, n*, the
+reduced-mass factor, and whether the series has no defect), so a solver
+keys solutions and radial moments by it: series with equal defects, such
+as Sr 3F2/3F3/3F4, share one solution per n.  Each state's first read
+stores the shared object under the state's key too, and later reads find
+it there without forming the radial key.
+
 Conventions:
 * energies E = -mu/(2 n*^2) hartree from the species quantum defects;
 * quantum-defect series are cut at r_min = 0.05 l(l+1) + 1 bohr (the core
@@ -74,7 +81,7 @@ from importlib.util import module_from_spec
 
 import numpy as np
 
-from .species import RydbergState
+from .species import RydbergState, _binding_au
 from .wigner import legendre_moment
 
 DEFAULT_MESH_STEP = 0.01
@@ -113,6 +120,20 @@ def _load_flapack():
 
 
 lapack = _load_flapack()
+
+
+def _radial_key(state: RydbergState) -> tuple:
+    """Everything a solution depends on besides the mesh step: (l, n*, the
+    reduced-mass factor, whether the series has no defect at all).  Series
+    with equal defects give equal keys (Sr 3F2/3F3/3F4, Yb 1F3/3F2/3F3/3F4);
+    n* is exact, so a defect that differs in its last digit does not."""
+    sd = state.defect
+    return (
+        sd.L,
+        state.n_eff,
+        state.species.reduced_mass_factor,
+        sd.mu0 == 0.0 and sd.mu2 == 0.0 and sd.mu4 == 0.0,
+    )
 
 
 class RadialUnsolvableError(ValueError):
@@ -267,15 +288,17 @@ class _Mesh:
 
 class RadialSolver:
     """Solves radial wavefunctions and matrix elements on one mesh of step
-    ``h``; caches what is built on it: solutions and radial moments,
-    transition tables and downward channels, and the parts of the
+    ``h``; caches what is built on it: solutions and radial moments, one
+    per radial key (``_radial_key``: what a solve reads) and read per
+    state, transition tables and downward channels, and the parts of the
     thermometry models that do not depend on T (the joined channel
     columns of ``bbr_shift_fsums``, the shift and slope at the top of
     ``invert_temperature``'s range with its inverse proxy of the shift,
     ``static_polarizability`` results).
-    Keys hold the states' content keys, and any span in them is one that
-    ``transitions.check_span`` admitted; a build that raises stores
-    nothing.
+    Other keys hold the states' content keys (file sha256, n, series), so
+    tables stay per state (their angular factors depend on J), and any
+    span in them is one that ``transitions.check_span`` admitted; a build
+    that raises stores nothing.
 
     Every function of the package works on the shared ``default_solver()``
     unless it takes a ``solver=`` and is given one: a fresh solver starts
@@ -303,7 +326,9 @@ class RadialSolver:
 
     def _mesh_through(self, j1: int) -> _Mesh:
         """A stored mesh that reaches x_j1; a longer one replaces the stored
-        mesh when needed.  Callers slice only the mesh returned here."""
+        mesh when needed.  Callers slice only the mesh returned here, or
+        the stored mesh within a solution of this solver, whose build
+        called this method."""
         mesh = self._mesh
         if mesh.x.shape[0] <= j1:
             with self._lock:
@@ -315,27 +340,41 @@ class RadialSolver:
 
     # -- wavefunctions -----------------------------------------------------
 
+    def _by_content(self, key: tuple, state: RydbergState, build):
+        """The value to store under the per-state ``key`` on a miss: the one
+        stored under the state's radial key (``_radial_key``), built by
+        ``build(state, radial_key)`` if there is none.  Callers read the
+        per-state key first: a cold round reads ~13 solutions per build,
+        and forming the radial key on every read costs more than sharing
+        saves."""
+        radial_key = _radial_key(state)
+        hit = self.cached(
+            (key[0], "radial") + radial_key, lambda: build(state, radial_key)
+        )
+        with self._lock:
+            return self._cache.setdefault(key, hit)
+
     def solve(self, state: RydbergState) -> RadialSolution:
+        """The state's solution: one object per radial key, so the states
+        of series with equal defects share it."""
         key = ("solution", state._key)
         hit = self._cache.get(key)  # a pair reads two solutions: no closure
         if hit is None:
-            hit = self.cached(key, lambda: self._solve(state))
+            hit = self._by_content(key, state, self._solve)
         return hit
 
-    def _solve(self, state: RydbergState) -> RadialSolution:
-        sd = state.defect
-        l = sd.L
-        nst = state.n_eff
+    def _solve(self, state: RydbergState, radial_key: tuple) -> RadialSolution:
+        """The solution of ``radial_key``, which is all it reads; ``state``
+        only names the state that asked in an error."""
+        l, nst, mu, zero_defect = radial_key
         if nst <= l + 0.15:
             raise RadialUnsolvableError(
                 f"{state}: n_eff = {nst:.3f} too close to/below l = {l}; "
                 "no Coulomb-approximation solution"
             )
-        mu = state.species.reduced_mass_factor
-        energy = -state.binding_au  # hartree, negative
+        energy = -_binding_au(mu, nst)  # hartree, negative
 
-        hydrogenic = sd.mu0 == 0.0 and sd.mu2 == 0.0 and sd.mu4 == 0.0
-        if hydrogenic:
+        if zero_defect:
             r_min = 0.001 * (l + 1) ** 2
         else:
             r_min = 0.05 * l * (l + 1) + 1.0
@@ -387,39 +426,45 @@ class RadialSolver:
         """<a| r |b> over the common mesh (u_a u_b r dr): 2h trapz(v_a v_b x^4)
         over the common nodes j0..j1, symmetric in (a, b) bit for bit."""
         sa, sb = self.solve(a), self.solve(b)
-        j0 = max(sa.j_in, sb.j_in)
-        j1 = min(sa.j_out, sb.j_out)
-        va = sa.v[j0 - sa.j_in : j1 - sa.j_in + 1]
-        f = va * sb.v[j0 - sb.j_in : j1 - sb.j_in + 1]
-        w = self._mesh_through(j1).power(4)[j0 : j1 + 1]
+        ja, jb = sa.j_in, sb.j_in
+        j0 = ja if ja > jb else jb
+        j1 = sa.j_out if sa.j_out < sb.j_out else sb.j_out
+        f = sa.v[j0 - ja : j1 - ja + 1] * sb.v[j0 - jb : j1 - jb + 1]
+        # the stored mesh reaches both solutions' nodes (see _mesh_through)
+        w = self._mesh.power(4)[j0 : j1 + 1]
         ends = f.item(0) * w.item(0) + f.item(-1) * w.item(-1)
-        return 2.0 * self.h * (float(np.dot(f, w)) - 0.5 * ends)
+        return 2.0 * self.h * (float(f.dot(w)) - 0.5 * ends)
 
     def _moments(self, state: RydbergState) -> tuple[float, tuple[float, ...]]:
-        """(r_top, m) of the state: r_top is r at j_out, and
-        m_k = sum' v_j^2 r_j (r_j / r_top)^k (trapezoid, end terms halved)
-        for k = 0..K, as far as the series of orders 0..2L need at
+        """(r_top, m) of the state, one per radial key: r_top is r at j_out,
+        and m_k = sum' v_j^2 r_j (r_j / r_top)^k (trapezoid, end terms
+        halved) for k = 0..K, as far as the series of orders 0..2L need at
         z = _MOMENT_Z.  Every power is <= 1, so none overflows."""
+        key = ("moments", state._key)
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = self._by_content(key, state, self._build_moments)
+        return hit
 
-        def build() -> tuple[float, tuple[float, ...]]:
-            sol = self.solve(state)
-            r = self._mesh_through(sol.j_out).power(2)[sol.j_in : sol.j_out + 1]
-            r_top = float(r[-1])
-            rho = r / r_top
-            p = sol.v * sol.v * r
-            p[0] *= 0.5
-            p[-1] *= 0.5
-            top = max(
-                order + 2 * len(_series_coefs(order, _MOMENT_Z)) - 2
-                for order in range(2 * state.L + 1)
-            )
-            m = []
-            for _ in range(top + 1):
-                m.append(float(np.sum(p)))
-                p *= rho
-            return r_top, tuple(m)
-
-        return self.cached(("moments", state._key), build)
+    def _build_moments(
+        self, state: RydbergState, radial_key: tuple
+    ) -> tuple[float, tuple[float, ...]]:
+        sol = self.solve(state)
+        r = self._mesh_through(sol.j_out).power(2)[sol.j_in : sol.j_out + 1]
+        r_top = float(r[-1])
+        rho = r / r_top
+        p = sol.v * sol.v * r
+        p[0] *= 0.5
+        p[-1] *= 0.5
+        top = max(
+            order + 2 * len(_series_coefs(order, _MOMENT_Z)) - 2
+            for order in range(2 * radial_key[0] + 1)
+        )
+        m = []
+        for _ in range(top + 1):
+            m.append(float(np.sum(p)))
+            p *= rho
+        return r_top, tuple(m)
 
     def _bessel_pair(self, state: RydbergState, order: int, q_au: float) -> float:
         if order < 0 or not 0.0 <= q_au < math.inf:

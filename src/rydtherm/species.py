@@ -93,6 +93,11 @@ class SeriesDefect:
         return self.mu0 + self.mu2 / m**2 + self.mu4 / m**4
 
 
+def _binding_au(mu_red: float, n_eff: float) -> float:
+    """Binding energy mu_red / (2 n*^2) (positive), hartree."""
+    return mu_red / (2.0 * n_eff**2)
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionTable:
     """One initial state's channels as columns, and what lies outside them.
@@ -140,16 +145,17 @@ def _columns(
 @dataclass(frozen=True)
 class RydbergState:
     """A bound (n, series) state of a loaded species, made only by
-    ``Species.state``, which checks n and sets the cache key."""
+    ``Species.state``, which checks n, sets the cache key and computes n*
+    and the binding energy once: one object per (n, series) of a species."""
 
     species: "Species" = field(repr=False, compare=False)
     n: int
     series: str
     _key: tuple = field(repr=False)
-
-    @property
-    def defect(self) -> SeriesDefect:
-        return self.species.series_info(self.series)
+    # determined by the species and (n, series), so out of eq and hash
+    defect: SeriesDefect = field(repr=False, compare=False)
+    n_eff: float = field(repr=False, compare=False)
+    binding_au: float = field(repr=False, compare=False)  # positive, hartree
 
     @property
     def L(self) -> int:
@@ -162,15 +168,6 @@ class RydbergState:
     @property
     def J(self) -> float:
         return self.defect.J
-
-    @property
-    def n_eff(self) -> float:
-        return self.n - self.defect.mu(self.n)
-
-    @property
-    def binding_au(self) -> float:
-        """Binding energy (positive), hartree."""
-        return self.species.reduced_mass_factor / (2.0 * self.n_eff**2)
 
     @property
     def energy_au(self) -> float:
@@ -480,6 +477,8 @@ class Species:
                     f"for {gs_label}"
                 )
 
+        # every state made so far, by (n, series)
+        self._states: dict[tuple[int, str], RydbergState] = {}
         # one object per role, which every call of clock_state returns, and
         # each one's role by its content key (ground wins if both are one)
         self._clock_states = {role: self.state(n, s) for role, (s, n) in clock.items()}
@@ -521,22 +520,42 @@ class Species:
         """The state (n, series), the one way to make a state: n must lie
         in [n_min of the series, rydberg_n_max], the one upper bound on n,
         so every radial table and mesh built from a state stays inside it.
-        n must be an integer (a Python or numpy int), not a float or str."""
-        n_min = self.series_info(series).n_min
+        n must be an integer (a Python or numpy int), not a bool, float or
+        str.  A state is one object per (n, series), memoised here with
+        its n* and binding energy, so any n of one value gets it."""
+        if type(n) is int:  # a bool or numpy int takes the checks first
+            hit = self._states.get((n, series))
+            if hit is not None:
+                return hit
+        sd = self.series_info(series)
         try:
-            n = operator.index(n)
+            n_int = operator.index(n)
         except TypeError:
+            n_int = None
+        if n_int is None or isinstance(n, bool):
             raise SpeciesDataError(
                 f"{self.name} {series}: n = {n!r} is not an integer"
-            ) from None
-        if not n_min <= n <= self.rydberg_n_max:
+            )
+        n = n_int
+        if not sd.n_min <= n <= self.rydberg_n_max:
             raise SpeciesDataError(
                 f"{self.name} {series}: n = {n} outside valid range "
-                f"[{n_min}, {self.rydberg_n_max}]"
+                f"[{sd.n_min}, {self.rydberg_n_max}]"
             )
-        return RydbergState(
-            species=self, n=n, series=series, _key=(self.sha256, n, series)
-        )
+        hit = self._states.get((n, series))
+        if hit is None:
+            n_eff = n - sd.mu(n)
+            hit = RydbergState(
+                species=self,
+                n=n,
+                series=series,
+                _key=(self.sha256, n, series),
+                defect=sd,
+                n_eff=n_eff,
+                binding_au=_binding_au(self.reduced_mass_factor, n_eff),
+            )
+            hit = self._states.setdefault((n, series), hit)
+        return hit
 
     def clock_state(self, role: str) -> RydbergState:
         """The "ground" or "metastable" state the species file names, the

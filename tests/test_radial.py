@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from rydtherm.radial import (
     default_solver,
     sin2_matrix_element,
 )
+from rydtherm.species import bundled_species_path, load_species
+from rydtherm.transitions import build_transition_table
 from rydtherm.wigner import line_strength_factor
 
 
@@ -364,8 +367,86 @@ def test_radial_integral_symmetric_and_matches_trapezoid(sr, yb, hydrogen, momen
     for a, b in pairs:
         got = fresh.radial_integral(a, b)
         assert got == fresh.radial_integral(b, a)
+        assert got == _overlap_reference(fresh, a, b), (a, b)
         old = moment(fresh, a, b, 1)
         assert got == pytest.approx(old, rel=1e-13, abs=0.0), (a, b)
+
+
+def _overlap_reference(solver, a, b):
+    """<a| r |b> by the plainest arithmetic of ``radial_integral``: the
+    product of the common slices, one dot with x^4 of a fresh mesh, less
+    half the end terms.  ``radial_integral`` must match it bit for bit."""
+    sa, sb = solver.solve(a), solver.solve(b)
+    j0, j1 = max(sa.j_in, sb.j_in), min(sa.j_out, sb.j_out)
+    f = sa.v[j0 - sa.j_in : j1 - sa.j_in + 1] * sb.v[j0 - sb.j_in : j1 - sb.j_in + 1]
+    w = (solver.h * np.arange(j1 + 1)) ** 4
+    w = w[j0:]
+    ends = float(f[0]) * float(w[0]) + float(f[-1]) * float(w[-1])
+    return 2.0 * solver.h * (float(np.dot(f, w)) - 0.5 * ends)
+
+
+@pytest.mark.parametrize(
+    "species_name, series",
+    [("sr", ("3F2", "3F3", "3F4")), ("yb", ("1F3", "3F2", "3F3", "3F4"))],
+)
+def test_series_with_equal_defects_share_one_solution(species_name, series, sr, yb):
+    # Sr 3F2/3F3/3F4 share mu0 = 0.120 and Yb 1F3/3F2/3F3/3F4 mu0 = 0.276:
+    # what a solve reads (l, n*, mu, zero-defect flag) is the same, so one
+    # solution serves every series, and so do its radial moments
+    sp = {"sr": sr, "yb": yb}[species_name]
+    fresh = RadialSolver()
+    states = [sp.state(30, label) for label in series]
+    solutions = {id(fresh.solve(st)) for st in states}
+    assert len(solutions) == 1
+    assert len({id(fresh._moments(st)) for st in states}) == 1
+    # another defect (Sr 1F3, 0.089) or another n is another solution
+    others = [sp.state(31, series[0])]
+    if species_name == "sr":
+        others.append(sr.state(30, "1F3"))
+    for st in others:
+        assert id(fresh.solve(st)) not in solutions
+
+
+def test_defect_differing_in_its_last_digit_shares_no_solution(tmp_path, sr):
+    text = Path(bundled_species_path("sr")).read_text(encoding="utf-8")
+    assert text.count("defect.3F3.mu0 = 0.120\n") == 1
+    path = tmp_path / "sr.species"
+    path.write_text(text.replace("defect.3F3.mu0 = 0.120\n", "defect.3F3.mu0 = 0.121\n"))
+    copy = load_species(str(path))
+    fresh = RadialSolver()
+    edited = fresh.solve(copy.state(30, "3F3"))
+    assert edited is not fresh.solve(sr.state(30, "3F3"))
+    assert edited is not fresh.solve(copy.state(30, "3F2"))
+    # the key is the content, not the file: the copy's unedited 3F2 is Sr's
+    assert fresh.solve(copy.state(30, "3F2")) is fresh.solve(sr.state(30, "3F2"))
+
+
+def test_tables_do_not_depend_on_which_sharing_state_solved_first(sr):
+    # a shared solution is bitwise the one its other states would build:
+    # every table reading Sr 3F2/3F3 is the same whichever solved first
+    def tables(first):
+        fresh = RadialSolver()
+        for label in first:
+            fresh.solve(sr.state(31, label))
+        return [
+            build_transition_table(sr.state(n, label), solver=fresh)
+            for n, label in ((30, "3D3"), (30, "3F2"), (30, "3F3"), (31, "3F4"))
+        ]
+
+    for a, b in zip(tables(("3F2", "3F3")), tables(("3F3", "3F2"))):
+        assert a.channel_ids == b.channel_ids
+        for name in ("omega_au", "z2", "j_final"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert a.f_missing == b.f_missing
+
+
+def test_unsolvable_error_names_the_state_that_asked(sr):
+    # a build that raises stores nothing, so a state sharing the radial key
+    # of one that failed raises again under its own name
+    coarse = RadialSolver(0.11)
+    for label in ("3F2", "3F3", "3F4"):
+        with pytest.raises(RadialUnsolvableError, match=rf"^Sr 30 {label}: mesh step"):
+            coarse.solve(sr.state(30, label))
 
 
 def test_numerov_zero_pivot_raises():
