@@ -48,10 +48,8 @@ kernel runs as described; the Sr and Yb magic lattices stay below it.
 
 A solution depends on the state only through its radial key (l, n*, the
 reduced-mass factor, and whether the series has no defect), so a solver
-keys solutions and radial moments by it: series with equal defects, such
-as Sr 3F2/3F3/3F4, share one solution per n.  Each state's first read
-stores the shared object under the state's key too, and later reads find
-it there without forming the radial key.
+builds solutions and radial moments once per radial key: series with
+equal defects, such as Sr 3F2/3F3/3F4, share one solution per n.
 
 Conventions:
 * energies E = -mu/(2 n*^2) hartree from the species quantum defects;
@@ -340,27 +338,28 @@ class RadialSolver:
 
     # -- wavefunctions -----------------------------------------------------
 
-    def _by_content(self, key: tuple, state: RydbergState, build):
-        """The value to store under the per-state ``key`` on a miss: the one
-        stored under the state's radial key (``_radial_key``), built by
-        ``build(state, radial_key)`` if there is none.  Callers read the
-        per-state key first: a cold round reads ~13 solutions per build,
-        and forming the radial key on every read costs more than sharing
-        saves."""
-        radial_key = _radial_key(state)
-        hit = self.cached(
-            (key[0], "radial") + radial_key, lambda: build(state, radial_key)
-        )
-        with self._lock:
-            return self._cache.setdefault(key, hit)
+    def _by_radial_key(self, kind: str, state: RydbergState, build):
+        """The state's ``kind`` value, read under the state's key; on a miss
+        the one stored under its radial key (``_radial_key``), built by
+        ``build(state, radial_key)`` if there is none, and then stored under
+        the state's key too.  The radial key is formed only on a miss: a
+        cold round reads ~13 solutions per build."""
+        key = (kind, state._key)
+        hit = self._cache.get(key)
+        if hit is None:
+            radial_key = _radial_key(state)
+            hit = self.cached(
+                (kind, "radial") + radial_key, lambda: build(state, radial_key)
+            )
+            with self._lock:
+                hit = self._cache.setdefault(key, hit)
+        return hit
 
     def solve(self, state: RydbergState) -> RadialSolution:
-        """The state's solution: one object per radial key, so the states
-        of series with equal defects share it."""
-        key = ("solution", state._key)
-        hit = self._cache.get(key)  # a pair reads two solutions: no closure
+        """The state's solution, one object per radial key."""
+        hit = self._cache.get(("solution", state._key))  # a pair reads two
         if hit is None:
-            hit = self._by_content(key, state, self._solve)
+            hit = self._by_radial_key("solution", state, self._solve)
         return hit
 
     def _solve(self, state: RydbergState, radial_key: tuple) -> RadialSolution:
@@ -440,11 +439,7 @@ class RadialSolver:
         and m_k = sum' v_j^2 r_j (r_j / r_top)^k (trapezoid, end terms
         halved) for k = 0..K, as far as the series of orders 0..2L need at
         z = _MOMENT_Z.  Every power is <= 1, so none overflows."""
-        key = ("moments", state._key)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._by_content(key, state, self._build_moments)
-        return hit
+        return self._by_radial_key("moments", state, self._build_moments)
 
     def _build_moments(
         self, state: RydbergState, radial_key: tuple

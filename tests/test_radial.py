@@ -440,6 +440,36 @@ def test_tables_do_not_depend_on_which_sharing_state_solved_first(sr):
         assert a.f_missing == b.f_missing
 
 
+def test_states_and_shared_solutions_are_one_object_under_threads(tmp_path):
+    # a fresh species (its own state memo) and a fresh solver, filled by
+    # more threads than cores with a short switch interval: every call for
+    # one (n, series) gets the one stored state, and the three F series of
+    # one n the one stored solution (a lost update would hand out two)
+    from concurrent.futures import ThreadPoolExecutor
+
+    text = Path(bundled_species_path("sr")).read_text(encoding="utf-8")
+    path = tmp_path / "sr.species"
+    path.write_text(text + "# a copy with its own state memo\n")
+    sp = load_species(str(path))
+    shared = RadialSolver()
+    tasks = [(n, label) for n in range(10, 41) for label in ("3F2", "3F3", "3F4")]
+
+    def task(n_label):
+        st = sp.state(*n_label)
+        return st, shared.solve(st)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(task, tasks * 2, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    for (n, label), (st, sol) in zip(tasks * 2, got):
+        assert st is sp.state(n, label)
+        assert sol is shared.solve(sp.state(n, "3F2"))
+
+
 def test_unsolvable_error_names_the_state_that_asked(sr):
     # a build that raises stores nothing, so a state sharing the radial key
     # of one that failed raises again under its own name

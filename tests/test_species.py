@@ -99,20 +99,21 @@ def test_rydberg_n_max_is_the_one_bound_on_n(sr, sr_n_max_60):
 
 @pytest.mark.parametrize("n", [30.5, 30.0, "30", math.nan])
 def test_non_integral_n_is_rejected(sr, n):
-    with pytest.raises(SpeciesDataError, match="is not an integer"):
+    with pytest.raises(
+        SpeciesDataError, match=rf"^Sr 3D1: n = {re.escape(repr(n))} is not an integer$"
+    ):
         sr.state(n, "3D1")
 
 
 def test_numpy_integer_n_is_an_int(sr):
     st = sr.state(np.int64(30), "3D1")
-    assert type(st.n) is int and st == sr.state(30, "3D1")
+    assert type(st.n) is int and st is sr.state(30, "3D1")
+    assert sr.state(np.int32(30), "3D1") is st
 
 
 def test_state_is_one_object_per_n_and_series(sr):
     st = sr.state(30, "3D1")
     assert sr.state(30, "3D1") is st
-    assert sr.state(np.int64(30), "3D1") is st
-    assert sr.state(np.int32(30), "3D1") is st
     assert sr.state(30, "3D2") is not st and sr.state(31, "3D1") is not st
     # n* and the binding energy are computed once, by the formulas
     sd = sr.series_info("3D1")
@@ -127,19 +128,10 @@ def test_bool_n_is_rejected(hydrogen, n):
     # True == 1 and hashes alike: a state memoised under (1, "1S0") must
     # not be served for it, as check_span refuses a bool span
     hydrogen.state(1, "1S0")
-    with pytest.raises(SpeciesDataError, match=rf"^H 1S0: n = {n!r} is not an integer$"):
-        hydrogen.state(n, "1S0")
-
-
-def test_bad_n_errors_keep_their_text(sr):
-    with pytest.raises(SpeciesDataError, match=r"^Sr 3D1: n = 30\.0 is not an integer$"):
-        sr.state(30.0, "3D1")
-    with pytest.raises(SpeciesDataError, match=r"^Sr 3D1: n = '30' is not an integer$"):
-        sr.state("30", "3D1")
     with pytest.raises(
-        SpeciesDataError, match=r"^Sr 3D1: n = 81 outside valid range \[4, 80\]$"
+        SpeciesDataError, match=rf"^H 1S0: n = {re.escape(repr(n))} is not an integer$"
     ):
-        sr.state(81, "3D1")
+        hydrogen.state(n, "1S0")
 
 
 def test_states_come_only_from_species_state(sr):
